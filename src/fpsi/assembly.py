@@ -26,6 +26,12 @@ blocks.
 
 Dirichlet conditions are applied by identity-row replacement with column
 symmetrization (known values move to the right-hand side).
+
+Assembly is fixed-pattern (see fem.py): the first assembly of a problem
+builds the CSR pattern of the system and its Dirichlet elimination; every
+later step computes element values only.  Terms that the data can switch
+off (backflow at outflow, the kinetic correction at rest) always add their
+blocks, with zero values when inactive, so one pattern serves every step.
 """
 
 from __future__ import annotations
@@ -40,9 +46,12 @@ from scipy.io import mmwrite
 from . import mesh as meshmod
 from .elements import eval_basis, reference_element, simplex_quadrature, facet_quadrature
 from .errors import AssemblyError
+from .fem import (SparsePattern, Triplets, add_kron_eye, apply_dirichlet, component_trace,
+                  field_at_qp, gradient_gram, grads_at_qp, kron_eye, scalar_at_qp,
+                  scatter_add, weighted_gram, weighted_moment)
 from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
 from .mesh import FLUID, GAMMA_FS, GAMMA_OUT, SOLID, InterfaceFacet, Mesh, extract_interface
-from .spaces import FunctionSpace, build_space, transfer_nodes, _batch_eval
+from .spaces import FunctionSpace, batch_eval, build_space, transfer_nodes
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
 
@@ -105,7 +114,6 @@ class SubdomainData:
     nodes1: np.ndarray     # (nc, n1) scalar nodes of the subdomain P1 space
     nodes_u: np.ndarray    # (nc, n2) scalar nodes of the global displacement space
     vdofs: np.ndarray      # (nc, n2*d) interleaved vector dofs
-    pdofs: np.ndarray      # (nc, n1)
 
 
 @dataclass
@@ -123,7 +131,6 @@ class FacetTraces:
     nodes1: np.ndarray         # (nf, n1)
     nodes_u: np.ndarray        # (nf, n2)
     vdofs: np.ndarray          # (nf, n2*d)
-    pdofs: np.ndarray          # (nf, n1)
 
 
 @dataclass
@@ -212,6 +219,9 @@ class Problem:
     map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    # fixed assembly patterns by matrix name ("system", "extension"), built
+    # at the first assembly and freed with the problem
+    patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -247,7 +257,7 @@ def _subdomain_data(mesh, cells, space2, space1, space_u, degree) -> SubdomainDa
     nodes1 = space1.cell_nodes[loc1[cells]]
     nodes_u = space_u.cell_nodes[cells]
     vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(len(cells), -1)
-    return SubdomainData(cells, w, X, v2, grad2, v1, nodes2, nodes1, nodes_u, vdofs, nodes1)
+    return SubdomainData(cells, w, X, v2, grad2, v1, nodes2, nodes1, nodes_u, vdofs)
 
 
 def _local_index(n, ids):
@@ -298,7 +308,7 @@ def _facet_traces(mesh, fverts_list, cell_ids, space2, space1, space_u, degree,
     nodes_u = space_u.cell_nodes[cells]
     vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(nf, -1)
     return FacetTraces(cells, w, X, normals, val2, grad2, val1,
-                       nodes2, nodes1, nodes_u, vdofs, nodes1)
+                       nodes2, nodes1, nodes_u, vdofs)
 
 
 def build_problem(mesh: Mesh, params: MaterialParams, *,
@@ -423,108 +433,38 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
 # Geometry at the extrapolated displacement
 # ---------------------------------------------------------------------------
 
-def _grads_on_cells(sub: SubdomainData, uvec: np.ndarray, d: int) -> np.ndarray:
-    """grad u at cell quadrature points: (nc, nq, d, d), du_m/dx_e."""
-    uloc = uvec.reshape(-1, d)[sub.nodes_u]                  # (nc, n2, d)
-    return np.einsum("cnm,cqne->cqme", uloc, sub.grad2)
-
-
-def _grads_on_facets(tr: FacetTraces, uvec: np.ndarray, d: int) -> np.ndarray:
-    uloc = uvec.reshape(-1, d)[tr.nodes_u]
-    return np.einsum("fnm,fqne->fqme", uloc, tr.grad2)
-
-
 def build_geometry(problem: Problem, u_tilde: np.ndarray) -> Geometry:
-    """F, J and derived weights at every quadrature point, checked positive."""
+    """F, J and derived weights at every quadrature point, checked positive.
+
+    Cell entries also carry G = grad(phi) F^-1, the P2 basis gradients pushed
+    to the deformed configuration, which every gradient form shares.
+    """
     d = problem.dim
     geo = Geometry()
-    if problem.fluid is not None:
-        gu = _grads_on_cells(problem.fluid, u_tilde, d)
-        F, J, Finv, FinvT = deformation_state(gu, cell_ids=problem.fluid.cells)
-        geo.fluid = {"F": F, "J": J, "Finv": Finv, "FinvT": FinvT}
-    if problem.solid is not None:
-        gu = _grads_on_cells(problem.solid, u_tilde, d)
-        F, J, Finv, FinvT = deformation_state(gu, cell_ids=problem.solid.cells)
-        geo.solid = {"F": F, "J": J, "Finv": Finv, "FinvT": FinvT}
+    for name in ("fluid", "solid"):
+        sub = getattr(problem, name)
+        if sub is not None:
+            F, J, Finv, FinvT = deformation_state(grads_at_qp(sub, u_tilde, d),
+                                                  cell_ids=sub.cells)
+            setattr(geo, name, {"F": F, "J": J, "Finv": Finv, "FinvT": FinvT,
+                                "G": sub.grad2 @ Finv})
     if problem.iface is not None:
         tr = problem.iface.fluid
-        gu = _grads_on_facets(tr, u_tilde, d)
-        F, J, Finv, FinvT = deformation_state(gu, cell_ids=tr.cells_global)
-        nvec = np.einsum("fqab,fb->fqa", FinvT, tr.nref)
+        F, J, Finv, FinvT = deformation_state(grads_at_qp(tr, u_tilde, d),
+                                              cell_ids=tr.cells_global)
+        nvec = (FinvT @ tr.nref[:, None, :, None])[..., 0]
         mag = np.linalg.norm(nvec, axis=-1)
         n = nvec / mag[..., None]
-        Js = J * mag
-        P = np.eye(d)[None, None] - np.einsum("fqa,fqb->fqab", n, n)
-        geo.iface = {"F": F, "J": J, "Js": Js, "n": n, "P": P}
+        P = np.eye(d) - n[..., :, None] * n[..., None, :]
+        geo.iface = {"F": F, "J": J, "Js": J * mag, "n": n, "P": P}
     natural = dict(problem.open_data)
     natural.update(problem.load_data)
     for marker, tr in natural.items():
-        gu = _grads_on_facets(tr, u_tilde, d)
-        F, J, Finv, FinvT = deformation_state(gu, cell_ids=tr.cells_global)
-        vn = np.einsum("fqab,fb->fqa", FinvT, tr.nref)   # F^-T n_ref, unnormalized
+        F, J, Finv, FinvT = deformation_state(grads_at_qp(tr, u_tilde, d),
+                                              cell_ids=tr.cells_global)
+        vn = (FinvT @ tr.nref[:, None, :, None])[..., 0]   # F^-T n_ref, unnormalized
         geo.loads[marker] = {"J": J, "vn": vn}
     return geo
-
-
-# ---------------------------------------------------------------------------
-# Element kernels
-# ---------------------------------------------------------------------------
-
-class _Triplets:
-    def __init__(self):
-        self.rows: list = []
-        self.cols: list = []
-        self.vals: list = []
-
-    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        nb, ni = rows.shape
-        nj = cols.shape[1]
-        self.rows.append(np.repeat(rows[:, :, None], nj, axis=2).ravel())
-        self.cols.append(np.repeat(cols[:, None, :], ni, axis=1).ravel())
-        self.vals.append(vals.reshape(-1))
-
-    def tocsr(self, n: int) -> sparse.csr_matrix:
-        if not self.rows:
-            return sparse.csr_matrix((n, n))
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        vals = np.concatenate(self.vals)
-        A = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        A.sum_duplicates()
-        return A
-
-
-def _kron_eye(M: np.ndarray, d: int) -> np.ndarray:
-    """Embed a scalar element matrix as M (x) I_d with interleaved components."""
-    nb, ni, nj = M.shape
-    out = np.zeros((nb, ni * d, nj * d))
-    for a in range(d):
-        out[:, a::d, a::d] = M
-    return out
-
-
-def _vec_mass(sub: SubdomainData, wJ: np.ndarray, d: int) -> np.ndarray:
-    Ms = np.einsum("cq,qi,qj->cij", wJ, sub.val2, sub.val2)
-    return _kron_eye(Ms, d)
-
-
-def _add_rhs(b, rows, vals):
-    np.add.at(b, rows.ravel(), vals.ravel())
-
-
-def _field_at_qp(val, nodes, vec, d):
-    """FE field at quadrature points from interleaved dofs: (..., nq, d)."""
-    loc = vec.reshape(-1, d)[nodes]                  # (nb, nloc, d)
-    if val.ndim == 2:      # shared table (nq, nloc)
-        return np.einsum("qn,bnd->bqd", val, loc)
-    return np.einsum("bqn,bnd->bqd", val, loc)       # per-facet table
-
-
-def _scalar_at_qp(val, nodes, vec):
-    loc = vec[nodes]
-    if val.ndim == 2:
-        return np.einsum("qn,bn->bq", val, loc)
-    return np.einsum("bqn,bn->bq", val, loc)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +476,11 @@ def assemble_system(problem: Problem, inp: StepInputs,
     """Assemble A, b for one step (or a steady solve when inp.dt is None)."""
     lay = problem.layout
     geo = build_geometry(problem, inp.u_tilde)
-    T = _Triplets()
-    b = np.zeros(lay.total)
     transient = inp.dt is not None
+    # the block sequence depends on these two flags only
+    T = Triplets(lay.total, problem.patterns, "system",
+                 key=(transient, inp.vf_tilde is not None))
+    b = np.zeros(lay.total)
 
     if problem.fluid is not None:
         _fluid_terms(problem, inp, geo, T, b, transient)
@@ -549,9 +491,9 @@ def assemble_system(problem: Problem, inp: StepInputs,
     _load_terms(problem, inp, geo, b)
     _backflow_terms(problem, inp, geo, T)
 
-    A = T.tocsr(lay.total)
+    A = T.tocsr()
     dofs, vals = _dirichlet_data(problem, inp.t)
-    A, b = apply_dirichlet(A, b, dofs, vals)
+    A, b = apply_dirichlet(A, b, dofs, vals, T.pattern)
     if dump_matrix:
         mmwrite(dump_matrix, A.tocoo())
     return BlockSystem(A, b, lay), geo
@@ -562,53 +504,44 @@ def _fluid_terms(problem, inp, geo, T, b, transient):
     prm = problem.params
     d = problem.dim
     lay = problem.layout
-    J = geo.fluid["J"]
-    Finv = geo.fluid["Finv"]
-    wJ = sub.w * J
+    wJ = sub.w * geo.fluid["J"]
+    G = geo.fluid["G"]                     # grad(phi) F^-1
+    nc, _, nloc, _ = G.shape
     vd = sub.vdofs + lay.offsets["v_f"]
-    pd = sub.pdofs + lay.offsets["p_f"]
+    pd = sub.nodes1 + lay.offsets["p_f"]
 
-    # G_n = grad(phi_n) F^-1: the reference gradient pushed to spatial coords.
-    G = np.einsum("cqne,cqep->cqnp", sub.grad2, Finv)
+    # a_f: 2 mu J D:D = mu J [delta_ab Gi.Gj + Gj_a Gi_b]; the scalar part S
+    # (times I) collects the mass and advection blocks as well
+    P = gradient_gram(wJ * prm.mu_f, G)    # P[i,a,j,b] = sum mu w J Gi_a Gj_b
+    K = P.transpose(0, 1, 4, 3, 2).copy()
+    S = component_trace(P)
 
     if transient:
-        M = _vec_mass(sub, wJ * (prm.rho_f * inp.a0 / inp.dt), d)
-        T.add(vd, vd, M)
+        S += weighted_gram(wJ * (prm.rho_f * inp.a0 / inp.dt), sub.val2, sub.val2)
         hist = inp.hist.get("v_f")
         if hist is not None and np.any(hist):
-            hq = _field_at_qp(sub.val2, sub.nodes2, hist, d)
-            rhs = -np.einsum("cq,qi,cqa->cia", wJ * (prm.rho_f / inp.dt), sub.val2, hq)
-            _add_rhs(b, vd, rhs)
-
-    # a_f: 2 mu J D:D = mu J [delta_ab Gi.Gj + Gj_a Gi_b]
-    muwJ = wJ * prm.mu_f
-    A1 = np.einsum("cq,cqid,cqjd->cij", muwJ, G, G)
-    A2 = np.einsum("cq,cqja,cqib->ciajb", muwJ, G, G)
-    nloc = G.shape[2]
-    T.add(vd, vd, _kron_eye(A1, d) + A2.reshape(-1, nloc * d, nloc * d))
+            hq = field_at_qp(sub.val2, sub.nodes2, hist, d)
+            scatter_add(b, vd, -weighted_moment(wJ * (prm.rho_f / inp.dt), sub.val2, hq))
 
     # c_f with the extrapolated advective field v~_f - w~
     if problem.include_inertia and transient and inp.vf_tilde is not None:
-        adv = _field_at_qp(sub.val2, sub.nodes2, inp.vf_tilde, d)
+        adv = field_at_qp(sub.val2, sub.nodes2, inp.vf_tilde, d)
         if inp.w_tilde is not None:
-            adv = adv - _field_at_qp(sub.val2, sub.nodes_u, inp.w_tilde, d)
-        t1 = np.einsum("cqjd,cqd->cqj", G, adv)
-        C = np.einsum("cq,qi,cqj->cij", wJ * prm.rho_f, sub.val2, t1)
-        T.add(vd, vd, _kron_eye(C, d))
+            adv = adv - field_at_qp(sub.val2, sub.nodes_u, inp.w_tilde, d)
+        S += weighted_gram(wJ * prm.rho_f, sub.val2, (G @ adv[..., None])[..., 0])
+    T.add(vd, vd, add_kron_eye(K, S).reshape(nc, nloc * d, nloc * d))
 
     # pressure block and its transposed constraint: B[j,(i,a)] = w J p_j G_i[a]
-    B = np.einsum("cq,qj,cqia->cjia", wJ, sub.val1, G).reshape(len(sub.cells), -1, nloc * d)
+    B = weighted_moment(wJ, sub.val1, G).reshape(nc, -1, nloc * d)
     T.add(pd, vd, B)                                   # + b_f(q_f, v_f)
-    T.add(vd, pd, -np.transpose(B, (0, 2, 1)))         # - b_f(p_f, psi_f)
+    T.add(vd, pd, -np.swapaxes(B, 1, 2))               # - b_f(p_f, psi_f)
 
     fn = problem.forcing.get("v_f")
     if fn is not None:
-        fq = _forcing_at(fn, sub.X, inp.t, d)
-        _add_rhs(b, vd, np.einsum("cq,qi,cqa->cia", sub.w, sub.val2, fq))
+        scatter_add(b, vd, weighted_moment(sub.w, sub.val2, _forcing_at(fn, sub.X, inp.t, d)))
     gn = problem.forcing.get("mass_f")
     if gn is not None:
-        gq = _forcing_at(gn, sub.X, inp.t, 1)
-        _add_rhs(b, pd, np.einsum("cq,qj,cq->cj", sub.w, sub.val1, gq))
+        scatter_add(b, pd, weighted_moment(sub.w, sub.val1, _forcing_at(gn, sub.X, inp.t, 1)))
 
 
 def _solid_terms(problem, inp, geo, T, b, transient):
@@ -616,26 +549,40 @@ def _solid_terms(problem, inp, geo, T, b, transient):
     prm = problem.params
     d = problem.dim
     lay = problem.layout
-    J = geo.solid["J"]
     Ft = geo.solid["F"]
-    Finv = geo.solid["Finv"]
-    FinvT = geo.solid["FinvT"]
-    wJ = sub.w * J
+    wJ = sub.w * geo.solid["J"]
     vsd = sub.vdofs + lay.offsets["v_s"]
     qd = sub.vdofs + lay.offsets["q"]
-    pdd = sub.pdofs + lay.offsets["p_d"]
-    nloc = sub.val2.shape[1]
+    pdd = sub.nodes1 + lay.offsets["p_d"]
+    g = sub.grad2
+    nc, nq, nloc, _ = g.shape
+    n2d = nloc * d
+
+    # a_s: F~ S(E(u_k, u~)) : grad(psi), linear in v_s through u_k = beta v_s + u_hist.
+    # Trial (j,b): E = 1/4 (g_j (x) F~_b + F~_b (x) g_j), tr E = 1/2 g_j.F~_b.  With
+    # h_i = F~ g_i, C = F~ F~^T and s_ij = g_i.g_j the test row (i,a) reads
+    #   (F~ S g_i)_a = mu/2 (h_ja h_ib + C_ab s_ij) + lam/2 h_ia h_jb.
+    h = g @ np.swapaxes(Ft, -1, -2)
+    H = gradient_gram(sub.w, h)                        # H[i,a,j,b] = sum w h_ia h_jb
+    C = (Ft @ np.swapaxes(Ft, -1, -2)).reshape(nc, nq, d * d)
+    s = (g @ np.swapaxes(g, -1, -2)).reshape(nc, nq, nloc * nloc)
+    CS = weighted_gram(sub.w, C, s).reshape(nc, d, d, nloc, nloc)
+    Ael = (0.5 * prm.mu_s) * (H.transpose(0, 1, 4, 3, 2) + CS.transpose(0, 3, 1, 4, 2))
+    Ael += (0.5 * prm.lam_s) * H
+    Ael *= inp.beta
+
+    # a_d: J K^-1 q . psi_d
+    Ms = weighted_gram(wJ, sub.val2, sub.val2)
+    Ad = Ms[:, :, None, :, None] * prm.K_inv(d)[None, None, :, None, :]
 
     if transient:
         c = inp.a0 / inp.dt
-        Ms = np.einsum("cq,qi,qj->cij", wJ, sub.val2, sub.val2)
-        Mv = _kron_eye(Ms, d)
-        T.add(vsd, vsd, (prm.rho_p * c) * Mv)
+        Mv = kron_eye(Ms, d)
+        T.add(vsd, vsd, add_kron_eye(Ael, (prm.rho_p * c) * Ms).reshape(nc, n2d, n2d))
         T.add(vsd, qd, (prm.rho_f * c) * Mv)
         T.add(qd, vsd, (prm.rho_f * c) * Mv)
-        T.add(qd, qd, (prm.rho_f / prm.phi * c) * Mv)
-        M1 = np.einsum("cq,qi,qj->cij", wJ, sub.val1, sub.val1)
-        T.add(pdd, pdd, (prm.s0 * c) * M1)
+        T.add(qd, qd, add_kron_eye(Ad, (prm.rho_f / prm.phi * c) * Ms).reshape(nc, n2d, n2d))
+        T.add(pdd, pdd, (prm.s0 * c) * weighted_gram(wJ, sub.val1, sub.val1))
 
         nv = lay.sizes["v_s"]
         hv = inp.hist.get("v_s", np.zeros(nv))
@@ -643,45 +590,27 @@ def _solid_terms(problem, inp, geo, T, b, transient):
         if np.any(hv) or np.any(hq):
             comb_s = prm.rho_p * hv + prm.rho_f * hq
             comb_d = prm.rho_f * hv + (prm.rho_f / prm.phi) * hq
-            hs = _field_at_qp(sub.val2, sub.nodes2, comb_s, d)
-            hd = _field_at_qp(sub.val2, sub.nodes2, comb_d, d)
-            _add_rhs(b, vsd, -np.einsum("cq,qi,cqa->cia", wJ / inp.dt, sub.val2, hs))
-            _add_rhs(b, qd, -np.einsum("cq,qi,cqa->cia", wJ / inp.dt, sub.val2, hd))
+            hs = field_at_qp(sub.val2, sub.nodes2, comb_s, d)
+            hd = field_at_qp(sub.val2, sub.nodes2, comb_d, d)
+            scatter_add(b, vsd, -weighted_moment(wJ / inp.dt, sub.val2, hs))
+            scatter_add(b, qd, -weighted_moment(wJ / inp.dt, sub.val2, hd))
         hp = inp.hist.get("p_d")
         if hp is not None and np.any(hp):
-            hpq = _scalar_at_qp(sub.val1, sub.nodes1, hp)
-            _add_rhs(b, pdd, -np.einsum("cq,qj,cq->cj", wJ * (prm.s0 / inp.dt), sub.val1, hpq))
-
-    # a_s: F~ S(E(u_k, u~)) : grad(psi), linear in v_s through u_k = beta v_s + u_hist.
-    # Trial (j,b): E = 1/4 (g_j (x) F~_b + F~_b (x) g_j), tr E = 1/2 g_j.F~_b.
-    g = sub.grad2
-    E4 = 0.25 * (np.einsum("cqjm,cqbn->cqjbmn", g, Ft) + np.einsum("cqbm,cqjn->cqjbmn", Ft, g))
-    tr4 = 0.5 * np.einsum("cqjm,cqbm->cqjb", g, Ft)
-    S4 = 2.0 * prm.mu_s * E4
-    idx = np.arange(d)
-    S4[..., idx, idx] += prm.lam_s * tr4[..., None]
-    Ael = inp.beta * np.einsum("cq,cqam,cqjbmn,cqin->ciajb", sub.w, Ft, S4, g, optimize=True)
-    T.add(vsd, vsd, Ael.reshape(-1, nloc * d, nloc * d))
+            hpq = scalar_at_qp(sub.val1, sub.nodes1, hp)
+            scatter_add(b, pdd, -weighted_moment(wJ * (prm.s0 / inp.dt), sub.val1, hpq))
+    else:
+        T.add(vsd, vsd, Ael.reshape(nc, n2d, n2d))
+        T.add(qd, qd, Ad.reshape(nc, n2d, n2d))
 
     # History part of the elastic stress moves to the right-hand side.
-    gh = _grads_on_cells(sub, inp.u_impl_hist, d)
-    Fh = gh + np.eye(d)
-    Ec = green_lagrange(Fh, Ft)
+    Ec = green_lagrange(grads_at_qp(sub, inp.u_impl_hist, d) + np.eye(d), Ft)
     if np.any(Ec):
-        Sc = svk_stress(Ec, prm.lam_s, prm.mu_s)
-        rhs = -np.einsum("cq,cqam,cqmn,cqin->cia", sub.w, Ft, Sc, g, optimize=True)
-        _add_rhs(b, vsd, rhs)
-
-    # a_d: J K^-1 q . psi_d
-    Kinv = prm.K_inv(d)
-    Ms = np.einsum("cq,qi,qj->cij", wJ, sub.val2, sub.val2)
-    Ad = np.einsum("cij,ab->ciajb", Ms, Kinv)
-    T.add(qd, qd, Ad.reshape(-1, nloc * d, nloc * d))
+        FS = Ft @ svk_stress(Ec, prm.lam_s, prm.mu_s)
+        scatter_add(b, vsd, -np.einsum("cq,cqia->cia", sub.w, g @ np.swapaxes(FS, -1, -2)))
 
     # pressure blocks (tested against psi_s and psi_d) and the constraint rows
-    G = np.einsum("cqne,cqep->cqnp", sub.grad2, Finv)
-    B = np.einsum("cq,qj,cqia->cjia", wJ, sub.val1, G).reshape(len(sub.cells), -1, nloc * d)
-    BT = np.transpose(B, (0, 2, 1))
+    B = weighted_moment(wJ, sub.val1, geo.solid["G"]).reshape(nc, -1, n2d)
+    BT = np.swapaxes(B, 1, 2)
     T.add(pdd, vsd, B)             # + b_s(q_d, v_s)
     T.add(pdd, qd, B)              # + b_s(q_d, q)
     T.add(vsd, pdd, -BT)           # - b_s(p_d, psi_s)  (sigma_p = sigma_s - p_d I)
@@ -691,11 +620,10 @@ def _solid_terms(problem, inp, geo, T, b, transient):
         fn = problem.forcing.get(name)
         if fn is not None:
             fq = _forcing_at(fn, sub.X, inp.t, d)
-            _add_rhs(b, dofs, np.einsum("cq,qi,cqa->cia", sub.w, sub.val2, fq))
+            scatter_add(b, dofs, weighted_moment(sub.w, sub.val2, fq))
     gn = problem.forcing.get("mass_s")
     if gn is not None:
-        gq = _forcing_at(gn, sub.X, inp.t, 1)
-        _add_rhs(b, pdd, np.einsum("cq,qj,cq->cj", sub.w, sub.val1, gq))
+        scatter_add(b, pdd, weighted_moment(sub.w, sub.val1, _forcing_at(gn, sub.X, inp.t, 1)))
 
 
 def _interface_terms(problem, inp, geo, T):
@@ -704,54 +632,45 @@ def _interface_terms(problem, inp, geo, T):
     d = problem.dim
     lay = problem.layout
     ftr, str_ = ifd.fluid, ifd.solid
-    Js = geo.iface["Js"]
     n = geo.iface["n"]
-    P = geo.iface["P"]
-    w = ftr.w
-    nf, nq = w.shape
-    nloc = ftr.val2.shape[2]
+    wJs = ftr.w * geo.iface["Js"]
+    nf, nq, nloc = ftr.val2.shape
 
     fd = ftr.vdofs + lay.offsets["v_f"]
     sd = str_.vdofs + lay.offsets["v_s"]
     qd = str_.vdofs + lay.offsets["q"]
-    pdd = str_.pdofs + lay.offsets["p_d"]
+    pdd = str_.nodes1 + lay.offsets["p_d"]
 
     # (value . n) traces, interleaved (node, comp) ordering
-    TF = np.einsum("fqi,fqa->fqia", ftr.val2, n).reshape(nf, nq, nloc * d)
-    TS = np.einsum("fqi,fqa->fqia", str_.val2, n).reshape(nf, nq, nloc * d)
+    TF = (ftr.val2[..., None] * n[:, :, None, :]).reshape(nf, nq, nloc * d)
+    TS = (str_.val2[..., None] * n[:, :, None, :]).reshape(nf, nq, nloc * d)
 
-    # penalty tau ((w_f - w_s - w_d).n)((psi_f - psi_s - psi_d).n)
-    wpen = w * Js * ifd.tau[:, None]
-    sets = ((TF, fd, 1.0), (TS, sd, -1.0), (TS, qd, -1.0))
-    for TX, dX, sX in sets:
-        for TY, dY, sY in sets:
-            vals = (sX * sY) * np.einsum("fq,fqi,fqj->fij", wpen, TX, TY)
-            T.add(dX, dY, vals)
-
-    # pressure coupling  p_d (psi_f - psi_s - psi_d).n
-    wJs = w * Js
-    for TX, dX, sX in sets:
-        vals = sX * np.einsum("fq,fqi,fqj->fij", wJs, TX, str_.val1)
-        T.add(dX, pdd, vals)
+    # On the stacked facet dofs (fluid, solid, filtration) the trace of
+    # (psi_f - psi_s - psi_d).n is `jump`:
+    #   penalty tau ((w_f - w_s - w_d).n)((psi_f - psi_s - psi_d).n)
+    #   pressure coupling p_d (psi_f - psi_s - psi_d).n
+    jdofs = np.hstack([fd, sd, qd])
+    jump = np.concatenate([TF, -TS, -TS], axis=2)
+    T.add(jdofs, jdofs, weighted_gram(wJs * ifd.tau[:, None], jump, jump))
+    T.add(jdofs, pdd, weighted_gram(wJs, jump, str_.val1))
 
     # kinetic correction (rho_f/2)(v~_f . w_f)(psi_s - psi_f).n, linearized
     if inp.vf_tilde is not None:
-        vt = _field_at_qp(ftr.val2, ftr.nodes2, inp.vf_tilde, d)     # (nf, nq, d)
-        VJ = np.einsum("fqj,fqb->fqjb", ftr.val2, vt).reshape(nf, nq, nloc * d)
-        wkin = wJs * (0.5 * prm.rho_f)
-        T.add(sd, fd, np.einsum("fq,fqi,fqj->fij", wkin, TS, VJ))
-        T.add(fd, fd, -np.einsum("fq,fqi,fqj->fij", wkin, TF, VJ))
+        vt = field_at_qp(ftr.val2, ftr.nodes2, inp.vf_tilde, d)     # (nf, nq, d)
+        VJ = (ftr.val2[..., None] * vt[:, :, None, :]).reshape(nf, nq, nloc * d)
+        T.add(np.hstack([sd, fd]), fd,
+              weighted_gram(wJs * (0.5 * prm.rho_f), np.concatenate([TS, -TF], axis=2), VJ))
 
     # slip term gamma K^-1/2 P(w_f - w_s) . P(psi_f - psi_s)
     if prm.gamma > 0.0:
-        Kis = prm.K_inv_sqrt(d)
-        M = np.einsum("fqam,mn,fqnb->fqab", P, Kis, P)
-        wbjs = wJs * prm.gamma
-        pairs = ((ftr.val2, fd, 1.0), (str_.val2, sd, -1.0))
-        for vX, dX, sX in pairs:
-            for vY, dY, sY in pairs:
-                vals = (sX * sY) * np.einsum("fq,fqi,fqj,fqab->fiajb", wbjs, vX, vY, M)
-                T.add(dX, dY, vals.reshape(nf, nloc * d, nloc * d))
+        P = geo.iface["P"]
+        wM = (wJs * prm.gamma)[..., None, None] * (P @ prm.K_inv_sqrt(d) @ P)
+        V = np.concatenate([ftr.val2, -str_.val2], axis=2)          # (nf, nq, 2 nloc)
+        nv = V.shape[2]
+        X = (V[..., None, None] * wM[:, :, None]).reshape(nf, nq, -1)
+        K = (np.swapaxes(X, 1, 2) @ V).reshape(nf, nv, d, d, nv)     # [I,a,b,J]
+        sdofs = np.hstack([fd, sd])
+        T.add(sdofs, sdofs, K.transpose(0, 1, 2, 4, 3).reshape(nf, nv * d, nv * d))
 
 
 def _backflow_terms(problem, inp, geo, T):
@@ -761,32 +680,25 @@ def _backflow_terms(problem, inp, geo, T):
     (v~ . n < 0) the plain traction condition feeds kinetic energy into the
     domain; adding rho_f/2 (v~ . n)_- (w_f . psi_f) on those facets removes
     exactly that inflow and keeps the step energy balance one-sided.
-    Inactive at outflow and in steady problems.
+    Inactive (zero weight) at outflow, absent in steady problems.
     """
     if inp.vf_tilde is None or not problem.open_data:
         return
     prm = problem.params
     d = problem.dim
     lay = problem.layout
-    eye = np.eye(d)
     for marker, tr in problem.open_data.items():
         g = geo.loads[marker]
-        vt = _field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, d)       # (nf, nq, d)
+        vt = field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, d)       # (nf, nq, d)
         # v~ . n ds on the deformed facet via Nanson: v~ . (J F^-T n_ref) ds_ref
-        flux = g["J"] * np.einsum("fqa,fqa->fq", vt, g["vn"])
+        flux = g["J"] * np.sum(vt * g["vn"], axis=-1)
         wq = (-0.5 * prm.rho_f) * tr.w * np.minimum(flux, 0.0)
-        if not np.any(wq):
-            continue
-        nf, nq, nloc = tr.val2.shape
-        M = np.einsum("fq,fqi,fqj->fij", wq, tr.val2, tr.val2)
-        vals = np.einsum("fij,ab->fiajb", M, eye).reshape(nf, nloc * d, nloc * d)
         dofs = tr.vdofs + lay.offsets["v_f"]
-        T.add(dofs, dofs, vals)
+        T.add(dofs, dofs, kron_eye(weighted_gram(wq, tr.val2, tr.val2), d))
 
 
 def _load_terms(problem, inp, geo, b):
     lay = problem.layout
-    d = problem.dim
     for load in problem.loads:
         tr = problem.load_data[load.marker]
         g = geo.loads[load.marker]
@@ -794,14 +706,13 @@ def _load_terms(problem, inp, geo, b):
         if p == 0.0:
             continue
         coef = load.sign * p * tr.w * g["J"]
-        rhs = np.einsum("fq,fqi,fqa->fia", coef, tr.val2, g["vn"])
-        _add_rhs(b, tr.vdofs + lay.offsets["v_f"], rhs)
+        scatter_add(b, tr.vdofs + lay.offsets["v_f"], weighted_moment(coef, tr.val2, g["vn"]))
 
 
 def _forcing_at(fn, X, t, ncomp):
     nc, nq, d = X.shape
     flat = X.reshape(nc * nq, d)
-    vals = _batch_eval(lambda pts: fn(pts, t), flat, ncomp)
+    vals = batch_eval(lambda pts: fn(pts, t), flat, ncomp)
     return vals.reshape((nc, nq) if ncomp == 1 else (nc, nq, ncomp))
 
 
@@ -810,9 +721,10 @@ def _forcing_at(fn, X, t, ncomp):
 # ---------------------------------------------------------------------------
 
 def _dirichlet_data(problem: Problem, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Global Dirichlet dofs and values at time t (later entries win)."""
+    """Global Dirichlet dofs (sorted) and values at time t (later entries win)."""
     lay = problem.layout
-    table: Dict[int, float] = {}
+    dofs: List[np.ndarray] = []
+    vals: List[np.ndarray] = []
     for bc in problem.dirichlet:
         if bc.field not in lay.offsets:
             raise AssemblyError("Dirichlet condition on absent field %r" % bc.field)
@@ -820,34 +732,16 @@ def _dirichlet_data(problem: Problem, t: float) -> Tuple[np.ndarray, np.ndarray]
         nodes = space.nodes_on_markers(bc.markers)
         if len(nodes) == 0:
             continue
-        vals = _batch_eval(lambda X: bc.value(X, t), space.node_coords[nodes], space.ncomp)
-        dofs = space.dofs_of_nodes(nodes) + lay.offsets[bc.field]
-        for dof, v in zip(dofs, vals.ravel()):
-            table[int(dof)] = float(v)
+        v = batch_eval(lambda X: bc.value(X, t), space.node_coords[nodes], space.ncomp)
+        vals.append(v.ravel())
+        dofs.append(space.dofs_of_nodes(nodes) + lay.offsets[bc.field])
     if problem.pin_pf is not None:
         node, fn = problem.pin_pf
-        table[lay.offsets["p_f"] + int(node)] = float(fn(t))
-    if not table:
+        dofs.append(np.array([lay.offsets["p_f"] + int(node)], dtype=np.int64))
+        vals.append(np.array([float(fn(t))]))
+    if not dofs:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    dofs = np.array(sorted(table), dtype=np.int64)
-    return dofs, np.array([table[int(i)] for i in dofs])
-
-
-def apply_dirichlet(A: sparse.csr_matrix, b: np.ndarray,
-                    dofs: np.ndarray, values: np.ndarray):
-    """Identity-row replacement with column symmetrization."""
-    if len(dofs) == 0:
-        return A.tocsr(), b
-    n = A.shape[0]
-    x0 = np.zeros(n)
-    x0[dofs] = values
-    b = b - A @ x0
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    D = sparse.diags(keep)
-    mark = np.zeros(n)
-    mark[dofs] = 1.0
-    A = (D @ A @ D + sparse.diags(mark)).tocsr()
-    A.eliminate_zeros()
-    b[dofs] = values
-    return A, b
+    # the first occurrence in reversed order is the last one set
+    rdofs = np.concatenate(dofs)[::-1]
+    unique, last = np.unique(rdofs, return_index=True)
+    return unique, np.concatenate(vals)[::-1][last]

@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("version", help="print the package version")
 
-    p_tpl = sub.add_parser("config-template", help="print a default config file")
+    sub.add_parser("config-template", help="print a default config file")
     return parser
 
 

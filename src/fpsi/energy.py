@@ -22,9 +22,14 @@ from typing import Dict
 
 import numpy as np
 
-from .assembly import (Geometry, Problem, _field_at_qp, _grads_on_cells,
-                       _scalar_at_qp)
-from .kinematics import fluid_rate_of_strain, green_lagrange, svk_stress
+from .assembly import Geometry, Problem
+from .fem import field_at_qp, grads_at_qp, scalar_at_qp
+from .kinematics import green_lagrange, svk_stress
+
+
+def _integral(w: np.ndarray, f: np.ndarray) -> float:
+    """sum over batches and quadrature points of w[b,q] f[b,q]."""
+    return float(np.vdot(w, f))
 
 
 @dataclass
@@ -58,60 +63,49 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
 
     if problem.fluid is not None:
         sub = problem.fluid
-        J = geo.fluid["J"]
-        wJ = sub.w * J
+        wJ = sub.w * geo.fluid["J"]
         vf = fields["v_f"]
-        vq = _field_at_qp(sub.val2, sub.nodes2, vf, d)
-        rep.kinetic_fluid = 0.5 * prm.rho_f * float(
-            np.einsum("cq,cqa,cqa->", wJ, vq, vq))
-        gv = np.einsum("cnm,cqne->cqme", vf.reshape(-1, d)[sub.nodes2], sub.grad2)
-        D = fluid_rate_of_strain(gv, geo.fluid["Finv"])
-        rep.viscous_dissipation = 2.0 * prm.mu_f * float(
-            np.einsum("cq,cqab,cqab->", wJ, D, D))
+        vq = field_at_qp(sub.val2, sub.nodes2, vf, d)
+        rep.kinetic_fluid = 0.5 * prm.rho_f * _integral(wJ, np.sum(vq * vq, axis=-1))
+        # D = {grad v F~^-1}_s with grad(phi) F~^-1 = G from the geometry
+        M = np.swapaxes(vf.reshape(-1, d)[sub.nodes2], 1, 2)[:, None] @ geo.fluid["G"]
+        D = 0.5 * (M + np.swapaxes(M, -1, -2))
+        rep.viscous_dissipation = 2.0 * prm.mu_f * _integral(wJ, np.sum(D * D, axis=(-2, -1)))
 
     if problem.solid is not None:
         sub = problem.solid
-        J = geo.solid["J"]
-        wJ = sub.w * J
+        wJ = sub.w * geo.solid["J"]
         vs = fields["v_s"]
-        qv = fields["q"]
-        vsq = _field_at_qp(sub.val2, sub.nodes2, vs, d)
-        qq = _field_at_qp(sub.val2, sub.nodes2, qv, d)
-        rep.kinetic_solid = 0.5 * (1.0 - prm.phi) * prm.rho_s * float(
-            np.einsum("cq,cqa,cqa->", wJ, vsq, vsq))
+        vsq = field_at_qp(sub.val2, sub.nodes2, vs, d)
+        qq = field_at_qp(sub.val2, sub.nodes2, fields["q"], d)
+        rep.kinetic_solid = 0.5 * (1.0 - prm.phi) * prm.rho_s * _integral(
+            wJ, np.sum(vsq * vsq, axis=-1))
         mix = vsq + qq / prm.phi
-        rep.kinetic_mixture = 0.5 * prm.phi * prm.rho_f * float(
-            np.einsum("cq,cqa,cqa->", wJ, mix, mix))
-        pdq = _scalar_at_qp(sub.val1, sub.nodes1, fields["p_d"])
-        rep.pressure_storage = 0.5 * prm.s0 * float(np.einsum("cq,cq->", wJ, pdq * pdq))
-        Kinv = prm.K_inv(d)
-        rep.darcy_dissipation = float(
-            np.einsum("cq,cqa,ab,cqb->", wJ, qq, Kinv, qq))
+        rep.kinetic_mixture = 0.5 * prm.phi * prm.rho_f * _integral(
+            wJ, np.sum(mix * mix, axis=-1))
+        pdq = scalar_at_qp(sub.val1, sub.nodes1, fields["p_d"])
+        rep.pressure_storage = 0.5 * prm.s0 * _integral(wJ, pdq * pdq)
+        rep.darcy_dissipation = _integral(wJ, np.sum((qq @ prm.K_inv(d)) * qq, axis=-1))
         # rate of elastic working: F~ S(E(u_k, u~)) : grad(v_s)
         Ft = geo.solid["F"]
-        Fk = _grads_on_cells(sub, fields["u"], d) + np.eye(d)
-        E = green_lagrange(Fk, Ft)
-        S = svk_stress(E, prm.lam_s, prm.mu_s)
-        FS = np.einsum("cqam,cqmn->cqan", Ft, S)
-        gvs = np.einsum("cnm,cqne->cqme", vs.reshape(-1, d)[sub.nodes2], sub.grad2)
-        rep.elastic_power = float(np.einsum("cq,cqae,cqae->", sub.w, FS, gvs))
+        E = green_lagrange(grads_at_qp(sub, fields["u"], d) + np.eye(d), Ft)
+        FS = Ft @ svk_stress(E, prm.lam_s, prm.mu_s)
+        gvs = np.swapaxes(vs.reshape(-1, d)[sub.nodes2], 1, 2)[:, None] @ sub.grad2
+        rep.elastic_power = _integral(sub.w, np.sum(FS * gvs, axis=(-2, -1)))
 
     if problem.iface is not None:
         ftr = problem.iface.fluid
         strc = problem.iface.solid
-        Js = geo.iface["Js"]
-        n = geo.iface["n"]
+        wJs = ftr.w * geo.iface["Js"]
         P = geo.iface["P"]
-        w = ftr.w
-        vfq = _field_at_qp(ftr.val2, ftr.nodes2, fields["v_f"], d)
-        vsq = _field_at_qp(strc.val2, strc.nodes2, fields["v_s"], d)
-        qq = _field_at_qp(strc.val2, strc.nodes2, fields["q"], d)
+        vfq = field_at_qp(ftr.val2, ftr.nodes2, fields["v_f"], d)
+        vsq = field_at_qp(strc.val2, strc.nodes2, fields["v_s"], d)
+        qq = field_at_qp(strc.val2, strc.nodes2, fields["q"], d)
         rel = vfq - vsq
-        M = np.einsum("fqam,mn,fqnb->fqab", P, prm.K_inv_sqrt(d), P)
-        rep.bjs_dissipation = prm.gamma * float(
-            np.einsum("fq,fqa,fqab,fqb->", w * Js, rel, M, rel))
-        jump = np.einsum("fqa,fqa->fq", vfq - vsq - qq, n)
-        rep.penalty_defect = float(np.einsum("fq,fq->", w * Js, np.abs(jump)))
+        Mrel = (P @ prm.K_inv_sqrt(d) @ P @ rel[..., None])[..., 0]
+        rep.bjs_dissipation = prm.gamma * _integral(wJs, np.sum(rel * Mrel, axis=-1))
+        jump = np.sum((vfq - vsq - qq) * geo.iface["n"], axis=-1)
+        rep.penalty_defect = _integral(wJs, np.abs(jump))
 
     return rep
 

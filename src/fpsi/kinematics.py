@@ -32,12 +32,17 @@ def deformation_state(grad_u: np.ndarray, j_min: float = 1e-10,
                       cell_ids: Optional[np.ndarray] = None):
     """F, J, F^-1, F^-T from a displacement gradient.
 
-    Rejects J <= j_min; when the caller passes per-entry cell ids the error
-    reports which cell degenerated.
+    Rejects J <= j_min before anything divides by J; when the caller passes
+    per-entry cell ids the error reports which cell degenerated.  2x2
+    gradients use the closed-form determinant and inverse.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     F = grad_u + _eye_like(grad_u)
-    J = np.linalg.det(F)
+    planar = F.shape[-1] == 2
+    if planar:
+        J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    else:
+        J = np.linalg.det(F)
     if np.any(J <= j_min):
         flat = np.argmin(J)
         idx = np.unravel_index(flat, J.shape) if J.ndim else ()
@@ -49,7 +54,14 @@ def deformation_state(grad_u: np.ndarray, j_min: float = 1e-10,
             % (float(np.min(J)), "cell %s" % cell if cell is not None else str(idx), j_min),
             cell=cell, value=float(np.min(J)),
         )
-    Finv = np.linalg.inv(F)
+    if planar:
+        Finv = np.empty_like(F)
+        Finv[..., 0, 0] = F[..., 1, 1] / J
+        Finv[..., 0, 1] = -F[..., 0, 1] / J
+        Finv[..., 1, 0] = -F[..., 1, 0] / J
+        Finv[..., 1, 1] = F[..., 0, 0] / J
+    else:
+        Finv = np.linalg.inv(F)
     FinvT = np.swapaxes(Finv, -1, -2)
     return F, J, Finv, FinvT
 

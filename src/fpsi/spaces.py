@@ -169,22 +169,33 @@ def transfer_nodes(src: FunctionSpace, dst: FunctionSpace) -> Tuple[np.ndarray, 
     return arr[:, 0], arr[:, 1]
 
 
-def _batch_eval(fn: Callable, X: np.ndarray, ncomp: int) -> np.ndarray:
-    """Evaluate a field at points (N, d); accepts batched or per-point callables."""
+def batch_eval(fn: Callable, X: np.ndarray, ncomp: int) -> np.ndarray:
+    """Evaluate a field at points (N, d); accepts batched or per-point callables.
+
+    The callable is first given the whole batch.  It is called point by point
+    only when it cannot take one: the batched call raises TypeError or
+    IndexError (a per-point callable converting or indexing an array), or
+    returns values of the wrong shape.  Any other error propagates.
+    """
     want = (X.shape[0],) if ncomp == 1 else (X.shape[0], ncomp)
     try:
-        out = np.asarray(fn(X), dtype=float)
-        if out.shape == want:
-            return out
-    except Exception:
-        pass
+        out = fn(X)
+    except (TypeError, IndexError):
+        out = None
+    if out is not None:
+        try:
+            out = np.asarray(out, dtype=float)
+        except ValueError:          # ragged per-point results
+            out = None
+    if out is not None and out.shape == want:
+        return out
     out = np.array([fn(x) for x in X], dtype=float)
     return out.reshape(want)
 
 
 def interpolate(space: FunctionSpace, fn: Callable) -> np.ndarray:
     """Nodal interpolation; fn maps points to scalars/vectors."""
-    vals = _batch_eval(fn, space.node_coords, space.ncomp)
+    vals = batch_eval(fn, space.node_coords, space.ncomp)
     return vals.ravel().astype(float)
 
 
@@ -207,16 +218,16 @@ def error_L2(space: FunctionSpace, vec: np.ndarray, exact: Callable, quad_degree
     X = x0[:, None, :] + np.einsum("cde,qe->cqd", B, rule.points)
     nc, nq, d = X.shape
     ncomp = space.ncomp
-    ex = _batch_eval(exact, X.reshape(nc * nq, d), ncomp).reshape(
+    ex = batch_eval(exact, X.reshape(nc * nq, d), ncomp).reshape(
         (nc, nq) if ncomp == 1 else (nc, nq, ncomp)
     )
     local = vec.reshape(-1, ncomp)[space.cell_nodes]              # (nc, nloc, ncomp)
-    uh = np.einsum("qi,cim->cqm", vals, local)                    # (nc, nq, ncomp)
+    uh = vals @ local                                             # (nc, nq, ncomp)
     if ncomp == 1:
         diff2 = (uh[:, :, 0] - ex) ** 2
     else:
         diff2 = ((uh - ex) ** 2).sum(axis=2)
-    return float(np.sqrt(np.einsum("cq,q,c->", diff2, rule.weights, adet)))
+    return float(np.sqrt(adet @ (diff2 @ rule.weights)))
 
 
 def norm_L2(space: FunctionSpace, vec: np.ndarray, quad_degree: int = 8) -> float:

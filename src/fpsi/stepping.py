@@ -21,9 +21,10 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .assembly import (Problem, StepInputs, _Triplets, _grads_on_cells, _kron_eye,
-                       apply_dirichlet, assemble_system)
+from .assembly import Problem, StepInputs, assemble_system
 from .errors import FpsiError
+from .fem import (Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram,
+                  grads_at_qp)
 from .kinematics import deformation_state
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import solve
@@ -108,6 +109,7 @@ class StepDiagnostics:
     refined: bool
     geo: object            # geometry at the extrapolated displacement
     u_tilde: np.ndarray
+    jmin: float            # smallest J of the new configuration
 
 
 def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepInputs:
@@ -142,46 +144,35 @@ def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> Step
 # Mesh extension: harmonic-type lift of the interface velocity
 # ---------------------------------------------------------------------------
 
-def extension_stiffness(problem: Problem, geo, u_prev: np.ndarray):
+def extension_stiffness(problem: Problem, geo):
     """Lame-type extension operator on the fluid velocity space.
 
     Element moduli stiffen as cells compress: mu_m = mu_s |cell|^-1.2 with
-    the cell volume taken in the configuration u_prev, lambda_m = 16 mu_m.
+    the cell volume taken in the configuration of `geo`, lambda_m = 16 mu_m.
+    The operator is  mu_m [delta_ab Gi.Gj + Gj_a Gi_b] + lambda_m Gi_a Gj_b.
     """
     sub = problem.fluid
-    prm = problem.params
     d = problem.dim
-    gu = _grads_on_cells(sub, u_prev, d)
-    F_prev = gu + np.eye(d)
-    J_prev = np.linalg.det(F_prev)
-    vol = np.einsum("cq,cq->c", sub.w, J_prev)
-    mu_m = prm.mu_s * vol ** -1.2
-    lam_m = 16.0 * mu_m
+    wJ = sub.w * geo.fluid["J"]
+    G = geo.fluid["G"]
+    nc, _, nloc, _ = G.shape
+    mu_m = problem.params.mu_s * wJ.sum(axis=1) ** -1.2
 
-    J = geo.fluid["J"]
-    Finv = geo.fluid["Finv"]
-    wJ = sub.w * J
-    G = np.einsum("cqne,cqep->cqnp", sub.grad2, Finv)
-    nloc = G.shape[2]
+    P = gradient_gram(wJ * mu_m[:, None], G)        # P[i,a,j,b] = sum mu_m w J Gi_a Gj_b
+    elem = P.transpose(0, 1, 4, 3, 2) + 16.0 * P
+    add_kron_eye(elem, component_trace(P))
 
-    wmu = wJ * mu_m[:, None]
-    wlam = wJ * lam_m[:, None]
-    A1 = np.einsum("cq,cqid,cqjd->cij", wmu, G, G)
-    A2 = np.einsum("cq,cqja,cqib->ciajb", wmu, G, G)
-    Atr = np.einsum("cq,cqia,cqjb->ciajb", wlam, G, G)
-    elem = _kron_eye(A1, d) + (A2 + Atr).reshape(-1, nloc * d, nloc * d)
-
-    T = _Triplets()
-    T.add(sub.vdofs, sub.vdofs, elem)
-    return T.tocsr(problem.spaces["v_f"].num_dofs)
+    T = Triplets(problem.spaces["v_f"].num_dofs, problem.patterns, "extension")
+    T.add(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))
+    return T.tocsr()
 
 
-def solve_extension(problem: Problem, geo, v_s: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
+def solve_extension(problem: Problem, geo, v_s: np.ndarray) -> np.ndarray:
     """Domain velocity on the fluid side: trace of v_s on the interface,
     zero on the outer fluid boundary, extension operator in between."""
     vf_space = problem.spaces["v_f"]
     d = problem.dim
-    A = extension_stiffness(problem, geo, u_prev)
+    A = extension_stiffness(problem, geo)
     b = np.zeros(vf_space.num_dofs)
 
     # Interface trace: solid and fluid spaces share exactly the interface
@@ -200,7 +191,7 @@ def solve_extension(problem: Problem, geo, v_s: np.ndarray, u_prev: np.ndarray) 
             table[int(n) * d + a] = 0.0
     dofs = np.array(sorted(table), dtype=np.int64)
     vals = np.array([table[int(i)] for i in dofs])
-    A, b = apply_dirichlet(A, b, dofs, vals)
+    A, b = apply_dirichlet(A, b, dofs, vals, problem.patterns["extension"])
     x, _ = solve(A, b, rtol=problem.solver_rtol)
     return x
 
@@ -220,14 +211,14 @@ def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
 
 
 def check_deformation(problem: Problem, u: np.ndarray) -> float:
-    """Raise DegenerateDeformationError if the configuration inverts."""
+    """Smallest J of the configuration u; raises DegenerateDeformationError
+    if it inverts."""
     d = problem.dim
     jmin = np.inf
     for sub in (problem.fluid, problem.solid):
         if sub is None:
             continue
-        gu = _grads_on_cells(sub, u, d)
-        _, J, _, _ = deformation_state(gu, cell_ids=sub.cells)
+        _, J, _, _ = deformation_state(grads_at_qp(sub, u, d), cell_ids=sub.cells)
         jmin = min(jmin, float(J.min()))
     return jmin
 
@@ -250,19 +241,20 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     if problem.frozen_geometry or problem.solid is None:
         u_new = np.zeros(nu)
         w_new = np.zeros(nu)
+        jmin = 1.0             # u = 0: the reference configuration, F = I
     else:
         w_f = None
         if problem.fluid is not None:
-            w_f = solve_extension(problem, geo, fields["v_s"], state.fields["u"])
+            w_f = solve_extension(problem, geo, fields["v_s"])
         w_new = domain_velocity(problem, fields.get("v_s"), w_f)
         u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
-        check_deformation(problem, u_new)
+        jmin = check_deformation(problem, u_new)
 
     fields["u"] = u_new
     fields["w"] = w_new
     new_state = State(k=k, t=state.t + dt, fields=fields, prev=state.fields)
     diag = StepDiagnostics(scheme=sch, residual=rep.residual, refined=rep.refined,
-                           geo=geo, u_tilde=inp.u_tilde)
+                           geo=geo, u_tilde=inp.u_tilde, jmin=jmin)
     return new_state, diag
 
 

@@ -1,0 +1,283 @@
+"""Fixed-pattern assembly against a test-local reference assembly.
+
+The reference expands every element block into COO triplets, converts to
+CSR with summed duplicates and eliminates Dirichlet dofs as D A D + diag,
+dropping explicit zeros: the assembly before patterns were reused.  Both
+paths share the element kernels (checked against oracles elsewhere), so the
+comparison isolates the pattern, the scatter and the elimination, step
+after step on one problem.
+"""
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+import fpsi.assembly as assembly
+import fpsi.fem as fem
+import fpsi.stepping as stepping
+from fpsi.fem import field_at_qp
+from fpsi.mesh import GAMMA_F0, GAMMA_FS, GAMMA_OUT
+from fpsi.mms import biot_trig, stokes_trig
+from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
+from fpsi.spaces import interpolate
+from fpsi.stepping import State, advance_step, solve_steady
+
+A_RTOL = 1e-14
+B_RTOL = 1e-12
+DT = 1e-4
+
+
+class ReferenceTriplets:
+    """Every block as COO triplets, summed by COO -> CSR; keeps no pattern."""
+
+    pattern = None
+
+    def __init__(self, n, cache, name, key=None):
+        self.n = n
+        self.rows, self.cols, self.vals = [], [], []
+
+    def add(self, rows, cols, vals):
+        nb, ni = rows.shape
+        nj = cols.shape[1]
+        self.rows.append(np.repeat(rows[:, :, None], nj, axis=2).ravel())
+        self.cols.append(np.repeat(cols[:, None, :], ni, axis=1).ravel())
+        self.vals.append(vals.reshape(-1))
+
+    def tocsr(self):
+        A = sparse.coo_matrix((np.concatenate(self.vals),
+                               (np.concatenate(self.rows), np.concatenate(self.cols))),
+                              shape=(self.n, self.n)).tocsr()
+        A.sum_duplicates()
+        return A
+
+
+def reference_dirichlet(A, b, dofs, values, pattern=None):
+    """Identity rows and columns by D A D + diag(fixed), zeros dropped."""
+    n = A.shape[0]
+    x0 = np.zeros(n)
+    x0[dofs] = values
+    b = b - A @ x0
+    keep = np.ones(n)
+    keep[dofs] = 0.0
+    mark = 1.0 - keep
+    A = (sparse.diags(keep) @ A @ sparse.diags(keep) + sparse.diags(mark)).tocsr()
+    A.eliminate_zeros()
+    b[dofs] = values
+    return A, b
+
+
+def rel_dev(A, R):
+    return abs(A - R).max() / abs(R).max()
+
+
+def same_structure(A, R):
+    A, R = A.tocsr(), R.tocsr()
+    A.sort_indices()
+    R.sort_indices()
+    return (A.nnz == R.nnz and np.array_equal(A.indptr, R.indptr)
+            and np.array_equal(A.indices, R.indices))
+
+
+def backflow_active(problem, inp, geo):
+    """Whether the extrapolated velocity enters through an open boundary."""
+    if inp.vf_tilde is None:
+        return False
+    for marker, tr in problem.open_data.items():
+        g = geo.loads[marker]
+        vt = field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, problem.dim)
+        if np.any(np.sum(vt * g["vn"], axis=-1) < 0.0):
+            return True
+    return False
+
+
+class Recorder:
+    """Wraps the step entry points to check each matrix against the reference."""
+
+    def __init__(self, mp):
+        self.system = []          # (scheme order, a dev, b dev, same structure, backflow)
+        self.extension = []       # (a dev, same structure) before and after elimination
+        self.handed = []          # matrices handed to the solver
+        real_assemble = stepping.assemble_system
+        real_stiffness = stepping.extension_stiffness
+        real_dirichlet = stepping.apply_dirichlet
+        real_solve = stepping.solve
+
+        def assemble(problem, inp, dump_matrix=None):
+            system, geo = real_assemble(problem, inp, dump_matrix)
+            with pytest.MonkeyPatch.context() as ref:
+                ref.setattr(assembly, "Triplets", ReferenceTriplets)
+                ref.setattr(assembly, "apply_dirichlet", reference_dirichlet)
+                expect, _ = real_assemble(problem, inp)
+            self.system.append((inp.a0, rel_dev(system.A, expect.A),
+                                np.abs(system.b - expect.b).max() / np.abs(expect.b).max(),
+                                same_structure(system.A, expect.A),
+                                backflow_active(problem, inp, geo)))
+            return system, geo
+
+        def stiffness(problem, geo):
+            A = real_stiffness(problem, geo)
+            with pytest.MonkeyPatch.context() as ref:
+                ref.setattr(stepping, "Triplets", ReferenceTriplets)
+                expect = real_stiffness(problem, geo)
+            self.extension.append((rel_dev(A, expect), same_structure(A, expect)))
+            return A
+
+        def dirichlet(A, b, dofs, values, pattern):
+            out, rhs = real_dirichlet(A, b, dofs, values, pattern)
+            expect, expect_b = reference_dirichlet(A, b, dofs, values)
+            self.extension.append((max(rel_dev(out, expect),
+                                       np.abs(rhs - expect_b).max() / np.abs(expect_b).max()),
+                                   same_structure(out, expect)))
+            return out, rhs
+
+        def solve(A, b, rtol):
+            self.handed.append((A, b))
+            return real_solve(A, b, rtol=rtol)
+
+        mp.setattr(stepping, "assemble_system", assemble)
+        mp.setattr(stepping, "extension_stiffness", stiffness)
+        mp.setattr(stepping, "apply_dirichlet", dirichlet)
+        mp.setattr(stepping, "solve", solve)
+
+
+def channel(p_ext=1.333e3, t_pulse=2.5 * DT):
+    return channel_problem(channel_mesh(4), benchmark_params(K=1e-5),
+                           p_ext=p_ext, t_pulse=t_pulse)
+
+
+def system_dofs(problem):
+    """Dirichlet dofs of the monolithic system, from the problem's conditions."""
+    lay = problem.layout
+    dofs = []
+    for bc in problem.dirichlet:
+        space = problem.spaces[bc.field]
+        dofs.append(space.dofs_of_nodes(space.nodes_on_markers(bc.markers))
+                    + lay.offsets[bc.field])
+    if problem.pin_pf is not None:
+        dofs.append([lay.offsets["p_f"] + problem.pin_pf[0]])
+    return np.unique(np.concatenate(dofs)).astype(np.int64)
+
+
+def assert_unit_rows(A, dofs):
+    A = A.tocsr()
+    for i in dofs:
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        assert hi - lo == 1 and A.indices[lo] == i and A.data[lo] == 1.0
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("p_ext", [1.333e3, 0.0])
+def test_channel_steps_match_reference(monkeypatch, order, p_ext):
+    prob = channel(p_ext=p_ext)
+    rec = Recorder(monkeypatch)
+    state = State.initial(prob)
+    if p_ext == 0.0:
+        # free decay from a swirl, so the open ends see flow both ways
+        state = State.initial(prob, fields={"v_f": interpolate(
+            prob.spaces["v_f"], lambda X: np.stack(
+                [1e-2 * np.sin(X[:, 1] / 2.0), 1e-2 * np.cos(X[:, 0] / 5.0)], axis=1))})
+    for _ in range(4):
+        state, _ = advance_step(prob, state, DT, order)
+
+    schemes = {a0 for a0, *_ in rec.system}
+    assert schemes == ({1.0} if order == 1 else {1.0, 1.5})
+    for a0, a_dev, b_dev, same, _ in rec.system:
+        assert a_dev <= A_RTOL and b_dev <= B_RTOL and same
+    assert {active for *_, active in rec.system} == (
+        {False, True} if p_ext != 0.0 else {True})
+    for dev, same in rec.extension:
+        assert dev <= A_RTOL and same
+    dofs = system_dofs(prob)
+    for k, (A, _) in enumerate(rec.handed):
+        assert np.all(A.data != 0.0)
+        if k % 2 == 0:                # system solve; odd entries are the extension
+            assert_unit_rows(A, dofs)
+
+
+def test_pulse_switches_off_within_the_run(monkeypatch):
+    # t_pulse = 2.5 dt: steps 1-2 loaded, steps 3-4 free; one pattern throughout
+    prob = channel()
+    rec = Recorder(monkeypatch)
+    state = State.initial(prob)
+    pulse = prob.loads[0].value
+    loaded = []
+    for _ in range(4):
+        loaded.append(pulse(state.t + DT) != 0.0)
+        state, _ = advance_step(prob, state, DT, 2)
+    assert loaded == [True, True, False, False]
+    assert all(a <= A_RTOL and b <= B_RTOL and s for _, a, b, s, _ in rec.system)
+    assert set(prob.patterns) == {"system", "extension"}
+
+
+@pytest.mark.parametrize("case", [stokes_trig, biot_trig])
+def test_steady_mms_matches_reference(monkeypatch, case):
+    prob = mms_problem(case(), 4)
+    rec = Recorder(monkeypatch)
+    solve_steady(prob)
+    (_, a_dev, b_dev, same, _), = rec.system
+    assert a_dev <= A_RTOL and b_dev <= B_RTOL and same
+    (A, _), = rec.handed
+    assert np.all(A.data != 0.0)
+    assert_unit_rows(A, system_dofs(prob))
+
+
+def test_each_pattern_is_built_once(monkeypatch):
+    builds = []
+    build = fem.SparsePattern.from_blocks.__func__
+
+    def counting(cls, n, blocks, key=None):
+        builds.append(n)
+        return build(cls, n, blocks, key)
+
+    monkeypatch.setattr(fem.SparsePattern, "from_blocks", classmethod(counting))
+    prob = channel()
+    assert prob.patterns == {}                 # nothing is built with the problem
+    state = State.initial(prob)
+    seen = []
+    for _ in range(6):
+        state, _ = advance_step(prob, state, DT, 2)
+        seen.append((id(prob.patterns["system"]), id(prob.patterns["extension"])))
+    assert builds == [prob.layout.total, prob.spaces["v_f"].num_dofs]
+    assert len(set(seen)) == 1
+
+
+def test_extension_dirichlet_rows(monkeypatch):
+    prob = channel()
+    rec = Recorder(monkeypatch)
+    state = State.initial(prob)
+    for _ in range(2):
+        state, _ = advance_step(prob, state, DT, 2)
+    vf = prob.spaces["v_f"]
+    fixed = vf.dofs_of_nodes(np.union1d(vf.nodes_on_markers((GAMMA_FS,)),
+                                        vf.nodes_on_markers((GAMMA_F0, GAMMA_OUT))))
+    for A, _ in rec.handed[1::2]:
+        assert A.shape[0] == vf.num_dofs and np.all(A.data != 0.0)
+        assert_unit_rows(A, fixed)
+
+
+def test_pattern_of_arbitrary_blocks_matches_coo():
+    # random dense blocks with repeated dofs, empty rows, and rows whose only
+    # entry shares its column with the next row's first entry
+    rng = np.random.default_rng(7)
+    n = 40
+    blocks = [(rng.integers(0, n - 5, (30, 4)), rng.integers(0, n, (30, 3))),
+              (np.array([[n - 4], [n - 3]]), np.array([[5], [5]])),
+              (rng.integers(0, n - 5, (10, 2)), rng.integers(0, n, (10, 6)))]
+    vals = [rng.standard_normal((r.shape[0], r.shape[1], c.shape[1])) for r, c in blocks]
+    T = fem.Triplets(n, {}, "m")
+    ref = ReferenceTriplets(n, {}, "m")
+    for (r, c), v in zip(blocks, vals):
+        T.add(r, c, v)
+        ref.add(r, c, v)
+    A, R = T.tocsr(), ref.tocsr()
+    assert same_structure(A, R) and rel_dev(A, R) <= A_RTOL
+    assert np.diff(A.indptr)[n - 5:].tolist() == [0, 1, 1, 0, 0]
+
+    # a second fill on the stored pattern with new values
+    T2 = fem.Triplets(n, {"m": T.pattern}, "m")
+    ref2 = ReferenceTriplets(n, {}, "m")
+    for (r, c), v in zip(blocks, vals):
+        T2.add(r, c, 2.0 * v)
+        ref2.add(r, c, 2.0 * v)
+    assert T2.pattern is T.pattern and T2.blocks == []
+    assert rel_dev(T2.tocsr(), ref2.tocsr()) <= A_RTOL

@@ -399,7 +399,7 @@ def test_sparsity_pattern():
     def cell_dofs(sub, fields):
         v, p = fields
         per = [sub.vdofs + lay.offsets[name] for name in v]
-        per.append(sub.pdofs + lay.offsets[p])
+        per.append(sub.nodes1 + lay.offsets[p])
         return np.hstack(per)
 
     allowed = [set() for _ in range(lay.total)]

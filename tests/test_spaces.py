@@ -6,7 +6,7 @@ import pytest
 from fpsi.errors import AssemblyError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_S0, SOLID
 from fpsi.scenarios import unit_square_mesh
-from fpsi.spaces import (build_space, error_L2, eval_at_point, interpolate,
+from fpsi.spaces import (batch_eval, build_space, error_L2, eval_at_point, interpolate,
                          locate_cell, norm_L2, transfer_nodes)
 from tests.test_mesh import two_triangle_mesh
 
@@ -102,6 +102,30 @@ def test_transfer_across_interface():
 # ---------------------------------------------------------------------------
 # interpolation, norms, point evaluation
 # ---------------------------------------------------------------------------
+
+def test_batch_eval_falls_back_only_for_per_point_callables():
+    X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    # float() of a batch raises TypeError; x[0] of a batch has the wrong shape
+    assert np.allclose(batch_eval(lambda x: float(x[0]), X, 1), X[:, 0])
+    assert np.allclose(batch_eval(lambda x: 2.0 * x[0], X, 1), 2.0 * X[:, 0])
+    assert np.allclose(batch_eval(lambda x: [x[1], x[0]], X, 2), X[:, ::-1])
+    assert np.allclose(batch_eval(lambda x: x[:, ::-1], X, 2), X[:, ::-1])
+
+
+def test_batch_eval_propagates_errors_of_batched_callables():
+    calls = []
+
+    def broken(x):
+        calls.append(np.shape(x))
+        raise RuntimeError("bad field at %d points" % len(x))
+
+    with pytest.raises(RuntimeError, match="bad field at 3 points"):
+        batch_eval(broken, np.zeros((3, 2)), 1)
+    assert calls == [(3, 2)]            # no per-point retry
+    space = build_space(unit_square_mesh(1), 1)
+    with pytest.raises(RuntimeError, match="bad field at 4 points"):
+        interpolate(space, broken)
+    assert calls[1:] == [(4, 2)]
 
 def test_interpolate_exactness():
     mesh = unit_square_mesh(3)

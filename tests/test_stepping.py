@@ -121,7 +121,7 @@ def test_solve_extension_boundary_values():
     vs_space, vf_space = prob.spaces["v_s"], prob.spaces["v_f"]
     v_s = interpolate(vs_space, lambda X: np.stack(
         [0.01 * X[:, 0], 0.02 * np.ones(len(X))], axis=1))
-    ext = solve_extension(prob, geo, v_s, np.zeros(nu)).reshape(-1, 2)
+    ext = solve_extension(prob, geo, v_s).reshape(-1, 2)
 
     # trace on the interface equals the solid velocity there; the outer
     # pinning is applied last, so inlet/outlet corner nodes stay zero
@@ -189,6 +189,17 @@ def test_transient_is_deterministic():
     for name in s1.fields:
         assert np.array_equal(s1.fields[name], s2.fields[name])
     assert s1.t == s2.t
+
+
+def test_step_reports_min_jacobian_of_new_configuration():
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+    state = State.initial(prob)
+    for _ in range(3):
+        state, diag = advance_step(prob, state, 1e-4, 2)
+        geo = build_geometry(prob, state.fields["u"])
+        jmin = min(geo.fluid["J"].min(), geo.solid["J"].min())
+        assert diag.jmin == jmin
+        assert 0.0 < diag.jmin != 1.0
 
 
 def test_moving_geometry_updates_displacement():
