@@ -51,6 +51,7 @@ from .fem import (SparsePattern, Triplets, add_kron_eye, apply_dirichlet, compon
                   scatter_add, weighted_gram, weighted_moment)
 from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
 from .mesh import FLUID, GAMMA_FS, GAMMA_OUT, SOLID, InterfaceFacet, Mesh, extract_interface
+from .solver import LaggedLU
 from .spaces import FunctionSpace, batch_eval, build_space, transfer_nodes
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
@@ -222,6 +223,9 @@ class Problem:
     # fixed assembly patterns by matrix name ("system", "extension"), built
     # at the first assembly and freed with the problem
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
+    # last LU of each stepped matrix ("system", "extension"), reused by the
+    # next step's solve; filled lazily and freed with the problem
+    factors: Dict[str, LaggedLU] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:

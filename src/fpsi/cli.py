@@ -86,7 +86,8 @@ def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
                                        dump_matrix=dump)
         except FpsiError as exc:
             raise FpsiError("step %d failed: %s" % (k, exc))
-        rep = evaluate_energy(problem, state.fields, diag.geo, diag.u_tilde)
+        rep = evaluate_energy(problem, state.fields, diag.geo)
+        diag = None            # release the step's geometry before the next step
         up = eval_at_point(uspace, state.fields["u"], probe, cell_index=probe_cell)
         series.append(state.t, float(up[0]), float(up[1]), rep)
         if cfg.output_every > 0 and k % cfg.output_every == 0:

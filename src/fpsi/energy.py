@@ -56,7 +56,7 @@ class EnergyReport:
 
 
 def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
-                    geo: Geometry, u_tilde: np.ndarray) -> EnergyReport:
+                    geo: Geometry) -> EnergyReport:
     prm = problem.params
     d = problem.dim
     rep = EnergyReport()

@@ -11,6 +11,10 @@ Each step k:
   5. reject the step if any element of the updated configuration inverts.
 
 BDF2 takes its first step with BDF1 (no older history exists).
+
+The solves of items 2 and 3 reuse the previous step's LU of their matrix
+(`Problem.factors`) and factor afresh only when refinement with it stops
+contracting; see `solver.solve`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .fem import (Triplets, add_kron_eye, apply_dirichlet, component_trace, grad
                   grads_at_qp)
 from .kinematics import deformation_state
 from .mesh import GAMMA_F0, GAMMA_OUT
-from .solver import solve
+from .solver import LaggedLU, SolveReport, solve
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,10 @@ class State:
 @dataclass
 class StepDiagnostics:
     scheme: Scheme
-    residual: float
-    refined: bool
-    geo: object            # geometry at the extrapolated displacement
-    u_tilde: np.ndarray
-    jmin: float            # smallest J of the new configuration
+    system: SolveReport               # monolithic solve: residual, passes, fresh LU
+    extension: Optional[SolveReport]  # mesh-extension solve; None if the mesh is fixed
+    geo: object                       # geometry at the extrapolated displacement
+    jmin: float                       # smallest J of the new configuration
 
 
 def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepInputs:
@@ -167,9 +170,14 @@ def extension_stiffness(problem: Problem, geo):
     return T.tocsr()
 
 
-def solve_extension(problem: Problem, geo, v_s: np.ndarray) -> np.ndarray:
+def _lagged(problem: Problem, name: str) -> LaggedLU:
+    return problem.factors.setdefault(name, LaggedLU())
+
+
+def solve_extension(problem: Problem, geo, v_s: np.ndarray):
     """Domain velocity on the fluid side: trace of v_s on the interface,
-    zero on the outer fluid boundary, extension operator in between."""
+    zero on the outer fluid boundary, extension operator in between.
+    Returns (w_f, SolveReport)."""
     vf_space = problem.spaces["v_f"]
     d = problem.dim
     A = extension_stiffness(problem, geo)
@@ -192,8 +200,7 @@ def solve_extension(problem: Problem, geo, v_s: np.ndarray) -> np.ndarray:
     dofs = np.array(sorted(table), dtype=np.int64)
     vals = np.array([table[int(i)] for i in dofs])
     A, b = apply_dirichlet(A, b, dofs, vals, problem.patterns["extension"])
-    x, _ = solve(A, b, rtol=problem.solver_rtol)
-    return x
+    return solve(A, b, rtol=problem.solver_rtol, lagged=_lagged(problem, "extension"))
 
 
 def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
@@ -234,10 +241,12 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     sch = scheme_for_step(order, k)
     inp = _step_inputs(problem, state, sch, dt)
     system, geo = assemble_system(problem, inp, dump_matrix=dump_matrix)
-    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol)
+    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol,
+                   lagged=_lagged(problem, "system"))
     fields = system.layout.split(x)
 
     nu = problem.spaces["u"].num_dofs
+    ext = None
     if problem.frozen_geometry or problem.solid is None:
         u_new = np.zeros(nu)
         w_new = np.zeros(nu)
@@ -245,7 +254,7 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     else:
         w_f = None
         if problem.fluid is not None:
-            w_f = solve_extension(problem, geo, fields["v_s"])
+            w_f, ext = solve_extension(problem, geo, fields["v_s"])
         w_new = domain_velocity(problem, fields.get("v_s"), w_f)
         u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
         jmin = check_deformation(problem, u_new)
@@ -253,8 +262,7 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     fields["u"] = u_new
     fields["w"] = w_new
     new_state = State(k=k, t=state.t + dt, fields=fields, prev=state.fields)
-    diag = StepDiagnostics(scheme=sch, residual=rep.residual, refined=rep.refined,
-                           geo=geo, u_tilde=inp.u_tilde, jmin=jmin)
+    diag = StepDiagnostics(scheme=sch, system=rep, extension=ext, geo=geo, jmin=jmin)
     return new_state, diag
 
 
@@ -269,11 +277,14 @@ def run_transient(problem: Problem, dt: float, order: int, n_steps: int,
         state, diag = advance_step(problem, state, dt, order, dump_matrix=dump)
         if callback is not None:
             callback(state, diag)
+        diag = None            # release the step's geometry before the next step
     return state
 
 
 def solve_steady(problem: Problem, t: float = 0.0):
-    """One steady solve (no mass terms, beta = 1, undeformed geometry)."""
+    """One steady solve (no mass terms, beta = 1, undeformed geometry).
+
+    The matrix is solved once, so its LU is not kept."""
     inp = StepInputs.steady(problem, t)
     system, _ = assemble_system(problem, inp)
     x, rep = solve(system.A, system.b, rtol=problem.solver_rtol)

@@ -146,7 +146,7 @@ def test_criterion_6_energy_dissipation_after_pulse():
         totals = []
         for _ in range(80):
             state, diag = advance_step(problem, state, 1e-4, order=order)
-            rep = evaluate_energy(problem, state.fields, diag.geo, diag.u_tilde)
+            rep = evaluate_energy(problem, state.fields, diag.geo)
             totals.append((state.t, rep.total))
         totals = np.array(totals)
         post = totals[totals[:, 0] > 3e-3 + 1e-12, 1]
@@ -171,7 +171,7 @@ def test_criterion_7_penalty_consistency():
         state = State.initial(problem)
         for _ in range(5):
             state, diag = advance_step(problem, state, 1e-3, order=1)
-        rep = evaluate_energy(problem, state.fields, diag.geo, diag.u_tilde)
+        rep = evaluate_energy(problem, state.fields, diag.geo)
         defects.append(rep.penalty_defect)
     ratios = [defects[i] / defects[i + 1] for i in range(len(defects) - 1)]
     assert all(5.0 <= r <= 20.0 for r in ratios), ratios

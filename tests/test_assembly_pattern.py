@@ -130,9 +130,9 @@ class Recorder:
                                    same_structure(out, expect)))
             return out, rhs
 
-        def solve(A, b, rtol):
+        def solve(A, b, **kwargs):
             self.handed.append((A, b))
-            return real_solve(A, b, rtol=rtol)
+            return real_solve(A, b, **kwargs)
 
         mp.setattr(stepping, "assemble_system", assemble)
         mp.setattr(stepping, "extension_stiffness", stiffness)

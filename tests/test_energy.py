@@ -36,7 +36,7 @@ def test_uniform_field_closed_forms():
     geo = build_geometry(prob, np.zeros(nu))
     fields = uniform_state(prob, v_f=[2.0, 0.0], v_s=[1.0, 0.0], q=[0.0, 3.0],
                            p_d=5.0)
-    rep = evaluate_energy(prob, fields, geo, np.zeros(nu))
+    rep = evaluate_energy(prob, fields, geo)
 
     area = 0.5
     assert rep.kinetic_fluid == pytest.approx(0.5 * PRM.rho_f * 4.0 * area)
@@ -64,7 +64,7 @@ def test_zero_state_zero_energy():
     prob = make_problem(two_triangle_mesh((FLUID, SOLID)), params=PRM)
     nu = prob.spaces["u"].num_dofs
     geo = build_geometry(prob, np.zeros(nu))
-    rep = evaluate_energy(prob, State.initial(prob).fields, geo, np.zeros(nu))
+    rep = evaluate_energy(prob, State.initial(prob).fields, geo)
     assert all(v == 0.0 for v in rep.as_dict().values())
 
 
@@ -77,7 +77,7 @@ def test_viscous_dissipation_linear_shear():
     fields = State.initial(prob).fields
     fields["v_f"] = interpolate(prob.spaces["v_f"], lambda X: np.stack(
         [X[:, 1], np.zeros(len(X))], axis=1))
-    rep = evaluate_energy(prob, fields, geo, np.zeros(nu))
+    rep = evaluate_energy(prob, fields, geo)
     assert rep.viscous_dissipation == pytest.approx(PRM.mu_f, rel=1e-12)
     assert rep.kinetic_fluid == pytest.approx(0.5 * PRM.rho_f / 3.0, rel=1e-12)
 
@@ -90,7 +90,7 @@ def test_energy_uses_deformed_volume():
     ut = interpolate(uspace, lambda X: alpha * X)
     geo = build_geometry(prob, ut)
     fields = uniform_state(prob, v_f=[1.0, 0.0])
-    rep = evaluate_energy(prob, fields, geo, ut)
+    rep = evaluate_energy(prob, fields, geo)
     assert rep.kinetic_fluid == pytest.approx(
         0.5 * PRM.rho_f * 0.5 * (1 + alpha) ** 2, rel=1e-12)
 
@@ -112,5 +112,5 @@ def test_penalty_defect_on_channel():
     nu = prob.spaces["u"].num_dofs
     geo = build_geometry(prob, np.zeros(nu))
     fields = uniform_state(prob, v_f=[0.0, 1.0])
-    rep = evaluate_energy(prob, fields, geo, np.zeros(nu))
+    rep = evaluate_energy(prob, fields, geo)
     assert rep.penalty_defect == pytest.approx(100.0, rel=1e-12)

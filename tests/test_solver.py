@@ -1,11 +1,13 @@
-"""Direct solver wrapper: exactness, residual guard, input validation."""
+"""Direct solver wrapper: exactness, residual guard, input validation, and
+reuse of a held LU."""
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from fpsi.errors import SolverError
-from fpsi.solver import solve
+from fpsi.solver import RESIDUAL_TOL, LaggedLU, solve
 
 
 def test_solves_small_system_exactly():
@@ -50,3 +52,94 @@ def test_unreachable_tolerance_reports_residual():
     with pytest.raises(SolverError) as exc:
         solve(A, np.ones(12), rtol=1e-300)
     assert exc.value.residual is not None and exc.value.residual > 0.0
+
+
+# ---------------------------------------------------------------------------
+# reuse of a held LU
+# ---------------------------------------------------------------------------
+
+def sample_system(n=120, seed=0):
+    """Unsymmetric, diagonally dominant sparse matrix and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    R = sparse.random(n, n, density=0.05, random_state=rng, format="csr")
+    A = (R - R.T * 0.5 + sparse.identity(n) * 4.0).tocsr()
+    return A, rng.standard_normal(n)
+
+
+def perturbed(A, eps, seed=1):
+    rng = np.random.default_rng(seed)
+    B = A.copy()
+    B.data *= 1.0 + eps * rng.standard_normal(B.nnz)
+    return B
+
+
+def test_fresh_solve_fills_the_holder():
+    A, b = sample_system()
+    held = LaggedLU()
+    x, rep = solve(A, b, lagged=held)
+    assert rep.factored and held.lu is not None and held.lu.shape == A.shape
+    assert rep.residual <= RESIDUAL_TOL
+    _, plain = solve(A, b)
+    assert plain.factored and plain.iterations == 0
+
+
+def test_held_lu_solves_a_nearby_matrix():
+    A, b = sample_system()
+    held = LaggedLU()
+    solve(A, b, lagged=held)
+    first = held.lu
+    B = perturbed(A, 1e-3)
+    x, rep = solve(B, b, lagged=held)
+    assert not rep.factored and rep.iterations >= 1 and not rep.refined
+    assert rep.residual <= RESIDUAL_TOL
+    assert np.linalg.norm(B @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
+    assert held.lu is first
+    assert np.allclose(x, spsolve(B.tocsc(), b), rtol=1e-8, atol=0.0)
+
+
+def test_distant_matrix_falls_back_to_a_fresh_factor():
+    A, b = sample_system()
+    held = LaggedLU()
+    solve(A, b, lagged=held)
+    first = held.lu
+    x, rep = solve(A * 10.0, b, lagged=held)
+    assert rep.factored and rep.residual <= RESIDUAL_TOL
+    assert held.lu is not first
+    # the new LU is the one of the scaled matrix: the next solve reuses it
+    x2, rep2 = solve(A * 10.0, b, lagged=held)
+    assert not rep2.factored and rep2.iterations == 0
+    assert np.array_equal(x, x2)
+
+
+def test_held_lu_of_another_shape_is_not_used():
+    A, b = sample_system(n=120)
+    held = LaggedLU()
+    solve(sparse.identity(7, format="csr"), np.ones(7), lagged=held)
+    x, rep = solve(A, b, lagged=held)
+    assert rep.factored and rep.iterations == 0
+    assert held.lu.shape == A.shape
+
+
+def test_reuse_path_rejects_non_finite_inputs():
+    A, b = sample_system()
+    held = LaggedLU()
+    solve(A, b, lagged=held)
+    bad_b = b.copy()
+    bad_b[3] = np.nan
+    with pytest.raises(SolverError, match="right-hand side"):
+        solve(A, bad_b, lagged=held)
+    bad_A = A.copy()
+    bad_A.data[5] = np.inf
+    with pytest.raises(SolverError, match="matrix contains"):
+        solve(bad_A, b, lagged=held)
+
+
+def test_unreachable_tolerance_with_a_held_lu_reports_residual():
+    from scipy.linalg import hilbert
+    A = sparse.csr_matrix(hilbert(12))
+    held = LaggedLU()
+    solve(sparse.csr_matrix(np.eye(12) + 1e-3 * hilbert(12)), np.ones(12), lagged=held)
+    with pytest.raises(SolverError) as exc:
+        solve(A, np.ones(12), rtol=1e-300, lagged=held)
+    assert exc.value.residual is not None and exc.value.residual > 0.0
+    assert held.lu is None           # the old LU was dropped, no failed one kept

@@ -121,7 +121,8 @@ def test_solve_extension_boundary_values():
     vs_space, vf_space = prob.spaces["v_s"], prob.spaces["v_f"]
     v_s = interpolate(vs_space, lambda X: np.stack(
         [0.01 * X[:, 0], 0.02 * np.ones(len(X))], axis=1))
-    ext = solve_extension(prob, geo, v_s).reshape(-1, 2)
+    ext, _ = solve_extension(prob, geo, v_s)
+    ext = ext.reshape(-1, 2)
 
     # trace on the interface equals the solid velocity there; the outer
     # pinning is applied last, so inlet/outlet corner nodes stay zero
@@ -200,6 +201,40 @@ def test_step_reports_min_jacobian_of_new_configuration():
         jmin = min(geo.fluid["J"].min(), geo.solid["J"].min())
         assert diag.jmin == jmin
         assert 0.0 < diag.jmin != 1.0
+
+
+def _six_bdf2_steps(clear_factors):
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    state = State.initial(prob)
+    diags = []
+    for _ in range(6):
+        if clear_factors:
+            prob.factors.clear()
+        state, diag = advance_step(prob, state, 1e-4, 2)
+        diags.append((diag.system, diag.extension))
+    return state, diags
+
+
+def test_lu_reuse_matches_fresh_factors():
+    reused, diags = _six_bdf2_steps(clear_factors=False)
+    fresh, fresh_diags = _six_bdf2_steps(clear_factors=True)
+    for name, ref in fresh.fields.items():
+        scale = max(np.linalg.norm(ref), 1e-300)
+        assert np.linalg.norm(reused.fields[name] - ref) <= 1e-8 * scale, name
+    system = [s for s, _ in diags]
+    assert system[0].factored
+    assert sum(not s.factored for s in system) >= 3
+    assert all(not s.refined for s in system)
+    for sys_rep, ext_rep in diags:
+        assert sys_rep.residual <= 1e-9 and ext_rep.residual <= 1e-9
+        assert sys_rep.factored or sys_rep.iterations >= 1
+    assert all(s.factored and e.factored for s, e in fresh_diags)
+
+
+def test_steady_solve_keeps_no_factors():
+    prob = rest_problem()
+    solve_steady(prob)
+    assert prob.factors == {}
 
 
 def test_moving_geometry_updates_displacement():
