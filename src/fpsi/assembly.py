@@ -47,7 +47,7 @@ from . import mesh as meshmod
 from .elements import eval_basis, reference_element, simplex_quadrature, facet_quadrature
 from .errors import AssemblyError
 from .fem import (SparsePattern, Triplets, add_kron_eye, apply_dirichlet, component_trace,
-                  field_at_qp, gradient_gram, grads_at_qp, kron_eye, scalar_at_qp,
+                  field_at_qp, gradient_gram, grads_at_qp, kron_eye, last_set, scalar_at_qp,
                   scatter_add, weighted_gram, weighted_moment)
 from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
 from .mesh import FLUID, GAMMA_FS, GAMMA_OUT, SOLID, InterfaceFacet, Mesh, extract_interface
@@ -160,6 +160,20 @@ class DirichletBC:
 
 
 @dataclass
+class DirichletDofs:
+    """The part of one matrix's Dirichlet data that does not change in time.
+
+    Each step lists its boundary values in one fixed order; the kept dof
+    dofs[i] takes the value at position take[i] of that list, the last one
+    set for it.
+    """
+
+    dofs: np.ndarray                      # sorted unique global dofs
+    take: np.ndarray                      # (len(dofs),) positions in the value list
+    nodes: Tuple[np.ndarray, ...] = ()    # constrained scalar nodes per DirichletBC
+
+
+@dataclass
 class StepInputs:
     """Everything the assembler needs about time level k.
 
@@ -226,6 +240,9 @@ class Problem:
     # last LU of each stepped matrix ("system", "extension"), reused by the
     # next step's solve; filled lazily and freed with the problem
     factors: Dict[str, LaggedLU] = field(default_factory=dict, repr=False)
+    # Dirichlet dofs of each matrix ("system", "extension"), found at its
+    # first assembly: the conditions' markers do not change in time
+    dirichlet_dofs: Dict[str, DirichletDofs] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -724,28 +741,37 @@ def _forcing_at(fn, X, t, ncomp):
 # Dirichlet conditions
 # ---------------------------------------------------------------------------
 
-def _dirichlet_data(problem: Problem, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Global Dirichlet dofs (sorted) and values at time t (later entries win)."""
+def _dirichlet_dofs(problem: Problem) -> DirichletDofs:
+    """The system's Dirichlet dofs, found once per problem."""
+    fixed = problem.dirichlet_dofs.get("system")
+    if fixed is not None:
+        return fixed
     lay = problem.layout
-    dofs: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
+    nodes: List[np.ndarray] = []
+    dofs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
     for bc in problem.dirichlet:
         if bc.field not in lay.offsets:
             raise AssemblyError("Dirichlet condition on absent field %r" % bc.field)
         space = problem.spaces[bc.field]
-        nodes = space.nodes_on_markers(bc.markers)
+        nodes.append(space.nodes_on_markers(bc.markers))
+        dofs.append(space.dofs_of_nodes(nodes[-1]) + lay.offsets[bc.field])
+    if problem.pin_pf is not None:
+        dofs.append(np.array([lay.offsets["p_f"] + int(problem.pin_pf[0])], dtype=np.int64))
+    fixed = DirichletDofs(*last_set(np.concatenate(dofs)), nodes=tuple(nodes))
+    problem.dirichlet_dofs["system"] = fixed
+    return fixed
+
+
+def _dirichlet_data(problem: Problem, t: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Global Dirichlet dofs (sorted) and values at time t (later entries win)."""
+    fixed = _dirichlet_dofs(problem)
+    vals: List[np.ndarray] = [np.empty(0)]
+    for bc, nodes in zip(problem.dirichlet, fixed.nodes):
         if len(nodes) == 0:
             continue
+        space = problem.spaces[bc.field]
         v = batch_eval(lambda X: bc.value(X, t), space.node_coords[nodes], space.ncomp)
         vals.append(v.ravel())
-        dofs.append(space.dofs_of_nodes(nodes) + lay.offsets[bc.field])
     if problem.pin_pf is not None:
-        node, fn = problem.pin_pf
-        dofs.append(np.array([lay.offsets["p_f"] + int(node)], dtype=np.int64))
-        vals.append(np.array([float(fn(t))]))
-    if not dofs:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    # the first occurrence in reversed order is the last one set
-    rdofs = np.concatenate(dofs)[::-1]
-    unique, last = np.unique(rdofs, return_index=True)
-    return unique, np.concatenate(vals)[::-1][last]
+        vals.append(np.array([float(problem.pin_pf[1](t))]))
+    return fixed.dofs, np.concatenate(vals)[fixed.take]

@@ -242,6 +242,14 @@ def apply_dirichlet(A: sparse.csr_matrix, b: np.ndarray, dofs: np.ndarray,
     return pattern.dirichlet(dofs).apply(A, b, values)
 
 
+def last_set(dofs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sorted unique dofs and the position of each one's last occurrence in
+    `dofs`: where conditions overlap, the one set later wins."""
+    dofs = np.asarray(dofs, dtype=np.int64)
+    unique, first = np.unique(dofs[::-1], return_index=True)
+    return unique, len(dofs) - 1 - first
+
+
 class Triplets:
     """Element blocks of one matrix, added in the same order every assembly.
 

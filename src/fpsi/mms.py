@@ -21,6 +21,12 @@ at zero), so the discrete operators are tested in isolation:
 The steady elastic operator linearizes around zero history with beta = 1,
 which makes the assembled stress S(E(w, 0)) act on the half strain eps(w)/2;
 the biot forcing is manufactured against exactly that operator.
+
+Each forcing term is built from `sp.diff` and arithmetic only and lambdified
+as derived; it is never simplified, which would cost seconds per case and
+change the values only by roundoff.  The identity div v = 0 of the fluid
+cases is proved by `_require_zero`: structurally, then by `sp.expand`, and
+by `sp.simplify` only if both fail.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from typing import Callable, Dict
 import numpy as np
 import sympy as sp
 
+from .errors import FpsiError
 from .kinematics import MaterialParams
 
 _x, _y, _t = sp.symbols("x y t")
@@ -83,12 +90,19 @@ def _sym(A):
     return (A + A.T) / 2
 
 
+def _require_zero(expr, what: str) -> None:
+    """Prove a sympy expression identically zero, cheapest proof first."""
+    expr = sp.sympify(expr)
+    if expr == 0 or sp.expand(expr) == 0 or sp.simplify(expr) == 0:
+        return
+    raise FpsiError("%s is not identically zero: %s" % (what, expr))
+
+
 def _stokes_case(name: str, v, p, prm: MaterialParams) -> MmsCase:
     D = _sym(_grad(v))
-    f = [-e for e in _div_mat(2 * prm.mu_f * D)]
     gp = [sp.diff(p, _x), sp.diff(p, _y)]
-    f = [sp.simplify(f[i] + gp[i]) for i in range(2)]
-    assert sp.simplify(_div_vec(v)) == 0
+    f = [-e + g for e, g in zip(_div_mat(2 * prm.mu_f * D), gp)]
+    _require_zero(_div_vec(v), "div v of %s" % name)
     return MmsCase(
         name=name, subdomain="fluid", params=prm, time_dependent=False,
         exact={"v_f": _wrap(v, False), "p_f": _wrap(p, False)},
@@ -128,10 +142,10 @@ def biot_trig() -> MmsCase:
     E = _sym(_grad(w)) / 2
     S = prm.lam_s * E.trace() * sp.eye(2) + 2 * prm.mu_s * E
     gp = [sp.diff(p, _x), sp.diff(p, _y)]
-    f_s = [sp.simplify(-e + g) for e, g in zip(_div_mat(S), gp)]
+    f_s = [-e + g for e, g in zip(_div_mat(S), gp)]
     kinv = 1.0 / prm.K
-    f_d = [sp.simplify(kinv * q[i] + gp[i]) for i in range(2)]
-    g_s = sp.simplify(_div_vec([w[0] + q[0], w[1] + q[1]]))
+    f_d = [kinv * q[i] + gp[i] for i in range(2)]
+    g_s = _div_vec([w[0] + q[0], w[1] + q[1]])
     return MmsCase(
         name="biot_trig", subdomain="solid", params=prm, time_dependent=False,
         exact={"v_s": _wrap(w, False), "q": _wrap(q, False), "p_d": _wrap(p, False)},
@@ -151,9 +165,8 @@ def unsteady_fluid() -> MmsCase:
     D = _sym(Gv)
     visc = _div_mat(2 * prm.mu_f * D)
     gp = [sp.diff(p, _x), sp.diff(p, _y)]
-    f = [sp.simplify(prm.rho_f * (sp.diff(v[i], _t) + conv[i]) - visc[i] + gp[i])
-         for i in range(2)]
-    assert sp.simplify(_div_vec(v)) == 0
+    f = [prm.rho_f * (sp.diff(v[i], _t) + conv[i]) - visc[i] + gp[i] for i in range(2)]
+    _require_zero(_div_vec(v), "div v of unsteady_fluid")
     return MmsCase(
         name="unsteady_fluid", subdomain="fluid", params=prm, time_dependent=True,
         exact={"v_f": _wrap(v, True), "p_f": _wrap(p, True)},

@@ -32,6 +32,8 @@ class FunctionSpace:
     cells: np.ndarray         # global cell ids of the subdomain
     cell_nodes: np.ndarray    # (ncells, nloc) scalar node ids
     node_coords: np.ndarray   # (nnodes, dim)
+    vertex_ids: np.ndarray    # (nverts,) global vertex ids of the vertex nodes, ascending
+    edge_keys: np.ndarray     # (nedges, 2) sorted vertex pairs of the edge nodes, ascending
     vertex_node: Dict[int, int] = field(repr=False, default_factory=dict)
     edge_node: Dict[tuple, int] = field(repr=False, default_factory=dict)
 
@@ -71,26 +73,27 @@ class FunctionSpace:
 
     def nodes_on_markers(self, markers: Iterable[int]) -> np.ndarray:
         """Scalar nodes lying on facets carrying any of the given markers."""
-        markers = set(int(m) for m in markers)
-        out = set()
-        for fverts, m in zip(self.mesh.facets, self.mesh.facet_markers):
-            if int(m) not in markers:
-                continue
-            fv = [int(v) for v in fverts]
-            for v in fv:
-                node = self.vertex_node.get(v)
-                if node is not None:
-                    out.add(node)
-            if self.degree == 2:
-                if self.dim == 2:
-                    pairs = [tuple(sorted(fv))]
-                else:
-                    pairs = [tuple(sorted((fv[a], fv[b]))) for a, b in ((0, 1), (0, 2), (1, 2))]
-                for key in pairs:
-                    node = self.edge_node.get(key)
-                    if node is not None:
-                        out.add(node)
-        return np.array(sorted(out), dtype=np.int64)
+        mesh = self.mesh
+        wanted = np.fromiter((int(m) for m in markers), dtype=np.int64)
+        fverts = mesh.facets[np.isin(mesh.facet_markers, wanted)]
+        found = [_find(self.vertex_ids, fverts.ravel())]
+        if self.degree == 2:
+            local = ((0, 1),) if self.dim == 2 else LOCAL_EDGES[2]
+            pairs = np.sort(fverts[:, local], axis=2).reshape(-1, 2)
+            nv = mesh.num_vertices
+            pos = _find(self.edge_keys[:, 0] * nv + self.edge_keys[:, 1],
+                        pairs[:, 0] * nv + pairs[:, 1])
+            found.append(np.where(pos < 0, -1, pos + len(self.vertex_ids)))
+        nodes = np.concatenate(found)
+        return np.unique(nodes[nodes >= 0])
+
+
+def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in the sorted 1-D table, -1 where it is absent."""
+    if len(table) == 0:
+        return np.full(len(keys), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    return np.where(table[pos] == keys, pos, -1)
 
 
 def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = None) -> FunctionSpace:
@@ -103,41 +106,24 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         cells = mesh.cells_with_tag(tag)
     if len(cells) == 0:
         raise AssemblyError("empty subdomain: no cells with tag %r" % tag)
+    if degree not in (1, 2):
+        raise ValueError("only degree 1 and 2 spaces are provided")
 
     cellverts = mesh.cells[cells]
     verts = np.unique(cellverts)
-    vertex_node = {int(v): i for i, v in enumerate(verts)}
+    cell_nodes = np.searchsorted(verts, cellverts).astype(np.int64)
     coords = [mesh.vertices[verts]]
-    edge_node: Dict[tuple, int] = {}
+    edge_keys = np.empty((0, 2), dtype=verts.dtype)
+    if degree == 2:
+        local_edges = np.array(LOCAL_EDGES[mesh.dim])
+        pairs = np.sort(cellverts[:, local_edges], axis=2).reshape(-1, 2)
+        # lexicographic rows: the order of the sorted vertex pairs
+        edge_keys, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        coords.append((mesh.vertices[edge_keys[:, 0]] + mesh.vertices[edge_keys[:, 1]]) / 2.0)
+        edge_nodes = len(verts) + inverse.reshape(len(cells), len(local_edges))
+        cell_nodes = np.hstack([cell_nodes, edge_nodes])
 
-    nloc_v = mesh.dim + 1
-    if degree == 1:
-        cell_nodes = np.empty((len(cells), nloc_v), dtype=np.int64)
-        for i in range(nloc_v):
-            cell_nodes[:, i] = [vertex_node[int(v)] for v in cellverts[:, i]]
-    elif degree == 2:
-        local_edges = LOCAL_EDGES[mesh.dim]
-        keys = set()
-        for cv in cellverts:
-            for a, b in local_edges:
-                keys.add(tuple(sorted((int(cv[a]), int(cv[b])))))
-        sorted_keys = sorted(keys)
-        base = len(verts)
-        edge_node = {k: base + i for i, k in enumerate(sorted_keys)}
-        mids = np.array([(mesh.vertices[a] + mesh.vertices[b]) / 2.0 for a, b in sorted_keys])
-        if len(mids):
-            coords.append(mids)
-        nloc = nloc_v + len(local_edges)
-        cell_nodes = np.empty((len(cells), nloc), dtype=np.int64)
-        for i in range(nloc_v):
-            cell_nodes[:, i] = [vertex_node[int(v)] for v in cellverts[:, i]]
-        for e, (a, b) in enumerate(local_edges):
-            cell_nodes[:, nloc_v + e] = [
-                edge_node[tuple(sorted((int(cv[a]), int(cv[b]))))] for cv in cellverts
-            ]
-    else:
-        raise ValueError("only degree 1 and 2 spaces are provided")
-
+    nnodes = len(verts) + len(edge_keys)
     return FunctionSpace(
         mesh=mesh,
         degree=degree,
@@ -146,8 +132,10 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         cells=cells,
         cell_nodes=cell_nodes,
         node_coords=np.vstack(coords),
-        vertex_node=vertex_node,
-        edge_node=edge_node,
+        vertex_ids=verts,
+        edge_keys=edge_keys,
+        vertex_node=dict(zip(verts.tolist(), range(len(verts)))),
+        edge_node=dict(zip(map(tuple, edge_keys.tolist()), range(len(verts), nnodes))),
     )
 
 

@@ -14,7 +14,8 @@ BDF2 takes its first step with BDF1 (no older history exists).
 
 The solves of items 2 and 3 reuse the previous step's LU of their matrix
 (`Problem.factors`) and factor afresh only when refinement with it stops
-contracting; see `solver.solve`.
+contracting; see `solver.solve`.  The system LU is dropped when the scheme
+changes (BDF2's first BDF2 step), whose matrix differs in its mass terms.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .assembly import Problem, StepInputs, assemble_system
+from .assembly import DirichletDofs, Problem, StepInputs, assemble_system
 from .errors import FpsiError
 from .fem import (Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram,
-                  grads_at_qp)
+                  grads_at_qp, last_set)
 from .kinematics import deformation_state
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import LaggedLU, SolveReport, solve
@@ -174,32 +175,38 @@ def _lagged(problem: Problem, name: str) -> LaggedLU:
     return problem.factors.setdefault(name, LaggedLU())
 
 
+def _extension_dofs(problem: Problem) -> DirichletDofs:
+    """Dirichlet dofs of the extension, found once per problem.
+
+    The step's value list is v_s followed by one zero, so `take` gathers the
+    interface trace from v_s and the zero for the outer boundary."""
+    fixed = problem.dirichlet_dofs.get("extension")
+    if fixed is not None:
+        return fixed
+    vf_space = problem.spaces["v_f"]
+    # Interface trace: solid and fluid spaces share exactly the interface
+    # vertices/edges, so the entity map carries the trace without lookups.
+    src, dst = problem.map_vs_to_vf
+    # Outer fluid boundary is clamped; corners shared with the interface are
+    # clamped too (the solid is clamped there, so the trace is zero anyway).
+    outer = vf_space.dofs_of_nodes(vf_space.nodes_on_markers((GAMMA_F0, GAMMA_OUT)))
+    dofs, last = last_set(np.concatenate([vf_space.dofs_of_nodes(dst), outer]))
+    zero = problem.spaces["v_s"].num_dofs
+    take = np.concatenate([problem.spaces["v_s"].dofs_of_nodes(src),
+                           np.full(len(outer), zero, dtype=np.int64)])[last]
+    fixed = problem.dirichlet_dofs["extension"] = DirichletDofs(dofs, take)
+    return fixed
+
+
 def solve_extension(problem: Problem, geo, v_s: np.ndarray):
     """Domain velocity on the fluid side: trace of v_s on the interface,
     zero on the outer fluid boundary, extension operator in between.
     Returns (w_f, SolveReport)."""
-    vf_space = problem.spaces["v_f"]
-    d = problem.dim
     A = extension_stiffness(problem, geo)
-    b = np.zeros(vf_space.num_dofs)
-
-    # Interface trace: solid and fluid spaces share exactly the interface
-    # vertices/edges, so the entity map carries the trace without lookups.
-    table: Dict[int, float] = {}
-    s2f_src, s2f_dst = problem.map_vs_to_vf
-    vs_nodes = v_s.reshape(-1, d)
-    for ns, nf in zip(s2f_src, s2f_dst):
-        for a in range(d):
-            table[int(nf) * d + a] = float(vs_nodes[ns, a])
-    # Outer fluid boundary is clamped; corners shared with the interface are
-    # clamped too (the solid is clamped there, so the trace is zero anyway).
-    outer = vf_space.nodes_on_markers((GAMMA_F0, GAMMA_OUT))
-    for n in outer:
-        for a in range(d):
-            table[int(n) * d + a] = 0.0
-    dofs = np.array(sorted(table), dtype=np.int64)
-    vals = np.array([table[int(i)] for i in dofs])
-    A, b = apply_dirichlet(A, b, dofs, vals, problem.patterns["extension"])
+    b = np.zeros(problem.spaces["v_f"].num_dofs)
+    fixed = _extension_dofs(problem)
+    vals = np.append(v_s, 0.0)[fixed.take]
+    A, b = apply_dirichlet(A, b, fixed.dofs, vals, problem.patterns["extension"])
     return solve(A, b, rtol=problem.solver_rtol, lagged=_lagged(problem, "extension"))
 
 
@@ -239,6 +246,9 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     """One semi-implicit step; returns (new_state, diagnostics)."""
     k = state.k + 1
     sch = scheme_for_step(order, k)
+    if state.k >= 1 and scheme_for_step(order, state.k) != sch:
+        # the mass terms change with the scheme: the held LU is of another matrix
+        problem.factors.pop("system", None)
     inp = _step_inputs(problem, state, sch, dt)
     system, geo = assemble_system(problem, inp, dump_matrix=dump_matrix)
     x, rep = solve(system.A, system.b, rtol=problem.solver_rtol,

@@ -15,11 +15,12 @@ from scipy import sparse
 import fpsi.assembly as assembly
 import fpsi.fem as fem
 import fpsi.stepping as stepping
+from fpsi.assembly import DirichletBC
 from fpsi.fem import field_at_qp
 from fpsi.mesh import GAMMA_F0, GAMMA_FS, GAMMA_OUT
 from fpsi.mms import biot_trig, stokes_trig
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
-from fpsi.spaces import interpolate
+from fpsi.spaces import FunctionSpace, interpolate
 from fpsi.stepping import State, advance_step, solve_steady
 
 A_RTOL = 1e-14
@@ -253,6 +254,49 @@ def test_extension_dirichlet_rows(monkeypatch):
     for A, _ in rec.handed[1::2]:
         assert A.shape[0] == vf.num_dofs and np.all(A.data != 0.0)
         assert_unit_rows(A, fixed)
+
+
+def test_dirichlet_dofs_are_found_once(monkeypatch):
+    calls = []
+    find = FunctionSpace.nodes_on_markers
+
+    def counting(space, markers):
+        calls.append(tuple(markers))
+        return find(space, markers)
+
+    monkeypatch.setattr(FunctionSpace, "nodes_on_markers", counting)
+    prob = channel()
+    assert prob.dirichlet_dofs == {}           # nothing is found with the problem
+    state = State.initial(prob)
+    per_step = []
+    for _ in range(4):
+        state, _ = advance_step(prob, state, DT, 2)
+        per_step.append(len(calls))
+    assert per_step[0] == len(prob.dirichlet) + 1      # the system's BCs, the extension's
+    assert per_step == per_step[:1] * 4
+    assert set(prob.dirichlet_dofs) == {"system", "extension"}
+    assert np.array_equal(prob.dirichlet_dofs["system"].dofs, system_dofs(prob))
+
+
+def test_later_dirichlet_conditions_win():
+    prob = channel()
+    wall = next(bc for bc in prob.dirichlet if bc.field == "v_s")
+    # the same facets twice: the second condition's values must be kept
+    prob.dirichlet = [DirichletBC(wall.field, wall.markers, lambda X, t: np.ones_like(X)),
+                      DirichletBC(wall.field, wall.markers, lambda X, t: X + t)]
+    space = prob.spaces[wall.field]
+    nodes = space.nodes_on_markers(wall.markers)
+    for t in (0.5, 1.5):
+        dofs, vals = assembly._dirichlet_data(prob, t)
+        where = np.searchsorted(dofs, space.dofs_of_nodes(nodes) + prob.layout.offsets["v_s"])
+        assert np.array_equal(vals[where], (space.node_coords[nodes] + t).ravel())
+
+
+def test_last_set_keeps_the_last_occurrence():
+    dofs, take = fem.last_set(np.array([5, 2, 5, 7, 2, 5]))
+    assert dofs.tolist() == [2, 5, 7] and take.tolist() == [4, 5, 3]
+    dofs, take = fem.last_set(np.empty(0, dtype=np.int64))
+    assert len(dofs) == 0 and len(take) == 0
 
 
 def test_pattern_of_arbitrary_blocks_matches_coo():

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import fpsi.mms as mms
+from fpsi.errors import FpsiError
+from fpsi.kinematics import MaterialParams
 from fpsi.mms import CASES, MmsCase, _wrap, biot_trig, stokes_polynomial, \
     stokes_trig, unsteady_fluid
 from fpsi.scenarios import mms_problem, mms_temporal_study, solve_mms_steady, \
@@ -59,6 +62,44 @@ def test_wrap_shapes_and_matrix_input():
 
     g = _wrap(sp.Symbol("t") * sp.Symbol("x"), True)
     assert g(np.array([[2.0, 0.0]]), 1.5) == pytest.approx(3.0)
+
+
+def _simplified_wrap(exprs, tdep):
+    """_wrap of the sp.simplify'd expressions: the forcing as it was derived
+    before simplification was dropped."""
+    if isinstance(exprs, sp.MatrixBase):
+        exprs = list(exprs)
+    return _wrap([sp.simplify(sp.sympify(e)) for e in np.atleast_1d(exprs)], tdep)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_forcing_matches_simplified_derivation(name, monkeypatch):
+    case = CASES[name]()
+    monkeypatch.setattr(mms, "_wrap", _simplified_wrap)
+    ref = CASES[name]()
+    X = np.random.default_rng(11).uniform(-0.5, 1.5, (64, 2))
+    args = (X, 0.7) if case.time_dependent else (X,)
+    assert set(case.forcing) == set(ref.forcing)
+    for key, fn in case.forcing.items():
+        got, want = fn(*args), ref.forcing[key](*args)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+
+
+def test_divergence_check_rejects_a_source():
+    x, y = sp.symbols("x y")
+    prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0, mu_s=1.0,
+                         phi=0.5, s0=1.0, K=1.0)
+    with pytest.raises(FpsiError, match="div v of source"):
+        mms._stokes_case("source", [x, y], sp.Integer(0), prm)
+
+
+def test_zero_check_falls_back_to_simplify():
+    x = sp.Symbol("x")
+    mms._require_zero(sp.sin(x) ** 2 + sp.cos(x) ** 2 - 1, "identity")
+    mms._require_zero((x + 1) ** 2 - x ** 2 - 2 * x - 1, "expanded")
+    with pytest.raises(FpsiError, match="identity"):
+        mms._require_zero(sp.sin(x) ** 2 - sp.cos(x) ** 2, "identity")
 
 
 def test_case_registry():

@@ -5,7 +5,8 @@ import pytest
 
 from fpsi.errors import AssemblyError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_S0, SOLID
-from fpsi.scenarios import unit_square_mesh
+from fpsi.elements import LOCAL_EDGES
+from fpsi.scenarios import channel_mesh, unit_square_mesh
 from fpsi.spaces import (batch_eval, build_space, error_L2, eval_at_point, interpolate,
                          locate_cell, norm_L2, transfer_nodes)
 from tests.test_mesh import two_triangle_mesh
@@ -56,6 +57,61 @@ def test_empty_subdomain_rejected():
         build_space(mesh, 3)
     with pytest.raises(ValueError):
         build_space(mesh, 1, rank=2)
+
+
+@pytest.mark.parametrize("mesh_name, tag", [("channel4", None), ("channel4", FLUID),
+                                           ("channel4", SOLID), ("square6", None),
+                                           ("square6", SOLID)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_node_numbering(mesh_name, tag, degree):
+    mesh = channel_mesh(4) if mesh_name == "channel4" else unit_square_mesh(6, "solid")
+    cells = np.arange(mesh.num_cells) if tag is None else mesh.cells_with_tag(tag)
+    space = build_space(mesh, degree, rank=1, tag=tag)
+    assert np.array_equal(space.cells, cells)
+
+    # vertex nodes first, in increasing vertex id
+    verts = sorted({int(v) for c in cells for v in mesh.cells[c]})
+    nv = len(verts)
+    assert list(space.vertex_node.items()) == [(v, i) for i, v in enumerate(verts)]
+    assert np.array_equal(space.node_coords[:nv], mesh.vertices[verts])
+
+    # then edge nodes, in lexicographic order of their sorted vertex pairs
+    edges = LOCAL_EDGES[mesh.dim] if degree == 2 else ()
+    keys = sorted({tuple(sorted((int(mesh.cells[c][a]), int(mesh.cells[c][b]))))
+                   for c in cells for a, b in edges})
+    assert list(space.edge_node.items()) == [(k, nv + i) for i, k in enumerate(keys)]
+    assert space.num_scalar_nodes == nv + len(keys)
+    for (a, b), node in space.edge_node.items():
+        assert np.array_equal(space.node_coords[node],
+                              (mesh.vertices[a] + mesh.vertices[b]) / 2.0)
+
+    assert space.cell_nodes.dtype == np.int64
+    assert space.cell_nodes.shape == (len(cells), mesh.dim + 1 + len(edges))
+    for row, c in zip(space.cell_nodes, cells):
+        cv = [int(v) for v in mesh.cells[c]]
+        assert list(row[:mesh.dim + 1]) == [space.vertex_node[v] for v in cv]
+        assert list(row[mesh.dim + 1:]) == [
+            space.edge_node[tuple(sorted((cv[a], cv[b])))] for a, b in edges]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("tag", [None, FLUID, SOLID])
+def test_nodes_on_markers_matches_facet_walk(degree, tag):
+    mesh = channel_mesh(4)
+    space = build_space(mesh, degree, tag=tag)
+    markers = sorted(set(mesh.facet_markers.tolist()))
+    for query in [(m,) for m in markers] + [tuple(markers), (GAMMA_F0, GAMMA_FS), (-1,), ()]:
+        want = set()
+        for fverts, m in zip(mesh.facets, mesh.facet_markers):
+            if m in query:
+                fv = [int(v) for v in fverts]
+                want.update(space.vertex_node[v] for v in fv if v in space.vertex_node)
+                key = tuple(sorted(fv))
+                if key in space.edge_node:
+                    want.add(space.edge_node[key])
+        got = space.nodes_on_markers(query)
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(want)
 
 
 def test_nodes_on_markers_picks_up_edge_nodes():

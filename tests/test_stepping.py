@@ -231,6 +231,21 @@ def test_lu_reuse_matches_fresh_factors():
     assert all(s.factored and e.factored for s, e in fresh_diags)
 
 
+def test_bdf2_step_after_the_bdf1_start_factors_afresh():
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    state = State.initial(prob)
+    reports = []
+    for _ in range(3):
+        state, diag = advance_step(prob, state, 1e-4, 2)
+        reports.append(diag.system)
+    # step 2 is the first BDF2 step: the BDF1 LU is not tried on its matrix,
+    # so any pass spent is the fresh path's own refinement
+    step2 = reports[1]
+    assert step2.factored and step2.iterations <= 1
+    assert step2.iterations == int(step2.refined)
+    assert not reports[2].factored       # BDF2 -> BDF2 reuses again
+
+
 def test_steady_solve_keeps_no_factors():
     prob = rest_problem()
     solve_steady(prob)
