@@ -43,16 +43,15 @@ import numpy as np
 from scipy import sparse
 from scipy.io import mmwrite
 
-from . import mesh as meshmod
-from .elements import eval_basis, reference_element, simplex_quadrature, facet_quadrature
+from .elements import eval_basis, facet_quadrature, simplex_quadrature
 from .errors import AssemblyError
 from .fem import (SparsePattern, Triplets, add_kron_eye, apply_dirichlet, component_trace,
                   field_at_qp, gradient_gram, grads_at_qp, kron_eye, last_set, scalar_at_qp,
                   scatter_add, weighted_gram, weighted_moment)
 from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
-from .mesh import FLUID, GAMMA_FS, GAMMA_OUT, SOLID, InterfaceFacet, Mesh, extract_interface
+from .mesh import FLUID, GAMMA_OUT, SOLID, Mesh, extract_interface
 from .solver import LaggedLU
-from .spaces import FunctionSpace, batch_eval, build_space, transfer_nodes
+from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
 
@@ -100,46 +99,37 @@ class BlockSystem:
 
 
 # ---------------------------------------------------------------------------
-# Precomputed subdomain / facet data (geometry of the reference mesh only)
+# Quadrature batches (geometry of the reference mesh only)
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SubdomainData:
-    cells: np.ndarray      # global cell ids
-    w: np.ndarray          # (nc, nq) quadrature weights incl. |det B|
-    X: np.ndarray          # (nc, nq, d) reference-domain coordinates
-    val2: np.ndarray       # (nq, n2) P2 values
-    grad2: np.ndarray      # (nc, nq, n2, d) P2 gradients in domain coords
-    val1: np.ndarray       # (nq, n1) P1 values
-    nodes2: np.ndarray     # (nc, n2) scalar nodes of the subdomain P2 space
-    nodes1: np.ndarray     # (nc, n1) scalar nodes of the subdomain P1 space
-    nodes_u: np.ndarray    # (nc, n2) scalar nodes of the global displacement space
-    vdofs: np.ndarray      # (nc, n2*d) interleaved vector dofs
+class QuadBatch:
+    """Quadrature points and P2/P1 bases of a batch of cells or of facets.
 
+    A facet batch carries the traces of one owning cell per facet.  Cells
+    share their quadrature points in reference coordinates, so a cell batch
+    keeps one (nq, n) value table for all cells; facets meet their cells at
+    different reference points, so a facet batch keeps one table per facet
+    (nb, nq, n) and its unit reference normal `nref`.
+    """
 
-@dataclass
-class FacetTraces:
-    """Traces of cell bases on a batch of straight facets."""
-
-    cells_global: np.ndarray   # (nf,)
-    w: np.ndarray              # (nf, nq) facet weights incl. length/area
-    X: np.ndarray              # (nf, nq, d)
-    nref: np.ndarray           # (nf, d) unit reference normal
-    val2: np.ndarray           # (nf, nq, n2)
-    grad2: np.ndarray          # (nf, nq, n2, d)
-    val1: np.ndarray           # (nf, nq, n1)
-    nodes2: np.ndarray         # (nf, n2) nodes in the subdomain P2 space
-    nodes1: np.ndarray         # (nf, n1)
-    nodes_u: np.ndarray        # (nf, n2)
-    vdofs: np.ndarray          # (nf, n2*d)
+    cells: np.ndarray          # (nb,) global ids of the (owning) cells
+    w: np.ndarray              # (nb, nq) weights incl. |det B| or facet length
+    X: np.ndarray              # (nb, nq, d) reference-domain coordinates
+    val2: np.ndarray           # (nq, n2) cells, (nb, nq, n2) facets: P2 values
+    grad2: np.ndarray          # (nb, nq, n2, d) P2 gradients in domain coords
+    val1: np.ndarray           # (nq, n1) cells, (nb, nq, n1) facets: P1 values
+    nodes2: np.ndarray         # (nb, n2) scalar nodes of the subdomain P2 space
+    nodes1: np.ndarray         # (nb, n1) scalar nodes of the subdomain P1 space
+    nodes_u: np.ndarray        # (nb, n2) scalar nodes of the global displacement space
+    vdofs: np.ndarray          # (nb, n2*d) interleaved vector dofs
+    nref: Optional[np.ndarray] = None   # (nb, d) facets only
 
 
 @dataclass
 class InterfaceData:
-    facets: List[InterfaceFacet]
-    fluid: FacetTraces
-    solid: FacetTraces
-    h: np.ndarray             # (nf,)
+    fluid: QuadBatch
+    solid: QuadBatch
     tau: np.ndarray           # (nf,) penalty weights
 
 
@@ -218,10 +208,10 @@ class Problem:
     params: MaterialParams
     quad_degree: int
     spaces: Dict[str, FunctionSpace]
-    fluid: Optional[SubdomainData]
-    solid: Optional[SubdomainData]
+    fluid: Optional[QuadBatch]
+    solid: Optional[QuadBatch]
     iface: Optional[InterfaceData]
-    load_data: Dict[int, FacetTraces]
+    load_data: Dict[int, QuadBatch]
     loads: List[PressureLoad]
     dirichlet: List[DirichletBC]
     forcing: Dict[str, Callable]
@@ -230,7 +220,7 @@ class Problem:
     pin_pf: Optional[Tuple[int, Callable[[float], float]]]
     layout: BlockLayout
     solver_rtol: float = 1e-9
-    open_data: Dict[int, FacetTraces] = field(default_factory=dict)
+    open_data: Dict[int, QuadBatch] = field(default_factory=dict)
     map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -255,81 +245,50 @@ class Problem:
         return out
 
 
-def _subdomain_data(mesh, cells, space2, space1, space_u, degree) -> SubdomainData:
+def _quad_batch(sub_spaces, cells, degree, facets=None, nref=None) -> QuadBatch:
+    """Quadrature batch of the given cells, or of their traces on `facets`.
+
+    sub_spaces = (P2 space, P1 space) of the subdomain holding the cells,
+    then the global displacement space.  facets (nb, d) lists one straight
+    facet of each cell; its reference normal is `nref` or, by default, the
+    cell's outward unit normal there.
+    """
+    space2, space1, space_u = sub_spaces
+    mesh = space_u.mesh
     d = mesh.dim
-    rule = simplex_quadrature(d, degree)
-    ref2 = reference_element(d, 2)
-    v2, g2hat = ref2.tabulate(rule.points)
-    v1, _ = eval_basis(d, 1, rule.points)
-
-    cv = mesh.cells[cells]
-    x0 = mesh.vertices[cv[:, 0]]
-    B = np.transpose(mesh.vertices[cv[:, 1:]] - x0[:, None, :], (0, 2, 1))
-    detB = np.abs(np.linalg.det(B))
-    Binv = np.linalg.inv(B)
-
-    w = rule.weights[None, :] * detB[:, None]                       # (nc, nq)
-    X = x0[:, None, :] + np.einsum("cde,qe->cqd", B, rule.points)   # (nc, nq, d)
-    grad2 = np.einsum("qne,ced->cqnd", g2hat, Binv)                 # (nc, nq, n2, d)
-
-    loc2 = _local_index(mesh.num_cells, space2.cells)
-    loc1 = _local_index(mesh.num_cells, space1.cells)
-    nodes2 = space2.cell_nodes[loc2[cells]]
-    nodes1 = space1.cell_nodes[loc1[cells]]
-    nodes_u = space_u.cell_nodes[cells]
-    vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(len(cells), -1)
-    return SubdomainData(cells, w, X, v2, grad2, v1, nodes2, nodes1, nodes_u, vdofs)
-
-
-def _local_index(n, ids):
-    loc = np.full(n, -1, dtype=np.int64)
-    loc[ids] = np.arange(len(ids))
-    return loc
-
-
-def _facet_traces(mesh, fverts_list, cell_ids, space2, space1, space_u, degree,
-                  normals=None) -> FacetTraces:
-    """Quadrature and basis traces of the given cells on straight facets."""
-    d = mesh.dim
-    rule = facet_quadrature(d, degree)
-    nf = len(cell_ids)
-    nq = rule.points.shape[0]
-    fverts = np.asarray(fverts_list, dtype=np.int64).reshape(nf, d)
-    p = mesh.vertices[fverts]                                       # (nf, d, d)
-
-    if d == 2:
+    cells = np.asarray(cells, dtype=np.int64)
+    x0, B, adet, Binv = cell_geometry(mesh, cells)
+    if facets is None:
+        rule = simplex_quadrature(d, degree)
+        xi = rule.points                                            # (nq, d), shared
+        w = rule.weights[None, :] * adet[:, None]
+        X = x0[:, None, :] + xi @ np.swapaxes(B, 1, 2)
+    else:                                   # straight 2D facets (build_problem is 2D only)
+        rule = facet_quadrature(d, degree)
+        p = mesh.vertices[np.asarray(facets, dtype=np.int64)]      # (nb, 2, d)
         t = p[:, 1] - p[:, 0]
         length = np.linalg.norm(t, axis=1)
         X = p[:, None, 0, :] + rule.points[None, :, 0, None] * t[:, None, :]
         w = rule.weights[None, :] * length[:, None]
-        if normals is None:
-            normals = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
-    else:
-        raise AssemblyError("facet assembly is implemented for 2D meshes only")
+        if nref is None:
+            nref = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
+            inward = mesh.vertices[mesh.cells[cells]].mean(axis=1) - p[:, 0]
+            nref[np.einsum("fd,fd->f", nref, inward) > 0.0] *= -1.0
+        xi = np.clip((X - x0[:, None, :]) @ np.swapaxes(Binv, 1, 2), 0.0, 1.0)
 
-    cells = np.asarray(cell_ids, dtype=np.int64)
-    cv = mesh.cells[cells]
-    x0 = mesh.vertices[cv[:, 0]]
-    B = np.transpose(mesh.vertices[cv[:, 1:]] - x0[:, None, :], (0, 2, 1))
-    Binv = np.linalg.inv(B)
-    xi = np.einsum("fde,fqe->fqd", Binv, X - x0[:, None, :])        # (nf, nq, d)
-    xi = np.clip(xi, 0.0, 1.0)
-
-    v2, g2hat = eval_basis(d, 2, xi.reshape(nf * nq, d))
-    v1, _ = eval_basis(d, 1, xi.reshape(nf * nq, d))
+    shape = xi.shape[:-1]                                           # (nq,) or (nb, nq)
+    v2, g2hat = eval_basis(d, 2, xi.reshape(-1, d))
+    v1, _ = eval_basis(d, 1, xi.reshape(-1, d))
     n2 = v2.shape[1]
-    val2 = v2.reshape(nf, nq, n2)
-    grad2 = np.einsum("fqne,fed->fqnd", g2hat.reshape(nf, nq, n2, d), Binv)
-    val1 = v1.reshape(nf, nq, d + 1)
+    # grad(phi) = grad_hat(phi) B^-1, one (nq n2, d) x (d, d) product per cell
+    grad2 = (g2hat.reshape(shape[:-1] + (-1, d)) @ Binv).reshape(len(cells), shape[-1], n2, d)
 
-    loc2 = _local_index(mesh.num_cells, space2.cells)
-    loc1 = _local_index(mesh.num_cells, space1.cells)
-    nodes2 = space2.cell_nodes[loc2[cells]]
-    nodes1 = space1.cell_nodes[loc1[cells]]
-    nodes_u = space_u.cell_nodes[cells]
-    vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(nf, -1)
-    return FacetTraces(cells, w, X, normals, val2, grad2, val1,
-                       nodes2, nodes1, nodes_u, vdofs)
+    loc = np.searchsorted(space2.cells, cells)      # both spaces share the subdomain cells
+    nodes2 = space2.cell_nodes[loc]
+    vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(len(cells), -1)
+    return QuadBatch(cells, w, X, v2.reshape(shape + (n2,)), grad2,
+                     v1.reshape(shape + (d + 1,)), nodes2, space1.cell_nodes[loc],
+                     space_u.cell_nodes[cells], vdofs, nref)
 
 
 def build_problem(mesh: Mesh, params: MaterialParams, *,
@@ -379,32 +338,29 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         sizes["p_d"] = spaces["p_d"].num_dofs
     layout = BlockLayout.build(sizes)
 
+    fluid_spaces = (spaces.get("v_f"), spaces.get("p_f"), spaces["u"])
+    solid_spaces = (spaces.get("v_s"), spaces.get("p_d"), spaces["u"])
     fluid = solid = None
     if has_fluid:
-        fluid = _subdomain_data(mesh, mesh.cells_with_tag(FLUID),
-                                spaces["v_f"], spaces["p_f"], spaces["u"], quad_degree)
+        fluid = _quad_batch(fluid_spaces, spaces["v_f"].cells, quad_degree)
     if has_solid:
-        solid = _subdomain_data(mesh, mesh.cells_with_tag(SOLID),
-                                spaces["v_s"], spaces["p_d"], spaces["u"], quad_degree)
+        solid = _quad_batch(solid_spaces, spaces["v_s"].cells, quad_degree)
 
     iface = None
     facets = extract_interface(mesh) if (has_fluid and has_solid) else []
     if facets:
-        ftr = _facet_traces(mesh, [f.vertices for f in facets],
-                            [f.fluid_cell for f in facets],
-                            spaces["v_f"], spaces["p_f"], spaces["u"], quad_degree,
-                            normals=np.array([f.normal for f in facets]))
-        # Solid-side traces share the fluid-oriented normal.
-        str_ = _facet_traces(mesh, [f.vertices for f in facets],
-                             [f.solid_cell for f in facets],
-                             spaces["v_s"], spaces["p_d"], spaces["u"], quad_degree,
-                             normals=np.array([f.normal for f in facets]))
+        fverts = [f.vertices for f in facets]
+        # Both sides' traces share the fluid-oriented normal.
+        nref = np.array([f.normal for f in facets])
         h = np.array([f.h for f in facets])
         tau = np.full(len(facets), float(penalty_const)) if penalty_const is not None \
             else penalty_scale * h ** -2.0
-        iface = InterfaceData(facets, ftr, str_, h, tau)
+        iface = InterfaceData(
+            _quad_batch(fluid_spaces, [f.fluid_cell for f in facets], quad_degree, fverts, nref),
+            _quad_batch(solid_spaces, [f.solid_cell for f in facets], quad_degree, fverts, nref),
+            tau)
 
-    def natural_traces(marker: int, what: str) -> FacetTraces:
+    def natural_traces(marker: int, what: str) -> QuadBatch:
         if not has_fluid:
             raise AssemblyError("%s on a mesh without fluid cells" % what)
         idx = mesh.facets_with_marker(marker)
@@ -412,19 +368,12 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
             raise AssemblyError("%s marker %d has no facets" % (what, marker))
         table = mesh.facet_to_cells()
         cells = [table[tuple(sorted(mesh.facets[i].tolist()))][0] for i in idx]
-        tr = _facet_traces(mesh, [mesh.facets[i] for i in idx], cells,
-                           spaces["v_f"], spaces["p_f"], spaces["u"], quad_degree)
-        # Orient reference normals outward (away from the owning cell centroid).
-        cen = mesh.vertices[mesh.cells[cells]].mean(axis=1)
-        mid = tr.X.mean(axis=1)
-        flip = np.einsum("fd,fd->f", tr.nref, mid - cen) < 0.0
-        tr.nref[flip] *= -1.0
-        return tr
+        return _quad_batch(fluid_spaces, cells, quad_degree, mesh.facets[idx])
 
-    load_data: Dict[int, FacetTraces] = {}
+    load_data: Dict[int, QuadBatch] = {}
     for load in loads:
         load_data[load.marker] = natural_traces(load.marker, "pressure load")
-    open_data: Dict[int, FacetTraces] = {}
+    open_data: Dict[int, QuadBatch] = {}
     for marker in open_markers:
         open_data[marker] = load_data.get(marker) \
             or natural_traces(marker, "open boundary")
@@ -454,37 +403,44 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
 # Geometry at the extrapolated displacement
 # ---------------------------------------------------------------------------
 
-def build_geometry(problem: Problem, u_tilde: np.ndarray) -> Geometry:
-    """F, J and derived weights at every quadrature point, checked positive.
+def batch_deformation(batch: QuadBatch, u: np.ndarray) -> dict:
+    """Deformation of the displacement u at a batch's quadrature points.
 
-    Cell entries also carry G = grad(phi) F^-1, the P2 basis gradients pushed
-    to the deformed configuration, which every gradient form shares.
+    Raises DegenerateDeformationError naming the cell if J is not positive.
+    A cell batch gets F, J, F^-1 and G = grad(phi) F^-1, the P2 basis
+    gradients pushed to the deformed configuration, which every gradient
+    form shares.  A facet batch gets J and vn = F^-T n_ref, the
+    unnormalized Nanson push-forward of its reference normal.
     """
-    d = problem.dim
+    F, J, Finv, FinvT = deformation_state(grads_at_qp(batch, u, batch.X.shape[-1]),
+                                          cell_ids=batch.cells)
+    if batch.nref is None:
+        return {"F": F, "J": J, "Finv": Finv, "G": batch.grad2 @ Finv}
+    return {"J": J, "vn": (FinvT @ batch.nref[:, None, :, None])[..., 0]}
+
+
+def build_geometry(problem: Problem, u_tilde: np.ndarray) -> Geometry:
+    """Deformation-dependent weights at every quadrature point, checked positive.
+
+    Cells and natural boundaries keep what `batch_deformation` gives them.
+    The interface keeps the deformed unit normal n, its tangential
+    projector P and the area scaling Js = J |F^-T n_ref|.
+    """
     geo = Geometry()
-    for name in ("fluid", "solid"):
-        sub = getattr(problem, name)
-        if sub is not None:
-            F, J, Finv, FinvT = deformation_state(grads_at_qp(sub, u_tilde, d),
-                                                  cell_ids=sub.cells)
-            setattr(geo, name, {"F": F, "J": J, "Finv": Finv, "FinvT": FinvT,
-                                "G": sub.grad2 @ Finv})
+    if problem.fluid is not None:
+        geo.fluid = batch_deformation(problem.fluid, u_tilde)
+    if problem.solid is not None:
+        geo.solid = batch_deformation(problem.solid, u_tilde)
     if problem.iface is not None:
-        tr = problem.iface.fluid
-        F, J, Finv, FinvT = deformation_state(grads_at_qp(tr, u_tilde, d),
-                                              cell_ids=tr.cells_global)
-        nvec = (FinvT @ tr.nref[:, None, :, None])[..., 0]
-        mag = np.linalg.norm(nvec, axis=-1)
-        n = nvec / mag[..., None]
-        P = np.eye(d) - n[..., :, None] * n[..., None, :]
-        geo.iface = {"F": F, "J": J, "Js": J * mag, "n": n, "P": P}
+        g = batch_deformation(problem.iface.fluid, u_tilde)
+        mag = np.linalg.norm(g["vn"], axis=-1)
+        n = g["vn"] / mag[..., None]
+        P = np.eye(problem.dim) - n[..., :, None] * n[..., None, :]
+        geo.iface = {"Js": g["J"] * mag, "n": n, "P": P}
     natural = dict(problem.open_data)
     natural.update(problem.load_data)
     for marker, tr in natural.items():
-        F, J, Finv, FinvT = deformation_state(grads_at_qp(tr, u_tilde, d),
-                                              cell_ids=tr.cells_global)
-        vn = (FinvT @ tr.nref[:, None, :, None])[..., 0]   # F^-T n_ref, unnormalized
-        geo.loads[marker] = {"J": J, "vn": vn}
+        geo.loads[marker] = batch_deformation(tr, u_tilde)
     return geo
 
 

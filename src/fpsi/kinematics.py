@@ -28,11 +28,14 @@ def _eye_like(A: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.eye(d), A.shape)
 
 
-def deformation_state(grad_u: np.ndarray, j_min: float = 1e-10,
-                      cell_ids: Optional[np.ndarray] = None):
+# smallest admissible det F; a configuration at or below it counts as inverted
+J_MIN = 1e-10
+
+
+def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None):
     """F, J, F^-1, F^-T from a displacement gradient.
 
-    Rejects J <= j_min before anything divides by J; when the caller passes
+    Rejects J <= J_MIN before anything divides by J; when the caller passes
     per-entry cell ids the error reports which cell degenerated.  2x2
     gradients use the closed-form determinant and inverse.
     """
@@ -43,7 +46,7 @@ def deformation_state(grad_u: np.ndarray, j_min: float = 1e-10,
         J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
     else:
         J = np.linalg.det(F)
-    if np.any(J <= j_min):
+    if np.any(J <= J_MIN):
         flat = np.argmin(J)
         idx = np.unravel_index(flat, J.shape) if J.ndim else ()
         cell = None
@@ -51,7 +54,7 @@ def deformation_state(grad_u: np.ndarray, j_min: float = 1e-10,
             cell = int(np.asarray(cell_ids)[idx[0]])
         raise DegenerateDeformationError(
             "deformation degenerate: det F = %g at %s (threshold %g)"
-            % (float(np.min(J)), "cell %s" % cell if cell is not None else str(idx), j_min),
+            % (float(np.min(J)), "cell %s" % cell if cell is not None else str(idx), J_MIN),
             cell=cell, value=float(np.min(J)),
         )
     if planar:

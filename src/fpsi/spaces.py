@@ -13,8 +13,8 @@ space by matching vertex/edge ids, never by coordinate lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ class FunctionSpace:
     node_coords: np.ndarray   # (nnodes, dim)
     vertex_ids: np.ndarray    # (nverts,) global vertex ids of the vertex nodes, ascending
     edge_keys: np.ndarray     # (nedges, 2) sorted vertex pairs of the edge nodes, ascending
-    vertex_node: Dict[int, int] = field(repr=False, default_factory=dict)
-    edge_node: Dict[tuple, int] = field(repr=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -81,11 +79,15 @@ class FunctionSpace:
             local = ((0, 1),) if self.dim == 2 else LOCAL_EDGES[2]
             pairs = np.sort(fverts[:, local], axis=2).reshape(-1, 2)
             nv = mesh.num_vertices
-            pos = _find(self.edge_keys[:, 0] * nv + self.edge_keys[:, 1],
-                        pairs[:, 0] * nv + pairs[:, 1])
+            pos = _find(_edge_code(self.edge_keys, nv), _edge_code(pairs, nv))
             found.append(np.where(pos < 0, -1, pos + len(self.vertex_ids)))
         nodes = np.concatenate(found)
         return np.unique(nodes[nodes >= 0])
+
+
+def _edge_code(pairs: np.ndarray, nv: int) -> np.ndarray:
+    """a * nv + b for sorted vertex pairs (a, b): ordered like the pairs."""
+    return pairs[:, 0] * nv + pairs[:, 1]
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -123,7 +125,6 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         edge_nodes = len(verts) + inverse.reshape(len(cells), len(local_edges))
         cell_nodes = np.hstack([cell_nodes, edge_nodes])
 
-    nnodes = len(verts) + len(edge_keys)
     return FunctionSpace(
         mesh=mesh,
         degree=degree,
@@ -134,27 +135,24 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         node_coords=np.vstack(coords),
         vertex_ids=verts,
         edge_keys=edge_keys,
-        vertex_node=dict(zip(verts.tolist(), range(len(verts)))),
-        edge_node=dict(zip(map(tuple, edge_keys.tolist()), range(len(verts), nnodes))),
     )
 
 
 def transfer_nodes(src: FunctionSpace, dst: FunctionSpace) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar nodes shared by two spaces (same degree), matched by entity."""
+    """Scalar nodes shared by two spaces (same degree), matched by entity.
+
+    Returns (src nodes, dst nodes) in ascending dst order: the shared vertex
+    ids and edge codes come out ascending, and so do the nodes they number.
+    """
     if src.degree != dst.degree:
         raise AssemblyError("cannot transfer between spaces of different degree")
-    pairs = []
-    for v, n_src in src.vertex_node.items():
-        n_dst = dst.vertex_node.get(v)
-        if n_dst is not None:
-            pairs.append((n_src, n_dst))
-    for key, n_src in src.edge_node.items():
-        n_dst = dst.edge_node.get(key)
-        if n_dst is not None:
-            pairs.append((n_src, n_dst))
-    pairs.sort(key=lambda p: p[1])
-    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return arr[:, 0], arr[:, 1]
+    _, vs, vd = np.intersect1d(src.vertex_ids, dst.vertex_ids,
+                               assume_unique=True, return_indices=True)
+    nv = src.mesh.num_vertices
+    _, es, ed = np.intersect1d(_edge_code(src.edge_keys, nv), _edge_code(dst.edge_keys, nv),
+                               assume_unique=True, return_indices=True)
+    return (np.concatenate([vs, es + len(src.vertex_ids)]),
+            np.concatenate([vd, ed + len(dst.vertex_ids)]))
 
 
 def batch_eval(fn: Callable, X: np.ndarray, ncomp: int) -> np.ndarray:

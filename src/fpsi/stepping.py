@@ -26,11 +26,9 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .assembly import DirichletDofs, Problem, StepInputs, assemble_system
+from .assembly import DirichletDofs, Problem, StepInputs, assemble_system, batch_deformation
 from .errors import FpsiError
-from .fem import (Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram,
-                  grads_at_qp, last_set)
-from .kinematics import deformation_state
+from .fem import Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram, last_set
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import LaggedLU, SolveReport, solve
 
@@ -227,14 +225,8 @@ def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
 def check_deformation(problem: Problem, u: np.ndarray) -> float:
     """Smallest J of the configuration u; raises DegenerateDeformationError
     if it inverts."""
-    d = problem.dim
-    jmin = np.inf
-    for sub in (problem.fluid, problem.solid):
-        if sub is None:
-            continue
-        _, J, _, _ = deformation_state(grads_at_qp(sub, u, d), cell_ids=sub.cells)
-        jmin = min(jmin, float(J.min()))
-    return jmin
+    return min(float(batch_deformation(sub, u)["J"].min())
+               for sub in (problem.fluid, problem.solid) if sub is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +270,11 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
 
 def run_transient(problem: Problem, dt: float, order: int, n_steps: int,
                   callback: Optional[Callable] = None,
-                  state: Optional[State] = None,
-                  dump_matrix_first: Optional[str] = None) -> State:
+                  state: Optional[State] = None) -> State:
     if state is None:
         state = State.initial(problem)
-    for i in range(n_steps):
-        dump = dump_matrix_first if (i == 0 and dump_matrix_first) else None
-        state, diag = advance_step(problem, state, dt, order, dump_matrix=dump)
+    for _ in range(n_steps):
+        state, diag = advance_step(problem, state, dt, order)
         if callback is not None:
             callback(state, diag)
         diag = None            # release the step's geometry before the next step

@@ -21,8 +21,7 @@ def vertex_values(space: FunctionSpace, vec: np.ndarray) -> np.ndarray:
     ncomp = space.ncomp
     out = np.zeros((mesh.num_vertices, ncomp))
     data = np.asarray(vec, dtype=float).reshape(-1, ncomp)
-    for v, node in space.vertex_node.items():
-        out[v] = data[node]
+    out[space.vertex_ids] = data[:len(space.vertex_ids)]     # vertex nodes come first
     return out[:, 0] if ncomp == 1 else out
 
 

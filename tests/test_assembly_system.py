@@ -8,10 +8,11 @@ from scipy.sparse.linalg import spsolve
 
 from fpsi.assembly import (DirichletBC, PressureLoad, StepInputs,
                            assemble_system, build_geometry, build_problem)
+from fpsi.elements import eval_basis, facet_quadrature, simplex_quadrature
 from fpsi.errors import AssemblyError, DegenerateDeformationError
 from fpsi.kinematics import MaterialParams
-from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_S0, SOLID
-from fpsi.scenarios import channel_mesh, unit_square_mesh
+from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, extract_interface
+from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, unit_square_mesh
 from fpsi.spaces import interpolate
 from tests.test_assembly_forms import PARAMS, make_problem, one_triangle_mesh
 from tests.test_mesh import two_triangle_mesh
@@ -64,6 +65,48 @@ def test_geometry_rejects_degenerate_displacement():
         [-2.0 * X[:, 0], np.zeros(X.shape[0])], axis=1))   # F = diag(-1, 1)
     with pytest.raises(DegenerateDeformationError):
         build_geometry(prob, flip)
+
+
+def test_quadrature_batches_match_per_entity_loop():
+    mesh = channel_mesh(4)
+    prob = channel_problem(mesh, benchmark_params(K=1e-5))
+    q = prob.quad_degree
+
+    def affine(c):
+        cv = mesh.vertices[mesh.cells[c]]
+        B = (cv[1:] - cv[0]).T
+        return cv[0], B, np.linalg.inv(B)
+
+    rule = simplex_quadrature(2, q)
+    v2, g2hat = eval_basis(2, 2, rule.points)
+    for sub in (prob.fluid, prob.solid):
+        assert sub.val2.shape == v2.shape and sub.val1.shape == (len(rule.weights), 3)
+        assert np.array_equal(sub.val2, v2)
+        for c, X, grad in zip(sub.cells, sub.X, sub.grad2):
+            x0, B, Binv = affine(c)
+            assert np.allclose(X, x0 + rule.points @ B.T, rtol=0.0, atol=1e-13)
+            assert np.allclose(grad, g2hat @ Binv, rtol=0.0, atol=1e-13)
+
+    iface = extract_interface(mesh)
+    facet_sets = {"iface": ([f.vertices for f in iface], prob.iface.fluid)}
+    for m in (GAMMA_F0, GAMMA_OUT):
+        facet_sets[m] = (mesh.facets[mesh.facets_with_marker(m)], prob.open_data[m])
+    # open-boundary normals point out of the channel: -x at the inlet, +x at the outlet
+    assert np.allclose(prob.open_data[GAMMA_F0].nref, [-1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(prob.open_data[GAMMA_OUT].nref, [1.0, 0.0], rtol=0.0, atol=1e-15)
+    frule = facet_quadrature(2, q)
+    for name, (fverts, tr) in facet_sets.items():
+        assert tr.val2.ndim == 3 and len(tr.cells) == len(fverts) > 0
+        for f, (a, b) in enumerate(fverts):
+            x0, B, Binv = affine(tr.cells[f])
+            pa, pb = mesh.vertices[a], mesh.vertices[b]
+            for k, s in enumerate(frule.points[:, 0]):
+                x = pa + s * (pb - pa)
+                xi = np.clip(Binv @ (x - x0), 0.0, 1.0)
+                vals, grads = eval_basis(2, 2, xi[None])
+                assert np.allclose(tr.X[f, k], x, rtol=0.0, atol=1e-13), name
+                assert np.allclose(tr.val2[f, k], vals[0], rtol=0.0, atol=1e-13), name
+                assert np.allclose(tr.grad2[f, k], grads[0] @ Binv, rtol=0.0, atol=1e-13), name
 
 
 # ---------------------------------------------------------------------------

@@ -72,26 +72,35 @@ def test_node_numbering(mesh_name, tag, degree):
     # vertex nodes first, in increasing vertex id
     verts = sorted({int(v) for c in cells for v in mesh.cells[c]})
     nv = len(verts)
-    assert list(space.vertex_node.items()) == [(v, i) for i, v in enumerate(verts)]
+    assert space.vertex_ids.tolist() == verts
     assert np.array_equal(space.node_coords[:nv], mesh.vertices[verts])
 
     # then edge nodes, in lexicographic order of their sorted vertex pairs
     edges = LOCAL_EDGES[mesh.dim] if degree == 2 else ()
     keys = sorted({tuple(sorted((int(mesh.cells[c][a]), int(mesh.cells[c][b]))))
                    for c in cells for a, b in edges})
-    assert list(space.edge_node.items()) == [(k, nv + i) for i, k in enumerate(keys)]
+    assert space.edge_keys.shape == (len(keys), 2)
+    assert list(map(tuple, space.edge_keys.tolist())) == keys
     assert space.num_scalar_nodes == nv + len(keys)
-    for (a, b), node in space.edge_node.items():
-        assert np.array_equal(space.node_coords[node],
+    for i, (a, b) in enumerate(keys):
+        assert np.array_equal(space.node_coords[nv + i],
                               (mesh.vertices[a] + mesh.vertices[b]) / 2.0)
 
+    vnode, enode = entity_nodes(space)
     assert space.cell_nodes.dtype == np.int64
     assert space.cell_nodes.shape == (len(cells), mesh.dim + 1 + len(edges))
     for row, c in zip(space.cell_nodes, cells):
         cv = [int(v) for v in mesh.cells[c]]
-        assert list(row[:mesh.dim + 1]) == [space.vertex_node[v] for v in cv]
-        assert list(row[mesh.dim + 1:]) == [
-            space.edge_node[tuple(sorted((cv[a], cv[b])))] for a, b in edges]
+        assert list(row[:mesh.dim + 1]) == [vnode[v] for v in cv]
+        assert list(row[mesh.dim + 1:]) == [enode[tuple(sorted((cv[a], cv[b])))] for a, b in edges]
+
+
+def entity_nodes(space):
+    """Oracle lookup tables: vertex id -> node, sorted vertex pair -> node."""
+    nv = len(space.vertex_ids)
+    vnode = {int(v): i for i, v in enumerate(space.vertex_ids)}
+    enode = {(int(a), int(b)): nv + i for i, (a, b) in enumerate(space.edge_keys)}
+    return vnode, enode
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -99,16 +108,17 @@ def test_node_numbering(mesh_name, tag, degree):
 def test_nodes_on_markers_matches_facet_walk(degree, tag):
     mesh = channel_mesh(4)
     space = build_space(mesh, degree, tag=tag)
+    vnode, enode = entity_nodes(space)
     markers = sorted(set(mesh.facet_markers.tolist()))
     for query in [(m,) for m in markers] + [tuple(markers), (GAMMA_F0, GAMMA_FS), (-1,), ()]:
         want = set()
         for fverts, m in zip(mesh.facets, mesh.facet_markers):
             if m in query:
                 fv = [int(v) for v in fverts]
-                want.update(space.vertex_node[v] for v in fv if v in space.vertex_node)
+                want.update(vnode[v] for v in fv if v in vnode)
                 key = tuple(sorted(fv))
-                if key in space.edge_node:
-                    want.add(space.edge_node[key])
+                if key in enode:
+                    want.add(enode[key])
         got = space.nodes_on_markers(query)
         assert got.dtype == np.int64
         assert got.tolist() == sorted(want)
@@ -153,6 +163,25 @@ def test_transfer_across_interface():
     # only the interface entities are shared: 2 vertices + 1 edge midpoint
     assert len(src) == 3
     assert np.allclose(vs.node_coords[src], vf.node_coords[dst])
+
+
+@pytest.mark.parametrize("src_tag, dst_tag", [(SOLID, None), (FLUID, None), (SOLID, FLUID)])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_transfer_matches_entity_loop(src_tag, dst_tag, degree):
+    # channel:4's maps v_s -> u, v_f -> u and v_s -> v_f
+    mesh = channel_mesh(4)
+    src = build_space(mesh, degree, rank=1, tag=src_tag)
+    dst = build_space(mesh, degree, rank=1, tag=dst_tag)
+    src_v, src_e = entity_nodes(src)
+    dst_v, dst_e = entity_nodes(dst)
+    pairs = [(n, dst_v[v]) for v, n in src_v.items() if v in dst_v]
+    pairs += [(n, dst_e[k]) for k, n in src_e.items() if k in dst_e]
+    want = np.array(sorted(pairs, key=lambda p: p[1]), dtype=np.int64).reshape(-1, 2)
+    got_src, got_dst = transfer_nodes(src, dst)
+    assert got_src.dtype == np.int64 and got_dst.dtype == np.int64
+    assert np.array_equal(got_src, want[:, 0])
+    assert np.array_equal(got_dst, want[:, 1])
+    assert len(want) > 0
 
 
 # ---------------------------------------------------------------------------
