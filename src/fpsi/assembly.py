@@ -174,7 +174,6 @@ class StepInputs:
     t: float
     dt: Optional[float]
     a0: float
-    beta: float
     u_tilde: np.ndarray
     u_impl_hist: np.ndarray
     hist: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -184,8 +183,12 @@ class StepInputs:
     @classmethod
     def steady(cls, problem: "Problem", t: float = 0.0) -> "StepInputs":
         nu = problem.spaces["u"].num_dofs
-        return cls(t=t, dt=None, a0=1.0, beta=1.0,
-                   u_tilde=np.zeros(nu), u_impl_hist=np.zeros(nu))
+        return cls(t=t, dt=None, a0=1.0, u_tilde=np.zeros(nu), u_impl_hist=np.zeros(nu))
+
+    @property
+    def beta(self) -> float:
+        """d u_k / d v_s: dt/a0, or 1 for a steady solve."""
+        return 1.0 if self.dt is None else self.dt / self.a0
 
 
 @dataclass
@@ -237,6 +240,12 @@ class Problem:
     @property
     def dim(self) -> int:
         return self.mesh.dim
+
+    def entity_keys(self, fields: Sequence[str]) -> np.ndarray:
+        """Mesh-entity key (`FunctionSpace.entity_keys`) of each dof of the
+        fields, concatenated in the given order."""
+        return np.concatenate([np.repeat(self.spaces[f].entity_keys(), self.spaces[f].ncomp)
+                               for f in fields])
 
     def zero_fields(self) -> Dict[str, np.ndarray]:
         out = {n: np.zeros(self.layout.sizes[n]) for n in self.layout.names}

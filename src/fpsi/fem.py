@@ -9,15 +9,17 @@ dense element blocks (rows, cols, values).  The first assembly builds the
 CSR pattern of that sum and an int32 index scattering every block entry to
 its slot in `data`; each later assembly computes the block values only and
 fills `data` with one `np.bincount`.  Dirichlet rows and columns are removed
-by a gather precomputed on the same pattern.
+by a gather precomputed on the same pattern, and the fill-reducing
+elimination order of the LU is built once per pattern too.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Tuple
+from typing import Callable, Hashable, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import spilu
 
 from .errors import AssemblyError
 
@@ -131,6 +133,7 @@ class SparsePattern:
         self.sizes = sizes
         self.key = key
         self._elimination: Optional[DirichletElimination] = None
+        self._order: Optional[np.ndarray] = None
 
     @property
     def nnz(self) -> int:
@@ -185,6 +188,44 @@ class SparsePattern:
         if elim is None or not np.array_equal(elim.dofs, dofs):
             elim = self._elimination = DirichletElimination(self, dofs)
         return elim
+
+    def elimination_order(self, entity_keys: Callable[[], np.ndarray]) -> np.ndarray:
+        """Fill-reducing order of this pattern's dofs (see `entity_order`),
+        built at the first call from `entity_keys()`, the mesh-entity key of
+        each dof.  It orders the structure left by the Dirichlet elimination
+        when there is one, which is the structure that is factored."""
+        if self._order is None:
+            rows = self if self._elimination is None else self._elimination
+            self._order = entity_order(rows.indptr, rows.indices, entity_keys())
+        return self._order
+
+
+def entity_order(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Elimination order of the dofs of a CSR structure: grouped by mesh
+    entity, the groups in minimum-degree order of the entity graph, the dofs
+    of one group in ascending index.
+
+    keys[i] names the mesh entity of dof i.  Two entities are adjacent when
+    the structure couples a dof of one to a dof of the other.  SuperLU's
+    MMD_AT_PLUS_A orders the columns of a matrix on that graph, before and
+    apart from the numeric factorization, so an incomplete LU that drops
+    every entry of a diagonally dominant matrix is enough to read it.
+    `perm_c[e]` is the new position of entity e, not the entity placed at e.
+    """
+    n = len(keys)
+    _, entity = np.unique(keys, return_inverse=True)
+    ne = int(entity.max()) + 1
+    # dofs x entities: each column of the structure replaced by its entity
+    by_col = sparse.csr_matrix((np.ones(len(indices)), entity[indices], indptr), shape=(n, ne))
+    # entities x dofs: the dofs of each entity
+    members = sparse.csr_matrix(
+        (np.ones(n), np.argsort(entity, kind="stable"),
+         np.concatenate(([0], np.cumsum(np.bincount(entity, minlength=ne))))), shape=(ne, n))
+    # entry counts, plus a diagonal above every row and column sum
+    graph = members @ by_col + sparse.identity(ne, format="csr") * (len(indices) + 1.0)
+    perm_c = spilu(graph.tocsc(), permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
+                   fill_factor=1.0, panel_size=1, relax=1).perm_c
+    return np.argsort(perm_c[entity], kind="stable")
 
 
 class DirichletElimination:

@@ -4,6 +4,18 @@ The monolithic matrix is unsymmetric (advection, interface coupling) and can
 be badly scaled when the permeability is small, so every solve verifies the
 relative residual ||Ax - b|| / max(||b||, eps).
 
+The LU is of P A P^T for a caller's elimination order (`fem.entity_order`
+builds one per assembly pattern; none means the identity).  SuperLU factors
+it with its columns as given (permc_spec NATURAL) and threshold pivoting at
+DIAG_PIVOT_THRESH: the diagonal entry is kept as pivot when it is at least
+that fraction of the largest entry below it in its column.  The saddle-point
+pressure rows have zero diagonals until their entity's velocity rows are
+eliminated, so a threshold near 1 trades the order's diagonal pivots for
+row swaps that undo it.  On steady Stokes n = 64 the LU fill was 6.97M at
+thresholds 1e-6, 1e-4 and 1e-3 and 28.6M at 3e-3.  1e-4 sits a factor 30
+below that cliff and still caps the growth one pivot may bring at 1e4; the
+refinement below and the residual check catch what that costs in accuracy.
+
 A fresh LU solve runs one pass of iterative refinement when the first
 residual is above the tolerance, then gives up.
 
@@ -14,6 +26,7 @@ true residual is at the tolerance.  It stops reusing when a pass fails to
 halve the residual, when the residual is not finite, or after
 MAX_REUSE_PASSES passes; it then drops the held LU, factors A fresh and
 keeps the new LU in the holder.  At most one LU per holder is ever alive.
+The held LU keeps its order: a reused LU solves in the order it was made in.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from .errors import SolverError
 
 RESIDUAL_TOL = 1e-9
 MAX_REUSE_PASSES = 12
+DIAG_PIVOT_THRESH = 1e-4
 _EPS = 1e-30
 
 
@@ -39,6 +53,36 @@ class SolveReport:
     n: int
     iterations: int        # refinement passes spent in this call
     factored: bool         # a fresh LU was made
+    nnz: int               # nonzeros of A
+    fill: int              # nonzeros SuperLU stored in L and U; 0 when reused
+
+
+class OrderedLU:
+    """LU of P A P^T, where row and column order[i] of A become row and
+    column i; `solve` takes and returns vectors in A's numbering."""
+
+    def __init__(self, A: sparse.spmatrix, order: Optional[np.ndarray]):
+        n = A.shape[0]
+        self.shape = A.shape
+        self.order = np.arange(n) if order is None else np.asarray(order)
+        rows = sparse.csr_matrix(A)[self.order]
+        position = np.empty(n, dtype=rows.indices.dtype)
+        position[self.order] = np.arange(n)
+        PA = sparse.csr_matrix((rows.data, position[rows.indices], rows.indptr), shape=A.shape)
+        try:
+            self.lu = splu(PA.tocsc(), permc_spec="NATURAL",
+                           diag_pivot_thresh=DIAG_PIVOT_THRESH)
+        except RuntimeError as exc:
+            raise SolverError("sparse LU factorization failed: %s" % exc)
+
+    @property
+    def fill(self) -> int:
+        return int(self.lu.nnz)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.empty(self.shape[0])
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
 
 
 @dataclass
@@ -67,11 +111,13 @@ def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, max_passes: int):
 
 
 def solve(A: sparse.spmatrix, b: np.ndarray, rtol: float = RESIDUAL_TOL,
-          lagged: Optional[LaggedLU] = None):
+          lagged: Optional[LaggedLU] = None, order: Optional[np.ndarray] = None):
     """Solve Ax = b by sparse LU; returns (x, SolveReport).
 
-    With `lagged`, a held LU of the same shape is tried first by iterative
-    refinement, and the LU of a fresh factorization is left in the holder.
+    A fresh LU is of A in the elimination order `order` (a permutation of
+    the dofs; None is the identity).  With `lagged`, a held LU of the same
+    shape is tried first by iterative refinement, and the LU of a fresh
+    factorization is left in the holder.
     """
     if A.shape[0] != A.shape[1]:
         raise SolverError("matrix is not square: %s" % (A.shape,))
@@ -88,14 +134,11 @@ def solve(A: sparse.spmatrix, b: np.ndarray, rtol: float = RESIDUAL_TOL,
     if lagged is not None and lagged.lu is not None and lagged.lu.shape == A.shape:
         x, res, spent = _refine(A, b, lagged.lu, bnorm, rtol, MAX_REUSE_PASSES)
         if res <= rtol:
-            return x, SolveReport(residual=res, refined=False, n=n,
-                                  iterations=spent, factored=False)
+            return x, SolveReport(residual=res, refined=False, n=n, iterations=spent,
+                                  factored=False, nnz=A.nnz, fill=0)
     if lagged is not None:
         lagged.lu = None           # free the old factors before making new ones
-    try:
-        lu = splu(A.tocsc())
-    except RuntimeError as exc:
-        raise SolverError("sparse LU factorization failed: %s" % exc)
+    lu = OrderedLU(A, order)
     # one pass of iterative refinement recovers the last digits when the
     # factorization is fine but the matrix is badly scaled
     x, res, passes = _refine(A, b, lu, bnorm, rtol, 1)
@@ -107,5 +150,5 @@ def solve(A: sparse.spmatrix, b: np.ndarray, rtol: float = RESIDUAL_TOL,
         )
     if lagged is not None:
         lagged.lu = lu
-    return x, SolveReport(residual=res, refined=passes > 0, n=n,
-                          iterations=spent + passes, factored=True)
+    return x, SolveReport(residual=res, refined=passes > 0, n=n, iterations=spent + passes,
+                          factored=True, nnz=A.nnz, fill=lu.fill)

@@ -51,6 +51,13 @@ class FunctionSpace:
     def num_dofs(self) -> int:
         return self.num_scalar_nodes * self.ncomp
 
+    def entity_keys(self) -> np.ndarray:
+        """Mesh-entity key of each scalar node: the vertex id of a vertex
+        node, nv + the edge code of an edge node.  Nodes of any two spaces
+        on the same vertex or edge get the same key."""
+        nv = self.mesh.num_vertices
+        return np.concatenate([self.vertex_ids, nv + _edge_code(self.edge_keys, nv)])
+
     def dofs_of_nodes(self, nodes, comp=None) -> np.ndarray:
         """Interleaved dof ids for the given scalar nodes."""
         nodes = np.asarray(nodes, dtype=np.int64)

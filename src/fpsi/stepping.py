@@ -14,7 +14,8 @@ BDF2 takes its first step with BDF1 (no older history exists).
 
 The solves of items 2 and 3 reuse the previous step's LU of their matrix
 (`Problem.factors`) and factor afresh only when refinement with it stops
-contracting; see `solver.solve`.  The system LU is dropped when the scheme
+contracting; see `solver.solve`.  Each matrix is factored in the elimination
+order kept on its assembly pattern (`fem.entity_order`).  The system LU is dropped when the scheme
 changes (BDF2's first BDF2 step), whose matrix differs in its mass terms.
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> Step
         u_impl_hist = -(sch.a1 * f1["u"] + sch.a2 * f2["u"]) / sch.a0
         w_tilde = extrapolate(sch, f1["w"], f2["w"])
     vf_tilde = extrapolate(sch, f1["v_f"], f2["v_f"]) if "v_f" in f1 else None
-    return StepInputs(t=state.t + dt, dt=dt, a0=sch.a0, beta=dt / sch.a0,
+    return StepInputs(t=state.t + dt, dt=dt, a0=sch.a0,
                       u_tilde=u_tilde, u_impl_hist=u_impl_hist, hist=hist,
                       vf_tilde=vf_tilde, w_tilde=w_tilde)
 
@@ -173,6 +174,12 @@ def _lagged(problem: Problem, name: str) -> LaggedLU:
     return problem.factors.setdefault(name, LaggedLU())
 
 
+def _order(problem: Problem, name: str, fields: Sequence[str]) -> np.ndarray:
+    """Elimination order of the matrix `name` over the dofs of `fields`,
+    built at its first solve and kept on its assembly pattern."""
+    return problem.patterns[name].elimination_order(lambda: problem.entity_keys(fields))
+
+
 def _extension_dofs(problem: Problem) -> DirichletDofs:
     """Dirichlet dofs of the extension, found once per problem.
 
@@ -205,7 +212,8 @@ def solve_extension(problem: Problem, geo, v_s: np.ndarray):
     fixed = _extension_dofs(problem)
     vals = np.append(v_s, 0.0)[fixed.take]
     A, b = apply_dirichlet(A, b, fixed.dofs, vals, problem.patterns["extension"])
-    return solve(A, b, rtol=problem.solver_rtol, lagged=_lagged(problem, "extension"))
+    return solve(A, b, rtol=problem.solver_rtol, lagged=_lagged(problem, "extension"),
+                 order=_order(problem, "extension", ("v_f",)))
 
 
 def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
@@ -244,7 +252,8 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     inp = _step_inputs(problem, state, sch, dt)
     system, geo = assemble_system(problem, inp, dump_matrix=dump_matrix)
     x, rep = solve(system.A, system.b, rtol=problem.solver_rtol,
-                   lagged=_lagged(problem, "system"))
+                   lagged=_lagged(problem, "system"),
+                   order=_order(problem, "system", system.layout.names))
     fields = system.layout.split(x)
 
     nu = problem.spaces["u"].num_dofs
@@ -287,7 +296,8 @@ def solve_steady(problem: Problem, t: float = 0.0):
     The matrix is solved once, so its LU is not kept."""
     inp = StepInputs.steady(problem, t)
     system, _ = assemble_system(problem, inp)
-    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol)
+    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol,
+                   order=_order(problem, "system", system.layout.names))
     return system.layout.split(x), rep
 
 

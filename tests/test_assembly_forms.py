@@ -17,6 +17,7 @@ correction.
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import sqrtm
 
 from fpsi.assembly import StepInputs, assemble_system, build_problem
@@ -142,9 +143,9 @@ def make_problem(mesh, **kw):
     return build_problem(mesh, kw.pop("params", PARAMS), **kw)
 
 
-def steady_inputs(problem, ufield, beta=1.0, a0=1.0, dt=None, **kw):
+def steady_inputs(problem, ufield, a0=1.0, dt=None, **kw):
     ut = interpolate(problem.spaces["u"], ufield)
-    return StepInputs(t=0.0, dt=dt, a0=a0, beta=beta, u_tilde=ut,
+    return StepInputs(t=0.0, dt=dt, a0=a0, u_tilde=ut,
                       u_impl_hist=np.zeros_like(ut), **kw)
 
 
@@ -177,10 +178,15 @@ def check_mass_form(trials=TRIALS, seed=101):
             (ps, [("v_s", "v_s", prm.rho_p), ("v_s", "q", prm.rho_f),
                   ("q", "v_s", prm.rho_f), ("q", "q", prm.rho_f / prm.phi)]),
         ):
-            A_tr, _ = assemble_system(prob, steady_inputs(prob, ufield, beta=0.7,
-                                                          a0=a0, dt=dt))
-            A_st, _ = assemble_system(prob, steady_inputs(prob, ufield, beta=0.7))
-            D = A_tr.A - A_st.A
+            A_tr, _ = assemble_system(prob, steady_inputs(prob, ufield, a0=a0, dt=dt))
+            A_st, _ = assemble_system(prob, steady_inputs(prob, ufield))
+            # the elastic v_s block scales with beta = dt/a0; the steady one has beta = 1
+            lay = A_st.layout
+            vs = np.zeros(lay.total)
+            if "v_s" in lay.offsets:
+                vs[lay.slice_of("v_s")] = 1.0
+            S = sparse.diags(vs)
+            D = A_tr.A - A_st.A - (dt / a0 - 1.0) * (S @ A_st.A @ S)
             sysd = type(A_tr)(D, A_tr.b, A_tr.layout)
             tag = FLUID if prob is pf else SOLID
             X, w = tri_quad(TRI_VERTS)
@@ -202,7 +208,8 @@ def check_mass_form(trials=TRIALS, seed=101):
 
 
 def check_elastic_form(trials=TRIALS, seed=102):
-    """a_s: beta * int F S(E_lin) : grad(psi), E_lin = 1/4 (F^T grad v + grad v^T F).
+    """a_s: int F S(E_lin) : grad(psi), E_lin = 1/4 (F^T grad v + grad v^T F), at
+    beta = 1 (steady; the mass check covers the transient beta = dt/a0).
 
     The two-argument strain E(u_k, u~) = 1/2 sym(F~^T F_k - I) carries its own
     1/2, so the trial derivative is half the symmetrized product; at F~ = I the
@@ -211,11 +218,10 @@ def check_elastic_form(trials=TRIALS, seed=102):
     rng = np.random.default_rng(seed)
     prm = PARAMS
     prob = make_problem(one_triangle_mesh(SOLID))
-    beta = 0.6
     worst = 0.0
     for _ in range(trials):
         ufield, F, _, _ = linear_map(rng)
-        sysm, _ = assemble_system(prob, steady_inputs(prob, ufield, beta=beta))
+        sysm, _ = assemble_system(prob, steady_inputs(prob, ufield))
         xp, yp = VecPoly(rng, 2), VecPoly(rng, 2)
         x = interpolate(prob.spaces["v_s"], xp)
         y = interpolate(prob.spaces["v_s"], yp)
@@ -230,7 +236,7 @@ def check_elastic_form(trials=TRIALS, seed=102):
         S[:, 0, 0] += prm.lam_s * tr
         S[:, 1, 1] += prm.lam_s * tr
         FS = np.einsum("am,nmk->nak", F, S)
-        oracle = beta * np.dot(w, np.einsum("nak,nak->n", FS, xp.grad(X)))
+        oracle = np.dot(w, np.einsum("nak,nak->n", FS, xp.grad(X)))
         worst = max(worst, rel_err(impl, oracle))
     return worst
 
@@ -289,7 +295,7 @@ def check_advection_form(trials=TRIALS, seed=105):
         wtp = VecPoly(rng, 2)
         vt = interpolate(prob.spaces["v_f"], vtp)
         wt = interpolate(prob.spaces["u"], wtp)
-        common = dict(beta=1.0, a0=1.0, dt=0.2)
+        common = dict(a0=1.0, dt=0.2)
         A_v, _ = assemble_system(prob, steady_inputs(prob, ufield, vf_tilde=vt, **common))
         A_0, _ = assemble_system(prob, steady_inputs(prob, ufield,
                                                      vf_tilde=np.zeros(nvf), **common))
@@ -418,7 +424,7 @@ def check_interface_form(trials=TRIALS, seed=107):
         # --- kinetic correction (and advection riding along on v_f, v_f)
         vtp = VecPoly(rng, 2)
         vt = interpolate(prob.spaces["v_f"], vtp)
-        tr_kw = dict(beta=1.0, a0=1.0, dt=0.2)
+        tr_kw = dict(a0=1.0, dt=0.2)
         A_v, _ = assemble_system(prob0, steady_inputs(prob0, ufield, vf_tilde=vt, **tr_kw))
         A_z, _ = assemble_system(prob0, steady_inputs(
             prob0, ufield, vf_tilde=np.zeros(prob0.spaces["v_f"].num_dofs), **tr_kw))

@@ -127,7 +127,7 @@ def reference_solid_problem(params):
 
 
 def mass_difference(prob, dt=1.0, a0=1.0):
-    tr = StepInputs(t=0.0, dt=dt, a0=a0, beta=1.0,
+    tr = StepInputs(t=0.0, dt=dt, a0=a0,
                     u_tilde=np.zeros(prob.spaces["u"].num_dofs),
                     u_impl_hist=np.zeros(prob.spaces["u"].num_dofs))
     A_tr, _ = assemble_system(prob, tr)
@@ -334,7 +334,7 @@ def test_interface_kinetic_closed_form():
     prob = mixed_problem(penalty_const=0.0)
     vt = const_field(prob.spaces["v_f"], [0.0, 2.0])
     zero = np.zeros_like(vt)
-    kw = dict(t=0.0, dt=0.5, a0=1.0, beta=0.5,
+    kw = dict(t=0.0, dt=0.5, a0=1.0,
               u_tilde=np.zeros(prob.spaces["u"].num_dofs),
               u_impl_hist=np.zeros(prob.spaces["u"].num_dofs))
     D = assemble_system(prob, StepInputs(vf_tilde=vt, **kw))[0].A \
@@ -380,7 +380,7 @@ def test_rest_state_system():
         dirichlet=[zero_bc("v_f", (GAMMA_F0,)), zero_bc("v_s", (GAMMA_S0,)),
                    DirichletBC("p_d", (GAMMA_S0,), lambda X, t: np.zeros(len(X)))])
     nu = prob.spaces["u"].num_dofs
-    inp = StepInputs(t=0.0, dt=0.1, a0=1.0, beta=0.1,
+    inp = StepInputs(t=0.0, dt=0.1, a0=1.0,
                      u_tilde=np.zeros(nu), u_impl_hist=np.zeros(nu),
                      vf_tilde=np.zeros(prob.spaces["v_f"].num_dofs))
     sysm, _ = assemble_system(prob, inp)

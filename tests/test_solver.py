@@ -143,3 +143,31 @@ def test_unreachable_tolerance_with_a_held_lu_reports_residual():
         solve(A, np.ones(12), rtol=1e-300, lagged=held)
     assert exc.value.residual is not None and exc.value.residual > 0.0
     assert held.lu is None           # the old LU was dropped, no failed one kept
+
+
+# ---------------------------------------------------------------------------
+# elimination order and the fill report
+# ---------------------------------------------------------------------------
+
+def test_ordered_solve_matches_the_natural_one():
+    A, b = sample_system()
+    order = np.random.default_rng(3).permutation(A.shape[0])
+    x, rep = solve(A, b, order=order)
+    x0, rep0 = solve(A, b)
+    assert rep.residual <= RESIDUAL_TOL and rep0.residual <= RESIDUAL_TOL
+    assert np.allclose(x, x0, rtol=1e-10, atol=0.0)
+    assert rep.nnz == rep0.nnz == A.nnz
+    assert rep.fill > 0 and rep0.fill > 0
+
+
+def test_reuse_reports_no_fill_and_keeps_the_order():
+    A, b = sample_system()
+    order = np.random.default_rng(4).permutation(A.shape[0])
+    held = LaggedLU()
+    _, fresh = solve(A, b, lagged=held, order=order)
+    assert fresh.factored and fresh.fill == held.lu.fill > 0
+    assert np.array_equal(held.lu.order, order)
+    B = perturbed(A, 1e-3)
+    x, rep = solve(B, b, lagged=held, order=order)
+    assert not rep.factored and rep.iterations >= 1 and rep.fill == 0 and rep.nnz == B.nnz
+    assert np.allclose(x, spsolve(B.tocsc(), b), rtol=1e-8, atol=0.0)
