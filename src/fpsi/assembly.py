@@ -310,8 +310,7 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
                   loads: Optional[Sequence[PressureLoad]] = None,
                   open_markers: Sequence[int] = (),
                   forcing: Optional[Dict[str, Callable]] = None,
-                  pin_pf="auto",
-                  solver_rtol: float = 1e-9) -> Problem:
+                  pin_pf="auto") -> Problem:
     """Build spaces, quadrature caches and the block layout for one mesh.
 
     penalty defaults to tau = penalty_scale * h^-2 per interface facet;
@@ -356,17 +355,16 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         solid = _quad_batch(solid_spaces, spaces["v_s"].cells, quad_degree)
 
     iface = None
-    facets = extract_interface(mesh) if (has_fluid and has_solid) else []
+    facets = extract_interface(mesh) if (has_fluid and has_solid) else None
     if facets:
-        fverts = [f.vertices for f in facets]
-        # Both sides' traces share the fluid-oriented normal.
-        nref = np.array([f.normal for f in facets])
-        h = np.array([f.h for f in facets])
         tau = np.full(len(facets), float(penalty_const)) if penalty_const is not None \
-            else penalty_scale * h ** -2.0
+            else penalty_scale * facets.h ** -2.0
+        # Both sides' traces share the fluid-oriented normal.
         iface = InterfaceData(
-            _quad_batch(fluid_spaces, [f.fluid_cell for f in facets], quad_degree, fverts, nref),
-            _quad_batch(solid_spaces, [f.solid_cell for f in facets], quad_degree, fverts, nref),
+            _quad_batch(fluid_spaces, facets.fluid_cells, quad_degree, facets.vertices,
+                        facets.normals),
+            _quad_batch(solid_spaces, facets.solid_cells, quad_degree, facets.vertices,
+                        facets.normals),
             tau)
 
     def natural_traces(marker: int, what: str) -> QuadBatch:
@@ -375,8 +373,7 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         idx = mesh.facets_with_marker(marker)
         if len(idx) == 0:
             raise AssemblyError("%s marker %d has no facets" % (what, marker))
-        table = mesh.facet_to_cells()
-        cells = [table[tuple(sorted(mesh.facets[i].tolist()))][0] for i in idx]
+        cells = mesh.edge_cells[mesh.facet_edges[idx], 0]
         return _quad_batch(fluid_spaces, cells, quad_degree, mesh.facets[idx])
 
     load_data: Dict[int, QuadBatch] = {}
@@ -397,8 +394,7 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
                    fluid=fluid, solid=solid, iface=iface, load_data=load_data,
                    loads=loads, dirichlet=dirichlet, forcing=forcing,
                    include_inertia=include_inertia, frozen_geometry=frozen_geometry,
-                   pin_pf=pin, layout=layout, solver_rtol=solver_rtol,
-                   open_data=open_data)
+                   pin_pf=pin, layout=layout, open_data=open_data)
     if has_solid:
         prob.map_vs_to_u = transfer_nodes(spaces["v_s"], spaces["u"])
     if has_fluid:

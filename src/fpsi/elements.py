@@ -1,13 +1,13 @@
-"""Reference simplex elements (P1/P2 Lagrange) and quadrature rules.
+"""Reference triangle elements (P1/P2 Lagrange) and quadrature rules.
 
-The reference simplex has vertices at the origin and the unit points of each
-axis (area 1/2 in 2D, volume 1/6 in 3D).  P2 nodes are the vertices followed
-by edge midpoints in the fixed local edge order below, which every function
-space relies on when matching degrees of freedom across subdomains.
+The reference triangle has vertices (0, 0), (1, 0) and (0, 1), area 1/2.
+P2 nodes are the vertices followed by the edge midpoints in the fixed local
+edge order below, which the mesh's edge table and every function space
+share.
 
 Quadrature is a conical (Duffy) product of Gauss-Legendre and Gauss-Jacobi
-rules, exact to any requested polynomial degree.  Facet rules are simplex
-rules one dimension down, parametrized over the unit interval / triangle.
+rules, exact to any requested polynomial degree.  Facet rules are Gauss
+rules on the unit interval.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from typing import Tuple
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-LOCAL_EDGES = {
-    2: ((0, 1), (0, 2), (1, 2)),
-    3: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
-
-_SIMPLEX_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
+LOCAL_EDGES = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,7 @@ def _jacobi01(n: int, alpha: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def simplex_quadrature(dim: int, degree: int) -> QuadratureRule:
-    """Conical-product rule on the unit simplex, exact up to `degree`."""
+    """Rule on the unit interval (dim 1) or triangle (dim 2), exact up to `degree`."""
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
     n = max(1, (degree + 2) // 2)  # 2n-1 >= degree
@@ -65,18 +60,6 @@ def simplex_quadrature(dim: int, degree: int) -> QuadratureRule:
         Y = np.repeat(eta, n)
         W = np.outer(weta, wxi).ravel()
         return QuadratureRule(np.column_stack([X, Y]), W, degree)
-    if dim == 3:
-        xi, wxi = _gauss01(n)
-        eta, weta = _jacobi01(n, 1)
-        zeta, wz = _jacobi01(n, 2)
-        pts = []
-        wts = []
-        for c, wc in zip(zeta, wz):
-            for b, wb in zip(eta, weta):
-                for a, wa in zip(xi, wxi):
-                    pts.append((a * (1.0 - b) * (1.0 - c), b * (1.0 - c), c))
-                    wts.append(wa * wb * wc)
-        return QuadratureRule(np.asarray(pts), np.asarray(wts), degree)
     raise ValueError("unsupported dimension %d" % dim)
 
 
@@ -102,43 +85,14 @@ def _check_inside(dim: int, points: np.ndarray, tol: float = 1e-12) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
-    """Scalar Lagrange element on the reference simplex."""
-
-    dim: int
-    degree: int
-    nodes: np.ndarray  # (n_nodes, dim)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.nodes.shape[0]
-
-    def tabulate(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Values (nq, nb) and gradients (nq, nb, dim) at the given points."""
-        return eval_basis(self.dim, self.degree, points)
-
-
-def reference_element(dim: int, degree: int) -> ReferenceElement:
-    if dim not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    if degree not in (1, 2):
-        raise ValueError("only P1 and P2 elements are provided")
-    verts = np.vstack([np.zeros(dim), np.eye(dim)])
-    if degree == 1:
-        nodes = verts
-    else:
-        mids = np.array([(verts[a] + verts[b]) / 2.0 for a, b in LOCAL_EDGES[dim]])
-        nodes = np.vstack([verts, mids])
-    return ReferenceElement(dim, degree, nodes)
-
-
 def eval_basis(dim: int, degree: int, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate P1/P2 basis values and gradients at reference points.
 
     Rejects points outside the closed simplex (tolerance 1e-12); quadrature
     and facet-trace callers only ever ask for interior/boundary points.
     """
+    if dim != 2:
+        raise ValueError("elements are triangles: dimension must be 2, got %d" % dim)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != dim:
         raise ValueError("points have dimension %d, element has %d" % (pts.shape[1], dim))
@@ -155,20 +109,16 @@ def eval_basis(dim: int, degree: int, points: np.ndarray) -> Tuple[np.ndarray, n
     if degree != 2:
         raise ValueError("only P1 and P2 elements are provided")
 
-    edges = LOCAL_EDGES[dim]
-    nb = (dim + 1) + len(edges)
+    nb = (dim + 1) + len(LOCAL_EDGES)
     nq = pts.shape[0]
     vals = np.empty((nq, nb))
     grads = np.empty((nq, nb, dim))
     for i in range(dim + 1):
         vals[:, i] = lam[:, i] * (2.0 * lam[:, i] - 1.0)
         grads[:, i, :] = (4.0 * lam[:, i] - 1.0)[:, None] * dlam[i]
-    for e, (a, b) in enumerate(edges):
+    for e, (a, b) in enumerate(LOCAL_EDGES):
         j = dim + 1 + e
         vals[:, j] = 4.0 * lam[:, a] * lam[:, b]
         grads[:, j, :] = 4.0 * (lam[:, a][:, None] * dlam[b] + lam[:, b][:, None] * dlam[a])
     return vals, grads
 
-
-def simplex_measure(dim: int) -> float:
-    return _SIMPLEX_MEASURE[dim]

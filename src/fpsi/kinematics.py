@@ -36,16 +36,12 @@ def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None)
     """F, J, F^-1, F^-T from a displacement gradient.
 
     Rejects J <= J_MIN before anything divides by J; when the caller passes
-    per-entry cell ids the error reports which cell degenerated.  2x2
-    gradients use the closed-form determinant and inverse.
+    per-entry cell ids the error reports which cell degenerated.  The
+    gradients are 2x2: closed-form determinant and inverse.
     """
     grad_u = np.asarray(grad_u, dtype=float)
     F = grad_u + _eye_like(grad_u)
-    planar = F.shape[-1] == 2
-    if planar:
-        J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
-    else:
-        J = np.linalg.det(F)
+    J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
     if np.any(J <= J_MIN):
         flat = np.argmin(J)
         idx = np.unravel_index(flat, J.shape) if J.ndim else ()
@@ -57,14 +53,11 @@ def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None)
             % (float(np.min(J)), "cell %s" % cell if cell is not None else str(idx), J_MIN),
             cell=cell, value=float(np.min(J)),
         )
-    if planar:
-        Finv = np.empty_like(F)
-        Finv[..., 0, 0] = F[..., 1, 1] / J
-        Finv[..., 0, 1] = -F[..., 0, 1] / J
-        Finv[..., 1, 0] = -F[..., 1, 0] / J
-        Finv[..., 1, 1] = F[..., 0, 0] / J
-    else:
-        Finv = np.linalg.inv(F)
+    Finv = np.empty_like(F)
+    Finv[..., 0, 0] = F[..., 1, 1] / J
+    Finv[..., 0, 1] = -F[..., 0, 1] / J
+    Finv[..., 1, 0] = -F[..., 1, 0] / J
+    Finv[..., 1, 1] = F[..., 0, 0] / J
     FinvT = np.swapaxes(Finv, -1, -2)
     return F, J, Finv, FinvT
 

@@ -1,4 +1,4 @@
-"""Simplicial meshes with subdomain tags and boundary/interface markers.
+"""Triangle meshes with subdomain tags and boundary/interface markers.
 
 All computations run on the fixed reference mesh; deformation enters through
 the displacement field, never by moving vertices.  Units are mm throughout.
@@ -13,6 +13,11 @@ the fluid-solid interface:
     GAMMA_S0               fixed structure boundary (v_s = 0, p_d = 0)
     GAMMA_FS               fluid-solid interface (internal)
 
+Meshes are 2D: the readers reject any other dimension.  Topology lives in
+one edge table (`EdgeTable`), derived from the cells once after orientation
+repair: validation, the interface, the facet traces of assembly and the P2
+edge nodes of every function space all read it.
+
 Two file formats are supported: a plain-text native format (sections
 VERTICES / CELLS / FACETS, 0-based indices, tag names spelled out) and
 ASCII gmsh MSH 2.2, whose integer physical tags are mapped to the names
@@ -23,10 +28,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
+from .elements import LOCAL_EDGES
 from .errors import MeshError
 
 FLUID = 1
@@ -51,14 +57,29 @@ MARKER_TO_NAME = {v: k for k, v in MARKER_NAMES.items()}
 _ALL_NAMES = dict(CELL_TAG_NAMES, **MARKER_NAMES)
 
 
+class EdgeTable(NamedTuple):
+    """Edges of a triangle mesh, derived from its cells in one pass.
+
+    edges        (ne, 2) sorted vertex pairs, in lexicographic order
+    cell_edges   (nc, 3) edge ids of each cell, in LOCAL_EDGES order
+    edge_cells   (ne, 2) the cells of each edge, ascending; -1 on the boundary
+    facet_edges  (nf,) edge id of each marked facet, -1 where it is no edge
+    """
+
+    edges: np.ndarray
+    cell_edges: np.ndarray
+    edge_cells: np.ndarray
+    facet_edges: np.ndarray
+
+
 @dataclass
 class Mesh:
-    """Simplicial mesh: vertices, cells with subdomain tags, marked facets.
+    """Triangle mesh: vertices, cells with subdomain tags, marked facets.
 
-    vertices      (nv, d) float64
-    cells         (nc, d+1) int64, positively oriented after validation
+    vertices      (nv, 2) float64
+    cells         (nc, 3) int64, positively oriented after validation
     cell_tags     (nc,) int64, FLUID or SOLID
-    facets        (nf, d) int64 vertex ids of marked facets
+    facets        (nf, 2) int64 vertex ids of marked facets
     facet_markers (nf,) int64
     """
 
@@ -67,7 +88,7 @@ class Mesh:
     cell_tags: np.ndarray
     facets: np.ndarray
     facet_markers: np.ndarray
-    _facet_cells: Optional[Dict[tuple, list]] = field(default=None, repr=False)
+    _table: Optional[EdgeTable] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -87,104 +108,119 @@ class Mesh:
     def facets_with_marker(self, marker: int) -> np.ndarray:
         return np.flatnonzero(self.facet_markers == marker)
 
-    def facet_to_cells(self) -> Dict[tuple, list]:
-        """Map sorted facet vertex tuple -> list of adjacent cell ids."""
-        if self._facet_cells is None:
-            table: Dict[tuple, list] = {}
-            for c, cell in enumerate(self.cells):
-                for fac in _cell_facets(cell):
-                    table.setdefault(fac, []).append(c)
-            self._facet_cells = table
-        return self._facet_cells
+    @property
+    def edge_table(self) -> EdgeTable:
+        """Built at first use; validate_mesh rebuilds it after orientation repair."""
+        if self._table is None:
+            self._table = _edge_table(self)
+        return self._table
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self.edge_table.edges
+
+    @property
+    def cell_edges(self) -> np.ndarray:
+        return self.edge_table.cell_edges
+
+    @property
+    def edge_cells(self) -> np.ndarray:
+        return self.edge_table.edge_cells
+
+    @property
+    def facet_edges(self) -> np.ndarray:
+        return self.edge_table.facet_edges
 
     def cell_volumes(self) -> np.ndarray:
         return _signed_volumes(self.vertices, self.cells)
 
 
-@dataclass
-class InterfaceFacet:
-    """One GAMMA_FS facet with its two cells and fluid->solid reference normal."""
+def _edge_table(mesh: Mesh) -> EdgeTable:
+    """The edge table of the mesh's cells and marked facets.
 
-    vertices: np.ndarray      # (d,) vertex ids
-    fluid_cell: int
-    solid_cell: int
-    normal: np.ndarray        # unit normal in reference coords, fluid -> solid
-    h: float                  # facet diameter
+    Edge ids follow the code a * nv + b of the sorted pair (a, b), so they
+    number edges in the lexicographic order of their vertex pairs.
+    """
+    nv, nc = mesh.num_vertices, mesh.num_cells
+    pairs = np.sort(mesh.cells[:, LOCAL_EDGES], axis=2)                    # (nc, 3, 2)
+    codes, cell_edges = np.unique((pairs[..., 0] * nv + pairs[..., 1]).ravel(),
+                                  return_inverse=True)
+    ne = len(codes)
+    edges = np.column_stack(np.divmod(codes, nv))
+    count = np.bincount(cell_edges, minlength=ne)
+    if count.max() > 2:
+        e = int(np.argmax(count))
+        raise MeshError("non-conforming mesh: facet %s shared by %d cells"
+                        % (_key(edges[e]), count[e]))
+    # cell slots grouped by edge, each edge's cells ascending
+    slots = np.argsort(cell_edges, kind="stable")
+    first = np.cumsum(count) - count
+    edge_cells = np.full((ne, 2), -1, dtype=np.int64)
+    edge_cells[:, 0] = slots[first] // 3
+    two = count == 2
+    edge_cells[two, 1] = slots[first[two] + 1] // 3
+
+    fpairs = np.sort(mesh.facets, axis=1)
+    fcodes = fpairs[:, 0] * nv + fpairs[:, 1]
+    pos = np.minimum(np.searchsorted(codes, fcodes), ne - 1)
+    real = (fpairs[:, 0] >= 0) & (fpairs[:, 1] < nv) & (codes[pos] == fcodes)
+    return EdgeTable(edges, cell_edges.reshape(nc, 3), edge_cells, np.where(real, pos, -1))
 
 
-def _cell_facets(cell) -> List[tuple]:
-    """Sorted vertex tuples of the (d-1)-faces of one simplex."""
-    n = len(cell)
-    return [tuple(sorted([cell[j] for j in range(n) if j != i])) for i in range(n)]
+def _key(pair) -> tuple:
+    """Sorted vertex pair as a tuple of ints, for messages."""
+    return tuple(sorted(int(v) for v in pair))
 
 
 def _signed_volumes(vertices, cells) -> np.ndarray:
     v0 = vertices[cells[:, 0]]
     edges = vertices[cells[:, 1:]] - v0[:, None, :]
-    d = vertices.shape[1]
-    if d == 2:
-        det = edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]
-        return det / 2.0
-    return np.linalg.det(edges) / 6.0
+    return (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0]) / 2.0
 
 
-def facet_local_size(coords: np.ndarray) -> float:
-    """Facet diameter: segment length in 2D, longest edge of a triangle in 3D."""
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    h = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            h = max(h, float(np.linalg.norm(coords[i] - coords[j])))
-    return h
+@dataclass
+class Interface:
+    """The GAMMA_FS facets in stored marker order, with their two cells and
+    the fluid -> solid unit normal of the reference mesh."""
+
+    vertices: np.ndarray      # (nf, 2) vertex ids, in stored facet order
+    fluid_cells: np.ndarray   # (nf,)
+    solid_cells: np.ndarray   # (nf,)
+    normals: np.ndarray       # (nf, 2)
+    h: np.ndarray             # (nf,) facet lengths
+
+    def __len__(self) -> int:
+        return len(self.h)
 
 
-def _facet_normal(mesh: Mesh, fverts) -> np.ndarray:
-    """Unit normal of a straight facet (sign not yet oriented)."""
-    pts = mesh.vertices[np.asarray(fverts)]
-    if mesh.dim == 2:
-        t = pts[1] - pts[0]
-        n = np.array([t[1], -t[0]])
-    else:
-        n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    return n / np.linalg.norm(n)
+def extract_interface(mesh: Mesh) -> Interface:
+    """GAMMA_FS facets with normals oriented fluid -> solid.
 
-
-def extract_interface(mesh: Mesh) -> List[InterfaceFacet]:
-    """Ordered GAMMA_FS facets with normals oriented fluid -> solid.
-
-    Orientation rule: the normal points from the fluid cell centroid towards
-    the solid cell centroid.  Repeated calls on the same mesh return the
-    facets in the stored marker order, so downstream assembly is
-    deterministic.
+    A facet from vertex a to vertex b has the normal (t1, -t0) / |t| of
+    t = b - a, flipped where it points from the solid cell centroid towards
+    the fluid cell centroid.
     """
-    table = mesh.facet_to_cells()
-    out: List[InterfaceFacet] = []
-    for idx in mesh.facets_with_marker(GAMMA_FS):
-        fverts = mesh.facets[idx]
-        adj = table.get(tuple(sorted(fverts.tolist())), [])
-        tags = [mesh.cell_tags[c] for c in adj]
-        if len(adj) != 2 or sorted(tags) != [FLUID, SOLID]:
-            raise MeshError(
-                "interface facet not between subdomains: facet %s touches cells %s"
-                % (fverts.tolist(), adj)
-            )
-        cf, cs = (adj[0], adj[1]) if tags[0] == FLUID else (adj[1], adj[0])
-        n = _facet_normal(mesh, fverts)
-        cen_f = mesh.vertices[mesh.cells[cf]].mean(axis=0)
-        cen_s = mesh.vertices[mesh.cells[cs]].mean(axis=0)
-        if np.dot(n, cen_s - cen_f) < 0.0:
-            n = -n
-        out.append(
-            InterfaceFacet(
-                vertices=fverts.copy(),
-                fluid_cell=int(cf),
-                solid_cell=int(cs),
-                normal=n,
-                h=facet_local_size(mesh.vertices[fverts]),
-            )
-        )
-    return out
+    idx = mesh.facets_with_marker(GAMMA_FS)
+    fverts = mesh.facets[idx]
+    fe = mesh.facet_edges[idx]
+    c0, c1 = mesh.edge_cells[fe].T
+    bad = np.flatnonzero((fe < 0) | (c1 < 0) | (mesh.cell_tags[c0] == mesh.cell_tags[c1]))
+    if len(bad):
+        k = bad[0]
+        cells = [] if fe[k] < 0 else [int(c) for c in (c0[k], c1[k]) if c >= 0]
+        raise MeshError("interface facet not between subdomains: facet %s touches cells %s"
+                        % (fverts[k].tolist(), cells))
+    fluid_first = mesh.cell_tags[c0] == FLUID
+    cf = np.where(fluid_first, c0, c1)
+    cs = np.where(fluid_first, c1, c0)
+    p = mesh.vertices[fverts]
+    t = p[:, 1] - p[:, 0]
+    h = np.linalg.norm(t, axis=1)
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / h[:, None]
+    towards_solid = (mesh.vertices[mesh.cells[cs]].mean(axis=1)
+                     - mesh.vertices[mesh.cells[cf]].mean(axis=1))
+    n[np.einsum("fd,fd->f", n, towards_solid) < 0.0] *= -1.0
+    return Interface(fverts.copy(), cf, cs, n, h)
 
 
 def validate_mesh(mesh: Mesh) -> Mesh:
@@ -211,76 +247,66 @@ def validate_mesh(mesh: Mesh) -> Mesh:
     flip = vols < 0.0
     if np.any(flip):
         mesh.cells[flip, -2:] = mesh.cells[flip, -2:][:, ::-1]
-        mesh._facet_cells = None
 
-    # Facet sharing: conforming simplicial meshes never exceed two cells.
-    table = mesh.facet_to_cells()
-    for fac, cs in table.items():
-        if len(cs) > 2:
-            raise MeshError("non-conforming mesh: facet %s shared by %d cells" % (fac, len(cs)))
+    # Facet sharing: the table rejects an edge of more than two cells.
+    mesh._table = None
+    edges, _, edge_cells, fe = mesh.edge_table
 
-    # Marker table: no contradictions, every marked facet is a real facet.
-    marker_of: Dict[tuple, int] = {}
-    for fverts, m in zip(mesh.facets, mesh.facet_markers):
-        key = tuple(sorted(fverts.tolist()))
-        if key in marker_of and marker_of[key] != m:
-            raise MeshError("contradictory markers on facet %s" % (key,))
-        marker_of[key] = int(m)
-        if key not in table:
-            raise MeshError("marked facet %s is not a facet of any cell" % (key,))
-        if m not in MARKER_TO_NAME:
-            raise MeshError("unknown facet marker %r" % m)
+    # Marker table: every marked facet is a real facet, without contradictions.
+    bad = np.flatnonzero(fe < 0)
+    if len(bad):
+        raise MeshError("marked facet %s is not a facet of any cell" % (_key(mesh.facets[bad[0]]),))
+    marker = np.zeros(len(edges), dtype=np.int64)
+    marker[fe] = mesh.facet_markers
+    bad = np.flatnonzero(marker[fe] != mesh.facet_markers)
+    if len(bad):
+        raise MeshError("contradictory markers on facet %s" % (_key(mesh.facets[bad[0]]),))
+    bad = np.flatnonzero(~np.isin(mesh.facet_markers, list(MARKER_TO_NAME)))
+    if len(bad):
+        raise MeshError("unknown facet marker %r" % int(mesh.facet_markers[bad[0]]))
 
     # Every outer-boundary facet needs a marker; every internal fluid/solid
     # facet must be marked GAMMA_FS, otherwise the subdomains silently decouple.
-    for fac, cs in table.items():
-        if len(cs) == 1 and fac not in marker_of:
-            raise MeshError("facet with missing marker: boundary facet %s" % (fac,))
-        if len(cs) == 2:
-            t0, t1 = mesh.cell_tags[cs[0]], mesh.cell_tags[cs[1]]
-            if t0 != t1 and marker_of.get(fac) != GAMMA_FS:
-                raise MeshError("facet with missing marker: interface facet %s" % (fac,))
+    boundary = edge_cells[:, 1] < 0
+    tag0 = mesh.cell_tags[edge_cells[:, 0]]
+    tag1 = np.where(boundary, tag0, mesh.cell_tags[edge_cells[:, 1]])
+    between = tag0 != tag1
+    bad = np.flatnonzero(boundary & (marker == 0))
+    if len(bad):
+        raise MeshError("facet with missing marker: boundary facet %s" % (_key(edges[bad[0]]),))
+    bad = np.flatnonzero(between & (marker != GAMMA_FS))
+    if len(bad):
+        raise MeshError("facet with missing marker: interface facet %s" % (_key(edges[bad[0]]),))
 
     # Marker adjacency rules.
-    for fverts, m in zip(mesh.facets, mesh.facet_markers):
-        key = tuple(sorted(fverts.tolist()))
-        cs = table[key]
-        tags = sorted(mesh.cell_tags[c] for c in cs)
-        if m == GAMMA_FS:
-            if len(cs) != 2 or tags != [FLUID, SOLID]:
-                raise MeshError(
-                    "interface facet not between subdomains: %s (tags %s)" % (key, tags)
-                )
-        elif m in (GAMMA_F0, GAMMA_OUT):
-            if len(cs) != 1 or tags != [FLUID]:
-                raise MeshError(
-                    "%s facet %s must belong to exactly one FLUID cell"
-                    % (MARKER_TO_NAME[m], key)
-                )
-        elif m == GAMMA_S0:
-            if len(cs) != 1 or tags != [SOLID]:
-                raise MeshError("GAMMA_S0 facet %s must belong to exactly one SOLID cell" % (key,))
+    bad = np.flatnonzero((marker == GAMMA_FS) & ~between)
+    if len(bad):
+        e = bad[0]
+        tags = sorted(int(mesh.cell_tags[c]) for c in edge_cells[e] if c >= 0)
+        raise MeshError("interface facet not between subdomains: %s (tags %s)"
+                        % (_key(edges[e]), tags))
+    for m, tag in ((GAMMA_F0, FLUID), (GAMMA_OUT, FLUID), (GAMMA_S0, SOLID)):
+        bad = np.flatnonzero((marker == m) & ~(boundary & (tag0 == tag)))
+        if len(bad):
+            raise MeshError("%s facet %s must belong to exactly one %s cell"
+                            % (MARKER_TO_NAME[m], _key(edges[bad[0]]), TAG_TO_NAME[tag]))
 
-    _check_hanging_nodes(mesh, marker_of)
+    _check_hanging_nodes(mesh, edges[marker > 0])
     return mesh
 
 
-def _check_hanging_nodes(mesh: Mesh, marker_of: Dict[tuple, int]) -> None:
+def _check_hanging_nodes(mesh: Mesh, marked: np.ndarray) -> None:
     """Reject vertices sitting strictly inside a marked facet.
 
     A hanging node on the boundary is always a vertex of some marked facet,
     so only those vertices need testing; the check is O(nb^2) on boundary
     entities only.
     """
-    if not marker_of:
-        return
-    bverts = sorted({v for fac in marker_of for v in fac})
+    bverts = np.unique(marked)
     pts = mesh.vertices[bverts]
-    for fac in marker_of:
+    for fac in marked:
         a = mesh.vertices[fac[0]]
-        b = mesh.vertices[fac[-1]]
-        if mesh.dim != 2:
-            continue  # 3D hanging-face detection is covered by the sharing checks
+        b = mesh.vertices[fac[1]]
         t = b - a
         L2 = float(np.dot(t, t))
         rel = pts - a
@@ -290,7 +316,7 @@ def _check_hanging_nodes(mesh: Mesh, marker_of: Dict[tuple, int]) -> None:
         for k in np.flatnonzero(inside):
             if bverts[k] not in fac:
                 raise MeshError(
-                    "non-conforming mesh: vertex %d hangs on facet %s" % (bverts[k], fac)
+                    "non-conforming mesh: vertex %d hangs on facet %s" % (bverts[k], _key(fac))
                 )
 
 
@@ -323,8 +349,8 @@ def parse_native(text: str) -> Mesh:
         nv, dim = int(head[1]), int(head[2])
     except (IndexError, ValueError):
         raise MeshError("VERTICES header must be 'VERTICES <count> <dim>'")
-    if dim not in (2, 3):
-        raise MeshError("dimension must be 2 or 3, got %d" % dim)
+    if dim != 2:
+        raise MeshError("dimension must be 2, got %d" % dim)
     verts = np.empty((nv, dim))
     for i in range(nv):
         row = rows[pos + i]
@@ -387,7 +413,7 @@ def write_native(mesh: Mesh, path: str) -> None:
 # gmsh MSH 2.2 (ASCII)
 # ---------------------------------------------------------------------------
 
-_MSH_TYPE_NODES = {1: 2, 2: 3, 4: 4, 15: 1}  # line, triangle, tet, point
+_MSH_TYPE_NODES = {1: 2, 2: 3, 15: 1}  # line, triangle, point
 
 
 def parse_msh(text: str, physical_map: Dict[int, str]) -> Mesh:
@@ -434,13 +460,13 @@ def parse_msh(text: str, physical_map: Dict[int, str]) -> Mesh:
     body = sections["Elements"]
     ne = int(body[0])
     tris, tri_phys = [], []
-    tets, tet_phys = [], []
     segs, seg_phys = [], []
     for k in range(ne):
         parts = [int(x) for x in body[1 + k].split()]
         etype, ntags = parts[1], parts[2]
         if etype not in _MSH_TYPE_NODES:
-            raise MeshError("unsupported MSH element type %d" % etype)
+            raise MeshError("unsupported MSH element type %d (meshes are 2D: lines, "
+                            "triangles and points only)" % etype)
         phys = parts[3] if ntags >= 1 else 0
         nodes = parts[3 + ntags:]
         if len(nodes) != _MSH_TYPE_NODES[etype]:
@@ -449,9 +475,6 @@ def parse_msh(text: str, physical_map: Dict[int, str]) -> Mesh:
         if etype == 2:
             tris.append(nodes)
             tri_phys.append(phys)
-        elif etype == 4:
-            tets.append(nodes)
-            tet_phys.append(phys)
         elif etype == 1:
             segs.append(nodes)
             seg_phys.append(phys)
@@ -464,28 +487,18 @@ def parse_msh(text: str, physical_map: Dict[int, str]) -> Mesh:
             raise MeshError("physical tag %d maps to unknown name %r" % (phys, name))
         return _ALL_NAMES[name]
 
-    if tets:
-        dim = 3
-        cells = np.asarray(tets, dtype=np.int64)
-        cellp = tet_phys
-        faces, facep = tris, tri_phys
-    else:
-        if not tris:
-            raise MeshError("no cells found in MSH file")
-        dim = 2
-        cells = np.asarray(tris, dtype=np.int64)
-        cellp = tri_phys
-        faces, facep = segs, seg_phys
-
-    verts = xyz[:, :dim].copy()
-    if dim == 2 and np.abs(xyz[:, 2]).max(initial=0.0) > 0.0:
+    if not tris:
+        raise MeshError("no cells found in MSH file")
+    if np.abs(xyz[:, 2]).max(initial=0.0) > 0.0:
         raise MeshError("2D MSH mesh has nonzero z coordinates")
 
-    tags = np.array([resolve(p, "cell") for p in cellp], dtype=np.int64)
+    verts = xyz[:, :2].copy()
+    cells = np.asarray(tris, dtype=np.int64)
+    tags = np.array([resolve(p, "cell") for p in tri_phys], dtype=np.int64)
     if np.any((tags != FLUID) & (tags != SOLID)):
         raise MeshError("cell physical tag did not map to FLUID or SOLID")
-    facets = np.asarray(faces, dtype=np.int64).reshape(len(faces), dim)
-    markers = np.array([resolve(p, "facet") for p in facep], dtype=np.int64)
+    facets = np.asarray(segs, dtype=np.int64).reshape(len(segs), 2)
+    markers = np.array([resolve(p, "facet") for p in seg_phys], dtype=np.int64)
     if np.any(markers < GAMMA_F0):
         raise MeshError("facet physical tag mapped to a cell tag name")
     return Mesh(verts, cells, tags, facets, markers)

@@ -15,7 +15,7 @@ mms.MmsCase.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

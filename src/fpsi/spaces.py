@@ -3,8 +3,9 @@
 A space lives on all cells of one subdomain tag (or the whole mesh when the
 tag is None, used for the displacement field).  Scalar degrees of freedom sit
 on geometric entities: subdomain vertices first (ascending global id), then
-for P2 the subdomain edges (ascending sorted vertex pair).  Vector spaces
-interleave components node-major: dof(node, comp) = node * dim + comp.
+for P2 the subdomain edges (ascending id in the mesh's edge table, which is
+the order of their sorted vertex pairs).  Vector spaces interleave
+components node-major: dof(node, comp) = node * dim + comp.
 
 Keying DOFs by entity makes transfer between overlapping spaces exact: the
 interface trace of the solid velocity lands on the fluid-side extension
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
-from .elements import LOCAL_EDGES, eval_basis, reference_element, simplex_quadrature
+from .elements import eval_basis, simplex_quadrature
 from .errors import AssemblyError
 from .mesh import Mesh
 
@@ -33,7 +34,7 @@ class FunctionSpace:
     cell_nodes: np.ndarray    # (ncells, nloc) scalar node ids
     node_coords: np.ndarray   # (nnodes, dim)
     vertex_ids: np.ndarray    # (nverts,) global vertex ids of the vertex nodes, ascending
-    edge_keys: np.ndarray     # (nedges, 2) sorted vertex pairs of the edge nodes, ascending
+    edge_ids: np.ndarray      # (nedges,) mesh edge ids of the edge nodes, ascending
 
     @property
     def dim(self) -> int:
@@ -53,10 +54,9 @@ class FunctionSpace:
 
     def entity_keys(self) -> np.ndarray:
         """Mesh-entity key of each scalar node: the vertex id of a vertex
-        node, nv + the edge code of an edge node.  Nodes of any two spaces
-        on the same vertex or edge get the same key."""
-        nv = self.mesh.num_vertices
-        return np.concatenate([self.vertex_ids, nv + _edge_code(self.edge_keys, nv)])
+        node, nv + the edge id of an edge node.  Nodes of any two spaces on
+        the same vertex or edge get the same key."""
+        return np.concatenate([self.vertex_ids, self.mesh.num_vertices + self.edge_ids])
 
     def dofs_of_nodes(self, nodes, comp=None) -> np.ndarray:
         """Interleaved dof ids for the given scalar nodes."""
@@ -80,21 +80,13 @@ class FunctionSpace:
         """Scalar nodes lying on facets carrying any of the given markers."""
         mesh = self.mesh
         wanted = np.fromiter((int(m) for m in markers), dtype=np.int64)
-        fverts = mesh.facets[np.isin(mesh.facet_markers, wanted)]
-        found = [_find(self.vertex_ids, fverts.ravel())]
+        marked = np.isin(mesh.facet_markers, wanted)
+        found = [_find(self.vertex_ids, mesh.facets[marked].ravel())]
         if self.degree == 2:
-            local = ((0, 1),) if self.dim == 2 else LOCAL_EDGES[2]
-            pairs = np.sort(fverts[:, local], axis=2).reshape(-1, 2)
-            nv = mesh.num_vertices
-            pos = _find(_edge_code(self.edge_keys, nv), _edge_code(pairs, nv))
+            pos = _find(self.edge_ids, mesh.facet_edges[marked])
             found.append(np.where(pos < 0, -1, pos + len(self.vertex_ids)))
         nodes = np.concatenate(found)
         return np.unique(nodes[nodes >= 0])
-
-
-def _edge_code(pairs: np.ndarray, nv: int) -> np.ndarray:
-    """a * nv + b for sorted vertex pairs (a, b): ordered like the pairs."""
-    return pairs[:, 0] * nv + pairs[:, 1]
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -122,15 +114,13 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
     verts = np.unique(cellverts)
     cell_nodes = np.searchsorted(verts, cellverts).astype(np.int64)
     coords = [mesh.vertices[verts]]
-    edge_keys = np.empty((0, 2), dtype=verts.dtype)
+    edge_ids = np.empty(0, dtype=np.int64)
     if degree == 2:
-        local_edges = np.array(LOCAL_EDGES[mesh.dim])
-        pairs = np.sort(cellverts[:, local_edges], axis=2).reshape(-1, 2)
-        # lexicographic rows: the order of the sorted vertex pairs
-        edge_keys, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        coords.append((mesh.vertices[edge_keys[:, 0]] + mesh.vertices[edge_keys[:, 1]]) / 2.0)
-        edge_nodes = len(verts) + inverse.reshape(len(cells), len(local_edges))
-        cell_nodes = np.hstack([cell_nodes, edge_nodes])
+        celledges = mesh.cell_edges[cells]
+        edge_ids = np.unique(celledges)
+        ends = mesh.edges[edge_ids]
+        coords.append((mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]) / 2.0)
+        cell_nodes = np.hstack([cell_nodes, len(verts) + np.searchsorted(edge_ids, celledges)])
 
     return FunctionSpace(
         mesh=mesh,
@@ -141,7 +131,7 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         cell_nodes=cell_nodes,
         node_coords=np.vstack(coords),
         vertex_ids=verts,
-        edge_keys=edge_keys,
+        edge_ids=edge_ids,
     )
 
 
@@ -149,14 +139,13 @@ def transfer_nodes(src: FunctionSpace, dst: FunctionSpace) -> Tuple[np.ndarray, 
     """Scalar nodes shared by two spaces (same degree), matched by entity.
 
     Returns (src nodes, dst nodes) in ascending dst order: the shared vertex
-    ids and edge codes come out ascending, and so do the nodes they number.
+    and edge ids come out ascending, and so do the nodes they number.
     """
     if src.degree != dst.degree:
         raise AssemblyError("cannot transfer between spaces of different degree")
     _, vs, vd = np.intersect1d(src.vertex_ids, dst.vertex_ids,
                                assume_unique=True, return_indices=True)
-    nv = src.mesh.num_vertices
-    _, es, ed = np.intersect1d(_edge_code(src.edge_keys, nv), _edge_code(dst.edge_keys, nv),
+    _, es, ed = np.intersect1d(src.edge_ids, dst.edge_ids,
                                assume_unique=True, return_indices=True)
     return (np.concatenate([vs, es + len(src.vertex_ids)]),
             np.concatenate([vd, ed + len(dst.vertex_ids)]))
@@ -221,13 +210,6 @@ def error_L2(space: FunctionSpace, vec: np.ndarray, exact: Callable, quad_degree
     else:
         diff2 = ((uh - ex) ** 2).sum(axis=2)
     return float(np.sqrt(adet @ (diff2 @ rule.weights)))
-
-
-def norm_L2(space: FunctionSpace, vec: np.ndarray, quad_degree: int = 8) -> float:
-    zero = (lambda X: np.zeros(X.shape[0])) if space.rank == 0 else (
-        lambda X: np.zeros((X.shape[0], space.ncomp))
-    )
-    return error_L2(space, vec, zero, quad_degree)
 
 
 def locate_cell(space: FunctionSpace, x: np.ndarray, tol: float = 1e-10) -> int:

@@ -2,7 +2,8 @@
 
 Points are written at deformed positions x + u.  Every field is exported as
 vertex data (the P1 view of the quadratic fields), zero-extended outside its
-subdomain so one array spans the whole mesh.
+subdomain so one array spans the whole mesh.  Cells are written as VTK
+triangles; points and vectors get a zero z component.
 """
 
 from __future__ import annotations
@@ -31,21 +32,18 @@ def write_vtk(path: str, mesh: Mesh, points: Optional[np.ndarray] = None,
               title: str = "output") -> None:
     pts = mesh.vertices if points is None else np.asarray(points, dtype=float)
     nv = pts.shape[0]
-    if pts.shape[1] == 2:
-        pts = np.column_stack([pts, np.zeros(nv)])
+    pts = np.column_stack([pts, np.zeros(nv)])
     nc = mesh.num_cells
-    nod = mesh.cells.shape[1]
-    vtk_type = {3: 5, 4: 10}[nod]   # triangle / tetrahedron
 
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % nv]
     for p in pts:
         lines.append("%.17g %.17g %.17g" % (p[0], p[1], p[2]))
-    lines.append("CELLS %d %d" % (nc, nc * (nod + 1)))
+    lines.append("CELLS %d %d" % (nc, nc * 4))
     for cell in mesh.cells:
-        lines.append(str(nod) + " " + " ".join(str(int(v)) for v in cell))
+        lines.append("3 " + " ".join(str(int(v)) for v in cell))
     lines.append("CELL_TYPES %d" % nc)
-    lines.extend([str(vtk_type)] * nc)
+    lines.extend(["5"] * nc)         # VTK_TRIANGLE
 
     cell_fields = cell_fields or {}
     if cell_fields:
@@ -71,8 +69,7 @@ def write_vtk(path: str, mesh: Mesh, points: Optional[np.ndarray] = None,
                 lines.append("LOOKUP_TABLE default")
                 lines.extend("%.17g" % v for v in arr)
             else:
-                if arr.shape[1] == 2:
-                    arr = np.column_stack([arr, np.zeros(nv)])
+                arr = np.column_stack([arr, np.zeros(nv)])
                 lines.append("VECTORS %s double" % name)
                 lines.extend("%.17g %.17g %.17g" % (v[0], v[1], v[2]) for v in arr)
 

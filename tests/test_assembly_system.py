@@ -88,7 +88,7 @@ def test_quadrature_batches_match_per_entity_loop():
             assert np.allclose(grad, g2hat @ Binv, rtol=0.0, atol=1e-13)
 
     iface = extract_interface(mesh)
-    facet_sets = {"iface": ([f.vertices for f in iface], prob.iface.fluid)}
+    facet_sets = {"iface": (iface.vertices, prob.iface.fluid)}
     for m in (GAMMA_F0, GAMMA_OUT):
         facet_sets[m] = (mesh.facets[mesh.facets_with_marker(m)], prob.open_data[m])
     # open-boundary normals point out of the channel: -x at the inlet, +x at the outlet

@@ -13,6 +13,7 @@ from fpsi.mesh import write_native
 from fpsi.reporting import TimeSeries
 from fpsi.scenarios import channel_mesh
 from fpsi.stepping import load_checkpoint
+from tests.test_mesh import TET_NATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,14 @@ def test_cli_check_mesh(tmp_path, capsys):
     broken.write_text("not a mesh\n")
     assert main(["check-mesh", str(broken)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_check_mesh_rejects_3d(tmp_path, capsys):
+    path = tmp_path / "tet.mesh"
+    path.write_text(TET_NATIVE)
+    assert main(["check-mesh", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "mesh ok" not in captured.out and "dimension must be 2" in captured.err
 
 
 def test_cli_decay_run_artifacts(tmp_path, capsys):

@@ -77,15 +77,6 @@ def test_determinant_cofactor_oracle():
         assert abs(J - ref) <= 1e-12 * abs(ref)
 
 
-def test_determinant_cofactor_oracle_3d():
-    rng = np.random.default_rng(2025)
-    for _ in range(200):
-        gu = rng.uniform(-0.2, 0.2, size=(3, 3))
-        _, J, _, _ = deformation_state(gu)
-        ref = det_cofactor(np.eye(3) + gu)
-        assert abs(J - ref) <= 1e-12 * abs(ref)
-
-
 # ---------------------------------------------------------------------------
 # strain and stress
 # ---------------------------------------------------------------------------

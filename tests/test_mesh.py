@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fpsi.errors import MeshError
+from fpsi.elements import LOCAL_EDGES
 from fpsi.mesh import (FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID,
-                       Mesh, extract_interface, facet_local_size, load_mesh,
-                       parse_msh, parse_native, validate_mesh, write_native)
+                       Mesh, extract_interface, load_mesh, parse_msh, parse_native,
+                       validate_mesh, write_native)
 from fpsi.scenarios import channel_mesh, unit_square_mesh
 
 
@@ -36,9 +37,6 @@ def test_basic_queries():
     assert list(mesh.cells_with_tag(FLUID)) == [0]
     assert list(mesh.cells_with_tag(SOLID)) == [1]
     assert len(mesh.facets_with_marker(GAMMA_FS)) == 1
-    table = mesh.facet_to_cells()
-    assert sorted(table[(0, 2)]) == [0, 1]
-    assert table[(0, 1)] == [0]
     assert np.allclose(mesh.cell_volumes(), 0.5)
 
 
@@ -133,25 +131,85 @@ def test_validation_rejects_hanging_node():
 
 
 def test_facet_local_size():
-    assert facet_local_size([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
-    assert facet_local_size([[0, 0, 0], [1, 0, 0], [0, 2, 0]]) == pytest.approx(np.sqrt(5))
+    # the facet size h of an interface facet is its length
+    mesh = two_triangle_mesh((FLUID, SOLID))
+    mesh.vertices *= [3.0, 4.0]
+    assert extract_interface(validate_mesh(mesh)).h == pytest.approx([5.0])
 
 
 def test_extract_interface_orientation():
     mesh = validate_mesh(two_triangle_mesh((FLUID, SOLID)))
-    faces = extract_interface(mesh)
-    assert len(faces) == 1
-    f = faces[0]
-    assert f.fluid_cell == 0 and f.solid_cell == 1
+    iface = extract_interface(mesh)
+    assert len(iface) == 1
+    assert iface.fluid_cells.tolist() == [0] and iface.solid_cells.tolist() == [1]
     # normal points from the fluid cell (below the diagonal) to the solid cell
-    assert np.dot(f.normal, [-1.0, 1.0]) > 0.0
-    assert np.linalg.norm(f.normal) == pytest.approx(1.0)
-    assert f.h == pytest.approx(np.sqrt(2.0))
+    assert np.dot(iface.normals[0], [-1.0, 1.0]) > 0.0
+    assert np.linalg.norm(iface.normals[0]) == pytest.approx(1.0)
+    assert iface.h[0] == pytest.approx(np.sqrt(2.0))
+
+
+def facet_walk(mesh):
+    """Oracle: sorted vertex pair -> ascending cells, by a per-cell walk."""
+    table = {}
+    for c, cell in enumerate(mesh.cells):
+        for a, b in LOCAL_EDGES:
+            table.setdefault(tuple(sorted((int(cell[a]), int(cell[b])))), []).append(c)
+    return table
+
+
+@pytest.mark.parametrize("make", [lambda: channel_mesh(4),
+                                  lambda: validate_mesh(two_triangle_mesh((FLUID, SOLID)))],
+                         ids=["channel4", "two_triangles"])
+def test_edge_table_matches_facet_walk(make):
+    mesh = make()
+    table = facet_walk(mesh)
+    pairs = sorted(table)
+    assert [tuple(e) for e in mesh.edges.tolist()] == pairs
+    # each edge has one or two cells, -1 filling the second slot on the boundary
+    for e, pair in enumerate(pairs):
+        cells = table[pair]
+        assert len(cells) in (1, 2)
+        assert mesh.edge_cells[e].tolist() == (cells + [-1])[:2]
+    for c, cell in enumerate(mesh.cells):
+        assert [pairs[e] for e in mesh.cell_edges[c]] == \
+            [tuple(sorted((int(cell[a]), int(cell[b])))) for a, b in LOCAL_EDGES]
+    # the boundary edges are exactly the marked outer facets
+    outer = {tuple(sorted(f)) for f, m in zip(mesh.facets.tolist(), mesh.facet_markers)
+             if m != GAMMA_FS}
+    assert {p for p in pairs if len(table[p]) == 1} == outer
+    assert [pairs[e] for e in mesh.facet_edges] == [tuple(sorted(f)) for f in mesh.facets.tolist()]
+
+    # the interface arrays against the walk
+    iface = extract_interface(mesh)
+    idx = mesh.facets_with_marker(GAMMA_FS)
+    assert len(iface) == len(idx) > 0
+    for k, i in enumerate(idx):
+        a, b = mesh.facets[i]
+        assert iface.vertices[k].tolist() == [a, b]
+        cells = table[tuple(sorted((int(a), int(b))))]
+        fluid = [c for c in cells if mesh.cell_tags[c] == FLUID]
+        solid = [c for c in cells if mesh.cell_tags[c] == SOLID]
+        assert [iface.fluid_cells[k]] == fluid and [iface.solid_cells[k]] == solid
+        t = mesh.vertices[b] - mesh.vertices[a]
+        h = np.hypot(t[0], t[1])
+        normal = np.array([t[1], -t[0]]) / h
+        towards_solid = (mesh.vertices[mesh.cells[solid[0]]].mean(axis=0)
+                         - mesh.vertices[mesh.cells[fluid[0]]].mean(axis=0))
+        if normal @ towards_solid < 0.0:
+            normal = -normal
+        assert np.allclose(iface.normals[k], normal, rtol=0.0, atol=1e-15)
+        assert iface.h[k] == pytest.approx(h, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # native format
 # ---------------------------------------------------------------------------
+
+# one tetrahedron: 3D input is rejected by both readers
+TET_NATIVE = ("VERTICES 4 3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+              "CELLS 1\n0 1 2 3 FLUID\n"
+              "FACETS 4\n0 1 2 GAMMA_F0\n0 1 3 GAMMA_F0\n0 2 3 GAMMA_F0\n1 2 3 GAMMA_F0\n")
+
 
 def test_native_round_trip(tmp_path):
     mesh = validate_mesh(two_triangle_mesh((FLUID, SOLID)))
@@ -170,6 +228,8 @@ def test_native_parse_errors():
         parse_native("CELLS 0\n")
     with pytest.raises(MeshError, match="dimension"):
         parse_native("VERTICES 1 4\n0 0 0 0\nCELLS 0\nFACETS 0\n")
+    with pytest.raises(MeshError, match="dimension must be 2"):
+        parse_native(TET_NATIVE)
     good = ("VERTICES 4 2\n0 0\n1 0\n1 1\n0 1\n"
             "CELLS 2\n0 1 2 FLUID\n0 2 3 FLUID\n"
             "FACETS 4\n0 1 GAMMA_F0\n1 2 GAMMA_F0\n2 3 GAMMA_F0\n3 0 GAMMA_F0\n")
@@ -227,6 +287,13 @@ def test_msh_parse():
     assert len(mesh.facets_with_marker(GAMMA_FS)) == 1
 
 
+def test_msh_rejects_tetrahedra():
+    tet = MSH_TEXT.replace("$Elements\n7\n", "$Elements\n8\n").replace(
+        "$EndElements", "8 4 2 101 1 1 2 3 4\n$EndElements")
+    with pytest.raises(MeshError, match="element type 4"):
+        parse_msh(tet, MSH_MAP)
+
+
 def test_msh_requires_map_and_version(tmp_path):
     path = tmp_path / "box.msh"
     path.write_text(MSH_TEXT)
@@ -278,9 +345,9 @@ def test_channel_mesh_invariants(n):
     assert mesh.vertices[:, 0].min() == 0.0 and mesh.vertices[:, 0].max() == 50.0
     assert mesh.vertices[:, 1].min() == -6.0 and mesh.vertices[:, 1].max() == 6.0
     # interface normals point away from the fluid
-    for f in extract_interface(mesh):
-        y = mesh.vertices[f.vertices][:, 1].mean()
-        assert np.sign(f.normal[1]) == np.sign(y)
+    iface = extract_interface(mesh)
+    y = mesh.vertices[iface.vertices][:, :, 1].mean(axis=1)
+    assert np.array_equal(np.sign(iface.normals[:, 1]), np.sign(y))
 
 
 def test_channel_mesh_resolution_limits():

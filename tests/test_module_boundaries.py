@@ -1,7 +1,8 @@
-"""Module boundaries: no fpsi module imports another module's _private helpers.
+"""Module boundaries: no fpsi module imports another module's _private
+helpers, and no module imports a name it never reads.
 
 A helper that two modules need is public in one of them (or moves to
-`fem.py`); the check parses every source file with `ast`, so it needs no
+`fem.py`); the checks parse every source file with `ast`, so they need no
 import of the package.
 """
 
@@ -46,4 +47,64 @@ def test_no_module_imports_private_helpers():
     assert len(modules) >= 10
     found = [line for path in modules
              for line in private_imports(path.read_text(), path.name)]
+    assert found == []
+
+
+def unused_imports(source: str, filename: str = "<src>"):
+    """Imported names a module never reads.
+
+    A name counts as read when it appears as a name, as the root of an
+    attribute, in a string annotation or in `__all__`; `__future__` imports
+    are directives, not names.
+    """
+    tree = ast.parse(source, filename)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = (node.lineno, alias.name)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.lineno, alias.name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        text = None
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            text = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            text = node.returns
+        if isinstance(text, ast.Constant) and isinstance(text.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(text.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return ["%s:%d: import %s" % (filename, line, name)
+            for local, (line, name) in sorted(imported.items(), key=lambda kv: kv[1])
+            if local not in used]
+
+
+def test_scanner_flags_unused_imports():
+    src = ("from __future__ import annotations\n"
+           "import os\n"
+           "import numpy as np\n"
+           "import scipy.sparse\n"
+           "from typing import Dict, Optional, Tuple\n"
+           "from .mesh import Mesh\n"
+           "from .errors import MeshError\n"
+           "__all__ = ['MeshError']\n"
+           "def f(x: Dict[str, int]) -> 'Tuple[int, int]':\n"
+           "    return np.zeros(3), scipy.sparse.eye(2)\n")
+    assert [line.split(": ", 1)[1] for line in unused_imports(src)] == [
+        "import os",
+        "import Optional",
+        "import Mesh",
+    ]
+
+
+def test_no_module_imports_unused_names():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    found = [line for path in modules
+             for line in unused_imports(path.read_text(), path.name)]
     assert found == []

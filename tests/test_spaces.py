@@ -8,7 +8,7 @@ from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_S0, SOLID
 from fpsi.elements import LOCAL_EDGES
 from fpsi.scenarios import channel_mesh, unit_square_mesh
 from fpsi.spaces import (batch_eval, build_space, error_L2, eval_at_point, interpolate,
-                         locate_cell, norm_L2, transfer_nodes)
+                         locate_cell, transfer_nodes)
 from tests.test_mesh import two_triangle_mesh
 
 
@@ -76,11 +76,12 @@ def test_node_numbering(mesh_name, tag, degree):
     assert np.array_equal(space.node_coords[:nv], mesh.vertices[verts])
 
     # then edge nodes, in lexicographic order of their sorted vertex pairs
-    edges = LOCAL_EDGES[mesh.dim] if degree == 2 else ()
+    edges = LOCAL_EDGES if degree == 2 else ()
     keys = sorted({tuple(sorted((int(mesh.cells[c][a]), int(mesh.cells[c][b]))))
                    for c in cells for a, b in edges})
-    assert space.edge_keys.shape == (len(keys), 2)
-    assert list(map(tuple, space.edge_keys.tolist())) == keys
+    pairs = mesh.edges[space.edge_ids]
+    assert pairs.shape == (len(keys), 2)
+    assert list(map(tuple, pairs.tolist())) == keys
     assert space.num_scalar_nodes == nv + len(keys)
     for i, (a, b) in enumerate(keys):
         assert np.array_equal(space.node_coords[nv + i],
@@ -99,7 +100,8 @@ def entity_nodes(space):
     """Oracle lookup tables: vertex id -> node, sorted vertex pair -> node."""
     nv = len(space.vertex_ids)
     vnode = {int(v): i for i, v in enumerate(space.vertex_ids)}
-    enode = {(int(a), int(b)): nv + i for i, (a, b) in enumerate(space.edge_keys)}
+    enode = {(int(a), int(b)): nv + i
+             for i, (a, b) in enumerate(space.mesh.edges[space.edge_ids])}
     return vnode, enode
 
 
@@ -249,7 +251,7 @@ def test_p1_interpolation_error_scales():
 def test_norm_of_constant():
     sp = build_space(unit_square_mesh(2), 1)
     one = np.ones(sp.num_dofs)
-    assert norm_L2(sp, one) == pytest.approx(1.0, rel=1e-12)
+    assert error_L2(sp, one, lambda X: np.zeros(len(X))) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_locate_and_eval():
