@@ -28,10 +28,12 @@ Dirichlet conditions are applied by identity-row replacement with column
 symmetrization (known values move to the right-hand side).
 
 Assembly is fixed-pattern (see fem.py): the first assembly of a problem
-builds the CSR pattern of the system and its Dirichlet elimination; every
-later step computes element values only.  Terms that the data can switch
-off (backflow at outflow, the kinetic correction at rest) always add their
-blocks, with zero values when inactive, so one pattern serves every step.
+builds the CSR pattern of the system and, on it, the elimination of the
+system's Dirichlet dofs, which are found then and only then; every later
+step computes element values and boundary values only.  Terms that the
+data can switch off (backflow at outflow, the kinetic correction at rest)
+always add their blocks, with zero values when inactive, so one pattern
+serves every step.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .fem import (SparsePattern, Triplets, add_kron_eye, apply_dirichlet, compon
                   scatter_add, weighted_gram, weighted_moment)
 from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
 from .mesh import FLUID, GAMMA_OUT, SOLID, Mesh, extract_interface
-from .solver import LaggedLU
 from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
@@ -150,20 +151,6 @@ class DirichletBC:
 
 
 @dataclass
-class DirichletDofs:
-    """The part of one matrix's Dirichlet data that does not change in time.
-
-    Each step lists its boundary values in one fixed order; the kept dof
-    dofs[i] takes the value at position take[i] of that list, the last one
-    set for it.
-    """
-
-    dofs: np.ndarray                      # sorted unique global dofs
-    take: np.ndarray                      # (len(dofs),) positions in the value list
-    nodes: Tuple[np.ndarray, ...] = ()    # constrained scalar nodes per DirichletBC
-
-
-@dataclass
 class StepInputs:
     """Everything the assembler needs about time level k.
 
@@ -209,7 +196,6 @@ class Geometry:
 class Problem:
     mesh: Mesh
     params: MaterialParams
-    quad_degree: int
     spaces: Dict[str, FunctionSpace]
     fluid: Optional[QuadBatch]
     solid: Optional[QuadBatch]
@@ -227,15 +213,9 @@ class Problem:
     map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    # fixed assembly patterns by matrix name ("system", "extension"), built
-    # at the first assembly and freed with the problem
+    # one record per matrix ("system", "extension"), built at its first
+    # assembly: pattern, Dirichlet elimination, LU order and held LU
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
-    # last LU of each stepped matrix ("system", "extension"), reused by the
-    # next step's solve; filled lazily and freed with the problem
-    factors: Dict[str, LaggedLU] = field(default_factory=dict, repr=False)
-    # Dirichlet dofs of each matrix ("system", "extension"), found at its
-    # first assembly: the conditions' markers do not change in time
-    dirichlet_dofs: Dict[str, DirichletDofs] = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -390,7 +370,7 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     else:
         pin = pin_pf
 
-    prob = Problem(mesh=mesh, params=params, quad_degree=quad_degree, spaces=spaces,
+    prob = Problem(mesh=mesh, params=params, spaces=spaces,
                    fluid=fluid, solid=solid, iface=iface, load_data=load_data,
                    loads=loads, dirichlet=dirichlet, forcing=forcing,
                    include_inertia=include_inertia, frozen_geometry=frozen_geometry,
@@ -474,8 +454,8 @@ def assemble_system(problem: Problem, inp: StepInputs,
     _backflow_terms(problem, inp, geo, T)
 
     A = T.tocsr()
-    dofs, vals = _dirichlet_data(problem, inp.t)
-    A, b = apply_dirichlet(A, b, dofs, vals, T.pattern)
+    fixed = T.pattern.dirichlet(lambda: _dirichlet_dofs(problem))
+    A, b = apply_dirichlet(A, b, _dirichlet_values(problem, fixed.nodes, inp.t), T.pattern)
     if dump_matrix:
         mmwrite(dump_matrix, A.tocoo())
     return BlockSystem(A, b, lay), geo
@@ -702,11 +682,10 @@ def _forcing_at(fn, X, t, ncomp):
 # Dirichlet conditions
 # ---------------------------------------------------------------------------
 
-def _dirichlet_dofs(problem: Problem) -> DirichletDofs:
-    """The system's Dirichlet dofs, found once per problem."""
-    fixed = problem.dirichlet_dofs.get("system")
-    if fixed is not None:
-        return fixed
+def _dirichlet_dofs(problem: Problem):
+    """The system's Dirichlet dofs (sorted), the position of each one's value
+    in the list of `_dirichlet_values` (later conditions win) and the nodes
+    of each condition; found at the system's first assembly."""
     lay = problem.layout
     nodes: List[np.ndarray] = []
     dofs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -718,21 +697,19 @@ def _dirichlet_dofs(problem: Problem) -> DirichletDofs:
         dofs.append(space.dofs_of_nodes(nodes[-1]) + lay.offsets[bc.field])
     if problem.pin_pf is not None:
         dofs.append(np.array([lay.offsets["p_f"] + int(problem.pin_pf[0])], dtype=np.int64))
-    fixed = DirichletDofs(*last_set(np.concatenate(dofs)), nodes=tuple(nodes))
-    problem.dirichlet_dofs["system"] = fixed
-    return fixed
+    return (*last_set(np.concatenate(dofs)), tuple(nodes))
 
 
-def _dirichlet_data(problem: Problem, t: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Global Dirichlet dofs (sorted) and values at time t (later entries win)."""
-    fixed = _dirichlet_dofs(problem)
+def _dirichlet_values(problem: Problem, nodes: Tuple[np.ndarray, ...], t: float) -> np.ndarray:
+    """The Dirichlet value list at time t: each condition's values at its
+    nodes, in condition order, then the pinned pressure."""
     vals: List[np.ndarray] = [np.empty(0)]
-    for bc, nodes in zip(problem.dirichlet, fixed.nodes):
-        if len(nodes) == 0:
+    for bc, at in zip(problem.dirichlet, nodes):
+        if len(at) == 0:
             continue
         space = problem.spaces[bc.field]
-        v = batch_eval(lambda X: bc.value(X, t), space.node_coords[nodes], space.ncomp)
+        v = batch_eval(lambda X: bc.value(X, t), space.node_coords[at], space.ncomp)
         vals.append(v.ravel())
     if problem.pin_pf is not None:
         vals.append(np.array([float(problem.pin_pf[1](t))]))
-    return fixed.dofs, np.concatenate(vals)[fixed.take]
+    return np.concatenate(vals)

@@ -108,17 +108,3 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
         rep.penalty_defect = _integral(wJs, np.abs(jump))
 
     return rep
-
-
-def dissipation_check(totals, tol_step: float):
-    """Largest step-to-step increase of the stored energy vs a tolerance.
-
-    Use on the part of the series after external forcing has stopped; returns
-    (ok, worst_increase).
-    """
-    totals = np.asarray(totals, dtype=float)
-    if totals.size < 2:
-        return True, 0.0
-    inc = np.diff(totals)
-    worst = float(inc.max())
-    return bool(worst <= tol_step), worst

@@ -8,9 +8,13 @@ Fixed-pattern sparse assembly: a matrix is the sum of a fixed sequence of
 dense element blocks (rows, cols, values).  The first assembly builds the
 CSR pattern of that sum and an int32 index scattering every block entry to
 its slot in `data`; each later assembly computes the block values only and
-fills `data` with one `np.bincount`.  Dirichlet rows and columns are removed
-by a gather precomputed on the same pattern, and the fill-reducing
-elimination order of the LU is built once per pattern too.
+fills `data` with one `np.bincount`.
+
+The pattern is the one record of everything about its matrix that stays
+fixed from step to step: the Dirichlet elimination (a gather built on the
+pattern at the first assembly, from the matrix's fixed dofs), the
+fill-reducing elimination order of the LU (built at the first solve) and
+the last LU, which the next solve reuses or replaces.
 """
 
 from __future__ import annotations
@@ -122,6 +126,11 @@ class SparsePattern:
     `key` names the set of terms the pattern was built for; `sizes` holds the
     entry count of each block, so a different block sequence is caught
     before it is scattered into the wrong slots.
+
+    It also holds what stays fixed for its matrix across steps:
+    `elimination` (`dirichlet`), `order` (`elimination_order`) and `lu`, the
+    last LU of the matrix, which `solver.solve(..., lagged=pattern)` tries
+    first and replaces when it factors afresh.
     """
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
@@ -132,8 +141,9 @@ class SparsePattern:
         self.scatter = scatter
         self.sizes = sizes
         self.key = key
-        self._elimination: Optional[DirichletElimination] = None
-        self._order: Optional[np.ndarray] = None
+        self.elimination: Optional[DirichletElimination] = None
+        self.order: Optional[np.ndarray] = None
+        self.lu = None
 
     @property
     def nnz(self) -> int:
@@ -182,22 +192,23 @@ class SparsePattern:
         data = np.bincount(self.scatter, weights=vals, minlength=self.nnz)
         return sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def dirichlet(self, dofs: np.ndarray) -> "DirichletElimination":
-        """Elimination of the given dofs on this pattern, rebuilt when they change."""
-        elim = self._elimination
-        if elim is None or not np.array_equal(elim.dofs, dofs):
-            elim = self._elimination = DirichletElimination(self, dofs)
-        return elim
+    def dirichlet(self, fixed: Callable[[], tuple]) -> "DirichletElimination":
+        """The Dirichlet elimination of this matrix, built at the first call
+        from `fixed()`, the arguments of `DirichletElimination` after the
+        pattern: the matrix's Dirichlet dofs do not change in time."""
+        if self.elimination is None:
+            self.elimination = DirichletElimination(self, *fixed())
+        return self.elimination
 
     def elimination_order(self, entity_keys: Callable[[], np.ndarray]) -> np.ndarray:
         """Fill-reducing order of this pattern's dofs (see `entity_order`),
         built at the first call from `entity_keys()`, the mesh-entity key of
         each dof.  It orders the structure left by the Dirichlet elimination
         when there is one, which is the structure that is factored."""
-        if self._order is None:
-            rows = self if self._elimination is None else self._elimination
-            self._order = entity_order(rows.indptr, rows.indices, entity_keys())
-        return self._order
+        if self.order is None:
+            rows = self if self.elimination is None else self.elimination
+            self.order = entity_order(rows.indptr, rows.indices, entity_keys())
+        return self.order
 
 
 def entity_order(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -234,11 +245,19 @@ class DirichletElimination:
     The output keeps every entry outside the fixed rows and columns, puts a
     unit diagonal in each fixed row (also where the pattern has no diagonal)
     and drops entries whose value is exactly zero.
+
+    Each step lists its boundary values in one fixed order; the fixed dof
+    dofs[i] (sorted, unique) takes the value at position take[i] of that
+    list.  `nodes` is kept for the caller that builds the list: the
+    constrained nodes of each of its conditions.
     """
 
-    def __init__(self, pattern: SparsePattern, dofs: np.ndarray):
+    def __init__(self, pattern: SparsePattern, dofs: np.ndarray, take: np.ndarray,
+                 nodes: tuple = ()):
         n = pattern.n
         self.dofs = np.asarray(dofs, dtype=np.int64)
+        self.take = take
+        self.nodes = nodes
         fixed = np.zeros(n, dtype=bool)
         fixed[self.dofs] = True
         counts = np.diff(pattern.indptr)
@@ -261,6 +280,7 @@ class DirichletElimination:
 
     def apply(self, A: sparse.csr_matrix, b: np.ndarray, values: np.ndarray):
         n = A.shape[0]
+        values = values[self.take]
         x0 = np.zeros(n)
         x0[self.dofs] = values
         b = b - A @ x0
@@ -275,12 +295,13 @@ class DirichletElimination:
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n)), b
 
 
-def apply_dirichlet(A: sparse.csr_matrix, b: np.ndarray, dofs: np.ndarray,
-                    values: np.ndarray, pattern: SparsePattern):
-    """Fix x[dofs] = values in A x = b, with A assembled on `pattern`."""
-    if len(dofs) == 0:
+def apply_dirichlet(A: sparse.csr_matrix, b: np.ndarray, values: np.ndarray,
+                    pattern: SparsePattern):
+    """Fix the Dirichlet dofs of A x = b, A assembled on `pattern`, to their
+    entries of the step's value list (see `DirichletElimination`)."""
+    if len(pattern.elimination.dofs) == 0:
         return A, b
-    return pattern.dirichlet(dofs).apply(A, b, values)
+    return pattern.elimination.apply(A, b, values)
 
 
 def last_set(dofs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -296,7 +317,7 @@ class Triplets:
 
     The pattern is looked up in `cache[name]`; it is reused when it was built
     for the same `key`, and otherwise rebuilt from this assembly's blocks and
-    stored there.  With a pattern in hand only the values are kept.
+    stored there, as a new record with no elimination, order or LU yet.  With a pattern in hand only the values are kept.
     """
 
     def __init__(self, n: int, cache: dict, name: str, key: Hashable = None):

@@ -56,6 +56,9 @@ MARKER_TO_NAME = {v: k for k, v in MARKER_NAMES.items()}
 # All marker names accepted when mapping gmsh physical groups.
 _ALL_NAMES = dict(CELL_TAG_NAMES, **MARKER_NAMES)
 
+# (facet, boundary vertex) pairs tested at once by the hanging-node check
+_HANGING_BLOCK = 1 << 16
+
 
 class EdgeTable(NamedTuple):
     """Edges of a triangle mesh, derived from its cells in one pass.
@@ -299,25 +302,34 @@ def _check_hanging_nodes(mesh: Mesh, marked: np.ndarray) -> None:
     """Reject vertices sitting strictly inside a marked facet.
 
     A hanging node on the boundary is always a vertex of some marked facet,
-    so only those vertices need testing; the check is O(nb^2) on boundary
-    entities only.
+    so only those vertices need testing.  A vertex hangs on the facet a->b
+    when its projection lies strictly between a and b and its distance to
+    the line is below 1e-10 |b - a|; with t = b - a and r = p - a that is
+    1e-10 |t|^2 < r.t < (1 - 1e-10) |t|^2 and (r x t)^2 < 1e-20 |t|^4.  Each block
+    of facets is tested against all of them at once, about _HANGING_BLOCK
+    pairs per block, and the first hanging vertex in facet order, then
+    vertex order, is reported.
     """
     bverts = np.unique(marked)
-    pts = mesh.vertices[bverts]
-    for fac in marked:
-        a = mesh.vertices[fac[0]]
-        b = mesh.vertices[fac[1]]
-        t = b - a
-        L2 = float(np.dot(t, t))
-        rel = pts - a
-        s = (rel @ t) / L2
-        dist2 = np.einsum("id,id->i", rel, rel) - s * s * L2
-        inside = (s > 1e-10) & (s < 1.0 - 1e-10) & (dist2 < 1e-20 * L2)
-        for k in np.flatnonzero(inside):
-            if bverts[k] not in fac:
-                raise MeshError(
-                    "non-conforming mesh: vertex %d hangs on facet %s" % (bverts[k], _key(fac))
-                )
+    px, py = mesh.vertices[bverts].T
+    step = max(1, _HANGING_BLOCK // len(bverts))
+    for lo in range(0, len(marked), step):
+        fac = marked[lo:lo + step]
+        a = mesh.vertices[fac[:, 0]]
+        tx, ty = (mesh.vertices[fac[:, 1]] - a).T
+        L2 = tx * tx + ty * ty
+        rx = px - a[:, :1]                                  # (facets, vertices)
+        ry = py - a[:, 1:]
+        along = rx * tx[:, None] + ry * ty[:, None]
+        # the distance test only where the projection falls inside the facet
+        f, k = np.nonzero((along > 1e-10 * L2[:, None]) & (along < (1.0 - 1e-10) * L2[:, None]))
+        across = rx[f, k] * ty[f] - ry[f, k] * tx[f]
+        hangs = np.flatnonzero((across * across < 1e-20 * L2[f] * L2[f])
+                               & (bverts[k] != fac[f, 0]) & (bverts[k] != fac[f, 1]))
+        if len(hangs):
+            i = hangs[0]
+            raise MeshError("non-conforming mesh: vertex %d hangs on facet %s"
+                            % (bverts[k[i]], _key(fac[f[i]])))
 
 
 # ---------------------------------------------------------------------------

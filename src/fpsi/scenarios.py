@@ -44,6 +44,27 @@ def benchmark_params(K=5e-13, gamma: float = 1.0) -> MaterialParams:
 # Mesh generators
 # ---------------------------------------------------------------------------
 
+def _structured_grid(xs: np.ndarray, ys: np.ndarray, rows, cols):
+    """Triangulated tensor grid xs x ys and its facets on whole grid lines.
+
+    Vertex (i, j) sits at (xs[i], ys[j]) and has id j * len(xs) + i.  Each
+    grid cell, in row-major order, splits along its diagonal into
+    (v00, v10, v11) and (v00, v11, v01).  The facets on the horizontal lines
+    j in `rows` are listed column by column, the lines in the given order
+    within a column; then the facets on the vertical lines i in `cols`,
+    row by row the same way.  Returns (vertices, cells, facets).
+    """
+    nx, ny = len(xs) - 1, len(ys) - 1
+    ids = np.arange((ny + 1) * (nx + 1), dtype=np.int64).reshape(ny + 1, nx + 1)
+    X, Y = np.meshgrid(xs, ys)
+    v00, v10, v01, v11 = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+    cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    row_facets = np.stack([ids[rows, :-1], ids[rows, 1:]], axis=-1).transpose(1, 0, 2)
+    col_facets = np.stack([ids[:-1, cols], ids[1:, cols]], axis=-1)
+    facets = np.concatenate([row_facets.reshape(-1, 2), col_facets.reshape(-1, 2)])
+    return np.column_stack([X.ravel(), Y.ravel()]), cells, facets
+
+
 def unit_square_mesh(n: int, subdomain: str = "fluid") -> Mesh:
     """Structured unit square, single subdomain, whole boundary marked."""
     if n < 1:
@@ -55,28 +76,10 @@ def unit_square_mesh(n: int, subdomain: str = "fluid") -> Mesh:
     else:
         raise MeshError("subdomain must be 'fluid' or 'solid'")
     xs = np.linspace(0.0, 1.0, n + 1)
-    V = np.array([(x, y) for y in xs for x in xs])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    cells, facets = [], []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    for i in range(n):
-        facets.append((vid(i, 0), vid(i + 1, 0)))
-        facets.append((vid(i, n), vid(i + 1, n)))
-    for j in range(n):
-        facets.append((vid(0, j), vid(0, j + 1)))
-        facets.append((vid(n, j), vid(n, j + 1)))
-    mesh = Mesh(vertices=V,
-                cells=np.array(cells, dtype=np.int64),
+    V, cells, facets = _structured_grid(xs, xs, [0, n], [0, n])
+    mesh = Mesh(vertices=V, cells=cells,
                 cell_tags=np.full(len(cells), tag, dtype=np.int64),
-                facets=np.array(facets, dtype=np.int64),
+                facets=facets,
                 facet_markers=np.full(len(facets), marker, dtype=np.int64))
     validate_mesh(mesh)
     return mesh
@@ -99,48 +102,19 @@ def channel_mesh(n: int) -> Mesh:
         np.linspace(5.0, 6.0, m + 1),
     ])
     ny = len(ys) - 1       # = 2m + n rows
-
-    V = np.empty(((ny + 1) * (nx + 1), 2))
-    for j, y in enumerate(ys):
-        V[j * (nx + 1):(j + 1) * (nx + 1), 0] = xs
-        V[j * (nx + 1):(j + 1) * (nx + 1), 1] = y
-
-    def vid(i, j):
-        return j * (nx + 1) + i
-
-    def row_tag(j):
-        return SOLID if (j < m or j >= m + n) else FLUID
-
-    cells, tags = [], []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-            tags.extend((row_tag(j), row_tag(j)))
-
-    facets, markers = [], []
-    for i in range(nx):                      # outer strip edges
-        facets.append((vid(i, 0), vid(i + 1, 0)))
-        markers.append(GAMMA_S0)
-        facets.append((vid(i, ny), vid(i + 1, ny)))
-        markers.append(GAMMA_S0)
-        for j in (m, m + n):                 # interface lines y = -5, +5
-            facets.append((vid(i, j), vid(i + 1, j)))
-            markers.append(GAMMA_FS)
-    for j in range(ny):                      # vertical boundary segments
-        solid = row_tag(j) == SOLID
-        facets.append((vid(0, j), vid(0, j + 1)))
-        markers.append(GAMMA_S0 if solid else GAMMA_F0)
-        facets.append((vid(nx, j), vid(nx, j + 1)))
-        markers.append(GAMMA_S0 if solid else GAMMA_OUT)
-
-    mesh = Mesh(vertices=V,
-                cells=np.array(cells, dtype=np.int64),
-                cell_tags=np.array(tags, dtype=np.int64),
-                facets=np.array(facets, dtype=np.int64),
-                facet_markers=np.array(markers, dtype=np.int64))
+    # per column: outer strip edges y = -6, +6, then the interface lines y = -5, +5;
+    # per row: the left and right ends
+    V, cells, facets = _structured_grid(xs, ys, [0, ny, m, m + n], [0, nx])
+    rows = np.arange(ny)
+    solid = (rows < m) | (rows >= m + n)
+    ends = np.column_stack([np.where(solid, GAMMA_S0, GAMMA_F0),
+                            np.where(solid, GAMMA_S0, GAMMA_OUT)])
+    mesh = Mesh(vertices=V, cells=cells,
+                cell_tags=np.repeat(np.where(solid, SOLID, FLUID), 2 * nx).astype(np.int64),
+                facets=facets,
+                facet_markers=np.concatenate([
+                    np.tile([GAMMA_S0, GAMMA_S0, GAMMA_FS, GAMMA_FS], nx),
+                    ends.ravel()]).astype(np.int64))
     validate_mesh(mesh)
     return mesh
 

@@ -20,10 +20,12 @@ A fresh LU solve runs one pass of iterative refinement when the first
 residual is above the tolerance, then gives up.
 
 A caller that solves a sequence of nearby matrices (one per time step) can
-hand in a `LaggedLU` holding the last LU of that family.  The solve then
-starts from x = lu.solve(b) and repeats x += lu.solve(b - A x) until the
-true residual is at the tolerance.  It stops reusing when a pass fails to
-halve the residual, when the residual is not finite, or after
+hand in a holder of the last LU of that family: any object with an `lu`
+attribute, which is None until the first factorization.  The time stepper
+hands in the matrix's assembly pattern (`fem.SparsePattern`).  The solve
+then starts from x = lu.solve(b) and repeats x += lu.solve(b - A x) until
+the true residual is at the tolerance.  It stops reusing when a pass fails
+to halve the residual, when the residual is not finite, or after
 MAX_REUSE_PASSES passes; it then drops the held LU, factors A fresh and
 keeps the new LU in the holder.  At most one LU per holder is ever alive.
 The held LU keeps its order: a reused LU solves in the order it was made in.
@@ -85,13 +87,6 @@ class OrderedLU:
         return x
 
 
-@dataclass
-class LaggedLU:
-    """The last LU of one matrix family, kept for the next solve."""
-
-    lu: Optional[object] = None
-
-
 def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, max_passes: int):
     """x = lu.solve(b), then x += lu.solve(b - A x) until the residual is at
     rtol, a pass fails to halve it, it is not finite, or max_passes ran.
@@ -111,13 +106,13 @@ def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, max_passes: int):
 
 
 def solve(A: sparse.spmatrix, b: np.ndarray, rtol: float = RESIDUAL_TOL,
-          lagged: Optional[LaggedLU] = None, order: Optional[np.ndarray] = None):
+          lagged=None, order: Optional[np.ndarray] = None):
     """Solve Ax = b by sparse LU; returns (x, SolveReport).
 
     A fresh LU is of A in the elimination order `order` (a permutation of
-    the dofs; None is the identity).  With `lagged`, a held LU of the same
-    shape is tried first by iterative refinement, and the LU of a fresh
-    factorization is left in the holder.
+    the dofs; None is the identity).  With `lagged`, a holder with an `lu`
+    attribute, a held LU of the same shape is tried first by iterative
+    refinement, and the LU of a fresh factorization is left in the holder.
     """
     if A.shape[0] != A.shape[1]:
         raise SolverError("matrix is not square: %s" % (A.shape,))

@@ -12,26 +12,28 @@ Each step k:
 
 BDF2 takes its first step with BDF1 (no older history exists).
 
-The solves of items 2 and 3 reuse the previous step's LU of their matrix
-(`Problem.factors`) and factor afresh only when refinement with it stops
-contracting; see `solver.solve`.  Each matrix is factored in the elimination
-order kept on its assembly pattern (`fem.entity_order`).  The system LU is dropped when the scheme
-changes (BDF2's first BDF2 step), whose matrix differs in its mass terms.
+Each matrix of items 2 and 3 has one record, its assembly pattern
+(`Problem.patterns`, a `fem.SparsePattern`): the Dirichlet elimination built
+at its first assembly, the LU elimination order built at its first solve
+(`fem.entity_order`) and the previous step's LU.  A solve reuses that LU
+and factors afresh only when refinement with it stops contracting; see
+`solver.solve`.  The system LU is dropped when the scheme changes (BDF2's
+first BDF2 step), whose matrix differs in its mass terms.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .assembly import DirichletDofs, Problem, StepInputs, assemble_system, batch_deformation
+from .assembly import Problem, StepInputs, assemble_system, batch_deformation
 from .errors import FpsiError
 from .fem import Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram, last_set
 from .mesh import GAMMA_F0, GAMMA_OUT
-from .solver import LaggedLU, SolveReport, solve
+from .solver import SolveReport, solve
 
 
 @dataclass(frozen=True)
@@ -170,24 +172,12 @@ def extension_stiffness(problem: Problem, geo):
     return T.tocsr()
 
 
-def _lagged(problem: Problem, name: str) -> LaggedLU:
-    return problem.factors.setdefault(name, LaggedLU())
+def _extension_dofs(problem: Problem):
+    """Dirichlet dofs of the extension and their positions in the step's
+    value list, found at its first assembly.
 
-
-def _order(problem: Problem, name: str, fields: Sequence[str]) -> np.ndarray:
-    """Elimination order of the matrix `name` over the dofs of `fields`,
-    built at its first solve and kept on its assembly pattern."""
-    return problem.patterns[name].elimination_order(lambda: problem.entity_keys(fields))
-
-
-def _extension_dofs(problem: Problem) -> DirichletDofs:
-    """Dirichlet dofs of the extension, found once per problem.
-
-    The step's value list is v_s followed by one zero, so `take` gathers the
+    The value list is v_s followed by one zero, so `take` gathers the
     interface trace from v_s and the zero for the outer boundary."""
-    fixed = problem.dirichlet_dofs.get("extension")
-    if fixed is not None:
-        return fixed
     vf_space = problem.spaces["v_f"]
     # Interface trace: solid and fluid spaces share exactly the interface
     # vertices/edges, so the entity map carries the trace without lookups.
@@ -199,8 +189,7 @@ def _extension_dofs(problem: Problem) -> DirichletDofs:
     zero = problem.spaces["v_s"].num_dofs
     take = np.concatenate([problem.spaces["v_s"].dofs_of_nodes(src),
                            np.full(len(outer), zero, dtype=np.int64)])[last]
-    fixed = problem.dirichlet_dofs["extension"] = DirichletDofs(dofs, take)
-    return fixed
+    return dofs, take
 
 
 def solve_extension(problem: Problem, geo, v_s: np.ndarray):
@@ -209,11 +198,11 @@ def solve_extension(problem: Problem, geo, v_s: np.ndarray):
     Returns (w_f, SolveReport)."""
     A = extension_stiffness(problem, geo)
     b = np.zeros(problem.spaces["v_f"].num_dofs)
-    fixed = _extension_dofs(problem)
-    vals = np.append(v_s, 0.0)[fixed.take]
-    A, b = apply_dirichlet(A, b, fixed.dofs, vals, problem.patterns["extension"])
-    return solve(A, b, rtol=problem.solver_rtol, lagged=_lagged(problem, "extension"),
-                 order=_order(problem, "extension", ("v_f",)))
+    pattern = problem.patterns["extension"]
+    pattern.dirichlet(lambda: _extension_dofs(problem))
+    A, b = apply_dirichlet(A, b, np.append(v_s, 0.0), pattern)
+    return solve(A, b, rtol=problem.solver_rtol, lagged=pattern,
+                 order=pattern.elimination_order(lambda: problem.entity_keys(("v_f",))))
 
 
 def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
@@ -246,14 +235,14 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     """One semi-implicit step; returns (new_state, diagnostics)."""
     k = state.k + 1
     sch = scheme_for_step(order, k)
-    if state.k >= 1 and scheme_for_step(order, state.k) != sch:
-        # the mass terms change with the scheme: the held LU is of another matrix
-        problem.factors.pop("system", None)
     inp = _step_inputs(problem, state, sch, dt)
     system, geo = assemble_system(problem, inp, dump_matrix=dump_matrix)
-    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol,
-                   lagged=_lagged(problem, "system"),
-                   order=_order(problem, "system", system.layout.names))
+    pattern = problem.patterns["system"]
+    if state.k >= 1 and scheme_for_step(order, state.k) != sch:
+        # the mass terms change with the scheme: the held LU is of another matrix
+        pattern.lu = None
+    lu_order = pattern.elimination_order(lambda: problem.entity_keys(system.layout.names))
+    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol, lagged=pattern, order=lu_order)
     fields = system.layout.split(x)
 
     nu = problem.spaces["u"].num_dofs
@@ -296,8 +285,9 @@ def solve_steady(problem: Problem, t: float = 0.0):
     The matrix is solved once, so its LU is not kept."""
     inp = StepInputs.steady(problem, t)
     system, _ = assemble_system(problem, inp)
-    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol,
-                   order=_order(problem, "system", system.layout.names))
+    lu_order = problem.patterns["system"].elimination_order(
+        lambda: problem.entity_keys(system.layout.names))
+    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol, order=lu_order)
     return system.layout.split(x), rep
 
 

@@ -29,12 +29,13 @@ DT = 1e-4
 
 
 class ReferenceTriplets:
-    """Every block as COO triplets, summed by COO -> CSR; keeps no pattern."""
-
-    pattern = None
+    """Every block as COO triplets, summed by COO -> CSR.  It builds no
+    pattern; `pattern` is the matrix's record from the assembly under test,
+    read only for its Dirichlet dofs."""
 
     def __init__(self, n, cache, name, key=None):
         self.n = n
+        self.pattern = cache.get(name)
         self.rows, self.cols, self.vals = [], [], []
 
     def add(self, rows, cols, vals):
@@ -52,8 +53,11 @@ class ReferenceTriplets:
         return A
 
 
-def reference_dirichlet(A, b, dofs, values, pattern=None):
-    """Identity rows and columns by D A D + diag(fixed), zeros dropped."""
+def reference_dirichlet(A, b, values, pattern):
+    """Identity rows and columns by D A D + diag(fixed), zeros dropped; the
+    fixed dofs and their positions in the value list are the pattern's."""
+    dofs = pattern.elimination.dofs
+    values = values[pattern.elimination.take]
     n = A.shape[0]
     x0 = np.zeros(n)
     x0[dofs] = values
@@ -123,9 +127,9 @@ class Recorder:
             self.extension.append((rel_dev(A, expect), same_structure(A, expect)))
             return A
 
-        def dirichlet(A, b, dofs, values, pattern):
-            out, rhs = real_dirichlet(A, b, dofs, values, pattern)
-            expect, expect_b = reference_dirichlet(A, b, dofs, values)
+        def dirichlet(A, b, values, pattern):
+            out, rhs = real_dirichlet(A, b, values, pattern)
+            expect, expect_b = reference_dirichlet(A, b, values, pattern)
             self.extension.append((max(rel_dev(out, expect),
                                        np.abs(rhs - expect_b).max() / np.abs(expect_b).max()),
                                    same_structure(out, expect)))
@@ -266,7 +270,7 @@ def test_dirichlet_dofs_are_found_once(monkeypatch):
 
     monkeypatch.setattr(FunctionSpace, "nodes_on_markers", counting)
     prob = channel()
-    assert prob.dirichlet_dofs == {}           # nothing is found with the problem
+    assert prob.patterns == {}                 # nothing is found with the problem
     state = State.initial(prob)
     per_step = []
     for _ in range(4):
@@ -274,8 +278,9 @@ def test_dirichlet_dofs_are_found_once(monkeypatch):
         per_step.append(len(calls))
     assert per_step[0] == len(prob.dirichlet) + 1      # the system's BCs, the extension's
     assert per_step == per_step[:1] * 4
-    assert set(prob.dirichlet_dofs) == {"system", "extension"}
-    assert np.array_equal(prob.dirichlet_dofs["system"].dofs, system_dofs(prob))
+    assert set(prob.patterns) == {"system", "extension"}
+    assert np.array_equal(prob.patterns["system"].elimination.dofs, system_dofs(prob))
+    assert len(prob.patterns["extension"].elimination.dofs) > 0
 
 
 def test_later_dirichlet_conditions_win():
@@ -286,8 +291,9 @@ def test_later_dirichlet_conditions_win():
                       DirichletBC(wall.field, wall.markers, lambda X, t: X + t)]
     space = prob.spaces[wall.field]
     nodes = space.nodes_on_markers(wall.markers)
+    dofs, take, per_condition = assembly._dirichlet_dofs(prob)
     for t in (0.5, 1.5):
-        dofs, vals = assembly._dirichlet_data(prob, t)
+        vals = assembly._dirichlet_values(prob, per_condition, t)[take]
         where = np.searchsorted(dofs, space.dofs_of_nodes(nodes) + prob.layout.offsets["v_s"])
         assert np.array_equal(vals[where], (space.node_coords[nodes] + t).ravel())
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fpsi.assembly import build_geometry
-from fpsi.energy import dissipation_check, evaluate_energy
+from fpsi.energy import evaluate_energy
 from fpsi.kinematics import MaterialParams
 from fpsi.mesh import FLUID, SOLID
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem
@@ -93,16 +93,6 @@ def test_energy_uses_deformed_volume():
     rep = evaluate_energy(prob, fields, geo)
     assert rep.kinetic_fluid == pytest.approx(
         0.5 * PRM.rho_f * 0.5 * (1 + alpha) ** 2, rel=1e-12)
-
-
-def test_dissipation_check():
-    ok, worst = dissipation_check([5.0, 4.0, 3.5, 3.2], tol_step=1e-6)
-    assert ok and worst == pytest.approx(-0.3)
-    ok, worst = dissipation_check([5.0, 4.0, 4.5], tol_step=0.1)
-    assert not ok and worst == pytest.approx(0.5)
-    ok, worst = dissipation_check([5.0, 4.0, 4.05], tol_step=0.1)
-    assert ok and worst == pytest.approx(0.05)
-    assert dissipation_check([1.0], tol_step=0.0) == (True, 0.0)
 
 
 def test_penalty_defect_on_channel():

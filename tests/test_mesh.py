@@ -130,6 +130,23 @@ def test_validation_rejects_hanging_node():
         validate_mesh(Mesh(V, cells, tags, facets, markers))
 
 
+@pytest.mark.parametrize("degrees", range(0, 90, 5))
+def test_validation_rejects_hanging_node_on_a_slanted_facet(degrees):
+    # two triangles touching at a point: vertex 4 of the lower one sits in
+    # the middle of the marked edge (0, 1) of the upper one.  The check must
+    # not lose the collinear vertex to roundoff at any rotation.
+    a = np.radians(degrees)
+    R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
+                  [0.25, -1.0], [0.5, 0.0], [0.75, -1.0]]) @ R.T
+    cells = np.array([[0, 1, 2], [3, 5, 4]], dtype=np.int64)
+    facets = np.array([[0, 1], [1, 2], [2, 0], [3, 5], [5, 4], [4, 3]], dtype=np.int64)
+    mesh = Mesh(V, cells, np.full(2, FLUID, dtype=np.int64), facets,
+                np.full(6, GAMMA_F0, dtype=np.int64))
+    with pytest.raises(MeshError, match=r"vertex 4 hangs on facet \(0, 1\)"):
+        validate_mesh(mesh)
+
+
 def test_facet_local_size():
     # the facet size h of an interface facet is its length
     mesh = two_triangle_mesh((FLUID, SOLID))

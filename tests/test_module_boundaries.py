@@ -1,5 +1,6 @@
 """Module boundaries: no fpsi module imports another module's _private
-helpers, and no module imports a name it never reads.
+helpers, no module imports a name it never reads, and no handler catches
+every exception.
 
 A helper that two modules need is public in one of them (or moves to
 `fem.py`); the checks parse every source file with `ast`, so they need no
@@ -107,4 +108,45 @@ def test_no_module_imports_unused_names():
     assert len(modules) >= 10
     found = [line for path in modules
              for line in unused_imports(path.read_text(), path.name)]
+    assert found == []
+
+
+def broad_handlers(source: str, filename: str = "<src>"):
+    """`except:`, `except Exception` and `except BaseException` handlers,
+    alone or in a tuple: each would turn an unforeseen failure into a
+    silent fallback, where failures must be explicit."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        if node.type is None:
+            found.append("%s:%d: except:" % (filename, node.lineno))
+            continue
+        for caught in node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]:
+            name = getattr(caught, "id", getattr(caught, "attr", None))
+            if name in ("Exception", "BaseException"):
+                found.append("%s:%d: except %s" % (filename, node.lineno, name))
+    return found
+
+
+def test_scanner_flags_broad_handlers():
+    src = ("try:\n    f()\nexcept:\n    pass\n"
+           "try:\n    f()\nexcept Exception as exc:\n    log(exc)\n"
+           "try:\n    f()\nexcept (ValueError, BaseException):\n    pass\n"
+           "try:\n    f()\nexcept builtins.Exception:\n    pass\n"
+           "try:\n    f()\nexcept (ValueError, FpsiError):\n    pass\n"
+           "try:\n    f()\nexcept ExceptionGroup:\n    pass\n")
+    assert [line.split(": ", 1)[1] for line in broad_handlers(src)] == [
+        "except:",
+        "except Exception",
+        "except BaseException",
+        "except Exception",
+    ]
+
+
+def test_no_module_catches_every_exception():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    found = [line for path in modules
+             for line in broad_handlers(path.read_text(), path.name)]
     assert found == []

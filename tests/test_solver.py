@@ -1,13 +1,15 @@
 """Direct solver wrapper: exactness, residual guard, input validation, and
 reuse of a held LU."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from fpsi.errors import SolverError
-from fpsi.solver import RESIDUAL_TOL, LaggedLU, solve
+from fpsi.solver import RESIDUAL_TOL, solve
 
 
 def test_solves_small_system_exactly():
@@ -75,7 +77,7 @@ def perturbed(A, eps, seed=1):
 
 def test_fresh_solve_fills_the_holder():
     A, b = sample_system()
-    held = LaggedLU()
+    held = SimpleNamespace(lu=None)
     x, rep = solve(A, b, lagged=held)
     assert rep.factored and held.lu is not None and held.lu.shape == A.shape
     assert rep.residual <= RESIDUAL_TOL
@@ -85,7 +87,7 @@ def test_fresh_solve_fills_the_holder():
 
 def test_held_lu_solves_a_nearby_matrix():
     A, b = sample_system()
-    held = LaggedLU()
+    held = SimpleNamespace(lu=None)
     solve(A, b, lagged=held)
     first = held.lu
     B = perturbed(A, 1e-3)
@@ -99,7 +101,7 @@ def test_held_lu_solves_a_nearby_matrix():
 
 def test_distant_matrix_falls_back_to_a_fresh_factor():
     A, b = sample_system()
-    held = LaggedLU()
+    held = SimpleNamespace(lu=None)
     solve(A, b, lagged=held)
     first = held.lu
     x, rep = solve(A * 10.0, b, lagged=held)
@@ -113,7 +115,7 @@ def test_distant_matrix_falls_back_to_a_fresh_factor():
 
 def test_held_lu_of_another_shape_is_not_used():
     A, b = sample_system(n=120)
-    held = LaggedLU()
+    held = SimpleNamespace(lu=None)
     solve(sparse.identity(7, format="csr"), np.ones(7), lagged=held)
     x, rep = solve(A, b, lagged=held)
     assert rep.factored and rep.iterations == 0
@@ -122,7 +124,7 @@ def test_held_lu_of_another_shape_is_not_used():
 
 def test_reuse_path_rejects_non_finite_inputs():
     A, b = sample_system()
-    held = LaggedLU()
+    held = SimpleNamespace(lu=None)
     solve(A, b, lagged=held)
     bad_b = b.copy()
     bad_b[3] = np.nan
@@ -137,7 +139,7 @@ def test_reuse_path_rejects_non_finite_inputs():
 def test_unreachable_tolerance_with_a_held_lu_reports_residual():
     from scipy.linalg import hilbert
     A = sparse.csr_matrix(hilbert(12))
-    held = LaggedLU()
+    held = SimpleNamespace(lu=None)
     solve(sparse.csr_matrix(np.eye(12) + 1e-3 * hilbert(12)), np.ones(12), lagged=held)
     with pytest.raises(SolverError) as exc:
         solve(A, np.ones(12), rtol=1e-300, lagged=held)
@@ -163,7 +165,7 @@ def test_ordered_solve_matches_the_natural_one():
 def test_reuse_reports_no_fill_and_keeps_the_order():
     A, b = sample_system()
     order = np.random.default_rng(4).permutation(A.shape[0])
-    held = LaggedLU()
+    held = SimpleNamespace(lu=None)
     _, fresh = solve(A, b, lagged=held, order=order)
     assert fresh.factored and fresh.fill == held.lu.fill > 0
     assert np.array_equal(held.lu.order, order)
