@@ -28,12 +28,14 @@ Dirichlet conditions are applied by identity-row replacement with column
 symmetrization (known values move to the right-hand side).
 
 Assembly is fixed-pattern (see fem.py): the first assembly of a problem
-builds the CSR pattern of the system and, on it, the elimination of the
-system's Dirichlet dofs, which are found then and only then; every later
-step computes element values and boundary values only.  Terms that the
-data can switch off (backflow at outflow, the kinetic correction at rest)
-always add their blocks, with zero values when inactive, so one pattern
-serves every step.
+builds the CSR pattern of the system with its Dirichlet dofs, which are
+found then and only then, eliminated, and the scatter of every element
+entry into it; every later step computes element values and boundary
+values only.  Terms that the data can switch off (backflow at outflow, the
+kinetic correction at rest) always add their blocks, with zero values when
+inactive, so one pattern serves every step.  A problem with frozen
+geometry (u~ = 0 on every step) builds its geometry at its first assembly
+and reuses it.
 """
 
 from __future__ import annotations
@@ -214,8 +216,10 @@ class Problem:
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # one record per matrix ("system", "extension"), built at its first
-    # assembly: pattern, Dirichlet elimination, LU order and held LU
+    # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
+    # a frozen problem's geometry (u~ = 0), built at its first assembly
+    geometry: Optional[Geometry] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -437,7 +441,11 @@ def assemble_system(problem: Problem, inp: StepInputs,
                     dump_matrix: Optional[str] = None) -> Tuple[BlockSystem, Geometry]:
     """Assemble A, b for one step (or a steady solve when inp.dt is None)."""
     lay = problem.layout
-    geo = build_geometry(problem, inp.u_tilde)
+    geo = problem.geometry
+    if geo is None:
+        geo = build_geometry(problem, inp.u_tilde)
+        if problem.frozen_geometry:
+            problem.geometry = geo
     transient = inp.dt is not None
     # the block sequence depends on these two flags only
     T = Triplets(lay.total, problem.patterns, "system",
@@ -453,9 +461,8 @@ def assemble_system(problem: Problem, inp: StepInputs,
     _load_terms(problem, inp, geo, b)
     _backflow_terms(problem, inp, geo, T)
 
-    A = T.tocsr()
-    fixed = T.pattern.dirichlet(lambda: _dirichlet_dofs(problem))
-    A, b = apply_dirichlet(A, b, _dirichlet_values(problem, fixed.nodes, inp.t), T.pattern)
+    pattern = T.pattern_with(lambda: _dirichlet_dofs(problem))
+    A, b = apply_dirichlet(T, b, _dirichlet_values(problem, pattern.nodes, inp.t))
     if dump_matrix:
         mmwrite(dump_matrix, A.tocoo())
     return BlockSystem(A, b, lay), geo

@@ -5,16 +5,19 @@ Quadrature-point evaluation: FE fields, their gradients and the weighted
 element contractions, written as batched matrix products.
 
 Fixed-pattern sparse assembly: a matrix is the sum of a fixed sequence of
-dense element blocks (rows, cols, values).  The first assembly builds the
-CSR pattern of that sum and an int32 index scattering every block entry to
-its slot in `data`; each later assembly computes the block values only and
-fills `data` with one `np.bincount`.
+dense element blocks (rows, cols, values) with its Dirichlet dofs
+eliminated.  The first assembly builds the CSR structure of the eliminated
+matrix and an index scattering every block entry straight to its slot
+there, to a slot of the small lift that moves the known values to the
+right-hand side, or to a discard slot for the fixed rows.  Each later
+assembly computes the block values only; one `np.bincount` fills the
+matrix and the lift, and the matrix is built as a CSR once.
 
 The pattern is the one record of everything about its matrix that stays
-fixed from step to step: the Dirichlet elimination (a gather built on the
-pattern at the first assembly, from the matrix's fixed dofs), the
-fill-reducing elimination order of the LU (built at the first solve) and
-the last LU, which the next solve reuses or replaces.
+fixed from step to step: that structure and scatter, the Dirichlet dofs
+they were built for, the fill-reducing elimination order of the LU (built
+at the first solve) and the last LU, which the next solve reuses or
+replaces.
 """
 
 from __future__ import annotations
@@ -121,55 +124,58 @@ def _stable_bucket(keys: np.ndarray, n: int, payload: np.ndarray) -> np.ndarray:
 
 
 class SparsePattern:
-    """CSR pattern of a sum of element blocks, and the block -> data scatter.
+    """A matrix's CSR structure after Dirichlet elimination, and the scatter
+    of its element-block entries into it.
+
+    The matrix is a sum of element blocks whose fixed dofs `dofs` (sorted,
+    unique) are eliminated by identity-row replacement with column
+    symmetrization.  Its structure keeps every block entry outside the fixed
+    rows and columns and puts a unit diagonal, at `diag`, in each fixed row
+    (also where the blocks have none).  `scatter` sends each block entry to
+    one of `nslots` slots: the `nnz` entries of that structure, then the
+    lift, the free-row entries in fixed columns in (row, column) order at
+    rows `lift_rows` and columns `dofs[lift_pos]`, then one slot that
+    discards the fixed rows.
+
+    Each step lists its boundary values in one fixed order; the fixed dof
+    dofs[i] takes the value at position take[i] of that list.  `nodes` is
+    kept for the caller that builds the list: the constrained nodes of each
+    of its conditions.
 
     `key` names the set of terms the pattern was built for; `sizes` holds the
     entry count of each block, so a different block sequence is caught
-    before it is scattered into the wrong slots.
-
-    It also holds what stays fixed for its matrix across steps:
-    `elimination` (`dirichlet`), `order` (`elimination_order`) and `lu`, the
-    last LU of the matrix, which `solver.solve(..., lagged=pattern)` tries
-    first and replaces when it factors afresh.
+    before it is scattered into the wrong slots.  The pattern is the record
+    of its matrix across steps: it also holds `order` (`elimination_order`)
+    and `lu`, the last LU of the matrix, which `solver.solve(..., lagged=pattern)`
+    tries first and replaces when it factors afresh.
     """
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray,
-                 scatter: np.ndarray, sizes: Tuple[int, ...], key: Hashable = None):
+    def __init__(self, n: int, blocks: List[Tuple[np.ndarray, np.ndarray]],
+                 dofs: np.ndarray, take: np.ndarray, nodes: tuple = (),
+                 key: Hashable = None):
+        """The pattern of the blocks (rows (nb, ni), cols (nb, nj)) with the
+        fixed dofs `dofs` eliminated, no global sort."""
+        self.sizes = tuple(r.shape[0] * r.shape[1] * c.shape[1] for r, c in blocks)
+        nt = sum(self.sizes)
+        if nt + n >= 2 ** 31 - 1:
+            raise AssemblyError("pattern too large for int32 indices")
         self.n = n
-        self.indptr = indptr
-        self.indices = indices
-        self.scatter = scatter
-        self.sizes = sizes
+        self.dofs = np.asarray(dofs, dtype=np.int64)
+        self.take = take
+        self.nodes = nodes
         self.key = key
-        self.elimination: Optional[DirichletElimination] = None
         self.order: Optional[np.ndarray] = None
         self.lu = None
 
-    @property
-    def nnz(self) -> int:
-        return len(self.indices)
-
-    @classmethod
-    def from_blocks(cls, n: int, blocks: List[Tuple[np.ndarray, np.ndarray]],
-                    key: Hashable = None) -> "SparsePattern":
-        """Pattern of the blocks (rows (nb, ni), cols (nb, nj)), no global sort."""
-        sizes = tuple(r.shape[0] * r.shape[1] * c.shape[1] for r, c in blocks)
-        nt = sum(sizes)
-        if nt >= 2 ** 31 or n >= 2 ** 31:
-            raise AssemblyError("pattern too large for int32 indices")
         rows = np.empty(nt, dtype=np.int32)
         cols = np.empty(nt, dtype=np.int32)
         pos = 0
-        for (r, c), size in zip(blocks, sizes):
+        for (r, c), size in zip(blocks, self.sizes):
             nb, ni = r.shape
             nj = c.shape[1]
             rows[pos:pos + size].reshape(nb, ni, nj)[...] = r[:, :, None]
             cols[pos:pos + size].reshape(nb, ni, nj)[...] = c[:, None, :]
             pos += size
-        if nt == 0:
-            return cls(n, np.zeros(n + 1, dtype=np.int32), np.empty(0, dtype=np.int32),
-                       np.empty(0, dtype=np.int32), sizes, key)
-
         # two stable counting sorts: by column, then by row -> (row, col) order
         perm = _stable_bucket(cols, n, np.arange(nt, dtype=np.int32))
         perm = _stable_bucket(rows[perm], n, perm)
@@ -177,37 +183,52 @@ class SparsePattern:
         c = cols[perm]
         del rows, cols
         first = np.empty(nt, dtype=bool)
-        first[0] = True
+        first[:1] = True
         np.not_equal(c[1:], c[:-1], out=first[1:])
         first[1:] |= r[1:] != r[:-1]
-        scatter = np.empty(nt, dtype=np.int32)
-        scatter[perm] = np.cumsum(first, dtype=np.int32) - 1
-        indices = c[first]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(r[first], minlength=n), out=indptr[1:])
-        return cls(n, indptr, indices, scatter, sizes, key)
+        # the distinct (row, col) entries in order, and the one of each sorted entry
+        starts = np.flatnonzero(first)
+        slot_row, slot_col = r[starts], c[starts]
+        del r, c, starts
+        entry_slot = np.cumsum(first, dtype=np.int32) - 1
+        del first
 
-    def fill(self, vals: np.ndarray) -> sparse.csr_matrix:
-        """The summed matrix for block values concatenated in block order."""
-        data = np.bincount(self.scatter, weights=vals, minlength=self.nnz)
-        return sparse.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        fixed = np.zeros(n, dtype=bool)
+        fixed[self.dofs] = True
+        in_row, in_col = fixed[slot_row], fixed[slot_col]
+        keep = ~(in_row | in_col)
+        lift = in_col & ~in_row
+        counts = np.bincount(slot_row[keep], minlength=n)
+        counts[self.dofs] = 1
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(counts, out=self.indptr[1:])
+        self.nnz = int(self.indptr[-1])
+        self.diag = self.indptr[self.dofs]
+        off_diag = np.ones(self.nnz, dtype=bool)
+        off_diag[self.diag] = False
+        off_diag = np.flatnonzero(off_diag).astype(np.int32)
+        self.indices = np.empty(self.nnz, dtype=np.int32)
+        self.indices[off_diag] = slot_col[keep]
+        self.indices[self.diag] = self.dofs
+        self.lift_rows = slot_row[lift]
+        self.lift_pos = np.searchsorted(self.dofs, slot_col[lift])
+        nlift = len(self.lift_rows)
+        self.nslots = self.nnz + nlift + 1
 
-    def dirichlet(self, fixed: Callable[[], tuple]) -> "DirichletElimination":
-        """The Dirichlet elimination of this matrix, built at the first call
-        from `fixed()`, the arguments of `DirichletElimination` after the
-        pattern: the matrix's Dirichlet dofs do not change in time."""
-        if self.elimination is None:
-            self.elimination = DirichletElimination(self, *fixed())
-        return self.elimination
+        dest = np.full(len(slot_row), self.nslots - 1, dtype=np.int32)
+        dest[keep] = off_diag
+        dest[lift] = self.nnz + np.arange(nlift, dtype=np.int32)
+        # np.bincount takes intp indices: an int32 scatter would be copied
+        # to intp on every fill
+        self.scatter = np.empty(nt, dtype=np.intp)
+        self.scatter[perm] = dest[entry_slot]
 
     def elimination_order(self, entity_keys: Callable[[], np.ndarray]) -> np.ndarray:
         """Fill-reducing order of this pattern's dofs (see `entity_order`),
         built at the first call from `entity_keys()`, the mesh-entity key of
-        each dof.  It orders the structure left by the Dirichlet elimination
-        when there is one, which is the structure that is factored."""
+        each dof."""
         if self.order is None:
-            rows = self if self.elimination is None else self.elimination
-            self.order = entity_order(rows.indptr, rows.indices, entity_keys())
+            self.order = entity_order(self.indptr, self.indices, entity_keys())
         return self.order
 
 
@@ -239,69 +260,23 @@ def entity_order(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> n
     return np.argsort(perm_c[entity], kind="stable")
 
 
-class DirichletElimination:
-    """Identity-row replacement with column symmetrization, on a fixed pattern.
-
-    The output keeps every entry outside the fixed rows and columns, puts a
-    unit diagonal in each fixed row (also where the pattern has no diagonal)
-    and drops entries whose value is exactly zero.
-
-    Each step lists its boundary values in one fixed order; the fixed dof
-    dofs[i] (sorted, unique) takes the value at position take[i] of that
-    list.  `nodes` is kept for the caller that builds the list: the
-    constrained nodes of each of its conditions.
-    """
-
-    def __init__(self, pattern: SparsePattern, dofs: np.ndarray, take: np.ndarray,
-                 nodes: tuple = ()):
-        n = pattern.n
-        self.dofs = np.asarray(dofs, dtype=np.int64)
-        self.take = take
-        self.nodes = nodes
-        fixed = np.zeros(n, dtype=bool)
-        fixed[self.dofs] = True
-        counts = np.diff(pattern.indptr)
-        entry_row = np.repeat(np.arange(n, dtype=np.int32), counts)
-        keep = ~(fixed[entry_row] | fixed[pattern.indices])
-        out_counts = np.bincount(entry_row[keep], minlength=n)
-        out_counts[self.dofs] = 1
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(out_counts, out=self.indptr[1:])
-        diag = self.indptr[self.dofs]
-        # gather from the pattern's data; slot nnz holds the unit diagonal
-        self.gather = np.empty(int(self.indptr[-1]), dtype=np.int32)
-        self.indices = np.empty(int(self.indptr[-1]), dtype=np.int32)
-        is_diag = np.zeros(len(self.gather), dtype=bool)
-        is_diag[diag] = True
-        self.gather[is_diag] = pattern.nnz
-        self.gather[~is_diag] = np.flatnonzero(keep)
-        self.indices[~is_diag] = pattern.indices[keep]
-        self.indices[diag] = self.dofs
-
-    def apply(self, A: sparse.csr_matrix, b: np.ndarray, values: np.ndarray):
-        n = A.shape[0]
-        values = values[self.take]
-        x0 = np.zeros(n)
-        x0[self.dofs] = values
-        b = b - A @ x0
-        b[self.dofs] = values
-        data = np.append(A.data, 1.0)[self.gather]
-        nonzero = data != 0.0
-        if nonzero.all():
-            indices, indptr = self.indices, self.indptr
-        else:
-            kept = np.concatenate(([0], np.cumsum(nonzero, dtype=np.int32)))
-            indices, indptr, data = self.indices[nonzero], kept[self.indptr], data[nonzero]
-        return sparse.csr_matrix((data, indices, indptr), shape=(n, n)), b
-
-
-def apply_dirichlet(A: sparse.csr_matrix, b: np.ndarray, values: np.ndarray,
-                    pattern: SparsePattern):
-    """Fix the Dirichlet dofs of A x = b, A assembled on `pattern`, to their
-    entries of the step's value list (see `DirichletElimination`)."""
-    if len(pattern.elimination.dofs) == 0:
-        return A, b
-    return pattern.elimination.apply(A, b, values)
+def apply_dirichlet(T: "Triplets", b: np.ndarray, values: np.ndarray):
+    """The matrix of T's block values, its Dirichlet dofs fixed to their
+    entries of the step's value list, and b with those values moved to the
+    right-hand side (see `SparsePattern`).  Entries whose value is exactly
+    zero are left out of the returned CSR."""
+    p = T.pattern
+    slots = np.bincount(p.scatter, weights=T.values(), minlength=p.nslots)
+    data = slots[:p.nnz]
+    data[p.diag] = 1.0
+    values = values[p.take]
+    b = b - np.bincount(p.lift_rows, weights=slots[p.nnz:-1] * values[p.lift_pos],
+                        minlength=p.n)
+    b[p.dofs] = values
+    # the pattern's own arrays stay as built: eliminate_zeros works in place
+    A = sparse.csr_matrix((data, p.indices.copy(), p.indptr.copy()), shape=(p.n, p.n))
+    A.eliminate_zeros()
+    return A, b
 
 
 def last_set(dofs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -316,8 +291,9 @@ class Triplets:
     """Element blocks of one matrix, added in the same order every assembly.
 
     The pattern is looked up in `cache[name]`; it is reused when it was built
-    for the same `key`, and otherwise rebuilt from this assembly's blocks and
-    stored there, as a new record with no elimination, order or LU yet.  With a pattern in hand only the values are kept.
+    for the same `key`, and otherwise `pattern_with` builds it from this
+    assembly's blocks and stores it there, as a new record with no order or
+    LU yet.  With a pattern in hand only the values are kept.
     """
 
     def __init__(self, n: int, cache: dict, name: str, key: Hashable = None):
@@ -335,13 +311,20 @@ class Triplets:
             self.blocks.append((rows, cols))
         self.vals.append(vals.reshape(-1))
 
-    def tocsr(self) -> sparse.csr_matrix:
+    def pattern_with(self, fixed: Callable[[], tuple]) -> SparsePattern:
+        """The matrix's pattern, built when there is none from the blocks and
+        `fixed()`, the Dirichlet arguments of `SparsePattern` (dofs, take and
+        nodes): the matrix's Dirichlet dofs do not change in time."""
         if self.pattern is None:
-            self.pattern = SparsePattern.from_blocks(self.n, self.blocks, self.key)
+            self.pattern = SparsePattern(self.n, self.blocks, *fixed(), key=self.key)
             self.cache[self.name] = self.pattern
             self.blocks = []
+        return self.pattern
+
+    def values(self) -> np.ndarray:
+        """The block values of this assembly, concatenated in block order."""
         sizes = tuple(len(v) for v in self.vals)
         if sizes != self.pattern.sizes:
             raise AssemblyError("element blocks of %r do not match its assembly pattern"
                                 % self.name)
-        return self.pattern.fill(np.concatenate(self.vals) if self.vals else np.empty(0))
+        return np.concatenate(self.vals) if self.vals else np.empty(0)

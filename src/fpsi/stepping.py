@@ -13,8 +13,9 @@ Each step k:
 BDF2 takes its first step with BDF1 (no older history exists).
 
 Each matrix of items 2 and 3 has one record, its assembly pattern
-(`Problem.patterns`, a `fem.SparsePattern`): the Dirichlet elimination built
-at its first assembly, the LU elimination order built at its first solve
+(`Problem.patterns`, a `fem.SparsePattern`): the structure with its
+Dirichlet dofs eliminated and the scatter of the element entries into it,
+built at its first assembly, the LU elimination order built at its first solve
 (`fem.entity_order`) and the previous step's LU.  A solve reuses that LU
 and factors afresh only when refinement with it stops contracting; see
 `solver.solve`.  The system LU is dropped when the scheme changes (BDF2's
@@ -29,9 +30,11 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .assembly import Problem, StepInputs, assemble_system, batch_deformation
+from .assembly import Problem, StepInputs, assemble_system
 from .errors import FpsiError
-from .fem import Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram, last_set
+from .fem import (Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram,
+                  grads_at_qp, last_set)
+from .kinematics import checked_det
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
 
@@ -150,7 +153,8 @@ def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> Step
 # ---------------------------------------------------------------------------
 
 def extension_stiffness(problem: Problem, geo):
-    """Lame-type extension operator on the fluid velocity space.
+    """Lame-type extension operator on the fluid velocity space, as the
+    element blocks (`fem.Triplets`) of the "extension" matrix.
 
     Element moduli stiffen as cells compress: mu_m = mu_s |cell|^-1.2 with
     the cell volume taken in the configuration of `geo`, lambda_m = 16 mu_m.
@@ -169,7 +173,7 @@ def extension_stiffness(problem: Problem, geo):
 
     T = Triplets(problem.spaces["v_f"].num_dofs, problem.patterns, "extension")
     T.add(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))
-    return T.tocsr()
+    return T
 
 
 def _extension_dofs(problem: Problem):
@@ -196,11 +200,9 @@ def solve_extension(problem: Problem, geo, v_s: np.ndarray):
     """Domain velocity on the fluid side: trace of v_s on the interface,
     zero on the outer fluid boundary, extension operator in between.
     Returns (w_f, SolveReport)."""
-    A = extension_stiffness(problem, geo)
-    b = np.zeros(problem.spaces["v_f"].num_dofs)
-    pattern = problem.patterns["extension"]
-    pattern.dirichlet(lambda: _extension_dofs(problem))
-    A, b = apply_dirichlet(A, b, np.append(v_s, 0.0), pattern)
+    T = extension_stiffness(problem, geo)
+    pattern = T.pattern_with(lambda: _extension_dofs(problem))
+    A, b = apply_dirichlet(T, np.zeros(T.n), np.append(v_s, 0.0))
     return solve(A, b, rtol=problem.solver_rtol, lagged=pattern,
                  order=pattern.elimination_order(lambda: problem.entity_keys(("v_f",))))
 
@@ -220,9 +222,10 @@ def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
 
 
 def check_deformation(problem: Problem, u: np.ndarray) -> float:
-    """Smallest J of the configuration u; raises DegenerateDeformationError
-    if it inverts."""
-    return min(float(batch_deformation(sub, u)["J"].min())
+    """Smallest J of the configuration u at the cells' quadrature points;
+    raises DegenerateDeformationError naming the cell if it inverts."""
+    d = problem.dim
+    return min(float(checked_det(grads_at_qp(sub, u, d) + np.eye(d), sub.cells).min())
                for sub in (problem.fluid, problem.solid) if sub is not None)
 
 

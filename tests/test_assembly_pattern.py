@@ -16,6 +16,7 @@ import fpsi.assembly as assembly
 import fpsi.fem as fem
 import fpsi.stepping as stepping
 from fpsi.assembly import DirichletBC
+from fpsi.errors import AssemblyError
 from fpsi.fem import field_at_qp
 from fpsi.mesh import GAMMA_F0, GAMMA_FS, GAMMA_OUT
 from fpsi.mms import biot_trig, stokes_trig
@@ -35,8 +36,15 @@ class ReferenceTriplets:
 
     def __init__(self, n, cache, name, key=None):
         self.n = n
-        self.pattern = cache.get(name)
+        self.cache, self.name = cache, name
         self.rows, self.cols, self.vals = [], [], []
+
+    @property
+    def pattern(self):
+        return self.cache[self.name]
+
+    def pattern_with(self, fixed):
+        return self.pattern
 
     def add(self, rows, cols, vals):
         nb, ni = rows.shape
@@ -53,11 +61,13 @@ class ReferenceTriplets:
         return A
 
 
-def reference_dirichlet(A, b, values, pattern):
-    """Identity rows and columns by D A D + diag(fixed), zeros dropped; the
-    fixed dofs and their positions in the value list are the pattern's."""
-    dofs = pattern.elimination.dofs
-    values = values[pattern.elimination.take]
+def reference_dirichlet(T, b, values):
+    """The summed matrix of the reference triplets T with identity rows and
+    columns by D A D + diag(fixed), zeros dropped; the fixed dofs and their
+    positions in the value list are those of the pattern under test."""
+    A = T.tocsr()
+    dofs = T.pattern.dofs
+    values = values[T.pattern.take]
     n = A.shape[0]
     x0 = np.zeros(n)
     x0[dofs] = values
@@ -100,7 +110,8 @@ class Recorder:
 
     def __init__(self, mp):
         self.system = []          # (scheme order, a dev, b dev, same structure, backflow)
-        self.extension = []       # (a dev, same structure) before and after elimination
+        self.extension = []       # (a and b dev, same structure) after elimination
+        reference = {}            # the extension's reference triplets of this step
         self.handed = []          # matrices handed to the solver
         real_assemble = stepping.assemble_system
         real_stiffness = stepping.extension_stiffness
@@ -120,16 +131,15 @@ class Recorder:
             return system, geo
 
         def stiffness(problem, geo):
-            A = real_stiffness(problem, geo)
+            T = real_stiffness(problem, geo)
             with pytest.MonkeyPatch.context() as ref:
                 ref.setattr(stepping, "Triplets", ReferenceTriplets)
-                expect = real_stiffness(problem, geo)
-            self.extension.append((rel_dev(A, expect), same_structure(A, expect)))
-            return A
+                reference["T"] = real_stiffness(problem, geo)
+            return T
 
-        def dirichlet(A, b, values, pattern):
-            out, rhs = real_dirichlet(A, b, values, pattern)
-            expect, expect_b = reference_dirichlet(A, b, values, pattern)
+        def dirichlet(T, b, values):
+            out, rhs = real_dirichlet(T, b, values)
+            expect, expect_b = reference_dirichlet(reference.pop("T"), b, values)
             self.extension.append((max(rel_dev(out, expect),
                                        np.abs(rhs - expect_b).max() / np.abs(expect_b).max()),
                                    same_structure(out, expect)))
@@ -228,13 +238,13 @@ def test_steady_mms_matches_reference(monkeypatch, case):
 
 def test_each_pattern_is_built_once(monkeypatch):
     builds = []
-    build = fem.SparsePattern.from_blocks.__func__
 
-    def counting(cls, n, blocks, key=None):
-        builds.append(n)
-        return build(cls, n, blocks, key)
+    class Counting(fem.SparsePattern):
+        def __init__(self, n, *args, **kwargs):
+            builds.append(n)
+            super().__init__(n, *args, **kwargs)
 
-    monkeypatch.setattr(fem.SparsePattern, "from_blocks", classmethod(counting))
+    monkeypatch.setattr(fem, "SparsePattern", Counting)
     prob = channel()
     assert prob.patterns == {}                 # nothing is built with the problem
     state = State.initial(prob)
@@ -279,8 +289,8 @@ def test_dirichlet_dofs_are_found_once(monkeypatch):
     assert per_step[0] == len(prob.dirichlet) + 1      # the system's BCs, the extension's
     assert per_step == per_step[:1] * 4
     assert set(prob.patterns) == {"system", "extension"}
-    assert np.array_equal(prob.patterns["system"].elimination.dofs, system_dofs(prob))
-    assert len(prob.patterns["extension"].elimination.dofs) > 0
+    assert np.array_equal(prob.patterns["system"].dofs, system_dofs(prob))
+    assert len(prob.patterns["extension"].dofs) > 0
 
 
 def test_later_dirichlet_conditions_win():
@@ -305,6 +315,102 @@ def test_last_set_keeps_the_last_occurrence():
     assert len(dofs) == 0 and len(take) == 0
 
 
+def eliminate_both(n, blocks, vals, dofs, values, b):
+    """The fused elimination of the blocks and the reference one, with the
+    fixed dofs `dofs` (repeats allowed: the later wins) set to `values`."""
+    cache = {}
+    T = fem.Triplets(n, cache, "m")
+    R = ReferenceTriplets(n, cache, "m")
+    for (r, c), v in zip(blocks, vals):
+        T.add(r, c, v)
+        R.add(r, c, v)
+    T.pattern_with(lambda: fem.last_set(dofs))
+    values = np.asarray(values, dtype=float)
+    return fem.apply_dirichlet(T, b, values), reference_dirichlet(R, b, values), T.pattern
+
+
+def assert_matches(fused, reference):
+    (A, b), (R, rb) = fused, reference
+    assert same_structure(A, R) and rel_dev(A, R) <= A_RTOL
+    assert np.abs(b - rb).max() <= B_RTOL * np.abs(rb).max()
+    assert np.all(A.data != 0.0)
+
+
+def random_blocks(rng, n, shapes):
+    blocks = [(rng.integers(0, n, (nb, ni)), rng.integers(0, n, (nb, nj)))
+              for nb, ni, nj in shapes]
+    vals = [rng.standard_normal((r.shape[0], r.shape[1], c.shape[1])) for r, c in blocks]
+    return blocks, vals
+
+
+def test_fused_elimination_of_overlapping_conditions():
+    rng = np.random.default_rng(3)
+    n = 30
+    blocks, vals = random_blocks(rng, n, [(20, 3, 3), (12, 2, 4)])
+    # dofs 3 and 7 are set twice; the later value wins
+    dofs = np.array([3, 7, 12, 3, 20, 7])
+    values = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    b = rng.standard_normal(n)
+    fused, ref, pattern = eliminate_both(n, blocks, vals, dofs, values, b)
+    assert_matches(fused, ref)
+    A, out = fused
+    assert out[[3, 7, 12, 20]].tolist() == [4.0, 6.0, 3.0, 5.0]
+    assert_unit_rows(A, [3, 7, 12, 20])
+    # the fixed columns of the free rows went to the right-hand side
+    assert len(pattern.lift_rows) > 0
+    assert A[:, [3, 7, 12, 20]].nnz == 4
+
+
+def test_fused_elimination_pins_a_dof_without_diagonal():
+    # a saddle point: velocity dofs 0..5, pressure dofs 6..8 with no
+    # pressure-pressure block; pressure 8 is pinned, velocity 0 is fixed
+    rng = np.random.default_rng(5)
+    vd = np.array([[0, 1, 2, 3], [2, 3, 4, 5]])
+    pd = np.array([[6, 7], [7, 8]])
+    Bv = rng.standard_normal((2, 2, 4))
+    blocks = [(vd, vd), (pd, vd), (vd, pd)]
+    vals = [rng.standard_normal((2, 4, 4)), Bv, -np.swapaxes(Bv, 1, 2)]
+    b = rng.standard_normal(9)
+    fused, ref, pattern = eliminate_both(9, blocks, vals, np.array([0, 8]), [0.5, 2.0], b)
+    assert_matches(fused, ref)
+    A, out = fused
+    assert_unit_rows(A, [0, 8])
+    assert pattern.dofs.tolist() == [0, 8] and len(pattern.lift_rows) > 0
+    # b -= A[:, fixed] g for the free rows, from the summed matrix
+    summed = ReferenceTriplets(9, {}, "m")
+    for (r, c), v in zip(blocks, vals):
+        summed.add(r, c, v)
+    dense = summed.tocsr().toarray()
+    free = np.arange(1, 8)
+    expect = b[free] - dense[free][:, [0, 8]] @ np.array([0.5, 2.0])
+    assert np.allclose(out[free], expect, rtol=1e-14, atol=1e-14)
+
+
+def test_fused_elimination_drops_a_slot_that_sums_to_zero():
+    # (1, 2) gets +v and -v: an exact zero the structure must not keep, in
+    # a free row; (1, 4) sums to zero in a fixed column, where it lifts nothing
+    rows = np.array([[1], [1]])
+    v = np.array([[[0.3, 0.7, -1.1]], [[-0.3, 0.2, 1.1]]])
+    blocks = [(rows, np.array([[2, 3, 4], [2, 0, 4]])), (np.array([[0, 3, 4]]),) * 2]
+    vals = [v, np.arange(1.0, 10.0).reshape(1, 3, 3)]
+    b = np.ones(5)
+    fused, ref, pattern = eliminate_both(5, blocks, vals, np.array([4]), [3.0], b)
+    assert_matches(fused, ref)
+    A, out = fused
+    assert A[1, 2] == 0.0 and pattern.nnz == A.nnz + 1
+    assert out[1] == 1.0 and out[4] == 3.0
+
+
+def test_fused_elimination_without_dirichlet_dofs():
+    rng = np.random.default_rng(11)
+    n = 12
+    blocks, vals = random_blocks(rng, n, [(8, 3, 2)])
+    b = rng.standard_normal(n)
+    fused, ref, pattern = eliminate_both(n, blocks, vals, np.empty(0, dtype=np.int64), [], b)
+    assert_matches(fused, ref)
+    assert np.array_equal(fused[1], b) and pattern.nslots == pattern.nnz + 1
+
+
 def test_pattern_of_arbitrary_blocks_matches_coo():
     # random dense blocks with repeated dofs, empty rows, and rows whose only
     # entry shares its column with the next row's first entry
@@ -314,20 +420,37 @@ def test_pattern_of_arbitrary_blocks_matches_coo():
               (np.array([[n - 4], [n - 3]]), np.array([[5], [5]])),
               (rng.integers(0, n - 5, (10, 2)), rng.integers(0, n, (10, 6)))]
     vals = [rng.standard_normal((r.shape[0], r.shape[1], c.shape[1])) for r, c in blocks]
-    T = fem.Triplets(n, {}, "m")
+    none = np.empty(0, dtype=np.int64)
+    cache = {}
+    T = fem.Triplets(n, cache, "m")
     ref = ReferenceTriplets(n, {}, "m")
     for (r, c), v in zip(blocks, vals):
         T.add(r, c, v)
         ref.add(r, c, v)
-    A, R = T.tocsr(), ref.tocsr()
+    T.pattern_with(lambda: (none, none))
+    A, _ = fem.apply_dirichlet(T, np.zeros(n), np.empty(0))
+    R = ref.tocsr()
     assert same_structure(A, R) and rel_dev(A, R) <= A_RTOL
     assert np.diff(A.indptr)[n - 5:].tolist() == [0, 1, 1, 0, 0]
 
     # a second fill on the stored pattern with new values
-    T2 = fem.Triplets(n, {"m": T.pattern}, "m")
+    T2 = fem.Triplets(n, cache, "m")
     ref2 = ReferenceTriplets(n, {}, "m")
     for (r, c), v in zip(blocks, vals):
         T2.add(r, c, 2.0 * v)
         ref2.add(r, c, 2.0 * v)
-    assert T2.pattern is T.pattern and T2.blocks == []
-    assert rel_dev(T2.tocsr(), ref2.tocsr()) <= A_RTOL
+    assert T2.pattern_with(None) is T.pattern and T2.blocks == []
+    assert rel_dev(fem.apply_dirichlet(T2, np.zeros(n), np.empty(0))[0], ref2.tocsr()) <= A_RTOL
+
+
+def test_blocks_that_differ_from_the_pattern_are_refused():
+    n = 6
+    block = (np.array([[0, 1]]), np.array([[2, 3]]))
+    T = fem.Triplets(n, {}, "m")
+    T.add(*block, np.ones((1, 2, 2)))
+    T.pattern_with(lambda: (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
+    T2 = fem.Triplets(n, T.cache, "m")
+    T2.add(*block, np.ones((1, 2, 2)))
+    T2.add(*block, np.ones((1, 2, 2)))
+    with pytest.raises(AssemblyError, match="do not match its assembly pattern"):
+        fem.apply_dirichlet(T2, np.zeros(n), np.empty(0))

@@ -118,15 +118,15 @@ def test_validation_rejects_marker_on_wrong_subdomain():
 
 
 def test_validation_rejects_hanging_node():
-    # vertex 4 sits in the middle of boundary edge (0, 1) of cell 0
-    V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.0]])
-    cells = np.array([[0, 1, 2], [0, 2, 3], [0, 4, 2]], dtype=np.int64)
-    # cell 2 overlaps cell 0 geometrically but shares no facet; the marked
-    # edge (0, 1) has vertex 4 strictly inside it.
+    # a refined neighbour: the lower half is split at vertex 4, the midpoint
+    # of edge (0, 1) of the upper cell, which stays unsplit; every edge is
+    # shared by at most two cells and every boundary edge is marked
+    V = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, -1.0], [1.0, 0.0]])
+    cells = np.array([[0, 1, 2], [0, 4, 3], [4, 1, 3]], dtype=np.int64)
     tags = np.full(3, FLUID, dtype=np.int64)
-    facets = np.array([[0, 1], [1, 2], [2, 3], [3, 0]], dtype=np.int64)
-    markers = np.full(4, GAMMA_F0, dtype=np.int64)
-    with pytest.raises(MeshError):
+    facets = np.array([[0, 1], [1, 2], [2, 0], [0, 4], [3, 0], [4, 1], [1, 3]], dtype=np.int64)
+    markers = np.full(7, GAMMA_F0, dtype=np.int64)
+    with pytest.raises(MeshError, match=r"vertex 4 hangs on facet \(0, 1\)"):
         validate_mesh(Mesh(V, cells, tags, facets, markers))
 
 

@@ -4,10 +4,12 @@ and checkpointing."""
 import numpy as np
 import pytest
 
+import fpsi.assembly as assembly
 from fpsi.assembly import DirichletBC, StepInputs, build_geometry
 from fpsi.errors import DegenerateDeformationError, FpsiError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
-from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem
+from fpsi.mms import unsteady_fluid
+from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
 from fpsi.spaces import interpolate
 from fpsi.stepping import (BDF1, BDF2, State, advance_step, bdf_rate,
                            check_deformation, domain_velocity, extrapolate,
@@ -107,6 +109,49 @@ def test_check_deformation():
         [-2.0 * X[:, 0], np.zeros(len(X))], axis=1))
     with pytest.raises(DegenerateDeformationError):
         check_deformation(prob, flip)
+
+
+def test_check_deformation_reports_like_the_geometry():
+    # J alone, with the error text and cell id of the full deformation state
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    u = interpolate(prob.spaces["u"], lambda X: np.stack(
+        [np.zeros(len(X)), -3.0 * np.exp(-np.sum((X - [5.0, 0.9]) ** 2, axis=1))], axis=1))
+    with pytest.raises(DegenerateDeformationError) as full:
+        assembly.batch_deformation(prob.fluid, u)
+    with pytest.raises(DegenerateDeformationError) as alone:
+        check_deformation(prob, u)
+    assert str(alone.value) == str(full.value)
+    assert alone.value.cell == full.value.cell is not None
+    fine = 0.1 * u
+    assert check_deformation(prob, fine) == min(
+        float(assembly.batch_deformation(sub, fine)["J"].min()) for sub in (prob.fluid, prob.solid))
+
+
+@pytest.mark.parametrize("frozen", [True, False])
+def test_frozen_geometry_is_built_once(monkeypatch, frozen):
+    calls = []
+    build = assembly.build_geometry
+
+    def counting(problem, u_tilde):
+        calls.append(problem)
+        return build(problem, u_tilde)
+
+    monkeypatch.setattr(assembly, "build_geometry", counting)
+    if frozen:
+        case = unsteady_fluid()
+        prob, dt, steps = mms_problem(case, 8), 1e-2, 5
+    else:
+        prob, dt, steps = channel_problem(channel_mesh(4), benchmark_params(K=1e-5)), 1e-4, 3
+    state = run_transient(prob, dt, 2, steps)
+    assert len(calls) == (1 if frozen else steps)
+    if frozen:
+        # the same fields as with the geometry rebuilt on every step
+        again = mms_problem(case, 8)
+        fresh = State.initial(again)
+        for _ in range(steps):
+            again.geometry = None
+            fresh, _ = advance_step(again, fresh, dt, 2)
+        assert all(np.array_equal(fresh.fields[n], state.fields[n]) for n in state.fields)
 
 
 # ---------------------------------------------------------------------------
