@@ -33,9 +33,12 @@ found then and only then, eliminated, and the scatter of every element
 entry into it; every later step computes element values and boundary
 values only.  Terms that the data can switch off (backflow at outflow, the
 kinetic correction at rest) always add their blocks, with zero values when
-inactive, so one pattern serves every step.  A problem with frozen
-geometry (u~ = 0 on every step) builds its geometry at its first assembly
-and reuses it.
+inactive, so one pattern serves every step.
+
+u~ = None stands for the reference configuration (u~ = 0): every step of a
+problem without a solid, whose mesh never moves, and every steady solve.
+Its geometry is built once per problem and kept; an explicit u~ array is
+always evaluated.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .mesh import FLUID, GAMMA_OUT, SOLID, Mesh, extract_interface
 from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
+QUAD_DEGREE = 6         # degree of the quadrature rule of every cell and facet batch
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +142,10 @@ class InterfaceData:
 
 @dataclass
 class PressureLoad:
-    """Natural boundary load  b += sign * p(t) * int J~ (F~^-T n_ref).psi ds."""
+    """Natural boundary load  b += p(t) * int J~ (F~^-T n_ref).psi ds."""
 
     marker: int
     value: Callable[[float], float]
-    sign: float = 1.0
 
 
 @dataclass
@@ -156,14 +159,15 @@ class DirichletBC:
 class StepInputs:
     """Everything the assembler needs about time level k.
 
-    dt None means a steady solve: no mass terms, beta = 1.  hist entries hold
-    a1 f^{k-1} + a2 f^{k-2}; the extrapolated fields are full dof vectors.
+    dt None means a steady solve: no mass terms, beta = 1.  u_tilde None
+    means the reference configuration.  hist entries hold a1 f^{k-1} +
+    a2 f^{k-2}; the extrapolated fields are full dof vectors.
     """
 
     t: float
     dt: Optional[float]
     a0: float
-    u_tilde: np.ndarray
+    u_tilde: Optional[np.ndarray]
     u_impl_hist: np.ndarray
     hist: Dict[str, np.ndarray] = field(default_factory=dict)
     vf_tilde: Optional[np.ndarray] = None
@@ -172,7 +176,7 @@ class StepInputs:
     @classmethod
     def steady(cls, problem: "Problem", t: float = 0.0) -> "StepInputs":
         nu = problem.spaces["u"].num_dofs
-        return cls(t=t, dt=None, a0=1.0, u_tilde=np.zeros(nu), u_impl_hist=np.zeros(nu))
+        return cls(t=t, dt=None, a0=1.0, u_tilde=None, u_impl_hist=np.zeros(nu))
 
     @property
     def beta(self) -> float:
@@ -202,23 +206,21 @@ class Problem:
     fluid: Optional[QuadBatch]
     solid: Optional[QuadBatch]
     iface: Optional[InterfaceData]
-    load_data: Dict[int, QuadBatch]
+    natural: Dict[int, QuadBatch]     # facet traces of the loaded and open markers
+    open_markers: Tuple[int, ...]     # natural boundaries with backflow treatment
     loads: List[PressureLoad]
     dirichlet: List[DirichletBC]
     forcing: Dict[str, Callable]
-    include_inertia: bool
-    frozen_geometry: bool
     pin_pf: Optional[Tuple[int, Callable[[float], float]]]
     layout: BlockLayout
     solver_rtol: float = 1e-9
-    open_data: Dict[int, QuadBatch] = field(default_factory=dict)
     map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # one record per matrix ("system", "extension"), built at its first
     # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
-    # a frozen problem's geometry (u~ = 0), built at its first assembly
+    # the reference configuration's geometry (u~ = None), built at its first use
     geometry: Optional[Geometry] = field(default=None, repr=False)
 
     @property
@@ -238,7 +240,7 @@ class Problem:
         return out
 
 
-def _quad_batch(sub_spaces, cells, degree, facets=None, nref=None) -> QuadBatch:
+def _quad_batch(sub_spaces, cells, facets=None, nref=None) -> QuadBatch:
     """Quadrature batch of the given cells, or of their traces on `facets`.
 
     sub_spaces = (P2 space, P1 space) of the subdomain holding the cells,
@@ -252,12 +254,12 @@ def _quad_batch(sub_spaces, cells, degree, facets=None, nref=None) -> QuadBatch:
     cells = np.asarray(cells, dtype=np.int64)
     x0, B, adet, Binv = cell_geometry(mesh, cells)
     if facets is None:
-        rule = simplex_quadrature(d, degree)
+        rule = simplex_quadrature(d, QUAD_DEGREE)
         xi = rule.points                                            # (nq, d), shared
         w = rule.weights[None, :] * adet[:, None]
         X = x0[:, None, :] + xi @ np.swapaxes(B, 1, 2)
     else:                                   # straight 2D facets (build_problem is 2D only)
-        rule = facet_quadrature(d, degree)
+        rule = facet_quadrature(d, QUAD_DEGREE)
         p = mesh.vertices[np.asarray(facets, dtype=np.int64)]      # (nb, 2, d)
         t = p[:, 1] - p[:, 0]
         length = np.linalg.norm(t, axis=1)
@@ -285,11 +287,8 @@ def _quad_batch(sub_spaces, cells, degree, facets=None, nref=None) -> QuadBatch:
 
 
 def build_problem(mesh: Mesh, params: MaterialParams, *,
-                  quad_degree: int = 6,
                   penalty_scale: float = 1.0,
                   penalty_const: Optional[float] = None,
-                  include_inertia: bool = True,
-                  frozen_geometry: bool = False,
                   dirichlet: Optional[Sequence[DirichletBC]] = None,
                   loads: Optional[Sequence[PressureLoad]] = None,
                   open_markers: Sequence[int] = (),
@@ -297,12 +296,15 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
                   pin_pf="auto") -> Problem:
     """Build spaces, quadrature caches and the block layout for one mesh.
 
-    penalty defaults to tau = penalty_scale * h^-2 per interface facet;
-    penalty_const overrides it with a constant.  pin_pf="auto" pins one p_f
-    DOF to zero exactly when the fluid has no natural boundary (no GAMMA_OUT
-    facet and no pressure load), which is when p_f is only defined up to a
-    constant.  open_markers lists natural fluid boundaries that get the
-    directional (backflow-stabilized) treatment in transient runs.
+    Every batch takes the degree-QUAD_DEGREE rule.  The interface penalty is
+    tau = penalty_scale * h^-2 per facet; penalty_const replaces it with a
+    constant (the form tests switch the penalty off with 0).  pin_pf="auto"
+    pins one p_f DOF to zero exactly when the fluid has no natural boundary
+    (no GAMMA_OUT facet and no pressure load), which is when p_f is only
+    defined up to a constant.  open_markers lists natural fluid boundaries
+    that get the directional (backflow-stabilized) treatment in transient
+    runs.  A mesh without solid cells never moves: its steps assemble in
+    the reference configuration.
     """
     d = mesh.dim
     if d != 2:
@@ -334,9 +336,9 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     solid_spaces = (spaces.get("v_s"), spaces.get("p_d"), spaces["u"])
     fluid = solid = None
     if has_fluid:
-        fluid = _quad_batch(fluid_spaces, spaces["v_f"].cells, quad_degree)
+        fluid = _quad_batch(fluid_spaces, spaces["v_f"].cells)
     if has_solid:
-        solid = _quad_batch(solid_spaces, spaces["v_s"].cells, quad_degree)
+        solid = _quad_batch(solid_spaces, spaces["v_s"].cells)
 
     iface = None
     facets = extract_interface(mesh) if (has_fluid and has_solid) else None
@@ -345,10 +347,8 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
             else penalty_scale * facets.h ** -2.0
         # Both sides' traces share the fluid-oriented normal.
         iface = InterfaceData(
-            _quad_batch(fluid_spaces, facets.fluid_cells, quad_degree, facets.vertices,
-                        facets.normals),
-            _quad_batch(solid_spaces, facets.solid_cells, quad_degree, facets.vertices,
-                        facets.normals),
+            _quad_batch(fluid_spaces, facets.fluid_cells, facets.vertices, facets.normals),
+            _quad_batch(solid_spaces, facets.solid_cells, facets.vertices, facets.normals),
             tau)
 
     def natural_traces(marker: int, what: str) -> QuadBatch:
@@ -358,27 +358,25 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         if len(idx) == 0:
             raise AssemblyError("%s marker %d has no facets" % (what, marker))
         cells = mesh.edge_cells[mesh.facet_edges[idx], 0]
-        return _quad_batch(fluid_spaces, cells, quad_degree, mesh.facets[idx])
+        return _quad_batch(fluid_spaces, cells, mesh.facets[idx])
 
-    load_data: Dict[int, QuadBatch] = {}
+    natural: Dict[int, QuadBatch] = {}
     for load in loads:
-        load_data[load.marker] = natural_traces(load.marker, "pressure load")
-    open_data: Dict[int, QuadBatch] = {}
+        natural[load.marker] = natural_traces(load.marker, "pressure load")
     for marker in open_markers:
-        open_data[marker] = load_data.get(marker) \
-            or natural_traces(marker, "open boundary")
+        if marker not in natural:
+            natural[marker] = natural_traces(marker, "open boundary")
 
     if pin_pf == "auto":
-        natural = len(loads) > 0 or len(mesh.facets_with_marker(GAMMA_OUT)) > 0
-        pin = (0, lambda t: 0.0) if (has_fluid and not natural) else None
+        has_natural = len(loads) > 0 or len(mesh.facets_with_marker(GAMMA_OUT)) > 0
+        pin = (0, lambda t: 0.0) if (has_fluid and not has_natural) else None
     else:
         pin = pin_pf
 
     prob = Problem(mesh=mesh, params=params, spaces=spaces,
-                   fluid=fluid, solid=solid, iface=iface, load_data=load_data,
-                   loads=loads, dirichlet=dirichlet, forcing=forcing,
-                   include_inertia=include_inertia, frozen_geometry=frozen_geometry,
-                   pin_pf=pin, layout=layout, open_data=open_data)
+                   fluid=fluid, solid=solid, iface=iface, natural=natural,
+                   open_markers=tuple(open_markers), loads=loads, dirichlet=dirichlet,
+                   forcing=forcing, pin_pf=pin, layout=layout)
     if has_solid:
         prob.map_vs_to_u = transfer_nodes(spaces["v_s"], spaces["u"])
     if has_fluid:
@@ -401,8 +399,8 @@ def batch_deformation(batch: QuadBatch, u: np.ndarray) -> dict:
     form shares.  A facet batch gets J and vn = F^-T n_ref, the
     unnormalized Nanson push-forward of its reference normal.
     """
-    F, J, Finv, FinvT = deformation_state(grads_at_qp(batch, u, batch.X.shape[-1]),
-                                          cell_ids=batch.cells)
+    F, J, Finv, FinvT = deformation_state(
+        grads_at_qp(batch.grad2, batch.nodes_u, u, batch.X.shape[-1]), cell_ids=batch.cells)
     if batch.nref is None:
         return {"F": F, "J": J, "Finv": Finv, "G": batch.grad2 @ Finv}
     return {"J": J, "vn": (FinvT @ batch.nref[:, None, :, None])[..., 0]}
@@ -426,9 +424,7 @@ def build_geometry(problem: Problem, u_tilde: np.ndarray) -> Geometry:
         n = g["vn"] / mag[..., None]
         P = np.eye(problem.dim) - n[..., :, None] * n[..., None, :]
         geo.iface = {"Js": g["J"] * mag, "n": n, "P": P}
-    natural = dict(problem.open_data)
-    natural.update(problem.load_data)
-    for marker, tr in natural.items():
+    for marker, tr in problem.natural.items():
         geo.loads[marker] = batch_deformation(tr, u_tilde)
     return geo
 
@@ -441,11 +437,12 @@ def assemble_system(problem: Problem, inp: StepInputs,
                     dump_matrix: Optional[str] = None) -> Tuple[BlockSystem, Geometry]:
     """Assemble A, b for one step (or a steady solve when inp.dt is None)."""
     lay = problem.layout
-    geo = problem.geometry
-    if geo is None:
+    if inp.u_tilde is not None:
         geo = build_geometry(problem, inp.u_tilde)
-        if problem.frozen_geometry:
-            problem.geometry = geo
+    else:
+        if problem.geometry is None:
+            problem.geometry = build_geometry(problem, np.zeros(problem.spaces["u"].num_dofs))
+        geo = problem.geometry
     transient = inp.dt is not None
     # the block sequence depends on these two flags only
     T = Triplets(lay.total, problem.patterns, "system",
@@ -493,7 +490,7 @@ def _fluid_terms(problem, inp, geo, T, b, transient):
             scatter_add(b, vd, -weighted_moment(wJ * (prm.rho_f / inp.dt), sub.val2, hq))
 
     # c_f with the extrapolated advective field v~_f - w~
-    if problem.include_inertia and transient and inp.vf_tilde is not None:
+    if transient and inp.vf_tilde is not None:
         adv = field_at_qp(sub.val2, sub.nodes2, inp.vf_tilde, d)
         if inp.w_tilde is not None:
             adv = adv - field_at_qp(sub.val2, sub.nodes_u, inp.w_tilde, d)
@@ -572,7 +569,7 @@ def _solid_terms(problem, inp, geo, T, b, transient):
         T.add(qd, qd, Ad.reshape(nc, n2d, n2d))
 
     # History part of the elastic stress moves to the right-hand side.
-    Ec = green_lagrange(grads_at_qp(sub, inp.u_impl_hist, d) + np.eye(d), Ft)
+    Ec = green_lagrange(grads_at_qp(g, sub.nodes_u, inp.u_impl_hist, d) + np.eye(d), Ft)
     if np.any(Ec):
         FS = Ft @ svk_stress(Ec, prm.lam_s, prm.mu_s)
         scatter_add(b, vsd, -np.einsum("cq,cqia->cia", sub.w, g @ np.swapaxes(FS, -1, -2)))
@@ -651,12 +648,13 @@ def _backflow_terms(problem, inp, geo, T):
     exactly that inflow and keeps the step energy balance one-sided.
     Inactive (zero weight) at outflow, absent in steady problems.
     """
-    if inp.vf_tilde is None or not problem.open_data:
+    if inp.vf_tilde is None:
         return
     prm = problem.params
     d = problem.dim
     lay = problem.layout
-    for marker, tr in problem.open_data.items():
+    for marker in problem.open_markers:
+        tr = problem.natural[marker]
         g = geo.loads[marker]
         vt = field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, d)       # (nf, nq, d)
         # v~ . n ds on the deformed facet via Nanson: v~ . (J F^-T n_ref) ds_ref
@@ -669,12 +667,12 @@ def _backflow_terms(problem, inp, geo, T):
 def _load_terms(problem, inp, geo, b):
     lay = problem.layout
     for load in problem.loads:
-        tr = problem.load_data[load.marker]
+        tr = problem.natural[load.marker]
         g = geo.loads[load.marker]
         p = load.value(inp.t)
         if p == 0.0:
             continue
-        coef = load.sign * p * tr.w * g["J"]
+        coef = p * tr.w * g["J"]
         scatter_add(b, tr.vdofs + lay.offsets["v_f"], weighted_moment(coef, tr.val2, g["vn"]))
 
 

@@ -50,19 +50,15 @@ def run_scenario(cfg: RunConfig, quiet: bool = False) -> None:
     if cfg.scenario in ("pressure_wave_2d", "decay"):
         _run_transient_scenario(cfg, quiet)
     else:
-        _run_mms_scenario(cfg, quiet)
+        _write_mms_report(cfg.scenario[len("mms_"):], cfg.output_dir, None, cfg.order, quiet)
 
 
 def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
     mesh = _scenario_mesh(cfg)
     params = material_params(cfg)
-    penalty_const = cfg.penalty_value if cfg.penalty_rule == "constant" else None
     p_ext = cfg.p_ext if cfg.scenario == "pressure_wave_2d" else 0.0
     problem = channel_problem(mesh, params, p_ext=p_ext, t_pulse=cfg.t_pulse,
-                              sign_pext=cfg.sign_pext,
-                              penalty_scale=cfg.penalty_scale,
-                              penalty_const=penalty_const,
-                              quad_degree=cfg.quad_degree)
+                              penalty_scale=cfg.penalty_scale)
     problem.solver_rtol = cfg.residual_tol
     os.makedirs(cfg.output_dir, exist_ok=True)
 
@@ -106,13 +102,13 @@ def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
         print("wrote %s" % os.path.join(cfg.output_dir, "timeseries.csv"))
 
 
-def stokes_report(levels: int = 4, quad_degree: int = 6) -> str:
-    exact = solve_mms_steady(stokes_polynomial(), 8, quad_degree)
+def stokes_report(levels: int = 4) -> str:
+    exact = solve_mms_steady(stokes_polynomial(), 8)
     lines = ["Stokes, solution inside the FE space (n=8):"]
     lines.append("  v_f error %.3e   p_f error %.3e" % (exact["v_f"], exact["p_f"]))
     lines.append("")
     ns = [4 * 2 ** i for i in range(levels)]
-    hs, errors = mms_spatial_study(stokes_trig(), ns, quad_degree)
+    hs, errors = mms_spatial_study(stokes_trig(), ns)
     lines.append("Stokes, trig solution, velocity:")
     lines.append(convergence_table(hs, errors["v_f"]))
     lines.append("")
@@ -121,9 +117,9 @@ def stokes_report(levels: int = 4, quad_degree: int = 6) -> str:
     return "\n".join(lines)
 
 
-def biot_report(levels: int = 3, quad_degree: int = 6) -> str:
+def biot_report(levels: int = 3) -> str:
     ns = [4 * 2 ** i for i in range(levels)]
-    hs, errors = mms_spatial_study(biot_trig(), ns, quad_degree)
+    hs, errors = mms_spatial_study(biot_trig(), ns)
     lines = []
     for field, label in (("v_s", "displacement"), ("q", "filtration flux"),
                          ("p_d", "pore pressure")):
@@ -144,15 +140,22 @@ def time_report(levels: int = 4, orders=(1, 2)) -> str:
     return "\n".join(lines).rstrip()
 
 
-def _run_mms_scenario(cfg: RunConfig, quiet: bool) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    if cfg.scenario == "mms_stokes":
-        text = stokes_report(quad_degree=cfg.quad_degree)
-    elif cfg.scenario == "mms_biot":
-        text = biot_report(quad_degree=cfg.quad_degree)
+def _write_mms_report(case: str, output_dir: str, levels: Optional[int], order: int,
+                      quiet: bool) -> None:
+    """Run one convergence study and write it to `output_dir`/convergence.txt.
+
+    case is "stokes", "biot" or "time"; levels None keeps the report's own
+    default; order 0 runs the time study for BDF1 and BDF2.
+    """
+    kw = {} if levels is None else {"levels": levels}
+    if case == "stokes":
+        text = stokes_report(**kw)
+    elif case == "biot":
+        text = biot_report(**kw)
     else:
-        text = time_report(orders=(cfg.order,))
-    path = os.path.join(cfg.output_dir, "convergence.txt")
+        text = time_report(orders=(1, 2) if order == 0 else (order,), **kw)
+    os.makedirs(output_dir, exist_ok=True)
+    path = os.path.join(output_dir, "convergence.txt")
     with open(path, "w") as fh:
         fh.write(text + "\n")
     if not quiet:
@@ -161,19 +164,7 @@ def _run_mms_scenario(cfg: RunConfig, quiet: bool) -> None:
 
 
 def cmd_mms(args) -> None:
-    if args.case == "stokes":
-        text = stokes_report(levels=args.levels)
-    elif args.case == "biot":
-        text = biot_report(levels=args.levels)
-    else:
-        orders = (1, 2) if args.order == 0 else (args.order,)
-        text = time_report(levels=args.levels, orders=orders)
-    os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, "convergence.txt")
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-    print(text)
-    print("wrote %s" % path)
+    _write_mms_report(args.case, args.output, args.levels, args.order, quiet=False)
 
 
 def cmd_check_mesh(args) -> None:

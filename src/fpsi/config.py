@@ -16,7 +16,6 @@ from .errors import ConfigError
 from .kinematics import MaterialParams, lame_from_E_nu
 
 SCENARIOS = ("pressure_wave_2d", "decay", "mms_stokes", "mms_biot", "mms_time")
-PENALTY_RULES = ("h^-2", "constant")
 
 
 @dataclass
@@ -42,13 +41,9 @@ class RunConfig:
     s0: float = 5e-5
     K: str = "5e-13"                 # scalar or 'kxx kxy kyx kyy'
     gamma: float = 1.0
-    p_ext: float = 1.333e3           # 1.333e3 Pa expressed in g/(mm s^2)
+    p_ext: float = 1.333e3           # 1.333e3 Pa in g/(mm s^2); negative: suction
     t_pulse: float = 3e-3
-    sign_pext: float = 1.0
-    quad_degree: int = 6
-    penalty_rule: str = "h^-2"
-    penalty_scale: float = 1.0
-    penalty_value: float = 1.0       # used when penalty_rule = constant
+    penalty_scale: float = 1.0       # interface penalty tau = penalty_scale * h^-2
     residual_tol: float = 1e-9
 
 
@@ -58,9 +53,8 @@ _LAYOUT = {
             "checkpoint", "dump_matrix", "probe_x", "probe_y"),
     "mesh": ("mesh_source", "msh_physical_map"),
     "material": ("rho_f", "rho_s", "mu_f", "E", "nu", "phi", "s0", "K", "gamma"),
-    "forcing": ("p_ext", "t_pulse", "sign_pext"),
-    "numerics": ("quad_degree", "penalty_rule", "penalty_scale", "penalty_value",
-                 "residual_tol"),
+    "forcing": ("p_ext", "t_pulse"),
+    "numerics": ("penalty_scale", "residual_tol"),
 }
 _KEY_OF = {"mesh_source": "source", "msh_physical_map": "physical_map"}
 _TYPES = {f.name: f.type for f in dc_fields(RunConfig)}
@@ -115,16 +109,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("t_end must be at least one step")
     if cfg.output_every < 0:
         raise ConfigError("output_every must be >= 0")
-    if cfg.quad_degree < 1:
-        raise ConfigError("quad_degree must be >= 1")
-    if cfg.penalty_rule not in PENALTY_RULES:
-        raise ConfigError("penalty_rule must be one of %s" % (PENALTY_RULES,))
-    if cfg.penalty_scale <= 0.0 or cfg.penalty_value <= 0.0:
+    if cfg.penalty_scale <= 0.0:
         raise ConfigError("penalty weights must be positive")
     if cfg.residual_tol <= 0.0:
         raise ConfigError("residual_tol must be positive")
-    if cfg.sign_pext not in (1.0, -1.0):
-        raise ConfigError("sign_pext must be +1 or -1")
     try:
         material_params(cfg)
     except (ValueError, ConfigError) as exc:

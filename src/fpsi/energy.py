@@ -68,7 +68,7 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
         vq = field_at_qp(sub.val2, sub.nodes2, vf, d)
         rep.kinetic_fluid = 0.5 * prm.rho_f * _integral(wJ, np.sum(vq * vq, axis=-1))
         # D = {grad v F~^-1}_s with grad(phi) F~^-1 = G from the geometry
-        M = np.swapaxes(vf.reshape(-1, d)[sub.nodes2], 1, 2)[:, None] @ geo.fluid["G"]
+        M = grads_at_qp(geo.fluid["G"], sub.nodes2, vf, d)
         D = 0.5 * (M + np.swapaxes(M, -1, -2))
         rep.viscous_dissipation = 2.0 * prm.mu_f * _integral(wJ, np.sum(D * D, axis=(-2, -1)))
 
@@ -88,9 +88,9 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
         rep.darcy_dissipation = _integral(wJ, np.sum((qq @ prm.K_inv(d)) * qq, axis=-1))
         # rate of elastic working: F~ S(E(u_k, u~)) : grad(v_s)
         Ft = geo.solid["F"]
-        E = green_lagrange(grads_at_qp(sub, fields["u"], d) + np.eye(d), Ft)
+        E = green_lagrange(grads_at_qp(sub.grad2, sub.nodes_u, fields["u"], d) + np.eye(d), Ft)
         FS = Ft @ svk_stress(E, prm.lam_s, prm.mu_s)
-        gvs = np.swapaxes(vs.reshape(-1, d)[sub.nodes2], 1, 2)[:, None] @ sub.grad2
+        gvs = grads_at_qp(sub.grad2, sub.nodes2, vs, d)
         rep.elastic_power = _integral(sub.w, np.sum(FS * gvs, axis=(-2, -1)))
 
     if problem.iface is not None:

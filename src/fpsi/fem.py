@@ -48,13 +48,14 @@ def scalar_at_qp(val: np.ndarray, nodes: np.ndarray, vec: np.ndarray) -> np.ndar
     return (val @ vec[nodes][..., None])[..., 0]
 
 
-def grads_at_qp(sub, uvec: np.ndarray, d: int) -> np.ndarray:
-    """grad u at the quadrature points of cells or facets: (nb, nq, d, d), du_m/dx_e.
+def grads_at_qp(grad: np.ndarray, nodes: np.ndarray, vec: np.ndarray, d: int) -> np.ndarray:
+    """Gradient of an FE vector field at quadrature points: (nb, nq, d, d), dv_m/dx_e.
 
-    sub carries `nodes_u` (nb, n2) and the P2 gradients `grad2` (nb, nq, n2, d).
+    grad holds the basis gradients (nb, nq, n, d) of the batch, nodes (nb, n)
+    the scalar nodes of the space the interleaved dofs `vec` belong to.
     """
-    uloc = uvec.reshape(-1, d)[sub.nodes_u]                  # (nb, n2, d)
-    return np.swapaxes(uloc, 1, 2)[:, None] @ sub.grad2
+    vloc = vec.reshape(-1, d)[nodes]                         # (nb, n, d)
+    return np.swapaxes(vloc, 1, 2)[:, None] @ grad
 
 
 def weighted_gram(w: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -9,13 +9,14 @@ y = +-5 form the coupling interface.  Default material parameters are the
 mm-g-s values of the tube benchmark; note 1 Pa = 1 g/(mm s^2) in this system.
 
 Manufactured-solution problems run on a unit square occupied by a single
-subdomain with the geometry frozen (u = 0), loading forcing terms from
-mms.MmsCase.
+subdomain, loading forcing terms from mms.MmsCase.  They stay in the
+reference configuration (u = 0): the fluid case has no solid to move its
+mesh, and the steady solves take the reference geometry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -130,28 +131,26 @@ def pulse_schedule(p_ext: float, t_pulse: float):
     return pulse
 
 
-def _zero_vec(X, t=None):
+def _zero_vec(X, _t=None):
     return np.zeros((np.atleast_2d(X).shape[0], 2))
 
 
-def _zero_scalar(X, t=None):
+def _zero_scalar(X, _t=None):
     return np.zeros(np.atleast_2d(X).shape[0])
 
 
 def channel_problem(mesh: Mesh, params: MaterialParams, *,
                     p_ext: float = 1.333e3, t_pulse: float = 3e-3,
-                    sign_pext: float = 1.0,
-                    penalty_scale: float = 1.0,
-                    penalty_const: Optional[float] = None,
-                    quad_degree: int = 6) -> Problem:
-    """Pressure-wave (or, with p_ext = 0, decay) problem on a channel mesh."""
+                    penalty_scale: float = 1.0) -> Problem:
+    """Pressure-wave (or, with p_ext = 0, decay) problem on a channel mesh.
+
+    A negative p_ext gives a suction pulse."""
     bcs = [DirichletBC("v_s", (GAMMA_S0,), _zero_vec),
            DirichletBC("p_d", (GAMMA_S0,), _zero_scalar)]
     loads = []
     if p_ext != 0.0:
-        loads.append(PressureLoad(GAMMA_F0, pulse_schedule(p_ext, t_pulse), sign_pext))
-    return build_problem(mesh, params, quad_degree=quad_degree,
-                         penalty_scale=penalty_scale, penalty_const=penalty_const,
+        loads.append(PressureLoad(GAMMA_F0, pulse_schedule(p_ext, t_pulse)))
+    return build_problem(mesh, params, penalty_scale=penalty_scale,
                          dirichlet=bcs, loads=loads,
                          open_markers=(GAMMA_F0, GAMMA_OUT))
 
@@ -160,13 +159,11 @@ def channel_problem(mesh: Mesh, params: MaterialParams, *,
 # Manufactured-solution problems and studies
 # ---------------------------------------------------------------------------
 
-def mms_problem(case: MmsCase, n: int, quad_degree: int = 6) -> Problem:
+def mms_problem(case: MmsCase, n: int) -> Problem:
     if case.subdomain == "fluid":
         mesh = unit_square_mesh(n, "fluid")
         bcs = [DirichletBC("v_f", (GAMMA_F0,), case.exact["v_f"])]
-        prob = build_problem(mesh, case.params, quad_degree=quad_degree,
-                             include_inertia=case.time_dependent,
-                             frozen_geometry=True, dirichlet=bcs,
+        prob = build_problem(mesh, case.params, dirichlet=bcs,
                              forcing=case.forcing, pin_pf=None)
         coord = prob.spaces["p_f"].node_coords[0:1]
         exact_p = case.exact["p_f"]
@@ -175,25 +172,23 @@ def mms_problem(case: MmsCase, n: int, quad_degree: int = 6) -> Problem:
         mesh = unit_square_mesh(n, "solid")
         bcs = [DirichletBC("v_s", (GAMMA_S0,), case.exact["v_s"]),
                DirichletBC("p_d", (GAMMA_S0,), case.exact["p_d"])]
-        prob = build_problem(mesh, case.params, quad_degree=quad_degree,
-                             frozen_geometry=True, dirichlet=bcs,
-                             forcing=case.forcing)
+        prob = build_problem(mesh, case.params, dirichlet=bcs, forcing=case.forcing)
     return prob
 
 
-def solve_mms_steady(case: MmsCase, n: int, quad_degree: int = 6) -> Dict[str, float]:
+def solve_mms_steady(case: MmsCase, n: int) -> Dict[str, float]:
     """One steady MMS solve; returns L2 errors keyed by field."""
-    prob = mms_problem(case, n, quad_degree)
+    prob = mms_problem(case, n)
     fields, _ = solve_steady(prob)
     return {name: error_L2(prob.spaces[name], fields[name], fn)
             for name, fn in case.exact.items()}
 
 
-def mms_spatial_study(case: MmsCase, ns=(4, 8, 16, 32), quad_degree: int = 6):
+def mms_spatial_study(case: MmsCase, ns=(4, 8, 16, 32)):
     """L2 errors per field over a sequence of mesh resolutions."""
     errors: Dict[str, list] = {name: [] for name in case.exact}
     for n in ns:
-        errs = solve_mms_steady(case, n, quad_degree)
+        errs = solve_mms_steady(case, n)
         for name, e in errs.items():
             errors[name].append(e)
     hs = [1.0 / n for n in ns]
@@ -201,9 +196,9 @@ def mms_spatial_study(case: MmsCase, ns=(4, 8, 16, 32), quad_degree: int = 6):
 
 
 def solve_mms_time(case: MmsCase, n: int, dt: float, n_steps: int,
-                   order: int, quad_degree: int = 6) -> float:
+                   order: int) -> float:
     """Velocity L2 error at T = n_steps * dt for the unsteady case."""
-    prob = mms_problem(case, n, quad_degree)
+    prob = mms_problem(case, n)
     init = {
         "v_f": interpolate(prob.spaces["v_f"], lambda X: case.exact["v_f"](X, 0.0)),
         "p_f": interpolate(prob.spaces["p_f"], lambda X: case.exact["p_f"](X, 0.0)),

@@ -23,6 +23,8 @@ from .elements import eval_basis, simplex_quadrature
 from .errors import AssemblyError
 from .mesh import Mesh
 
+ERROR_QUAD_DEGREE = 8   # quadrature degree of the L2 error integrals
+
 
 @dataclass
 class FunctionSpace:
@@ -191,9 +193,10 @@ def cell_geometry(mesh: Mesh, cells: np.ndarray):
     return x0, B, np.abs(det), Binv
 
 
-def error_L2(space: FunctionSpace, vec: np.ndarray, exact: Callable, quad_degree: int = 8) -> float:
-    """L2 norm of (u_h - exact) over the space's subdomain."""
-    rule = simplex_quadrature(space.dim, quad_degree)
+def error_L2(space: FunctionSpace, vec: np.ndarray, exact: Callable) -> float:
+    """L2 norm of (u_h - exact) over the space's subdomain, with the
+    degree-ERROR_QUAD_DEGREE rule."""
+    rule = simplex_quadrature(space.dim, ERROR_QUAD_DEGREE)
     vals, _ = eval_basis(space.dim, space.degree, rule.points)    # (nq, nloc)
     x0, B, adet, _ = cell_geometry(space.mesh, space.cells)
     # physical quadrature points per cell: (nc, nq, d)

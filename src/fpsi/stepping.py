@@ -10,7 +10,10 @@ Each step k:
   4. update the displacement from the BDF identity  [du/dt]^k = w^k,
   5. reject the step if any element of the updated configuration inverts.
 
-BDF2 takes its first step with BDF1 (no older history exists).
+A problem without a solid has nothing to move its mesh: it skips items 3-5
+and steps in the reference configuration (`StepInputs.u_tilde` None), whose
+geometry is built once per problem.  BDF2 takes its first step with BDF1
+(no older history exists).
 
 Each matrix of items 2 and 3 has one record, its assembly pattern
 (`Problem.patterns`, a `fem.SparsePattern`): the structure with its
@@ -129,8 +132,8 @@ def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> Step
             h = h + sch.a2 * f2[name]
         hist[name] = h
     nu = problem.spaces["u"].num_dofs
-    if problem.frozen_geometry:
-        u_tilde = np.zeros(nu)
+    if problem.solid is None:
+        u_tilde = None         # no solid moves the mesh: the reference configuration
         u_impl_hist = np.zeros(nu)
         w_tilde = None
     else:
@@ -225,7 +228,8 @@ def check_deformation(problem: Problem, u: np.ndarray) -> float:
     """Smallest J of the configuration u at the cells' quadrature points;
     raises DegenerateDeformationError naming the cell if it inverts."""
     d = problem.dim
-    return min(float(checked_det(grads_at_qp(sub, u, d) + np.eye(d), sub.cells).min())
+    return min(float(checked_det(grads_at_qp(sub.grad2, sub.nodes_u, u, d) + np.eye(d),
+                                 sub.cells).min())
                for sub in (problem.fluid, problem.solid) if sub is not None)
 
 
@@ -250,7 +254,7 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
 
     nu = problem.spaces["u"].num_dofs
     ext = None
-    if problem.frozen_geometry or problem.solid is None:
+    if problem.solid is None:
         u_new = np.zeros(nu)
         w_new = np.zeros(nu)
         jmin = 1.0             # u = 0: the reference configuration, F = I
@@ -283,7 +287,7 @@ def run_transient(problem: Problem, dt: float, order: int, n_steps: int,
 
 
 def solve_steady(problem: Problem, t: float = 0.0):
-    """One steady solve (no mass terms, beta = 1, undeformed geometry).
+    """One steady solve (no mass terms, beta = 1, reference geometry).
 
     The matrix is solved once, so its LU is not kept."""
     inp = StepInputs.steady(problem, t)

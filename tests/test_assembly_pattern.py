@@ -97,7 +97,8 @@ def backflow_active(problem, inp, geo):
     """Whether the extrapolated velocity enters through an open boundary."""
     if inp.vf_tilde is None:
         return False
-    for marker, tr in problem.open_data.items():
+    for marker in problem.open_markers:
+        tr = problem.natural[marker]
         g = geo.loads[marker]
         vt = field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, problem.dim)
         if np.any(np.sum(vt * g["vn"], axis=-1) < 0.0):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
-from fpsi.assembly import (DirichletBC, PressureLoad, StepInputs,
+from fpsi.assembly import (QUAD_DEGREE, DirichletBC, PressureLoad, StepInputs,
                            assemble_system, build_geometry, build_problem)
 from fpsi.elements import eval_basis, facet_quadrature, simplex_quadrature
 from fpsi.errors import AssemblyError, DegenerateDeformationError
@@ -14,6 +14,7 @@ from fpsi.kinematics import MaterialParams
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, extract_interface
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, unit_square_mesh
 from fpsi.spaces import interpolate
+from fpsi.stepping import BDF1, State, _step_inputs
 from tests.test_assembly_forms import PARAMS, make_problem, one_triangle_mesh
 from tests.test_mesh import two_triangle_mesh
 
@@ -67,10 +68,41 @@ def test_geometry_rejects_degenerate_displacement():
         build_geometry(prob, flip)
 
 
+def test_explicit_u_tilde_is_evaluated_without_a_solid():
+    # a solid-less problem never moves its mesh, yet an explicit u~ is
+    # always evaluated: no geometry is cached behind the caller's back
+    prob = make_problem(one_triangle_mesh(FLUID))
+    A_0, _ = assemble_system(prob, steady(prob, lambda X: np.zeros_like(X)))
+    A_w, _ = assemble_system(prob, steady(prob, wavy))
+    assert not np.array_equal(A_0.A.toarray(), A_w.A.toarray())
+    assert prob.geometry is None
+    # u~ None is the reference configuration: built once, then kept
+    A_ref, geo = assemble_system(prob, steady(prob))
+    assert prob.geometry is geo
+    assert np.array_equal(A_ref.A.toarray(), A_0.A.toarray())
+    assert assemble_system(prob, steady(prob))[1] is geo
+    A_again, _ = assemble_system(prob, steady(prob, wavy))
+    assert np.array_equal(A_again.A.toarray(), A_w.A.toarray())
+
+
+def test_negative_p_ext_loads_with_the_opposite_sign():
+    mesh, dt = channel_mesh(2), 1e-4
+    systems = []
+    for p_ext in (1.333e3, -1.333e3):
+        prob = channel_problem(mesh, benchmark_params(K=1e-5), p_ext=p_ext)
+        # the first step from rest lies inside the pulse: b is the load alone
+        inp = _step_inputs(prob, State.initial(prob), BDF1, dt)
+        systems.append(assemble_system(prob, inp)[0])
+    plus, minus = systems
+    assert np.any(plus.b != 0.0)
+    assert np.array_equal(minus.b, -plus.b)
+    assert np.array_equal(minus.A.data, plus.A.data)
+
+
 def test_quadrature_batches_match_per_entity_loop():
     mesh = channel_mesh(4)
-    q = 6
-    prob = channel_problem(mesh, benchmark_params(K=1e-5), quad_degree=q)
+    q = QUAD_DEGREE
+    prob = channel_problem(mesh, benchmark_params(K=1e-5))
 
     def affine(c):
         cv = mesh.vertices[mesh.cells[c]]
@@ -90,10 +122,11 @@ def test_quadrature_batches_match_per_entity_loop():
     iface = extract_interface(mesh)
     facet_sets = {"iface": (iface.vertices, prob.iface.fluid)}
     for m in (GAMMA_F0, GAMMA_OUT):
-        facet_sets[m] = (mesh.facets[mesh.facets_with_marker(m)], prob.open_data[m])
+        facet_sets[m] = (mesh.facets[mesh.facets_with_marker(m)], prob.natural[m])
     # open-boundary normals point out of the channel: -x at the inlet, +x at the outlet
-    assert np.allclose(prob.open_data[GAMMA_F0].nref, [-1.0, 0.0], rtol=0.0, atol=1e-15)
-    assert np.allclose(prob.open_data[GAMMA_OUT].nref, [1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert prob.open_markers == (GAMMA_F0, GAMMA_OUT)
+    assert np.allclose(prob.natural[GAMMA_F0].nref, [-1.0, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(prob.natural[GAMMA_OUT].nref, [1.0, 0.0], rtol=0.0, atol=1e-15)
     frule = facet_quadrature(2, q)
     for name, (fverts, tr) in facet_sets.items():
         assert tr.val2.ndim == 3 and len(tr.cells) == len(fverts) > 0
@@ -419,10 +452,10 @@ def test_assembly_error_paths():
 
 
 def test_stokes_pressure_nullspace():
-    # frozen geometry, velocity Dirichlet everywhere: the only singular mode
-    # is the constant pressure, and pinning one DOF removes it
+    # reference geometry, velocity Dirichlet everywhere: the only singular
+    # mode is the constant pressure, and pinning one DOF removes it
     def nullity(pin):
-        prob = build_problem(unit_square_mesh(2), PARAMS, frozen_geometry=True,
+        prob = build_problem(unit_square_mesh(2), PARAMS,
                              dirichlet=[zero_bc("v_f", (GAMMA_F0,))], pin_pf=pin)
         sysm, _ = assemble_system(prob, StepInputs.steady(prob))
         s = np.linalg.svd(sysm.A.toarray(), compute_uv=False)

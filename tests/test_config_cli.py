@@ -20,6 +20,16 @@ from tests.test_mesh import TET_NATIVE
 # Config
 # ---------------------------------------------------------------------------
 
+# keys that name no option (one quadrature rule, one penalty rule, the sign
+# of a pulse is the sign of p_ext): each is an unknown key
+REMOVED_KEYS = {
+    "quad_degree": "[numerics]\nquad_degree = 6\n",
+    "penalty_rule": "[numerics]\npenalty_rule = h^-2\n",
+    "penalty_value": "[numerics]\npenalty_value = 1.0\n",
+    "sign_pext": "[forcing]\nsign_pext = -1\n",
+}
+
+
 def test_default_template_roundtrip():
     assert parse_config(default_config_text()) == RunConfig()
     cfg = RunConfig(scenario="decay", dt=2e-4, K="1e-5", mesh_source="channel:4")
@@ -39,14 +49,14 @@ physical_map = 1:FLUID,2:SOLID
 [material]
 K = 1e-5 0 0 2e-5
 [numerics]
-penalty_rule = constant
+penalty_scale = 10
 """)
     assert cfg.scenario == "decay" and cfg.order == 2
     assert cfg.dt == pytest.approx(2e-4)
     assert cfg.output_every == 0
     assert cfg.mesh_source == "channel:8"
     assert cfg.msh_physical_map == "1:FLUID,2:SOLID"
-    assert cfg.penalty_rule == "constant"
+    assert cfg.penalty_scale == 10.0
     assert np.allclose(parse_permeability(cfg.K), [[1e-5, 0], [0, 2e-5]])
 
 
@@ -59,11 +69,9 @@ penalty_rule = constant
     ("[run]\ndt = -1e-4\n", "dt must be positive"),
     ("[run]\ndt = 1.0\n", "t_end"),
     ("[run]\noutput_every = -1\n", "output_every"),
-    ("[numerics]\nquad_degree = 0\n", "quad_degree"),
-    ("[numerics]\npenalty_rule = h^-3\n", "penalty_rule"),
     ("[numerics]\npenalty_scale = 0\n", "penalty weights"),
     ("[numerics]\nresidual_tol = 0\n", "residual_tol"),
-    ("[forcing]\nsign_pext = 0.5\n", "sign_pext"),
+] + [(text, "unknown key '%s'" % key) for key, text in REMOVED_KEYS.items()] + [
     ("[material]\nnu = 0.5\n", "bad material"),
     ("[material]\nK = 1 2\n", "bad material"),
     ("no sections here", "cannot parse"),
@@ -71,6 +79,14 @@ penalty_rule = constant
 def test_invalid_configs_raise(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text", REMOVED_KEYS.values())
+def test_cli_removed_key_exits_1(tmp_path, capsys, text):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg)]) == 1
+    assert "unknown key" in capsys.readouterr().err
 
 
 def test_parse_permeability():

@@ -1,6 +1,6 @@
 """Module boundaries: no fpsi module imports another module's _private
-helpers, no module imports a name it never reads, and no handler catches
-every exception.
+helpers, no module imports a name it never reads, no function takes a
+parameter it never reads, and no handler catches every exception.
 
 A helper that two modules need is public in one of them (or moves to
 `fem.py`); the checks parse every source file with `ast`, so they need no
@@ -108,6 +108,56 @@ def test_no_module_imports_unused_names():
     assert len(modules) >= 10
     found = [line for path in modules
              for line in unused_imports(path.read_text(), path.name)]
+    assert found == []
+
+
+def unread_parameters(source: str, filename: str = "<src>"):
+    """Parameters of a `def` that its body never reads.
+
+    A removed option must not leave its argument behind.  A read is a load
+    of the name anywhere in the body, nested functions included; `self`,
+    `cls` and names starting with `_` (a callback's unused slot) are exempt.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_"):
+                found.append("%s:%d: %s(%s)" % (filename, node.lineno, node.name, p.arg))
+    return found
+
+
+def test_scanner_flags_unread_parameters():
+    src = ("def f(a, b, *args, c=1, _d=None, **kw):\n"
+           "    return a + sum(args)\n"
+           "class C:\n"
+           "    def m(self, x, y):\n"
+           "        def inner():\n"
+           "            return x\n"
+           "        y = 2\n"
+           "        return inner\n"
+           "    @classmethod\n"
+           "    def make(cls, n: int) -> 'C':\n"
+           "        return cls()\n")
+    assert [line.split(": ", 1)[1] for line in unread_parameters(src)] == [
+        "f(b)",
+        "f(c)",
+        "f(kw)",
+        "m(y)",
+        "make(n)",
+    ]
+
+
+def test_no_function_takes_an_unread_parameter():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    found = [line for path in modules
+             for line in unread_parameters(path.read_text(), path.name)]
     assert found == []
 
 
