@@ -91,12 +91,6 @@ class BlockLayout:
     def split(self, x: np.ndarray) -> Dict[str, np.ndarray]:
         return {n: x[self.slice_of(n)].copy() for n in self.names}
 
-    def pack(self, fields: Dict[str, np.ndarray]) -> np.ndarray:
-        x = np.zeros(self.total)
-        for n in self.names:
-            x[self.slice_of(n)] = fields[n]
-        return x
-
 
 @dataclass
 class BlockSystem:
@@ -174,9 +168,10 @@ class StepInputs:
     w_tilde: Optional[np.ndarray] = None
 
     @classmethod
-    def steady(cls, problem: "Problem", t: float = 0.0) -> "StepInputs":
+    def steady(cls, problem: "Problem") -> "StepInputs":
+        """A steady solve at t = 0."""
         nu = problem.spaces["u"].num_dofs
-        return cls(t=t, dt=None, a0=1.0, u_tilde=None, u_impl_hist=np.zeros(nu))
+        return cls(t=0.0, dt=None, a0=1.0, u_tilde=None, u_impl_hist=np.zeros(nu))
 
     @property
     def beta(self) -> float:

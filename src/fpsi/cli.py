@@ -60,11 +60,15 @@ def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
     problem = channel_problem(mesh, params, p_ext=p_ext, t_pulse=cfg.t_pulse,
                               penalty_scale=cfg.penalty_scale)
     problem.solver_rtol = cfg.residual_tol
-    os.makedirs(cfg.output_dir, exist_ok=True)
 
     probe = np.array([cfg.probe_x, cfg.probe_y])
     uspace = problem.spaces["u"]
-    probe_cell = locate_cell(uspace, probe)
+    try:
+        probe_cell = locate_cell(uspace, probe)
+    except ValueError:
+        raise ConfigError("probe point (probe_x, probe_y) = (%g, %g) lies outside the mesh"
+                          % (cfg.probe_x, cfg.probe_y))
+    os.makedirs(cfg.output_dir, exist_ok=True)
     series = TimeSeries()
     state = State.initial(problem)
     n_steps = int(round(cfg.t_end / cfg.dt))

@@ -25,11 +25,6 @@ LOCAL_EDGES = ((0, 1), (0, 2), (1, 2))
 class QuadratureRule:
     points: np.ndarray   # (nq, dim)
     weights: np.ndarray  # (nq,)
-    degree: int          # exact for polynomials up to this total degree
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def _gauss01(n: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -51,7 +46,7 @@ def simplex_quadrature(dim: int, degree: int) -> QuadratureRule:
     n = max(1, (degree + 2) // 2)  # 2n-1 >= degree
     if dim == 1:
         x, w = _gauss01(n)
-        return QuadratureRule(x[:, None].copy(), w.copy(), degree)
+        return QuadratureRule(x[:, None].copy(), w.copy())
     if dim == 2:
         # x = xi*(1-eta), y = eta; Jacobian (1-eta) absorbed by the Jacobi weight.
         xi, wxi = _gauss01(n)
@@ -59,7 +54,7 @@ def simplex_quadrature(dim: int, degree: int) -> QuadratureRule:
         X = np.outer(1.0 - eta, xi).ravel()
         Y = np.repeat(eta, n)
         W = np.outer(weta, wxi).ravel()
-        return QuadratureRule(np.column_stack([X, Y]), W, degree)
+        return QuadratureRule(np.column_stack([X, Y]), W)
     raise ValueError("unsupported dimension %d" % dim)
 
 

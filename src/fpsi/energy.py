@@ -17,7 +17,7 @@ strongly the normal-flux constraint is violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -48,11 +48,6 @@ class EnergyReport:
     def total(self) -> float:
         return (self.kinetic_fluid + self.kinetic_solid
                 + self.kinetic_mixture + self.pressure_storage)
-
-    def as_dict(self) -> Dict[str, float]:
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        out["total"] = self.total
-        return out
 
 
 def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],

@@ -134,9 +134,6 @@ class Mesh:
     def facet_edges(self) -> np.ndarray:
         return self.edge_table.facet_edges
 
-    def cell_volumes(self) -> np.ndarray:
-        return _signed_volumes(self.vertices, self.cells)
-
 
 def _edge_table(mesh: Mesh) -> EdgeTable:
     """The edge table of the mesh's cells and marked facets.
@@ -336,6 +333,9 @@ def _check_hanging_nodes(mesh: Mesh, marked: np.ndarray) -> None:
 # Native plain-text format
 # ---------------------------------------------------------------------------
 
+_NATIVE_SECTIONS = ("VERTICES", "CELLS", "FACETS")
+
+
 def _tokenize(text: str):
     for line in text.splitlines():
         body = line.split("#", 1)[0].strip()
@@ -343,82 +343,72 @@ def _tokenize(text: str):
             yield body.split()
 
 
+def _numbers(section: str, row: int, values, convert) -> list:
+    """Row `row` of a file section converted by int or float; a value that
+    does not convert raises MeshError naming the section and the row."""
+    try:
+        return [convert(v) for v in values]
+    except ValueError:
+        raise MeshError("%s row %d: cannot read %r as %s values"
+                        % (section, row, " ".join(values), convert.__name__))
+
+
 def parse_native(text: str) -> Mesh:
     """Parse the native format: VERTICES / CELLS / FACETS sections."""
     rows = list(_tokenize(text))
     pos = 0
 
-    def expect(section):
+    def section(usage):
+        """Header numbers and body rows of the next section, `usage` being
+        its header line, e.g. 'CELLS <count>'."""
         nonlocal pos
-        if pos >= len(rows) or rows[pos][0] != section:
-            raise MeshError("expected %s section" % section)
-        header = rows[pos]
-        pos += 1
-        return header
+        name, nhead = usage.split()[0], len(usage.split()) - 1
+        if pos >= len(rows) or rows[pos][0] != name:
+            raise MeshError("expected %s section" % name)
+        try:
+            head = [int(v) for v in rows[pos][1:]]
+        except ValueError:
+            head = []
+        if len(head) != nhead or head[0] < 0:
+            raise MeshError("%s header must be '%s'" % (name, usage))
+        body = rows[pos + 1: pos + 1 + head[0]]
+        found = next((i for i, row in enumerate(body) if row[0] in _NATIVE_SECTIONS), len(body))
+        if found < head[0]:
+            raise MeshError("%s section has %d rows, its header declares %d"
+                            % (name, found, head[0]))
+        pos += 1 + head[0]
+        return head, body
 
-    head = expect("VERTICES")
-    try:
-        nv, dim = int(head[1]), int(head[2])
-    except (IndexError, ValueError):
-        raise MeshError("VERTICES header must be 'VERTICES <count> <dim>'")
+    def entities(usage, nids, names, what):
+        """Vertex ids and tag of each row of a CELLS or FACETS section."""
+        name = usage.split()[0]
+        (n,), body = section(usage)
+        ids = np.empty((n, nids), dtype=np.int64)
+        tags = np.empty(n, dtype=np.int64)
+        for i, row in enumerate(body):
+            if len(row) != nids + 1:
+                raise MeshError("%s row %d malformed: expected %d vertex ids and a name"
+                                % (name, i, nids))
+            ids[i] = _numbers(name, i, row[:nids], int)
+            if row[nids] not in names:
+                raise MeshError("unknown %s %r in %s row %d" % (what, row[nids], name, i))
+            tags[i] = names[row[nids]]
+        return ids, tags
+
+    (nv, dim), body = section("VERTICES <count> <dim>")
     if dim != 2:
         raise MeshError("dimension must be 2, got %d" % dim)
     verts = np.empty((nv, dim))
-    for i in range(nv):
-        row = rows[pos + i]
+    for i, row in enumerate(body):
         if len(row) != dim:
-            raise MeshError("vertex row %d has %d coordinates, expected %d" % (i, len(row), dim))
-        verts[i] = [float(x) for x in row]
-    pos += nv
-
-    head = expect("CELLS")
-    nc = int(head[1])
-    cells = np.empty((nc, dim + 1), dtype=np.int64)
-    tags = np.empty(nc, dtype=np.int64)
-    for i in range(nc):
-        row = rows[pos + i]
-        if len(row) != dim + 2:
-            raise MeshError("cell row %d malformed" % i)
-        cells[i] = [int(v) for v in row[: dim + 1]]
-        name = row[dim + 1]
-        if name not in CELL_TAG_NAMES:
-            raise MeshError("unknown cell tag %r in row %d" % (name, i))
-        tags[i] = CELL_TAG_NAMES[name]
-    pos += nc
-
-    head = expect("FACETS")
-    nf = int(head[1])
-    facets = np.empty((nf, dim), dtype=np.int64)
-    markers = np.empty(nf, dtype=np.int64)
-    for i in range(nf):
-        row = rows[pos + i]
-        if len(row) != dim + 1:
-            raise MeshError("facet row %d malformed" % i)
-        facets[i] = [int(v) for v in row[:dim]]
-        name = row[dim]
-        if name not in MARKER_NAMES:
-            raise MeshError("unknown facet marker %r in row %d" % (name, i))
-        markers[i] = MARKER_NAMES[name]
-    pos += nf
+            raise MeshError("VERTICES row %d has %d coordinates, expected %d" % (i, len(row), dim))
+        verts[i] = _numbers("VERTICES", i, row, float)
+    cells, tags = entities("CELLS <count>", dim + 1, CELL_TAG_NAMES, "cell tag")
+    facets, markers = entities("FACETS <count>", dim, MARKER_NAMES, "facet marker")
     if pos != len(rows):
         raise MeshError("trailing content after FACETS section")
 
     return Mesh(verts, cells, tags, facets, markers)
-
-
-def write_native(mesh: Mesh, path: str) -> None:
-    """Write the native format with full-precision coordinates."""
-    lines = ["VERTICES %d %d" % (mesh.num_vertices, mesh.dim)]
-    for v in mesh.vertices:
-        lines.append(" ".join(repr(float(x)) for x in v))
-    lines.append("CELLS %d" % mesh.num_cells)
-    for cell, tag in zip(mesh.cells, mesh.cell_tags):
-        lines.append(" ".join(str(int(v)) for v in cell) + " " + TAG_TO_NAME[int(tag)])
-    lines.append("FACETS %d" % len(mesh.facets))
-    for fac, m in zip(mesh.facets, mesh.facet_markers):
-        lines.append(" ".join(str(int(v)) for v in fac) + " " + MARKER_TO_NAME[int(m)])
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +416,22 @@ def write_native(mesh: Mesh, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 _MSH_TYPE_NODES = {1: 2, 2: 3, 15: 1}  # line, triangle, point
+
+
+def _msh_rows(sections: Dict[str, List[str]], name: str) -> List[List[str]]:
+    """Token rows of the counted section $Nodes or $Elements; a missing
+    count or fewer rows than it states raises MeshError."""
+    body = sections[name]
+    try:
+        n = int(body[0])
+    except (IndexError, ValueError):
+        n = -1
+    if n < 0:
+        raise MeshError("$%s section must start with its row count" % name)
+    rows = [line.split() for line in body[1:1 + n]]
+    if len(rows) < n:
+        raise MeshError("$%s section has %d rows, its count says %d" % (name, len(rows), n))
+    return rows
 
 
 def parse_msh(text: str, physical_map: Dict[int, str]) -> Mesh:
@@ -452,37 +458,41 @@ def parse_msh(text: str, physical_map: Dict[int, str]) -> Mesh:
 
     if "MeshFormat" not in sections:
         raise MeshError("missing $MeshFormat section")
-    fmt = sections["MeshFormat"][0].split()
-    if not fmt[0].startswith("2.2") or fmt[1] != "0":
+    fmt = (sections["MeshFormat"] or [""])[0].split()
+    if len(fmt) < 2 or not fmt[0].startswith("2.2") or fmt[1] != "0":
         raise MeshError("only ASCII MSH 2.2 is supported, got %s" % " ".join(fmt[:2]))
 
     if "Nodes" not in sections or "Elements" not in sections:
         raise MeshError("missing $Nodes or $Elements section")
 
-    body = sections["Nodes"]
-    nn = int(body[0])
-    ids = np.empty(nn, dtype=np.int64)
-    xyz = np.empty((nn, 3))
-    for k in range(nn):
-        parts = body[1 + k].split()
-        ids[k] = int(parts[0])
-        xyz[k] = [float(x) for x in parts[1:4]]
+    rows = _msh_rows(sections, "Nodes")
+    ids = np.empty(len(rows), dtype=np.int64)
+    xyz = np.empty((len(rows), 3))
+    for k, parts in enumerate(rows):
+        if len(parts) != 4:
+            raise MeshError("$Nodes row %d must be 'id x y z', got %r" % (k, " ".join(parts)))
+        ids[k] = _numbers("$Nodes", k, parts[:1], int)[0]
+        xyz[k] = _numbers("$Nodes", k, parts[1:], float)
     id_map = {int(g): k for k, g in enumerate(ids)}
 
-    body = sections["Elements"]
-    ne = int(body[0])
     tris, tri_phys = [], []
     segs, seg_phys = [], []
-    for k in range(ne):
-        parts = [int(x) for x in body[1 + k].split()]
+    for k, parts in enumerate(_msh_rows(sections, "Elements")):
+        parts = _numbers("$Elements", k, parts, int)
+        if len(parts) < 3:
+            raise MeshError("$Elements row %d must start with 'id type ntags'" % k)
         etype, ntags = parts[1], parts[2]
         if etype not in _MSH_TYPE_NODES:
             raise MeshError("unsupported MSH element type %d (meshes are 2D: lines, "
                             "triangles and points only)" % etype)
-        phys = parts[3] if ntags >= 1 else 0
         nodes = parts[3 + ntags:]
         if len(nodes) != _MSH_TYPE_NODES[etype]:
             raise MeshError("element %d has wrong node count" % parts[0])
+        phys = parts[3] if ntags >= 1 else 0
+        undefined = [n for n in nodes if n not in id_map]
+        if undefined:
+            raise MeshError("$Elements row %d: node %d is not defined in $Nodes"
+                            % (k, undefined[0]))
         nodes = [id_map[n] for n in nodes]
         if etype == 2:
             tris.append(nodes)

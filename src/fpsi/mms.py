@@ -48,13 +48,13 @@ class MmsCase:
     name: str
     subdomain: str                       # "fluid" or "solid"
     params: MaterialParams
-    time_dependent: bool
     exact: Dict[str, Callable]
     forcing: Dict[str, Callable]
 
 
 def _wrap(exprs, tdep: bool) -> Callable:
-    """Vectorized callable fn(X, t=None) from sympy expressions."""
+    """Vectorized callable fn(X, t=None) from sympy expressions; without
+    tdep it ignores t, so every case's fields take (X, t) alike."""
     if isinstance(exprs, sp.MatrixBase):
         exprs = list(exprs)
     exprs = [sp.sympify(e) for e in np.atleast_1d(exprs)]
@@ -104,7 +104,7 @@ def _stokes_case(name: str, v, p, prm: MaterialParams) -> MmsCase:
     f = [-e + g for e, g in zip(_div_mat(2 * prm.mu_f * D), gp)]
     _require_zero(_div_vec(v), "div v of %s" % name)
     return MmsCase(
-        name=name, subdomain="fluid", params=prm, time_dependent=False,
+        name=name, subdomain="fluid", params=prm,
         exact={"v_f": _wrap(v, False), "p_f": _wrap(p, False)},
         forcing={"v_f": _wrap(f, False)},
     )
@@ -147,7 +147,7 @@ def biot_trig() -> MmsCase:
     f_d = [kinv * q[i] + gp[i] for i in range(2)]
     g_s = _div_vec([w[0] + q[0], w[1] + q[1]])
     return MmsCase(
-        name="biot_trig", subdomain="solid", params=prm, time_dependent=False,
+        name="biot_trig", subdomain="solid", params=prm,
         exact={"v_s": _wrap(w, False), "q": _wrap(q, False), "p_d": _wrap(p, False)},
         forcing={"v_s": _wrap(f_s, False), "q": _wrap(f_d, False),
                  "mass_s": _wrap(g_s, False)},
@@ -168,7 +168,7 @@ def unsteady_fluid() -> MmsCase:
     f = [prm.rho_f * (sp.diff(v[i], _t) + conv[i]) - visc[i] + gp[i] for i in range(2)]
     _require_zero(_div_vec(v), "div v of unsteady_fluid")
     return MmsCase(
-        name="unsteady_fluid", subdomain="fluid", params=prm, time_dependent=True,
+        name="unsteady_fluid", subdomain="fluid", params=prm,
         exact={"v_f": _wrap(v, True), "p_f": _wrap(p, True)},
         forcing={"v_f": _wrap(f, True)},
     )

@@ -34,13 +34,12 @@ def observed_orders(steps: Sequence[float], errors: Sequence[float]) -> List[flo
 
 
 def convergence_table(steps: Sequence[float], errors: Sequence[float],
-                      step_label: str = "h", error_label: str = "L2 error") -> str:
+                      step_label: str = "h") -> str:
     orders = observed_orders(steps, errors)
-    w = max(len(error_label), 12)
-    lines = ["%-14s %-*s %s" % (step_label, w, error_label, "order")]
+    lines = ["%-14s %-12s %s" % (step_label, "L2 error", "order")]
     for i, (s, e) in enumerate(zip(steps, errors)):
         tail = "-" if i == 0 else "%.2f" % orders[i - 1]
-        lines.append("%-14.6e %-*.6e %s" % (s, w, e, tail))
+        lines.append("%-14.6e %-12.6e %s" % (s, e, tail))
     return "\n".join(lines)
 
 

@@ -210,12 +210,11 @@ def solve_mms_time(case: MmsCase, n: int, dt: float, n_steps: int,
                     lambda X: case.exact["v_f"](X, t_end))
 
 
-def mms_temporal_study(case: MmsCase, order: int, n: int = 8,
-                       dt0: float = 0.02, n_steps0: int = 16, levels: int = 4):
-    """Errors over dt halvings at fixed mesh and fixed end time."""
+def mms_temporal_study(case: MmsCase, order: int, levels: int = 4):
+    """Errors over dt halvings from 0.02 on the 8 x 8 mesh, to T = 0.32."""
     dts, errors = [], []
     for lev in range(levels):
-        dt = dt0 / 2 ** lev
-        errors.append(solve_mms_time(case, n, dt, n_steps0 * 2 ** lev, order))
+        dt = 0.02 / 2 ** lev
+        errors.append(solve_mms_time(case, 8, dt, 16 * 2 ** lev, order))
         dts.append(dt)
     return dts, errors

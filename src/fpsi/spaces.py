@@ -20,10 +20,11 @@ from typing import Callable, Iterable, Optional, Tuple
 import numpy as np
 
 from .elements import eval_basis, simplex_quadrature
-from .errors import AssemblyError
+from .errors import AssemblyError, FpsiError
 from .mesh import Mesh
 
 ERROR_QUAD_DEGREE = 8   # quadrature degree of the L2 error integrals
+LOCATE_TOL = 1e-10      # barycentric slack of locate_cell at cell boundaries
 
 
 @dataclass
@@ -60,23 +61,12 @@ class FunctionSpace:
         the same vertex or edge get the same key."""
         return np.concatenate([self.vertex_ids, self.mesh.num_vertices + self.edge_ids])
 
-    def dofs_of_nodes(self, nodes, comp=None) -> np.ndarray:
-        """Interleaved dof ids for the given scalar nodes."""
+    def dofs_of_nodes(self, nodes) -> np.ndarray:
+        """Interleaved dof ids, all components, of the given scalar nodes."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if self.rank == 0:
             return nodes
-        if comp is not None:
-            return nodes * self.ncomp + comp
         return (nodes[:, None] * self.ncomp + np.arange(self.ncomp)).ravel()
-
-    def cell_dofs(self, cells_index=None) -> np.ndarray:
-        """(ncells, nloc*ncomp) interleaved dof map, all components."""
-        nodes = self.cell_nodes if cells_index is None else self.cell_nodes[cells_index]
-        if self.rank == 0:
-            return nodes
-        nc, nloc = nodes.shape
-        d = self.ncomp
-        return (nodes[:, :, None] * d + np.arange(d)).reshape(nc, nloc * d)
 
     def nodes_on_markers(self, markers: Iterable[int]) -> np.ndarray:
         """Scalar nodes lying on facets carrying any of the given markers."""
@@ -154,27 +144,18 @@ def transfer_nodes(src: FunctionSpace, dst: FunctionSpace) -> Tuple[np.ndarray, 
 
 
 def batch_eval(fn: Callable, X: np.ndarray, ncomp: int) -> np.ndarray:
-    """Evaluate a field at points (N, d); accepts batched or per-point callables.
+    """Evaluate a field at points (N, d) in one call of a batched callable.
 
-    The callable is first given the whole batch.  It is called point by point
-    only when it cannot take one: the batched call raises TypeError or
-    IndexError (a per-point callable converting or indexing an array), or
-    returns values of the wrong shape.  Any other error propagates.
+    fn takes all N points at once and returns (N,) values for a scalar field
+    or (N, ncomp) for a vector field; any other shape raises FpsiError.
+    Errors raised by fn propagate unchanged.
     """
     want = (X.shape[0],) if ncomp == 1 else (X.shape[0], ncomp)
-    try:
-        out = fn(X)
-    except (TypeError, IndexError):
-        out = None
-    if out is not None:
-        try:
-            out = np.asarray(out, dtype=float)
-        except ValueError:          # ragged per-point results
-            out = None
-    if out is not None and out.shape == want:
-        return out
-    out = np.array([fn(x) for x in X], dtype=float)
-    return out.reshape(want)
+    out = np.asarray(fn(X), dtype=float)
+    if out.shape != want:
+        raise FpsiError("field callable returned shape %s for %d points, expected %s"
+                        % (out.shape, X.shape[0], want))
+    return out
 
 
 def interpolate(space: FunctionSpace, fn: Callable) -> np.ndarray:
@@ -215,14 +196,16 @@ def error_L2(space: FunctionSpace, vec: np.ndarray, exact: Callable) -> float:
     return float(np.sqrt(adet @ (diff2 @ rule.weights)))
 
 
-def locate_cell(space: FunctionSpace, x: np.ndarray, tol: float = 1e-10) -> int:
-    """Index (into space.cells) of a cell containing x; nearest match wins."""
+def locate_cell(space: FunctionSpace, x: np.ndarray) -> int:
+    """Index (into space.cells) of a cell containing x; nearest match wins.
+
+    x may lie up to LOCATE_TOL outside the cell in barycentric terms."""
     x = np.asarray(x, dtype=float)
     x0, _, _, Binv = cell_geometry(space.mesh, space.cells)
     xi = np.einsum("cde,ce->cd", Binv, x[None, :] - x0)
     lam_min = np.minimum(xi.min(axis=1), 1.0 - xi.sum(axis=1))
     best = int(np.argmax(lam_min))
-    if lam_min[best] < -tol:
+    if lam_min[best] < -LOCATE_TOL:
         raise ValueError("point %s lies outside the subdomain" % (x,))
     return best
 

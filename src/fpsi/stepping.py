@@ -28,8 +28,9 @@ first BDF2 step), whose matrix differs in its mass terms.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -63,14 +64,6 @@ def scheme_for_step(order: int, k: int) -> Scheme:
     if order == 2 and k >= 2:
         return BDF2
     return BDF1
-
-
-def bdf_rate(sch: Scheme, dt: float, f0, f1, f2=None):
-    """Discrete time derivative (a0 f^k + a1 f^(k-1) + a2 f^(k-2)) / dt."""
-    out = sch.a0 * np.asarray(f0, dtype=float) + sch.a1 * np.asarray(f1, dtype=float)
-    if sch.a2 != 0.0:
-        out = out + sch.a2 * np.asarray(f2, dtype=float)
-    return out / dt
 
 
 def extrapolate(sch: Scheme, f1, f2):
@@ -274,23 +267,19 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
 
 
 def run_transient(problem: Problem, dt: float, order: int, n_steps: int,
-                  callback: Optional[Callable] = None,
                   state: Optional[State] = None) -> State:
     if state is None:
         state = State.initial(problem)
     for _ in range(n_steps):
-        state, diag = advance_step(problem, state, dt, order)
-        if callback is not None:
-            callback(state, diag)
-        diag = None            # release the step's geometry before the next step
+        state = advance_step(problem, state, dt, order)[0]
     return state
 
 
-def solve_steady(problem: Problem, t: float = 0.0):
-    """One steady solve (no mass terms, beta = 1, reference geometry).
+def solve_steady(problem: Problem):
+    """One steady solve at t = 0 (no mass terms, beta = 1, reference geometry).
 
     The matrix is solved once, so its LU is not kept."""
-    inp = StepInputs.steady(problem, t)
+    inp = StepInputs.steady(problem)
     system, _ = assemble_system(problem, inp)
     lu_order = problem.patterns["system"].elimination_order(
         lambda: problem.entity_keys(system.layout.names))
@@ -308,12 +297,20 @@ def save_checkpoint(path: str, state: State, meta: Optional[dict] = None) -> Non
     arrays["step_index"] = np.int64(state.k)
     arrays["time"] = np.float64(state.t)
     arrays["meta"] = np.bytes_(json.dumps(meta or {}).encode())
-    np.savez(path, **arrays)
+    # through a handle: np.savez would append ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str, problem: Problem):
     """Restore a State; field sizes must match the problem."""
-    data = np.load(path, allow_pickle=False)
+    if not zipfile.is_zipfile(path):
+        raise FpsiError("checkpoint %s is not an npz archive" % path)
+    with np.load(path, allow_pickle=False) as npz:
+        data = dict(npz)
+    for key in ("step_index", "time"):
+        if key not in data:
+            raise FpsiError("checkpoint is missing %r" % key)
     want = problem.zero_fields()
     fields = {}
     prev = {}

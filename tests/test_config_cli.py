@@ -9,11 +9,10 @@ from fpsi.config import (RunConfig, default_config_text, load_config,
                          parse_physical_map, serialize_config)
 from fpsi.errors import ConfigError
 from fpsi.kinematics import lame_from_E_nu
-from fpsi.mesh import write_native
 from fpsi.reporting import TimeSeries
 from fpsi.scenarios import channel_mesh
 from fpsi.stepping import load_checkpoint
-from tests.test_mesh import TET_NATIVE
+from tests.test_mesh import TET_NATIVE, write_native
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +161,19 @@ def test_cli_check_mesh(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_check_mesh_malformed_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.mesh"
+    write_native(channel_mesh(2), str(path))
+    lines = path.read_text().splitlines()
+    del lines[3]                        # one vertex row fewer than declared
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check-mesh", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "mesh ok" not in captured.out
+    assert "error: VERTICES section has" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_check_mesh_rejects_3d(tmp_path, capsys):
     path = tmp_path / "tet.mesh"
     path.write_text(TET_NATIVE)
@@ -217,6 +229,23 @@ K = 1e-5
     state, meta = load_checkpoint(str(out / "final.npz"), prob)
     assert meta["scenario"] == "decay"
     assert state.t == pytest.approx(3e-4)
+
+
+def test_cli_probe_outside_the_mesh_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nscenario = decay\nt_end = 1e-4\noutput_dir = %s\n"
+                   "probe_x = 100\n[mesh]\nsource = channel:2\n" % out)
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: probe point (probe_x, probe_y) = (100, 5)" in err
+    assert "outside the mesh" in err
+    assert not out.exists()             # rejected before anything is written
+
+
+def test_package_exports_resolve():
+    import fpsi
+    assert [name for name in fpsi.__all__ if not hasattr(fpsi, name)] == []
 
 
 def test_cli_mms_stokes_writes_report(tmp_path, capsys):

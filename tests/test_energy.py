@@ -1,5 +1,7 @@
 """Energy monitor: closed-form values for uniform fields and the step checker."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ def test_zero_state_zero_energy():
     nu = prob.spaces["u"].num_dofs
     geo = build_geometry(prob, np.zeros(nu))
     rep = evaluate_energy(prob, State.initial(prob).fields, geo)
-    assert all(v == 0.0 for v in rep.as_dict().values())
+    assert all(v == 0.0 for v in astuple(rep)) and rep.total == 0.0
 
 
 def test_viscous_dissipation_linear_shear():

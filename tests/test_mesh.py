@@ -1,14 +1,37 @@
 """Mesh structure, validation, file formats and the built-in generators."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fpsi.errors import MeshError
 from fpsi.elements import LOCAL_EDGES
-from fpsi.mesh import (FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID,
-                       Mesh, extract_interface, load_mesh, parse_msh, parse_native,
-                       validate_mesh, write_native)
+from fpsi.mesh import (FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, MARKER_TO_NAME,
+                       SOLID, TAG_TO_NAME, Mesh, extract_interface, load_mesh, parse_msh,
+                       parse_native, validate_mesh)
 from fpsi.scenarios import channel_mesh, unit_square_mesh
+
+
+def write_native(mesh: Mesh, path: str) -> None:
+    """Write the native format with full-precision coordinates."""
+    lines = ["VERTICES %d %d" % (mesh.num_vertices, mesh.dim)]
+    lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices]
+    lines.append("CELLS %d" % mesh.num_cells)
+    lines += [" ".join(str(int(v)) for v in cell) + " " + TAG_TO_NAME[int(tag)]
+              for cell, tag in zip(mesh.cells, mesh.cell_tags)]
+    lines.append("FACETS %d" % len(mesh.facets))
+    lines += [" ".join(str(int(v)) for v in fac) + " " + MARKER_TO_NAME[int(m)]
+              for fac, m in zip(mesh.facets, mesh.facet_markers)]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def signed_areas(mesh: Mesh) -> np.ndarray:
+    """Signed area of each cell, positive for counter-clockwise vertices."""
+    p = mesh.vertices[mesh.cells]
+    a, b = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) / 2.0
 
 
 def two_triangle_mesh(tags=(FLUID, FLUID)):
@@ -37,13 +60,13 @@ def test_basic_queries():
     assert list(mesh.cells_with_tag(FLUID)) == [0]
     assert list(mesh.cells_with_tag(SOLID)) == [1]
     assert len(mesh.facets_with_marker(GAMMA_FS)) == 1
-    assert np.allclose(mesh.cell_volumes(), 0.5)
+    assert np.allclose(signed_areas(mesh), 0.5)
 
 
 def test_orientation_repair():
     mesh = two_triangle_mesh()
     mesh.cells[0] = [0, 2, 1]          # inverted
-    assert validate_mesh(mesh).cell_volumes().min() > 0.0
+    assert signed_areas(validate_mesh(mesh)).min() > 0.0
 
 
 def test_validation_rejects_empty_and_bad_refs():
@@ -262,6 +285,29 @@ def test_native_parse_errors():
     assert parse_native("# header\n\n" + good).num_vertices == 4
 
 
+@pytest.mark.parametrize("old,new,msg", [
+    ("VERTICES 4 2", "VERTICES 5 2", "VERTICES section has 4 rows, its header declares 5"),
+    ("CELLS 2\n", "CELLS 3\n", "CELLS section has 2 rows, its header declares 3"),
+    ("FACETS 4\n", "FACETS 5\n", "FACETS section has 4 rows, its header declares 5"),
+    ("VERTICES 4 2", "VERTICES 4", "VERTICES header must be 'VERTICES <count> <dim>'"),
+    ("CELLS 2\n", "CELLS\n", "CELLS header must be 'CELLS <count>'"),
+    ("FACETS 4\n", "FACETS four\n", "FACETS header must be 'FACETS <count>'"),
+    ("CELLS 2\n", "CELLS -1\n", "CELLS header must be"),
+    ("\n1 1\n", "\n1 x\n", "VERTICES row 2: cannot read '1 x' as float"),
+    ("\n1 1\n", "\n1\n", "VERTICES row 2 has 1 coordinates, expected 2"),
+    ("0 2 3 FLUID", "0 2.5 3 FLUID", "CELLS row 1: cannot read '0 2.5 3' as int"),
+    ("0 2 3 FLUID", "0 2 FLUID", "CELLS row 1 malformed"),
+    ("3 0 GAMMA_F0", "3 zero GAMMA_F0", "FACETS row 3: cannot read '3 zero' as int"),
+])
+def test_native_malformed_rows(old, new, msg):
+    good = ("VERTICES 4 2\n0 0\n1 0\n1 1\n0 1\n"
+            "CELLS 2\n0 1 2 FLUID\n0 2 3 FLUID\n"
+            "FACETS 4\n0 1 GAMMA_F0\n1 2 GAMMA_F0\n2 3 GAMMA_F0\n3 0 GAMMA_F0\n")
+    assert good.count(old) == 1
+    with pytest.raises(MeshError, match=re.escape(msg)):
+        parse_native(good.replace(old, new))
+
+
 def test_load_mesh_missing_file():
     with pytest.raises(MeshError, match="not found"):
         load_mesh("/nonexistent/mesh.txt")
@@ -327,6 +373,25 @@ def test_msh_requires_map_and_version(tmp_path):
         parse_msh(MSH_TEXT.replace("$EndElements", ""), MSH_MAP)
     with pytest.raises(MeshError, match="z coordinates"):
         parse_msh(MSH_TEXT.replace("1 0 0 0", "1 0 0 0.5"), MSH_MAP)
+
+
+@pytest.mark.parametrize("old,new,msg", [
+    ("$Nodes\n4\n", "$Nodes\n5\n", "$Nodes section has 4 rows, its count says 5"),
+    ("$Nodes\n4\n", "$Nodes\nfour\n", "$Nodes section must start with its row count"),
+    ("$Elements\n7\n", "$Elements\n", "$Elements section must start with its row count"),
+    ("$Elements\n7\n", "$Elements\n9\n", "$Elements section has 7 rows, its count says 9"),
+    ("2 1 0 0\n", "2 1 y 0\n", "$Nodes row 1: cannot read '1 y 0' as float"),
+    ("2 1 0 0\n", "2 1 0\n", "$Nodes row 1 must be 'id x y z'"),
+    ("2 1 0 0\n", "2.0 1 0 0\n", "$Nodes row 1: cannot read '2.0' as int"),
+    ("7 1 2 203 1 1 3", "7 1 2 203 1 1 9", "$Elements row 6: node 9 is not defined in $Nodes"),
+    ("5 1 2 202 1 3 4", "5 1 2 202 1 3 x", "$Elements row 4: cannot read"),
+    ("5 1 2 202 1 3 4", "5 1", "$Elements row 4 must start with 'id type ntags'"),
+    ("2.2 0 8", "2.2", "only ASCII MSH 2.2 is supported, got 2.2"),
+])
+def test_msh_malformed_rows(old, new, msg):
+    assert MSH_TEXT.count(old) == 1
+    with pytest.raises(MeshError, match=re.escape(msg)):
+        parse_msh(MSH_TEXT.replace(old, new), MSH_MAP)
 
 
 # ---------------------------------------------------------------------------

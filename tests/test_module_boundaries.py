@@ -1,6 +1,7 @@
 """Module boundaries: no fpsi module imports another module's _private
 helpers, no module imports a name it never reads, no function takes a
-parameter it never reads, and no handler catches every exception.
+parameter it never reads, no handler catches every exception, and no
+function is defined that only tests reach.
 
 A helper that two modules need is public in one of them (or moves to
 `fem.py`); the checks parse every source file with `ast`, so they need no
@@ -200,3 +201,86 @@ def test_no_module_catches_every_exception():
     found = [line for path in modules
              for line in broad_handlers(path.read_text(), path.name)]
     assert found == []
+
+
+def unreferenced_definitions(sources):
+    """Every `def` (function, method, property) of the modules that no
+    code of the modules references outside the def's own body.
+
+    `sources` maps file names to their text.  A reference is a `Name`, an
+    `Attribute` or an imported alias carrying the def's name, anywhere in
+    any module.  The scan matches by name only, so two same-named
+    definitions or attributes mask each other: `np.load` counts as a
+    reference to a method `load`.  Dunder methods are exempt.  Each finding
+    reads "file:line: module.Qualified.name".
+    """
+    defs, refs = [], []
+
+    def visit(node, filename, scope, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.append((filename, node, ".".join(scope + (node.name,))))
+            owners = owners + (node,)
+        if isinstance(node, ast.Name):
+            refs.append((node.id, owners))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, owners))
+        elif isinstance(node, ast.alias):
+            refs.append((node.name.split(".")[-1], owners))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        for child in ast.iter_child_nodes(node):
+            visit(child, filename, scope, owners)
+
+    for filename, source in sources.items():
+        visit(ast.parse(source, filename), filename, (Path(filename).stem,), ())
+    return ["%s:%d: %s" % (filename, node.lineno, qual)
+            for filename, node, qual in defs
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and not any(name == node.name and node not in owners for name, owners in refs)]
+
+
+def test_scanner_flags_unreferenced_definitions():
+    sources = {
+        "a.py": ("from .b import used_by_import\n"
+                 "def helper():\n    return helper()\n"       # only calls itself
+                 "def caller():\n    return used_by_import, Box().size\n"
+                 "class Box:\n"
+                 "    def __init__(self):\n        self.n = 1\n"
+                 "    @property\n    def size(self):\n        return self.n\n"
+                 "    def spare(self):\n        def inner():\n            return 1\n"
+                 "        return inner()\n"),
+        "b.py": ("def used_by_import():\n    return 0\n"
+                 "def load():\n    return 0\n"
+                 "def read(np):\n    return np.load\n"),   # masked by np.load
+    }
+    assert [line.split(": ", 1)[1] for line in unreferenced_definitions(sources)] == [
+        "a.helper",
+        "a.caller",
+        "a.Box.spare",
+        "b.read",
+    ]
+
+
+# Definitions nothing in src/fpsi references, kept on purpose.  Every entry
+# must stay defined and unreferenced, or the test fails: delete the entry
+# once the code it names is used or gone.  TimeSeries.load, which perfbench
+# reads too, needs no entry: `np.load` masks it.
+ENTRY_POINTS = {
+    # imported by the frozen acceptance gate (tests/test_acceptance.py)
+    "kinematics.fluid_rate_of_strain",
+    "kinematics.pushforward_normal",
+    "scenarios.benchmark_params",
+    # read by the benchmark (perfbench/workload.py)
+    "reporting.TimeSeries.column",
+    # kept for the `[run] restart` key that ROADMAP item 7 plans
+    "stepping.load_checkpoint",
+}
+
+
+def test_every_definition_is_referenced_from_the_package():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    found = unreferenced_definitions({path.name: path.read_text() for path in modules})
+    names = {line.split(": ", 1)[1] for line in found}
+    assert [line for line in found if line.split(": ", 1)[1] not in ENTRY_POINTS] == []
+    assert sorted(ENTRY_POINTS - names) == []          # stale allowlist entries

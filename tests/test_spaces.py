@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fpsi.errors import AssemblyError
+from fpsi.errors import AssemblyError, FpsiError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_S0, SOLID
 from fpsi.elements import LOCAL_EDGES
 from fpsi.scenarios import channel_mesh, unit_square_mesh
@@ -43,10 +43,10 @@ def test_vector_dofs_interleave():
     mesh = two_triangle_mesh()
     v = build_space(mesh, 1, rank=1)
     assert list(v.dofs_of_nodes([2])) == [4, 5]
-    assert list(v.dofs_of_nodes([0, 2], comp=1)) == [1, 5]
-    dm = v.cell_dofs()
-    assert dm.shape == (2, 6)
-    assert list(dm[0]) == [0, 1, 2, 3, 4, 5]
+    assert list(v.dofs_of_nodes([0, 2])) == [0, 1, 4, 5]
+    assert list(v.dofs_of_nodes(v.cell_nodes[0])) == [0, 1, 2, 3, 4, 5]
+    s = build_space(mesh, 1)
+    assert list(s.dofs_of_nodes([0, 2])) == [0, 2]
 
 
 def test_empty_subdomain_rejected():
@@ -190,13 +190,20 @@ def test_transfer_matches_entity_loop(src_tag, dst_tag, degree):
 # interpolation, norms, point evaluation
 # ---------------------------------------------------------------------------
 
-def test_batch_eval_falls_back_only_for_per_point_callables():
+def test_batch_eval_rejects_results_of_the_wrong_shape():
     X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
-    # float() of a batch raises TypeError; x[0] of a batch has the wrong shape
-    assert np.allclose(batch_eval(lambda x: float(x[0]), X, 1), X[:, 0])
-    assert np.allclose(batch_eval(lambda x: 2.0 * x[0], X, 1), 2.0 * X[:, 0])
-    assert np.allclose(batch_eval(lambda x: [x[1], x[0]], X, 2), X[:, ::-1])
-    assert np.allclose(batch_eval(lambda x: x[:, ::-1], X, 2), X[:, ::-1])
+    assert np.array_equal(batch_eval(lambda x: x[:, ::-1], X, 2), X[:, ::-1])
+    assert np.array_equal(batch_eval(lambda x: list(x[:, 0]), X, 1), X[:, 0])
+    # a per-point callable given the batch: x[0] is the first point, (2,)
+    with pytest.raises(FpsiError, match=r"shape \(2,\) for 3 points, expected \(3,\)"):
+        batch_eval(lambda x: 2.0 * x[0], X, 1)
+    with pytest.raises(FpsiError, match=r"shape \(3, 1\) for 3 points, expected \(3,\)"):
+        batch_eval(lambda x: x[:, :1], X, 1)
+    with pytest.raises(FpsiError, match=r"shape \(3,\) for 3 points, expected \(3, 2\)"):
+        batch_eval(lambda x: x[:, 0], X, 2)
+    space = build_space(unit_square_mesh(1), 1, rank=1)
+    with pytest.raises(FpsiError, match=r"shape \(2, 2\) for 4 points, expected \(4, 2\)"):
+        interpolate(space, lambda x: [x[0] * x[1], x[1] ** 2])
 
 
 def test_batch_eval_propagates_errors_of_batched_callables():
@@ -231,9 +238,6 @@ def test_interpolate_exactness():
 
     vvec = interpolate(v2, vfield)
     assert error_L2(v2, vvec, vfield) < 1e-13
-    # per-point (non-batched) callables work too
-    vvec2 = interpolate(v2, lambda x: [x[0] * x[1], x[1] ** 2])
-    assert np.allclose(vvec, vvec2)
 
 
 def test_p1_interpolation_error_scales():

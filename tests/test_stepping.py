@@ -11,11 +11,10 @@ from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
 from fpsi.mms import unsteady_fluid
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
 from fpsi.spaces import interpolate
-from fpsi.stepping import (BDF1, BDF2, State, advance_step, bdf_rate,
-                           check_deformation, domain_velocity, extrapolate,
-                           kinematic_update, load_checkpoint, run_transient,
-                           save_checkpoint, scheme_for_step, solve_extension,
-                           solve_steady)
+from fpsi.stepping import (BDF1, BDF2, State, advance_step, check_deformation,
+                           domain_velocity, extrapolate, kinematic_update,
+                           load_checkpoint, run_transient, save_checkpoint,
+                           scheme_for_step, solve_extension, solve_steady)
 from tests.test_assembly_forms import PARAMS, make_problem
 from tests.test_assembly_system import zero_bc
 from tests.test_mesh import two_triangle_mesh
@@ -51,17 +50,22 @@ def test_scheme_coefficients():
     assert (BDF2.e1, BDF2.e2) == (2.0, -1.0)
 
 
+def bdf_rate(sch, dt, f0, f1, f2):
+    """The discrete time derivative (a0 f^k + a1 f^(k-1) + a2 f^(k-2)) / dt."""
+    return (sch.a0 * f0 + sch.a1 * f1 + sch.a2 * f2) / dt
+
+
 def test_bdf_rate_exactness():
-    # BDF1 differentiates linears exactly, BDF2 quadratics
-    dt = 0.1
-    lin = lambda t: 3.0 - 2.0 * t
-    assert bdf_rate(BDF1, dt, lin(0.5), lin(0.4)) == pytest.approx(-2.0)
-    quad = lambda t: t * t
-    t = 2.0
-    assert bdf_rate(BDF2, dt, quad(t), quad(t - dt), quad(t - 2 * dt)) \
-        == pytest.approx(2.0 * t)
-    assert np.allclose(bdf_rate(BDF1, 0.5, np.array([1.0, 2.0]),
-                                np.array([0.0, 4.0])), [2.0, -4.0])
+    # the BDF identity [du/dt]^k = v: BDF1 is exact for linears, BDF2 for
+    # quadratics, so the update lands on u(t) given the exact rate
+    dt, t = 0.1, 2.0
+    lin = lambda s: 3.0 - 2.0 * s
+    assert kinematic_update(BDF1, dt, -2.0, lin(t - dt)) == pytest.approx(lin(t))
+    quad = lambda s: s * s
+    assert kinematic_update(BDF2, dt, 2.0 * t, quad(t - dt), quad(t - 2 * dt)) \
+        == pytest.approx(quad(t))
+    assert np.allclose(kinematic_update(BDF1, 0.5, np.array([2.0, -4.0]),
+                                        np.array([0.0, 4.0])), [1.0, 2.0])
 
 
 def test_extrapolate():
@@ -305,7 +309,7 @@ def test_moving_geometry_updates_displacement():
     assert np.max(np.abs(state.fields["u"])) > 0.0
     assert np.max(np.abs(state.fields["w"])) > 0.0
     # displacement follows the BDF identity for the domain velocity
-    rate = bdf_rate(BDF1, 1e-4, state.fields["u"], state.prev["u"])
+    rate = (state.fields["u"] - state.prev["u"]) / 1e-4
     assert np.allclose(rate, state.fields["w"], atol=1e-10)
 
 
@@ -346,6 +350,43 @@ def test_checkpoint_errors(tmp_path):
     np.savez(path, **data)
     with pytest.raises(FpsiError, match="missing field"):
         load_checkpoint(path, prob)
+
+
+def test_checkpoint_at_an_extensionless_path(tmp_path):
+    prob = rest_problem()
+    state = run_transient(prob, 1e-4, 1, 2)
+    path = tmp_path / "final"
+    save_checkpoint(str(path), state)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final"]
+    back, meta = load_checkpoint(str(path), prob)
+    assert meta == {} and (back.k, back.t) == (state.k, state.t)
+    for name in state.fields:
+        assert np.array_equal(back.fields[name], state.fields[name])
+
+
+@pytest.mark.parametrize("key", ["step_index", "time"])
+def test_checkpoint_without_step_or_time(tmp_path, key):
+    prob = rest_problem()
+    path = tmp_path / "chk"
+    save_checkpoint(str(path), State.initial(prob))
+    with np.load(path, allow_pickle=False) as npz:
+        data = dict(npz)
+    del data[key]
+    with open(path, "wb") as fh:
+        np.savez(fh, **data)
+    with pytest.raises(FpsiError, match="checkpoint is missing '%s'" % key):
+        load_checkpoint(str(path), prob)
+
+
+def test_checkpoint_that_is_no_npz_archive(tmp_path):
+    prob = rest_problem()
+    text = tmp_path / "chk.npz"
+    text.write_text("not an archive\n")
+    array = tmp_path / "chk.npy"
+    np.save(array, np.zeros(3))
+    for path in (text, array, tmp_path / "absent.npz"):
+        with pytest.raises(FpsiError, match="is not an npz archive"):
+            load_checkpoint(str(path), prob)
 
 
 def one_triangle_mesh_fluid():
