@@ -35,10 +35,9 @@ values only.  Terms that the data can switch off (backflow at outflow, the
 kinetic correction at rest) always add their blocks, with zero values when
 inactive, so one pattern serves every step.
 
-u~ = None stands for the reference configuration (u~ = 0): every step of a
-problem without a solid, whose mesh never moves, and every steady solve.
-Its geometry is built once per problem and kept; an explicit u~ array is
-always evaluated.
+The geometry of u~ (`Geometry`) comes with the step's inputs: the stepper
+builds it once per configuration with `check_deformation` and hands it on
+to the next step, and a steady solve takes the reference configuration.
 """
 
 from __future__ import annotations
@@ -150,36 +149,6 @@ class DirichletBC:
 
 
 @dataclass
-class StepInputs:
-    """Everything the assembler needs about time level k.
-
-    dt None means a steady solve: no mass terms, beta = 1.  u_tilde None
-    means the reference configuration.  hist entries hold a1 f^{k-1} +
-    a2 f^{k-2}; the extrapolated fields are full dof vectors.
-    """
-
-    t: float
-    dt: Optional[float]
-    a0: float
-    u_tilde: Optional[np.ndarray]
-    u_impl_hist: np.ndarray
-    hist: Dict[str, np.ndarray] = field(default_factory=dict)
-    vf_tilde: Optional[np.ndarray] = None
-    w_tilde: Optional[np.ndarray] = None
-
-    @classmethod
-    def steady(cls, problem: "Problem") -> "StepInputs":
-        """A steady solve at t = 0."""
-        nu = problem.spaces["u"].num_dofs
-        return cls(t=0.0, dt=None, a0=1.0, u_tilde=None, u_impl_hist=np.zeros(nu))
-
-    @property
-    def beta(self) -> float:
-        """d u_k / d v_s: dt/a0, or 1 for a steady solve."""
-        return 1.0 if self.dt is None else self.dt / self.a0
-
-
-@dataclass
 class Geometry:
     """Deformation-dependent weights at quadrature points, one time level."""
 
@@ -187,6 +156,37 @@ class Geometry:
     solid: Optional[dict] = None
     iface: Optional[dict] = None
     loads: Dict[int, dict] = field(default_factory=dict)
+
+
+@dataclass
+class StepInputs:
+    """Everything the assembler needs about time level k.
+
+    dt None means a steady solve: no mass terms, beta = 1.  geo is the
+    geometry of u~ (`build_geometry`).  hist entries hold a1 f^{k-1} +
+    a2 f^{k-2}; the extrapolated fields are full dof vectors.
+    """
+
+    t: float
+    dt: Optional[float]
+    a0: float
+    geo: Geometry
+    u_impl_hist: np.ndarray
+    hist: Dict[str, np.ndarray] = field(default_factory=dict)
+    vf_tilde: Optional[np.ndarray] = None
+    w_tilde: Optional[np.ndarray] = None
+
+    @classmethod
+    def steady(cls, problem: "Problem") -> "StepInputs":
+        """A steady solve at t = 0 in the reference configuration."""
+        zero = np.zeros(problem.spaces["u"].num_dofs)
+        return cls(t=0.0, dt=None, a0=1.0, geo=build_geometry(problem, zero),
+                   u_impl_hist=zero)
+
+    @property
+    def beta(self) -> float:
+        """d u_k / d v_s: dt/a0, or 1 for a steady solve."""
+        return 1.0 if self.dt is None else self.dt / self.a0
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,6 @@ class Problem:
     # one record per matrix ("system", "extension"), built at its first
     # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
-    # the reference configuration's geometry (u~ = None), built at its first use
-    geometry: Optional[Geometry] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -401,8 +399,9 @@ def batch_deformation(batch: QuadBatch, u: np.ndarray) -> dict:
     return {"J": J, "vn": (FinvT @ batch.nref[:, None, :, None])[..., 0]}
 
 
-def build_geometry(problem: Problem, u_tilde: np.ndarray) -> Geometry:
-    """Deformation-dependent weights at every quadrature point, checked positive.
+def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
+    """Deformation-dependent weights of the displacement u at every
+    quadrature point, checked positive.
 
     Cells and natural boundaries keep what `batch_deformation` gives them.
     The interface keeps the deformed unit normal n, its tangential
@@ -410,18 +409,28 @@ def build_geometry(problem: Problem, u_tilde: np.ndarray) -> Geometry:
     """
     geo = Geometry()
     if problem.fluid is not None:
-        geo.fluid = batch_deformation(problem.fluid, u_tilde)
+        geo.fluid = batch_deformation(problem.fluid, u)
     if problem.solid is not None:
-        geo.solid = batch_deformation(problem.solid, u_tilde)
+        geo.solid = batch_deformation(problem.solid, u)
     if problem.iface is not None:
-        g = batch_deformation(problem.iface.fluid, u_tilde)
+        g = batch_deformation(problem.iface.fluid, u)
         mag = np.linalg.norm(g["vn"], axis=-1)
         n = g["vn"] / mag[..., None]
         P = np.eye(problem.dim) - n[..., :, None] * n[..., None, :]
         geo.iface = {"Js": g["J"] * mag, "n": n, "P": P}
     for marker, tr in problem.natural.items():
-        geo.loads[marker] = batch_deformation(tr, u_tilde)
+        geo.loads[marker] = batch_deformation(tr, u)
     return geo
+
+
+def check_deformation(problem: Problem, u: np.ndarray) -> Tuple[Geometry, float]:
+    """The geometry of the configuration u and its smallest cell J.
+
+    Building it checks J > 0 at every cell and facet quadrature point and
+    raises DegenerateDeformationError naming the cell if u inverts one.
+    """
+    geo = build_geometry(problem, u)
+    return geo, min(float(g["J"].min()) for g in (geo.fluid, geo.solid) if g is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +438,11 @@ def build_geometry(problem: Problem, u_tilde: np.ndarray) -> Geometry:
 # ---------------------------------------------------------------------------
 
 def assemble_system(problem: Problem, inp: StepInputs,
-                    dump_matrix: Optional[str] = None) -> Tuple[BlockSystem, Geometry]:
-    """Assemble A, b for one step (or a steady solve when inp.dt is None)."""
+                    dump_matrix: Optional[str] = None) -> BlockSystem:
+    """Assemble A, b for one step (or a steady solve when inp.dt is None)
+    in the geometry inp.geo."""
     lay = problem.layout
-    if inp.u_tilde is not None:
-        geo = build_geometry(problem, inp.u_tilde)
-    else:
-        if problem.geometry is None:
-            problem.geometry = build_geometry(problem, np.zeros(problem.spaces["u"].num_dofs))
-        geo = problem.geometry
+    geo = inp.geo
     transient = inp.dt is not None
     # the block sequence depends on these two flags only
     T = Triplets(lay.total, problem.patterns, "system",
@@ -456,8 +461,11 @@ def assemble_system(problem: Problem, inp: StepInputs,
     pattern = T.pattern_with(lambda: _dirichlet_dofs(problem))
     A, b = apply_dirichlet(T, b, _dirichlet_values(problem, pattern.nodes, inp.t))
     if dump_matrix:
-        mmwrite(dump_matrix, A.tocoo())
-    return BlockSystem(A, b, lay), geo
+        # through a handle: mmwrite appends ".mtx" to a name without it and
+        # writes nothing, silently, into a directory that does not exist
+        with open(dump_matrix, "wb") as fh:
+            mmwrite(fh, A.tocoo())
+    return BlockSystem(A, b, lay)
 
 
 def _fluid_terms(problem, inp, geo, T, b, transient):

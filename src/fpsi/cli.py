@@ -69,6 +69,11 @@ def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
         raise ConfigError("probe point (probe_x, probe_y) = (%g, %g) lies outside the mesh"
                           % (cfg.probe_x, cfg.probe_y))
     os.makedirs(cfg.output_dir, exist_ok=True)
+    checkpoint = cfg.checkpoint and os.path.join(cfg.output_dir, cfg.checkpoint)
+    for key, path in (("checkpoint", checkpoint), ("dump_matrix", cfg.dump_matrix)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError("%s = %s: directory %s does not exist"
+                              % (key, getattr(cfg, key), os.path.dirname(path)))
     series = TimeSeries()
     state = State.initial(problem)
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -96,12 +101,9 @@ def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
             print("step %d/%d  t=%.4e  E=%.6e" % (k, n_steps, state.t, rep.total))
 
     series.save(os.path.join(cfg.output_dir, "timeseries.csv"))
-    if cfg.checkpoint:
-        path = cfg.checkpoint
-        if not os.path.isabs(path):
-            path = os.path.join(cfg.output_dir, path)
-        save_checkpoint(path, state, meta={"scenario": cfg.scenario,
-                                           "dt": cfg.dt, "order": cfg.order})
+    if checkpoint:
+        save_checkpoint(checkpoint, state,
+                        meta={"scenario": cfg.scenario, "dt": cfg.dt, "order": cfg.order})
     if not quiet:
         print("wrote %s" % os.path.join(cfg.output_dir, "timeseries.csv"))
 

@@ -32,12 +32,15 @@ def _eye_like(A: np.ndarray) -> np.ndarray:
 J_MIN = 1e-10
 
 
-def checked_det(F: np.ndarray, cell_ids: Optional[np.ndarray] = None) -> np.ndarray:
-    """J = det F of 2x2 deformation gradients, closed form.
+def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None):
+    """F, J, F^-1, F^-T from a displacement gradient.
 
-    Rejects J <= J_MIN; when the caller passes per-entry cell ids the error
-    reports which cell degenerated.
+    Rejects J <= J_MIN before anything divides by J; when the caller passes
+    per-entry cell ids the error reports which cell degenerated.  The
+    gradients are 2x2: closed-form determinant and inverse.
     """
+    grad_u = np.asarray(grad_u, dtype=float)
+    F = grad_u + _eye_like(grad_u)
     J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
     if np.any(J <= J_MIN):
         flat = np.argmin(J)
@@ -50,18 +53,6 @@ def checked_det(F: np.ndarray, cell_ids: Optional[np.ndarray] = None) -> np.ndar
             % (float(np.min(J)), "cell %s" % cell if cell is not None else str(idx), J_MIN),
             cell=cell, value=float(np.min(J)),
         )
-    return J
-
-
-def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None):
-    """F, J, F^-1, F^-T from a displacement gradient.
-
-    Rejects J <= J_MIN (`checked_det`) before anything divides by J.  The
-    gradients are 2x2: closed-form inverse.
-    """
-    grad_u = np.asarray(grad_u, dtype=float)
-    F = grad_u + _eye_like(grad_u)
-    J = checked_det(F, cell_ids)
     Finv = np.empty_like(F)
     Finv[..., 0, 0] = F[..., 1, 1] / J
     Finv[..., 0, 1] = -F[..., 0, 1] / J

@@ -8,12 +8,13 @@ Each step k:
   3. extend the interface trace of v_s harmonically (Lame-type operator with
      element-volume stiffening) into the fluid to get the domain velocity w,
   4. update the displacement from the BDF identity  [du/dt]^k = w^k,
-  5. reject the step if any element of the updated configuration inverts.
+  5. build the geometry of the updated configuration, which rejects the
+     step if any cell or facet inverts, and carry it on the new state into
+     the next step's item 1 (`State.geo`).
 
 A problem without a solid has nothing to move its mesh: it skips items 3-5
-and steps in the reference configuration (`StepInputs.u_tilde` None), whose
-geometry is built once per problem.  BDF2 takes its first step with BDF1
-(no older history exists).
+and hands the geometry of its reference configuration on from state to
+state.  BDF2 takes its first step with BDF1 (no older history exists).
 
 Each matrix of items 2 and 3 has one record, its assembly pattern
 (`Problem.patterns`, a `fem.SparsePattern`): the structure with its
@@ -34,11 +35,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .assembly import Problem, StepInputs, assemble_system
+from .assembly import Geometry, Problem, StepInputs, assemble_system, check_deformation
 from .errors import FpsiError
 from .fem import (Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram,
-                  grads_at_qp, last_set)
-from .kinematics import checked_det
+                  last_set)
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
 
@@ -87,12 +87,16 @@ def kinematic_update(sch: Scheme, dt: float, v, u1, u2=None):
 
 @dataclass
 class State:
-    """Solution at level k (`fields`) plus level k-1 (`prev`) for BDF2."""
+    """Solution at level k (`fields`) plus level k-1 (`prev`) for BDF2.
+
+    geo is the geometry of fields["u"]; None until the first step from this
+    state builds it, so a new or restored state builds nothing up front."""
 
     k: int
     t: float
     fields: Dict[str, np.ndarray]
     prev: Dict[str, np.ndarray]
+    geo: Optional[Geometry] = None
 
     @classmethod
     def initial(cls, problem: Problem, fields: Optional[Dict[str, np.ndarray]] = None) -> "State":
@@ -112,11 +116,15 @@ class StepDiagnostics:
     scheme: Scheme
     system: SolveReport               # monolithic solve: residual, passes, fresh LU
     extension: Optional[SolveReport]  # mesh-extension solve; None if the mesh is fixed
-    geo: object                       # geometry at the extrapolated displacement
-    jmin: float                       # smallest J of the new configuration
+    geo: Geometry                     # geometry the step assembled in
+    jmin: float                       # smallest cell J of the new configuration
 
 
 def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepInputs:
+    """The assembler's inputs for the step from `state`, in its geometry,
+    which is built here if the state has none yet."""
+    if state.geo is None:
+        state.geo = check_deformation(problem, state.fields["u"])[0]
     f1, f2 = state.fields, state.prev
     hist = {}
     for name in problem.layout.names:
@@ -126,21 +134,20 @@ def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> Step
         hist[name] = h
     nu = problem.spaces["u"].num_dofs
     if problem.solid is None:
-        u_tilde = None         # no solid moves the mesh: the reference configuration
         u_impl_hist = np.zeros(nu)
         w_tilde = None
     else:
-        # The displacement is never extrapolated past level k-1.  The elastic
-        # stress is linearized about u_tilde, so only half the strain is
-        # implicit; with the two-level predictor 2u1 - u2 the stiff elastic
-        # limit amplifies by |z| = 1 + sqrt(2) per step regardless of dt.
-        # With u_tilde = u1 the same limit is neutral and viscosity damps it.
-        u_tilde = f1["u"].copy()
+        # The displacement is never extrapolated past level k-1: the step's
+        # geometry is that of u~ = u1.  The elastic stress is linearized
+        # about u~, so only half the strain is implicit; with the two-level
+        # predictor 2u1 - u2 the stiff elastic limit amplifies by
+        # |z| = 1 + sqrt(2) per step regardless of dt.  With u~ = u1 the same
+        # limit is neutral and viscosity damps it.
         u_impl_hist = -(sch.a1 * f1["u"] + sch.a2 * f2["u"]) / sch.a0
         w_tilde = extrapolate(sch, f1["w"], f2["w"])
     vf_tilde = extrapolate(sch, f1["v_f"], f2["v_f"]) if "v_f" in f1 else None
     return StepInputs(t=state.t + dt, dt=dt, a0=sch.a0,
-                      u_tilde=u_tilde, u_impl_hist=u_impl_hist, hist=hist,
+                      geo=state.geo, u_impl_hist=u_impl_hist, hist=hist,
                       vf_tilde=vf_tilde, w_tilde=w_tilde)
 
 
@@ -217,15 +224,6 @@ def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
     return w.ravel()
 
 
-def check_deformation(problem: Problem, u: np.ndarray) -> float:
-    """Smallest J of the configuration u at the cells' quadrature points;
-    raises DegenerateDeformationError naming the cell if it inverts."""
-    d = problem.dim
-    return min(float(checked_det(grads_at_qp(sub.grad2, sub.nodes_u, u, d) + np.eye(d),
-                                 sub.cells).min())
-               for sub in (problem.fluid, problem.solid) if sub is not None)
-
-
 # ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
@@ -236,33 +234,34 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     k = state.k + 1
     sch = scheme_for_step(order, k)
     inp = _step_inputs(problem, state, sch, dt)
-    system, geo = assemble_system(problem, inp, dump_matrix=dump_matrix)
+    system = assemble_system(problem, inp, dump_matrix=dump_matrix)
     pattern = problem.patterns["system"]
     if state.k >= 1 and scheme_for_step(order, state.k) != sch:
         # the mass terms change with the scheme: the held LU is of another matrix
         pattern.lu = None
-    lu_order = pattern.elimination_order(lambda: problem.entity_keys(system.layout.names))
+    lu_order = pattern.elimination_order(lambda: problem.entity_keys(problem.layout.names))
     x, rep = solve(system.A, system.b, rtol=problem.solver_rtol, lagged=pattern, order=lu_order)
     fields = system.layout.split(x)
+    system = None              # the step matrix is not held next to the new geometry
 
     nu = problem.spaces["u"].num_dofs
     ext = None
     if problem.solid is None:
         u_new = np.zeros(nu)
         w_new = np.zeros(nu)
-        jmin = 1.0             # u = 0: the reference configuration, F = I
+        geo, jmin = inp.geo, 1.0   # u = 0: the reference configuration, F = I
     else:
         w_f = None
         if problem.fluid is not None:
-            w_f, ext = solve_extension(problem, geo, fields["v_s"])
+            w_f, ext = solve_extension(problem, inp.geo, fields["v_s"])
         w_new = domain_velocity(problem, fields.get("v_s"), w_f)
         u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
-        jmin = check_deformation(problem, u_new)
+        geo, jmin = check_deformation(problem, u_new)
 
     fields["u"] = u_new
     fields["w"] = w_new
-    new_state = State(k=k, t=state.t + dt, fields=fields, prev=state.fields)
-    diag = StepDiagnostics(scheme=sch, system=rep, extension=ext, geo=geo, jmin=jmin)
+    new_state = State(k=k, t=state.t + dt, fields=fields, prev=state.fields, geo=geo)
+    diag = StepDiagnostics(scheme=sch, system=rep, extension=ext, geo=inp.geo, jmin=jmin)
     return new_state, diag
 
 
@@ -279,8 +278,7 @@ def solve_steady(problem: Problem):
     """One steady solve at t = 0 (no mass terms, beta = 1, reference geometry).
 
     The matrix is solved once, so its LU is not kept."""
-    inp = StepInputs.steady(problem)
-    system, _ = assemble_system(problem, inp)
+    system = assemble_system(problem, StepInputs.steady(problem))
     lu_order = problem.patterns["system"].elimination_order(
         lambda: problem.entity_keys(system.layout.names))
     x, rep = solve(system.A, system.b, rtol=problem.solver_rtol, order=lu_order)

@@ -20,7 +20,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import sqrtm
 
-from fpsi.assembly import StepInputs, assemble_system, build_problem
+from fpsi.assembly import StepInputs, assemble_system, build_geometry, build_problem
 from fpsi.kinematics import MaterialParams
 from fpsi.mesh import FLUID, SOLID
 from fpsi.spaces import interpolate
@@ -145,7 +145,7 @@ def make_problem(mesh, **kw):
 
 def steady_inputs(problem, ufield, a0=1.0, dt=None, **kw):
     ut = interpolate(problem.spaces["u"], ufield)
-    return StepInputs(t=0.0, dt=dt, a0=a0, u_tilde=ut,
+    return StepInputs(t=0.0, dt=dt, a0=a0, geo=build_geometry(problem, ut),
                       u_impl_hist=np.zeros_like(ut), **kw)
 
 
@@ -178,8 +178,8 @@ def check_mass_form(trials=TRIALS, seed=101):
             (ps, [("v_s", "v_s", prm.rho_p), ("v_s", "q", prm.rho_f),
                   ("q", "v_s", prm.rho_f), ("q", "q", prm.rho_f / prm.phi)]),
         ):
-            A_tr, _ = assemble_system(prob, steady_inputs(prob, ufield, a0=a0, dt=dt))
-            A_st, _ = assemble_system(prob, steady_inputs(prob, ufield))
+            A_tr = assemble_system(prob, steady_inputs(prob, ufield, a0=a0, dt=dt))
+            A_st = assemble_system(prob, steady_inputs(prob, ufield))
             # the elastic v_s block scales with beta = dt/a0; the steady one has beta = 1
             lay = A_st.layout
             vs = np.zeros(lay.total)
@@ -221,7 +221,7 @@ def check_elastic_form(trials=TRIALS, seed=102):
     worst = 0.0
     for _ in range(trials):
         ufield, F, _, _ = linear_map(rng)
-        sysm, _ = assemble_system(prob, steady_inputs(prob, ufield))
+        sysm = assemble_system(prob, steady_inputs(prob, ufield))
         xp, yp = VecPoly(rng, 2), VecPoly(rng, 2)
         x = interpolate(prob.spaces["v_s"], xp)
         y = interpolate(prob.spaces["v_s"], yp)
@@ -249,7 +249,7 @@ def check_darcy_form(trials=TRIALS, seed=103):
     worst = 0.0
     for _ in range(trials):
         ufield, _, J, _ = linear_map(rng)
-        sysm, _ = assemble_system(prob, steady_inputs(prob, ufield))
+        sysm = assemble_system(prob, steady_inputs(prob, ufield))
         xp, yp = VecPoly(rng, 2), VecPoly(rng, 2)
         x = interpolate(prob.spaces["q"], xp)
         y = interpolate(prob.spaces["q"], yp)
@@ -267,7 +267,7 @@ def check_viscous_form(trials=TRIALS, seed=104):
     worst = 0.0
     for _ in range(trials):
         ufield, _, J, Finv = linear_map(rng)
-        sysm, _ = assemble_system(prob, steady_inputs(prob, ufield))
+        sysm = assemble_system(prob, steady_inputs(prob, ufield))
         xp, yp = VecPoly(rng, 2), VecPoly(rng, 2)
         x = interpolate(prob.spaces["v_f"], xp)
         y = interpolate(prob.spaces["v_f"], yp)
@@ -296,10 +296,10 @@ def check_advection_form(trials=TRIALS, seed=105):
         vt = interpolate(prob.spaces["v_f"], vtp)
         wt = interpolate(prob.spaces["u"], wtp)
         common = dict(a0=1.0, dt=0.2)
-        A_v, _ = assemble_system(prob, steady_inputs(prob, ufield, vf_tilde=vt, **common))
-        A_0, _ = assemble_system(prob, steady_inputs(prob, ufield,
+        A_v = assemble_system(prob, steady_inputs(prob, ufield, vf_tilde=vt, **common))
+        A_0 = assemble_system(prob, steady_inputs(prob, ufield,
                                                      vf_tilde=np.zeros(nvf), **common))
-        A_vw, _ = assemble_system(prob, steady_inputs(prob, ufield, vf_tilde=vt,
+        A_vw = assemble_system(prob, steady_inputs(prob, ufield, vf_tilde=vt,
                                                       w_tilde=wt, **common))
         xp, yp = VecPoly(rng, 2), VecPoly(rng, 2)
         x = interpolate(prob.spaces["v_f"], xp)
@@ -338,7 +338,7 @@ def check_pressure_form(trials=TRIALS, seed=106):
 
         for prob, vname, pname in ((pf, "v_f", "p_f"), (ps, "v_s", "p_d"),
                                    (ps, "q", "p_d")):
-            sysm, _ = assemble_system(prob, steady_inputs(prob, ufield))
+            sysm = assemble_system(prob, steady_inputs(prob, ufield))
             vp, sp = VecPoly(rng, 2), Poly(rng, 1)
             v = interpolate(prob.spaces[vname], vp)
             s = interpolate(prob.spaces[pname], sp)
@@ -384,8 +384,8 @@ def check_interface_form(trials=TRIALS, seed=107):
         prob, ufield, g = _iface_setup(rng, penalty_const=tau)
         prob0 = make_problem(prob.mesh, penalty_const=0.0)
         inp = steady_inputs(prob, ufield)
-        A_t, _ = assemble_system(prob, inp)
-        A_0, _ = assemble_system(prob0, inp)
+        A_t = assemble_system(prob, inp)
+        A_0 = assemble_system(prob0, inp)
         lay = A_t.layout
         D = A_t.A - A_0.A
         Xs, ws, n, Js = g["Xs"], g["ws"], g["n"], g["Js"]
@@ -425,8 +425,8 @@ def check_interface_form(trials=TRIALS, seed=107):
         vtp = VecPoly(rng, 2)
         vt = interpolate(prob.spaces["v_f"], vtp)
         tr_kw = dict(a0=1.0, dt=0.2)
-        A_v, _ = assemble_system(prob0, steady_inputs(prob0, ufield, vf_tilde=vt, **tr_kw))
-        A_z, _ = assemble_system(prob0, steady_inputs(
+        A_v = assemble_system(prob0, steady_inputs(prob0, ufield, vf_tilde=vt, **tr_kw))
+        A_z = assemble_system(prob0, steady_inputs(
             prob0, ufield, vf_tilde=np.zeros(prob0.spaces["v_f"].num_dofs), **tr_kw))
         Dk = A_v.A - A_z.A
         sysd = type(A_v)(Dk, A_v.b, lay)
@@ -452,7 +452,7 @@ def check_interface_form(trials=TRIALS, seed=107):
                               lam_s=prm.lam_s, mu_s=prm.mu_s, phi=prm.phi,
                               s0=prm.s0, K=prm.K, gamma=0.0)
         prob_g0 = make_problem(prob.mesh, params=prm0, penalty_const=0.0)
-        A_g0, _ = assemble_system(prob_g0, steady_inputs(prob_g0, ufield))
+        A_g0 = assemble_system(prob_g0, steady_inputs(prob_g0, ufield))
         Ds = type(A_0)(A_0.A - A_g0.A, A_0.b, lay)
         P = np.eye(2) - np.outer(n, n)
         # the block signs already encode the jump: pack plain field values

@@ -1,4 +1,4 @@
-"""System-level assembly invariants: geometry caches, block structure,
+"""System-level assembly invariants: geometry, block structure,
 symmetry/PSD properties, closed-form element values, Dirichlet handling,
 inf-sup sanity, sparsity and determinism."""
 
@@ -26,7 +26,7 @@ def mixed_problem(**kw):
 def steady(problem, ufield=None, **kw):
     inp = StepInputs.steady(problem)
     if ufield is not None:
-        inp.u_tilde = interpolate(problem.spaces["u"], ufield)
+        inp.geo = build_geometry(problem, interpolate(problem.spaces["u"], ufield))
     for k, v in kw.items():
         setattr(inp, k, v)
     return inp
@@ -42,7 +42,7 @@ def wavy(X):
 
 
 # ---------------------------------------------------------------------------
-# geometry cache
+# geometry
 # ---------------------------------------------------------------------------
 
 def test_geometry_cache_invariants():
@@ -68,20 +68,16 @@ def test_geometry_rejects_degenerate_displacement():
         build_geometry(prob, flip)
 
 
-def test_explicit_u_tilde_is_evaluated_without_a_solid():
-    # a solid-less problem never moves its mesh, yet an explicit u~ is
-    # always evaluated: no geometry is cached behind the caller's back
+def test_solid_less_problem_assembles_in_the_given_geometry():
+    # a solid-less problem never moves its mesh, yet it assembles in the
+    # geometry its inputs carry, whatever configuration that is
     prob = make_problem(one_triangle_mesh(FLUID))
-    A_0, _ = assemble_system(prob, steady(prob, lambda X: np.zeros_like(X)))
-    A_w, _ = assemble_system(prob, steady(prob, wavy))
-    assert not np.array_equal(A_0.A.toarray(), A_w.A.toarray())
-    assert prob.geometry is None
-    # u~ None is the reference configuration: built once, then kept
-    A_ref, geo = assemble_system(prob, steady(prob))
-    assert prob.geometry is geo
+    A_ref = assemble_system(prob, steady(prob))
+    A_0 = assemble_system(prob, steady(prob, lambda X: np.zeros_like(X)))
+    A_w = assemble_system(prob, steady(prob, wavy))
     assert np.array_equal(A_ref.A.toarray(), A_0.A.toarray())
-    assert assemble_system(prob, steady(prob))[1] is geo
-    A_again, _ = assemble_system(prob, steady(prob, wavy))
+    assert not np.array_equal(A_0.A.toarray(), A_w.A.toarray())
+    A_again = assemble_system(prob, steady(prob, wavy))
     assert np.array_equal(A_again.A.toarray(), A_w.A.toarray())
 
 
@@ -92,7 +88,7 @@ def test_negative_p_ext_loads_with_the_opposite_sign():
         prob = channel_problem(mesh, benchmark_params(K=1e-5), p_ext=p_ext)
         # the first step from rest lies inside the pulse: b is the load alone
         inp = _step_inputs(prob, State.initial(prob), BDF1, dt)
-        systems.append(assemble_system(prob, inp)[0])
+        systems.append(assemble_system(prob, inp))
     plus, minus = systems
     assert np.any(plus.b != 0.0)
     assert np.array_equal(minus.b, -plus.b)
@@ -161,10 +157,10 @@ def reference_solid_problem(params):
 
 def mass_difference(prob, dt=1.0, a0=1.0):
     tr = StepInputs(t=0.0, dt=dt, a0=a0,
-                    u_tilde=np.zeros(prob.spaces["u"].num_dofs),
+                    geo=build_geometry(prob, np.zeros(prob.spaces["u"].num_dofs)),
                     u_impl_hist=np.zeros(prob.spaces["u"].num_dofs))
-    A_tr, _ = assemble_system(prob, tr)
-    A_st, _ = assemble_system(prob, StepInputs.steady(prob))
+    A_tr = assemble_system(prob, tr)
+    A_st = assemble_system(prob, StepInputs.steady(prob))
     return A_tr.A - A_st.A, A_tr.layout
 
 
@@ -216,7 +212,7 @@ def test_fluid_mass_scales_with_density_and_dt():
 
 def test_elastic_rigid_translation_is_zero():
     prob = make_problem(one_triangle_mesh(SOLID))
-    sysm, _ = assemble_system(prob, steady(prob, wavy))
+    sysm = assemble_system(prob, steady(prob, wavy))
     lay = sysm.layout
     A = sysm.A[lay.slice_of("v_s"), lay.slice_of("v_s")]
     y = const_field(prob.spaces["v_s"], [0.7, -0.3])
@@ -229,7 +225,7 @@ def test_elastic_patch_value():
     prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=0.0, mu_s=1.0,
                          phi=0.5, s0=1.0, K=1.0)
     prob = reference_solid_problem(prm)
-    sysm, _ = assemble_system(prob, StepInputs.steady(prob))
+    sysm = assemble_system(prob, StepInputs.steady(prob))
     lay = sysm.layout
     A = sysm.A[lay.slice_of("v_s"), lay.slice_of("v_s")]
     y = interpolate(prob.spaces["v_s"], lambda X: np.stack(
@@ -242,7 +238,7 @@ def test_darcy_block_structure():
         prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0,
                              mu_s=1.0, phi=0.5, s0=1.0, K=K)
         prob = reference_solid_problem(prm)
-        sysm, _ = assemble_system(prob, StepInputs.steady(prob))
+        sysm = assemble_system(prob, StepInputs.steady(prob))
         lay = sysm.layout
         return sysm.A[lay.slice_of("q"), lay.slice_of("q")].toarray()
 
@@ -262,7 +258,7 @@ def test_darcy_block_structure():
 
 def test_viscous_and_darcy_blocks_symmetric():
     prob = mixed_problem()
-    sysm, _ = assemble_system(prob, steady(prob, wavy))
+    sysm = assemble_system(prob, steady(prob, wavy))
     lay = sysm.layout
     for name in ("v_f", "q"):
         A = sysm.A[lay.slice_of(name), lay.slice_of(name)].toarray()
@@ -271,7 +267,7 @@ def test_viscous_and_darcy_blocks_symmetric():
 
 def test_viscous_constant_field_in_kernel():
     prob = make_problem(one_triangle_mesh(FLUID))
-    sysm, _ = assemble_system(prob, steady(prob, wavy))
+    sysm = assemble_system(prob, steady(prob, wavy))
     lay = sysm.layout
     A = sysm.A[lay.slice_of("v_f"), lay.slice_of("v_f")]
     y = const_field(prob.spaces["v_f"], [1.0, -2.0])
@@ -282,8 +278,8 @@ def test_penalty_block_symmetric_psd():
     prob_t = mixed_problem(penalty_const=3.0)
     prob_0 = mixed_problem(penalty_const=0.0)
     inp = steady(prob_t, wavy)
-    A_t, _ = assemble_system(prob_t, inp)
-    A_0, _ = assemble_system(prob_0, inp)
+    A_t = assemble_system(prob_t, inp)
+    A_0 = assemble_system(prob_0, inp)
     D = (A_t.A - A_0.A).toarray()
     assert np.max(np.abs(D - D.T)) < 1e-12
     assert np.linalg.eigvalsh(0.5 * (D + D.T)).min() >= -1e-10
@@ -291,7 +287,7 @@ def test_penalty_block_symmetric_psd():
 
 def test_pressure_constraint_transpose_relation():
     prob = mixed_problem()
-    sysm, _ = assemble_system(prob, steady(prob, wavy))
+    sysm = assemble_system(prob, steady(prob, wavy))
     lay = sysm.layout
     # volume parts only: compare on the fluid pair and solid pairs with the
     # interface coupling removed via a fluid-only / solid-only rebuild
@@ -299,7 +295,7 @@ def test_pressure_constraint_transpose_relation():
                        (one_triangle_mesh(SOLID), "v_s", "p_d"),
                        (one_triangle_mesh(SOLID), "q", "p_d")):
         pr = make_problem(mesh)
-        sm, _ = assemble_system(pr, steady(pr, wavy))
+        sm = assemble_system(pr, steady(pr, wavy))
         ly = sm.layout
         B = sm.A[ly.slice_of(p), ly.slice_of(v)].toarray()
         BT = sm.A[ly.slice_of(v), ly.slice_of(p)].toarray()
@@ -309,7 +305,7 @@ def test_pressure_constraint_transpose_relation():
 def test_pressure_div_closed_form():
     # u~ = 0: b(q, psi) = int q div(psi); q = 1, psi = (x, 0) -> cell area
     prob = make_problem(one_triangle_mesh(FLUID))
-    sysm, _ = assemble_system(prob, StepInputs.steady(prob))
+    sysm = assemble_system(prob, StepInputs.steady(prob))
     lay = sysm.layout
     B = sysm.A[lay.slice_of("p_f"), lay.slice_of("v_f")]
     one = np.ones(prob.spaces["p_f"].num_dofs)
@@ -341,7 +337,7 @@ def test_interface_penalty_closed_form_and_kernel():
     prob_t = mixed_problem(penalty_const=tau)
     prob_0 = mixed_problem(penalty_const=0.0)
     inp = StepInputs.steady(prob_t)
-    D = assemble_system(prob_t, inp)[0].A - assemble_system(prob_0, inp)[0].A
+    D = assemble_system(prob_t, inp).A - assemble_system(prob_0, inp).A
     lay = prob_t.layout
     # constant fields: value = tau * L * ((c_f - c_s - c_q).n)^2, n = (-1,1)/sqrt(2)
     x = packed(prob_t, lay, v_f=np.array([1.0, 0.0]))
@@ -355,7 +351,7 @@ def test_interface_penalty_closed_form_and_kernel():
 
 def test_interface_pressure_coupling_closed_form():
     prob = mixed_problem(penalty_const=0.0)
-    sysm, _ = assemble_system(prob, StepInputs.steady(prob))
+    sysm = assemble_system(prob, StepInputs.steady(prob))
     lay = sysm.layout
     xf = packed(prob, lay, v_f=np.array([1.0, 0.0]))
     yp = packed(prob, lay, p_d=1.0)
@@ -368,10 +364,10 @@ def test_interface_kinetic_closed_form():
     vt = const_field(prob.spaces["v_f"], [0.0, 2.0])
     zero = np.zeros_like(vt)
     kw = dict(t=0.0, dt=0.5, a0=1.0,
-              u_tilde=np.zeros(prob.spaces["u"].num_dofs),
+              geo=build_geometry(prob, np.zeros(prob.spaces["u"].num_dofs)),
               u_impl_hist=np.zeros(prob.spaces["u"].num_dofs))
-    D = assemble_system(prob, StepInputs(vf_tilde=vt, **kw))[0].A \
-        - assemble_system(prob, StepInputs(vf_tilde=zero, **kw))[0].A
+    D = assemble_system(prob, StepInputs(vf_tilde=vt, **kw)).A \
+        - assemble_system(prob, StepInputs(vf_tilde=zero, **kw)).A
     lay = prob.layout
     xs = packed(prob, lay, v_s=np.array([0.0, 1.0]))
     yf = packed(prob, lay, v_f=np.array([1.0, 1.0]))
@@ -387,7 +383,7 @@ def test_interface_slip_closed_form_and_kernel():
     prob_g = mixed_problem(params=prm_g, penalty_const=0.0)
     prob_0 = mixed_problem(params=prm_0, penalty_const=0.0)
     inp = StepInputs.steady(prob_g)
-    D = assemble_system(prob_g, inp)[0].A - assemble_system(prob_0, inp)[0].A
+    D = assemble_system(prob_g, inp).A - assemble_system(prob_0, inp).A
     lay = prob_g.layout
     # K^-1/2 = I/2, P projects onto the diagonal direction (1,1)/sqrt(2):
     # P(1,0) = (1/2, 1/2), so (P x).K^-1/2 (P x) = |P x|^2 / 2 = 1/4
@@ -414,9 +410,9 @@ def test_rest_state_system():
                    DirichletBC("p_d", (GAMMA_S0,), lambda X, t: np.zeros(len(X)))])
     nu = prob.spaces["u"].num_dofs
     inp = StepInputs(t=0.0, dt=0.1, a0=1.0,
-                     u_tilde=np.zeros(nu), u_impl_hist=np.zeros(nu),
+                     geo=build_geometry(prob, np.zeros(nu)), u_impl_hist=np.zeros(nu),
                      vf_tilde=np.zeros(prob.spaces["v_f"].num_dofs))
-    sysm, _ = assemble_system(prob, inp)
+    sysm = assemble_system(prob, inp)
     assert np.max(np.abs(sysm.b)) == 0.0
     x = spsolve(sysm.A.tocsc(), sysm.b)
     assert np.max(np.abs(x)) < 1e-14
@@ -428,7 +424,7 @@ def test_layout_and_dirichlet_rows():
     lay = prob.layout
     assert lay.total == sum(prob.spaces[n].num_dofs for n in lay.names)
     assert lay.names == ("v_f", "v_s", "q", "p_f", "p_d")
-    sysm, _ = assemble_system(prob, steady(prob, wavy))
+    sysm = assemble_system(prob, steady(prob, wavy))
     space = prob.spaces["v_f"]
     nodes = space.nodes_on_markers((GAMMA_F0,))
     dofs = space.dofs_of_nodes(nodes) + lay.offsets["v_f"]
@@ -457,7 +453,7 @@ def test_stokes_pressure_nullspace():
     def nullity(pin):
         prob = build_problem(unit_square_mesh(2), PARAMS,
                              dirichlet=[zero_bc("v_f", (GAMMA_F0,))], pin_pf=pin)
-        sysm, _ = assemble_system(prob, StepInputs.steady(prob))
+        sysm = assemble_system(prob, StepInputs.steady(prob))
         s = np.linalg.svd(sysm.A.toarray(), compute_uv=False)
         return int(np.sum(s < 1e-10 * s.max()))
 
@@ -468,7 +464,7 @@ def test_stokes_pressure_nullspace():
 def test_sparsity_pattern():
     mesh = channel_mesh(2)
     prob = build_problem(mesh, PARAMS)
-    sysm, _ = assemble_system(prob, steady(prob, wavy, vf_tilde=np.zeros(
+    sysm = assemble_system(prob, steady(prob, wavy, vf_tilde=np.zeros(
         prob.spaces["v_f"].num_dofs)))
     lay = sysm.layout
 
@@ -501,8 +497,8 @@ def test_sparsity_pattern():
 def test_assembly_is_deterministic():
     prob = build_problem(channel_mesh(2), PARAMS)
     inp = steady(prob, wavy)
-    A1, _ = assemble_system(prob, inp)
-    A2, _ = assemble_system(prob, inp)
+    A1 = assemble_system(prob, inp)
+    A2 = assemble_system(prob, inp)
     assert np.array_equal(A1.A.indptr, A2.A.indptr)
     assert np.array_equal(A1.A.indices, A2.A.indices)
     assert np.array_equal(A1.A.data, A2.A.data)
@@ -515,3 +511,11 @@ def test_matrix_dump(tmp_path):
     assemble_system(prob, StepInputs.steady(prob), dump_matrix=str(path))
     text = path.read_text()
     assert "MatrixMarket" in text.splitlines()[0]
+
+
+def test_matrix_dump_at_an_extensionless_path(tmp_path):
+    # written through a handle: the file has exactly the given name
+    prob = make_problem(one_triangle_mesh(FLUID))
+    assemble_system(prob, StepInputs.steady(prob), dump_matrix=str(tmp_path / "A"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["A"]
+    assert "MatrixMarket" in (tmp_path / "A").read_text().splitlines()[0]

@@ -243,6 +243,26 @@ def test_cli_probe_outside_the_mesh_exits_1(tmp_path, capsys):
     assert not out.exists()             # rejected before anything is written
 
 
+@pytest.mark.parametrize("key", ["checkpoint", "dump_matrix"])
+def test_cli_output_into_a_missing_directory_exits_1(tmp_path, capsys, monkeypatch, key):
+    import fpsi.cli as cli
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the output paths were checked")
+
+    monkeypatch.setattr(cli, "advance_step", no_step)
+    out = tmp_path / "out"
+    target = "sub/final" if key == "checkpoint" else str(tmp_path / "nodir" / "A.mtx")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nscenario = decay\nt_end = 2e-4\noutput_dir = %s\n%s = %s\n"
+                   "[mesh]\nsource = channel:2\n" % (out, key, target))
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s = %s: directory " % (key, target))
+    assert "does not exist" in err
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
 def test_package_exports_resolve():
     import fpsi
     assert [name for name in fpsi.__all__ if not hasattr(fpsi, name)] == []

@@ -106,56 +106,91 @@ def test_state_initial_and_validation():
 def test_check_deformation():
     prob = rest_problem()
     nu = prob.spaces["u"].num_dofs
-    assert check_deformation(prob, np.zeros(nu)) == pytest.approx(1.0)
+    assert check_deformation(prob, np.zeros(nu))[1] == pytest.approx(1.0)
     shrink = interpolate(prob.spaces["u"], lambda X: -0.5 * X)   # F = I/2
-    assert check_deformation(prob, shrink) == pytest.approx(0.25)
+    geo, jmin = check_deformation(prob, shrink)
+    assert jmin == pytest.approx(0.25)
+    assert np.allclose(geo.iface["Js"], 0.5, rtol=0.0, atol=1e-15)
     flip = interpolate(prob.spaces["u"], lambda X: np.stack(
         [-2.0 * X[:, 0], np.zeros(len(X))], axis=1))
     with pytest.raises(DegenerateDeformationError):
         check_deformation(prob, flip)
 
 
-def test_check_deformation_reports_like_the_geometry():
-    # J alone, with the error text and cell id of the full deformation state
+def test_check_deformation_covers_facets():
+    # F_xx = -0.001 + 0.2 x is negative only on the inlet x = 0: every cell
+    # quadrature point is positive (smallest J 0.00385), the facets are not
     prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
     u = interpolate(prob.spaces["u"], lambda X: np.stack(
-        [np.zeros(len(X)), -3.0 * np.exp(-np.sum((X - [5.0, 0.9]) ** 2, axis=1))], axis=1))
-    with pytest.raises(DegenerateDeformationError) as full:
-        assembly.batch_deformation(prob.fluid, u)
-    with pytest.raises(DegenerateDeformationError) as alone:
+        [-1.001 * X[:, 0] + 0.1 * X[:, 0] ** 2, np.zeros(len(X))], axis=1))
+    cells = min(float(assembly.batch_deformation(sub, u)["J"].min())
+                for sub in (prob.fluid, prob.solid))
+    assert cells == pytest.approx(0.00385, abs=1e-5)
+    with pytest.raises(DegenerateDeformationError, match="at cell 41") as err:
         check_deformation(prob, u)
-    assert str(alone.value) == str(full.value)
-    assert alone.value.cell == full.value.cell is not None
-    fine = 0.1 * u
-    assert check_deformation(prob, fine) == min(
-        float(assembly.batch_deformation(sub, fine)["J"].min()) for sub in (prob.fluid, prob.solid))
+    assert err.value.cell == 41 and err.value.value == pytest.approx(-0.001)
+
+
+def count_geometry_builds(monkeypatch):
+    calls = []
+    build = assembly.build_geometry
+
+    def counting(problem, u):
+        calls.append(problem)
+        return build(problem, u)
+
+    monkeypatch.setattr(assembly, "build_geometry", counting)
+    return calls
 
 
 @pytest.mark.parametrize("frozen", [True, False])
 def test_frozen_geometry_is_built_once(monkeypatch, frozen):
-    calls = []
-    build = assembly.build_geometry
-
-    def counting(problem, u_tilde):
-        calls.append(problem)
-        return build(problem, u_tilde)
-
-    monkeypatch.setattr(assembly, "build_geometry", counting)
+    # one build per configuration: u^0 ... u^steps of a moving mesh, the
+    # reference configuration alone of a mesh without a solid
+    calls = count_geometry_builds(monkeypatch)
     if frozen:
         case = unsteady_fluid()
         prob, dt, steps = mms_problem(case, 8), 1e-2, 5
     else:
         prob, dt, steps = channel_problem(channel_mesh(4), benchmark_params(K=1e-5)), 1e-4, 3
     state = run_transient(prob, dt, 2, steps)
-    assert len(calls) == (1 if frozen else steps)
+    assert len(calls) == (1 if frozen else steps + 1)
     if frozen:
         # the same fields as with the geometry rebuilt on every step
         again = mms_problem(case, 8)
         fresh = State.initial(again)
         for _ in range(steps):
-            again.geometry = None
+            fresh.geo = None
             fresh, _ = advance_step(again, fresh, dt, 2)
         assert all(np.array_equal(fresh.fields[n], state.fields[n]) for n in state.fields)
+
+
+def test_steady_solve_builds_one_geometry(monkeypatch):
+    calls = count_geometry_builds(monkeypatch)
+    solve_steady(rest_problem())
+    assert len(calls) == 1
+
+
+def geometry_arrays(geo):
+    parts = {"fluid": geo.fluid, "solid": geo.solid, "iface": geo.iface}
+    parts.update(("load %d" % m, g) for m, g in geo.loads.items())
+    return {(part, key): arr for part, g in parts.items() if g is not None
+            for key, arr in g.items()}
+
+
+def test_restart_assembles_in_the_uninterrupted_geometry(tmp_path):
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    state = run_transient(prob, 1e-4, 2, 3)
+    path = str(tmp_path / "chk")
+    save_checkpoint(path, state)
+    back, _ = load_checkpoint(path, prob)
+    assert back.geo is None             # rebuilt and checked at its first step
+    _, straight = advance_step(prob, state, 1e-4, 2)
+    _, resumed = advance_step(prob, back, 1e-4, 2)
+    assert resumed.geo is not straight.geo
+    ref, got = geometry_arrays(straight.geo), geometry_arrays(resumed.geo)
+    assert sorted(got) == sorted(ref) and len(ref) == 15
+    assert all(np.array_equal(got[key], ref[key]) for key in ref)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +284,7 @@ def test_step_reports_min_jacobian_of_new_configuration():
         geo = build_geometry(prob, state.fields["u"])
         jmin = min(geo.fluid["J"].min(), geo.solid["J"].min())
         assert diag.jmin == jmin
+        assert np.array_equal(state.geo.iface["Js"], geo.iface["Js"])
         assert 0.0 < diag.jmin != 1.0
 
 
