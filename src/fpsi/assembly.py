@@ -2,8 +2,8 @@
 
 One time step solves a single linear system for (v_f, v_s, q, p_f, p_d) on
 the reference mesh.  All geometric weights (J~, F(u~), interface normal and
-area scaling) are evaluated at the *extrapolated* displacement u~, so every
-form is linear in the step-k unknowns:
+area scaling) are evaluated at the lagged displacement u~ = u^{k-1}, so
+every form is linear in the step-k unknowns:
 
     mass      m:   rho-weighted J~ masses of the BDF time derivatives
     elastic   a_s: F(u~) S(E(u_k, u~)) : grad(psi_s), with the implicit
@@ -27,10 +27,12 @@ blocks.
 Dirichlet conditions are applied by identity-row replacement with column
 symmetrization (known values move to the right-hand side).
 
-Assembly is fixed-pattern (see fem.py): the first assembly of a problem
-builds the CSR pattern of the system with its Dirichlet dofs, which are
-found then and only then, eliminated, and the scatter of every element
-entry into it; every later step computes element values and boundary
+Assembly is fixed-pattern (see fem.py): each term appends its element
+blocks (rows, cols, values) to one list.  The first assembly of a problem
+builds the system's record from that list (`fem.SparsePattern`): the CSR
+pattern with its Dirichlet dofs, which are found then and only then,
+eliminated, the scatter of every element entry into it and the LU
+elimination order.  Every later step computes element values and boundary
 values only.  Terms that the data can switch off (backflow at outflow, the
 kinetic correction at rest) always add their blocks, with zero values when
 inactive, so one pattern serves every step.
@@ -51,7 +53,7 @@ from scipy.io import mmwrite
 
 from .elements import eval_basis, facet_quadrature, simplex_quadrature
 from .errors import AssemblyError
-from .fem import (SparsePattern, Triplets, add_kron_eye, apply_dirichlet, component_trace,
+from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace,
                   field_at_qp, gradient_gram, grads_at_qp, kron_eye, last_set, scalar_at_qp,
                   scatter_add, weighted_gram, weighted_moment)
 from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
@@ -212,7 +214,7 @@ class Problem:
     map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    # one record per matrix ("system", "extension"), built at its first
+    # one record per matrix ("system", "extension"), built whole at its first
     # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
 
@@ -380,22 +382,22 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
 
 
 # ---------------------------------------------------------------------------
-# Geometry at the extrapolated displacement
+# Geometry at the lagged displacement u~ = u^{k-1}
 # ---------------------------------------------------------------------------
 
 def batch_deformation(batch: QuadBatch, u: np.ndarray) -> dict:
     """Deformation of the displacement u at a batch's quadrature points.
 
     Raises DegenerateDeformationError naming the cell if J is not positive.
-    A cell batch gets F, J, F^-1 and G = grad(phi) F^-1, the P2 basis
-    gradients pushed to the deformed configuration, which every gradient
-    form shares.  A facet batch gets J and vn = F^-T n_ref, the
-    unnormalized Nanson push-forward of its reference normal.
+    A cell batch gets F, J and G = grad(phi) F^-1, the P2 basis gradients
+    pushed to the deformed configuration, which every gradient form shares.
+    A facet batch gets J and vn = F^-T n_ref, the unnormalized Nanson
+    push-forward of its reference normal.
     """
     F, J, Finv, FinvT = deformation_state(
         grads_at_qp(batch.grad2, batch.nodes_u, u, batch.X.shape[-1]), cell_ids=batch.cells)
     if batch.nref is None:
-        return {"F": F, "J": J, "Finv": Finv, "G": batch.grad2 @ Finv}
+        return {"F": F, "J": J, "G": batch.grad2 @ Finv}
     return {"J": J, "vn": (FinvT @ batch.nref[:, None, :, None])[..., 0]}
 
 
@@ -444,22 +446,26 @@ def assemble_system(problem: Problem, inp: StepInputs,
     lay = problem.layout
     geo = inp.geo
     transient = inp.dt is not None
-    # the block sequence depends on these two flags only
-    T = Triplets(lay.total, problem.patterns, "system",
-                 key=(transient, inp.vf_tilde is not None))
+    blocks: List[tuple] = []
     b = np.zeros(lay.total)
 
     if problem.fluid is not None:
-        _fluid_terms(problem, inp, geo, T, b, transient)
+        _fluid_terms(problem, inp, geo, blocks, b, transient)
     if problem.solid is not None:
-        _solid_terms(problem, inp, geo, T, b, transient)
+        _solid_terms(problem, inp, geo, blocks, b, transient)
     if problem.iface is not None:
-        _interface_terms(problem, inp, geo, T)
+        _interface_terms(problem, inp, geo, blocks)
     _load_terms(problem, inp, geo, b)
-    _backflow_terms(problem, inp, geo, T)
+    _backflow_terms(problem, inp, geo, blocks)
 
-    pattern = T.pattern_with(lambda: _dirichlet_dofs(problem))
-    A, b = apply_dirichlet(T, b, _dirichlet_values(problem, pattern.nodes, inp.t))
+    # the block sequence depends on these two flags only
+    key = (transient, inp.vf_tilde is not None)
+    pattern = problem.patterns.get("system")
+    if pattern is None or pattern.key != key:
+        pattern = SparsePattern(lay.total, blocks, problem.entity_keys(lay.names),
+                                *_dirichlet_dofs(problem), key=key)
+        problem.patterns["system"] = pattern
+    A, b = apply_dirichlet(pattern, blocks, b, _dirichlet_values(problem, pattern.nodes, inp.t))
     if dump_matrix:
         # through a handle: mmwrite appends ".mtx" to a name without it and
         # writes nothing, silently, into a directory that does not exist
@@ -468,7 +474,7 @@ def assemble_system(problem: Problem, inp: StepInputs,
     return BlockSystem(A, b, lay)
 
 
-def _fluid_terms(problem, inp, geo, T, b, transient):
+def _fluid_terms(problem, inp, geo, blocks, b, transient):
     sub = problem.fluid
     prm = problem.params
     d = problem.dim
@@ -498,12 +504,12 @@ def _fluid_terms(problem, inp, geo, T, b, transient):
         if inp.w_tilde is not None:
             adv = adv - field_at_qp(sub.val2, sub.nodes_u, inp.w_tilde, d)
         S += weighted_gram(wJ * prm.rho_f, sub.val2, (G @ adv[..., None])[..., 0])
-    T.add(vd, vd, add_kron_eye(K, S).reshape(nc, nloc * d, nloc * d))
+    blocks.append((vd, vd, add_kron_eye(K, S).reshape(nc, nloc * d, nloc * d)))
 
     # pressure block and its transposed constraint: B[j,(i,a)] = w J p_j G_i[a]
     B = weighted_moment(wJ, sub.val1, G).reshape(nc, -1, nloc * d)
-    T.add(pd, vd, B)                                   # + b_f(q_f, v_f)
-    T.add(vd, pd, -np.swapaxes(B, 1, 2))               # - b_f(p_f, psi_f)
+    blocks.append((pd, vd, B))                              # + b_f(q_f, v_f)
+    blocks.append((vd, pd, -np.swapaxes(B, 1, 2)))          # - b_f(p_f, psi_f)
 
     fn = problem.forcing.get("v_f")
     if fn is not None:
@@ -513,7 +519,7 @@ def _fluid_terms(problem, inp, geo, T, b, transient):
         scatter_add(b, pd, weighted_moment(sub.w, sub.val1, _forcing_at(gn, sub.X, inp.t, 1)))
 
 
-def _solid_terms(problem, inp, geo, T, b, transient):
+def _solid_terms(problem, inp, geo, blocks, b, transient):
     sub = problem.solid
     prm = problem.params
     d = problem.dim
@@ -542,16 +548,17 @@ def _solid_terms(problem, inp, geo, T, b, transient):
 
     # a_d: J K^-1 q . psi_d
     Ms = weighted_gram(wJ, sub.val2, sub.val2)
-    Ad = Ms[:, :, None, :, None] * prm.K_inv(d)[None, None, :, None, :]
+    Ad = Ms[:, :, None, :, None] * prm.K_inv[None, None, :, None, :]
 
     if transient:
         c = inp.a0 / inp.dt
         Mv = kron_eye(Ms, d)
-        T.add(vsd, vsd, add_kron_eye(Ael, (prm.rho_p * c) * Ms).reshape(nc, n2d, n2d))
-        T.add(vsd, qd, (prm.rho_f * c) * Mv)
-        T.add(qd, vsd, (prm.rho_f * c) * Mv)
-        T.add(qd, qd, add_kron_eye(Ad, (prm.rho_f / prm.phi * c) * Ms).reshape(nc, n2d, n2d))
-        T.add(pdd, pdd, (prm.s0 * c) * weighted_gram(wJ, sub.val1, sub.val1))
+        blocks.append((vsd, vsd, add_kron_eye(Ael, (prm.rho_p * c) * Ms).reshape(nc, n2d, n2d)))
+        blocks.append((vsd, qd, (prm.rho_f * c) * Mv))
+        blocks.append((qd, vsd, (prm.rho_f * c) * Mv))
+        blocks.append((qd, qd,
+                       add_kron_eye(Ad, (prm.rho_f / prm.phi * c) * Ms).reshape(nc, n2d, n2d)))
+        blocks.append((pdd, pdd, (prm.s0 * c) * weighted_gram(wJ, sub.val1, sub.val1)))
 
         nv = lay.sizes["v_s"]
         hv = inp.hist.get("v_s", np.zeros(nv))
@@ -568,22 +575,21 @@ def _solid_terms(problem, inp, geo, T, b, transient):
             hpq = scalar_at_qp(sub.val1, sub.nodes1, hp)
             scatter_add(b, pdd, -weighted_moment(wJ * (prm.s0 / inp.dt), sub.val1, hpq))
     else:
-        T.add(vsd, vsd, Ael.reshape(nc, n2d, n2d))
-        T.add(qd, qd, Ad.reshape(nc, n2d, n2d))
+        blocks.append((vsd, vsd, Ael.reshape(nc, n2d, n2d)))
+        blocks.append((qd, qd, Ad.reshape(nc, n2d, n2d)))
 
     # History part of the elastic stress moves to the right-hand side.
-    Ec = green_lagrange(grads_at_qp(g, sub.nodes_u, inp.u_impl_hist, d) + np.eye(d), Ft)
-    if np.any(Ec):
-        FS = Ft @ svk_stress(Ec, prm.lam_s, prm.mu_s)
+    FS = lagged_stress(problem, geo, inp.u_impl_hist)
+    if np.any(FS):
         scatter_add(b, vsd, -np.einsum("cq,cqia->cia", sub.w, g @ np.swapaxes(FS, -1, -2)))
 
     # pressure blocks (tested against psi_s and psi_d) and the constraint rows
     B = weighted_moment(wJ, sub.val1, geo.solid["G"]).reshape(nc, -1, n2d)
     BT = np.swapaxes(B, 1, 2)
-    T.add(pdd, vsd, B)             # + b_s(q_d, v_s)
-    T.add(pdd, qd, B)              # + b_s(q_d, q)
-    T.add(vsd, pdd, -BT)           # - b_s(p_d, psi_s)  (sigma_p = sigma_s - p_d I)
-    T.add(qd, pdd, -BT)            # - b_s(p_d, psi_d)
+    blocks.append((pdd, vsd, B))       # + b_s(q_d, v_s)
+    blocks.append((pdd, qd, B))        # + b_s(q_d, q)
+    blocks.append((vsd, pdd, -BT))     # - b_s(p_d, psi_s)  (sigma_p = sigma_s - p_d I)
+    blocks.append((qd, pdd, -BT))      # - b_s(p_d, psi_d)
 
     for name, dofs in (("v_s", vsd), ("q", qd)):
         fn = problem.forcing.get(name)
@@ -595,7 +601,19 @@ def _solid_terms(problem, inp, geo, T, b, transient):
         scatter_add(b, pdd, weighted_moment(sub.w, sub.val1, _forcing_at(gn, sub.X, inp.t, 1)))
 
 
-def _interface_terms(problem, inp, geo, T):
+def lagged_stress(problem: Problem, geo: Geometry, u: np.ndarray) -> np.ndarray:
+    """F~ S(E(u, u~)) at the solid quadrature points: the elastic stress of
+    the displacement u, its strain linearized about the geometry's u~
+    (F~ = geo.solid["F"]).  The assembler takes it at the step's history,
+    the energy monitor at the new displacement."""
+    sub = problem.solid
+    d = problem.dim
+    Ft = geo.solid["F"]
+    E = green_lagrange(grads_at_qp(sub.grad2, sub.nodes_u, u, d) + np.eye(d), Ft)
+    return Ft @ svk_stress(E, problem.params.lam_s, problem.params.mu_s)
+
+
+def _interface_terms(problem, inp, geo, blocks):
     ifd = problem.iface
     prm = problem.params
     d = problem.dim
@@ -620,29 +638,29 @@ def _interface_terms(problem, inp, geo, T):
     #   pressure coupling p_d (psi_f - psi_s - psi_d).n
     jdofs = np.hstack([fd, sd, qd])
     jump = np.concatenate([TF, -TS, -TS], axis=2)
-    T.add(jdofs, jdofs, weighted_gram(wJs * ifd.tau[:, None], jump, jump))
-    T.add(jdofs, pdd, weighted_gram(wJs, jump, str_.val1))
+    blocks.append((jdofs, jdofs, weighted_gram(wJs * ifd.tau[:, None], jump, jump)))
+    blocks.append((jdofs, pdd, weighted_gram(wJs, jump, str_.val1)))
 
     # kinetic correction (rho_f/2)(v~_f . w_f)(psi_s - psi_f).n, linearized
     if inp.vf_tilde is not None:
         vt = field_at_qp(ftr.val2, ftr.nodes2, inp.vf_tilde, d)     # (nf, nq, d)
         VJ = (ftr.val2[..., None] * vt[:, :, None, :]).reshape(nf, nq, nloc * d)
-        T.add(np.hstack([sd, fd]), fd,
-              weighted_gram(wJs * (0.5 * prm.rho_f), np.concatenate([TS, -TF], axis=2), VJ))
+        kin = weighted_gram(wJs * (0.5 * prm.rho_f), np.concatenate([TS, -TF], axis=2), VJ)
+        blocks.append((np.hstack([sd, fd]), fd, kin))
 
     # slip term gamma K^-1/2 P(w_f - w_s) . P(psi_f - psi_s)
     if prm.gamma > 0.0:
         P = geo.iface["P"]
-        wM = (wJs * prm.gamma)[..., None, None] * (P @ prm.K_inv_sqrt(d) @ P)
+        wM = (wJs * prm.gamma)[..., None, None] * (P @ prm.K_inv_sqrt @ P)
         V = np.concatenate([ftr.val2, -str_.val2], axis=2)          # (nf, nq, 2 nloc)
         nv = V.shape[2]
         X = (V[..., None, None] * wM[:, :, None]).reshape(nf, nq, -1)
         K = (np.swapaxes(X, 1, 2) @ V).reshape(nf, nv, d, d, nv)     # [I,a,b,J]
         sdofs = np.hstack([fd, sd])
-        T.add(sdofs, sdofs, K.transpose(0, 1, 2, 4, 3).reshape(nf, nv * d, nv * d))
+        blocks.append((sdofs, sdofs, K.transpose(0, 1, 2, 4, 3).reshape(nf, nv * d, nv * d)))
 
 
-def _backflow_terms(problem, inp, geo, T):
+def _backflow_terms(problem, inp, geo, blocks):
     """Directional treatment of open boundaries.
 
     Where the extrapolated velocity re-enters through an open end
@@ -664,7 +682,7 @@ def _backflow_terms(problem, inp, geo, T):
         flux = g["J"] * np.sum(vt * g["vn"], axis=-1)
         wq = (-0.5 * prm.rho_f) * tr.w * np.minimum(flux, 0.0)
         dofs = tr.vdofs + lay.offsets["v_f"]
-        T.add(dofs, dofs, kron_eye(weighted_gram(wq, tr.val2, tr.val2), d))
+        blocks.append((dofs, dofs, kron_eye(weighted_gram(wq, tr.val2, tr.val2), d)))
 
 
 def _load_terms(problem, inp, geo, b):

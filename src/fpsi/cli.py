@@ -41,8 +41,8 @@ def _scenario_mesh(cfg: RunConfig):
             raise ConfigError("bad channel resolution in mesh source %r" % src)
         return channel_mesh(n)
     if src.startswith("square:"):
-        raise ConfigError("square meshes are for MMS scenarios; "
-                          "channel scenarios need 'channel:<n>' or a mesh file")
+        raise ConfigError("mesh source %r is not accepted: use 'channel:<n>' or the "
+                          "path of a mesh file (native text or MSH 2.2)" % src)
     return load_mesh(src, parse_physical_map(cfg.msh_physical_map))
 
 
@@ -69,8 +69,10 @@ def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
         raise ConfigError("probe point (probe_x, probe_y) = (%g, %g) lies outside the mesh"
                           % (cfg.probe_x, cfg.probe_y))
     os.makedirs(cfg.output_dir, exist_ok=True)
+    # relative output paths lie under output_dir
     checkpoint = cfg.checkpoint and os.path.join(cfg.output_dir, cfg.checkpoint)
-    for key, path in (("checkpoint", checkpoint), ("dump_matrix", cfg.dump_matrix)):
+    dump_matrix = cfg.dump_matrix and os.path.join(cfg.output_dir, cfg.dump_matrix)
+    for key, path in (("checkpoint", checkpoint), ("dump_matrix", dump_matrix)):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError("%s = %s: directory %s does not exist"
                               % (key, getattr(cfg, key), os.path.dirname(path)))
@@ -85,7 +87,7 @@ def _run_transient_scenario(cfg: RunConfig, quiet: bool) -> None:
     if cfg.output_every > 0:
         snapshot(0)
     for k in range(1, n_steps + 1):
-        dump = cfg.dump_matrix if (k == 1 and cfg.dump_matrix) else None
+        dump = dump_matrix if k == 1 else None
         try:
             state, diag = advance_step(problem, state, cfg.dt, cfg.order,
                                        dump_matrix=dump)

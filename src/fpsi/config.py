@@ -30,7 +30,7 @@ class RunConfig:
     dump_matrix: str = ""            # Matrix Market dump of the first system
     probe_x: float = 25.0
     probe_y: float = 5.0
-    mesh_source: str = "channel:16"  # channel:<n> | square:<n> | path to file
+    mesh_source: str = "channel:16"  # channel:<n> | path to a mesh file
     msh_physical_map: str = ""       # '1:FLUID,2:SOLID,...' for .msh input
     rho_f: float = 1e-3
     rho_s: float = 1.2e-3

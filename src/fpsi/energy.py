@@ -1,9 +1,9 @@
 """Discrete energy bookkeeping.
 
 All integrals reuse the geometric weights of the step that produced the
-state (J~, F~, interface normal and area scaling at the extrapolated
-displacement), so the monitor measures the energy the scheme actually sees,
-not a reinterpolated one.  The stored energy splits the solid kinetic part
+state (J~, F~, interface normal and area scaling at the lagged
+displacement u~ = u^{k-1}), so the monitor measures the energy the scheme
+actually sees, not a reinterpolated one.  The stored energy splits the solid kinetic part
 into skeleton and mixture contributions:
 
     1/2 rho_p |v_s|^2 + rho_f q.v_s + rho_f/(2 phi) |q|^2
@@ -22,9 +22,8 @@ from typing import Dict
 
 import numpy as np
 
-from .assembly import Geometry, Problem
+from .assembly import Geometry, Problem, lagged_stress
 from .fem import field_at_qp, grads_at_qp, scalar_at_qp
-from .kinematics import green_lagrange, svk_stress
 
 
 def _integral(w: np.ndarray, f: np.ndarray) -> float:
@@ -80,11 +79,9 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
             wJ, np.sum(mix * mix, axis=-1))
         pdq = scalar_at_qp(sub.val1, sub.nodes1, fields["p_d"])
         rep.pressure_storage = 0.5 * prm.s0 * _integral(wJ, pdq * pdq)
-        rep.darcy_dissipation = _integral(wJ, np.sum((qq @ prm.K_inv(d)) * qq, axis=-1))
+        rep.darcy_dissipation = _integral(wJ, np.sum((qq @ prm.K_inv) * qq, axis=-1))
         # rate of elastic working: F~ S(E(u_k, u~)) : grad(v_s)
-        Ft = geo.solid["F"]
-        E = green_lagrange(grads_at_qp(sub.grad2, sub.nodes_u, fields["u"], d) + np.eye(d), Ft)
-        FS = Ft @ svk_stress(E, prm.lam_s, prm.mu_s)
+        FS = lagged_stress(problem, geo, fields["u"])
         gvs = grads_at_qp(sub.grad2, sub.nodes2, vs, d)
         rep.elastic_power = _integral(sub.w, np.sum(FS * gvs, axis=(-2, -1)))
 
@@ -97,7 +94,7 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
         vsq = field_at_qp(strc.val2, strc.nodes2, fields["v_s"], d)
         qq = field_at_qp(strc.val2, strc.nodes2, fields["q"], d)
         rel = vfq - vsq
-        Mrel = (P @ prm.K_inv_sqrt(d) @ P @ rel[..., None])[..., 0]
+        Mrel = (P @ prm.K_inv_sqrt @ P @ rel[..., None])[..., 0]
         rep.bjs_dissipation = prm.gamma * _integral(wJs, np.sum(rel * Mrel, axis=-1))
         jump = np.sum((vfq - vsq - qq) * geo.iface["n"], axis=-1)
         rep.penalty_defect = _integral(wJs, np.abs(jump))

@@ -5,24 +5,24 @@ Quadrature-point evaluation: FE fields, their gradients and the weighted
 element contractions, written as batched matrix products.
 
 Fixed-pattern sparse assembly: a matrix is the sum of a fixed sequence of
-dense element blocks (rows, cols, values) with its Dirichlet dofs
-eliminated.  The first assembly builds the CSR structure of the eliminated
-matrix and an index scattering every block entry straight to its slot
-there, to a slot of the small lift that moves the known values to the
-right-hand side, or to a discard slot for the fixed rows.  Each later
-assembly computes the block values only; one `np.bincount` fills the
-matrix and the lift, and the matrix is built as a CSR once.
+dense element blocks (rows, cols, values), kept as a plain list, with its
+Dirichlet dofs eliminated.  The first assembly builds the matrix's record,
+a `SparsePattern`: the CSR structure of the eliminated matrix, an index
+scattering every block entry straight to its slot there, to a slot of the
+small lift that moves the known values to the right-hand side, or to a
+discard slot for the fixed rows, and the fill-reducing elimination order of
+its LU.  Each later assembly computes the block values only; one
+`np.bincount` fills the matrix and the lift, and the matrix is built as a
+CSR once.
 
-The pattern is the one record of everything about its matrix that stays
-fixed from step to step: that structure and scatter, the Dirichlet dofs
-they were built for, the fill-reducing elimination order of the LU (built
-at the first solve) and the last LU, which the next solve reuses or
-replaces.
+The record holds everything about its matrix that stays fixed from step to
+step: that structure and scatter, the Dirichlet dofs they were built for,
+the LU order, and the last LU, which the next solve reuses or replaces.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, List, Optional, Tuple
+from typing import Hashable, List, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -125,8 +125,9 @@ def _stable_bucket(keys: np.ndarray, n: int, payload: np.ndarray) -> np.ndarray:
 
 
 class SparsePattern:
-    """A matrix's CSR structure after Dirichlet elimination, and the scatter
-    of its element-block entries into it.
+    """The record of one matrix across steps: its CSR structure after
+    Dirichlet elimination, the scatter of its element-block entries into it,
+    its LU elimination order and its last LU.
 
     The matrix is a sum of element blocks whose fixed dofs `dofs` (sorted,
     unique) are eliminated by identity-row replacement with column
@@ -143,20 +144,22 @@ class SparsePattern:
     kept for the caller that builds the list: the constrained nodes of each
     of its conditions.
 
-    `key` names the set of terms the pattern was built for; `sizes` holds the
+    `order` is the fill-reducing elimination order of the structure
+    (`entity_order`) for `keys`, the mesh-entity key of each dof.  `key`
+    names the set of terms the pattern was built for; `sizes` holds the
     entry count of each block, so a different block sequence is caught
-    before it is scattered into the wrong slots.  The pattern is the record
-    of its matrix across steps: it also holds `order` (`elimination_order`)
-    and `lu`, the last LU of the matrix, which `solver.solve(..., lagged=pattern)`
-    tries first and replaces when it factors afresh.
+    before it is scattered into the wrong slots.  `lu` is the last LU of
+    the matrix, which `solver.solve(A, b, pattern)` tries first and
+    replaces when it factors afresh.
     """
 
-    def __init__(self, n: int, blocks: List[Tuple[np.ndarray, np.ndarray]],
+    def __init__(self, n: int, blocks: List[tuple], keys: np.ndarray,
                  dofs: np.ndarray, take: np.ndarray, nodes: tuple = (),
                  key: Hashable = None):
-        """The pattern of the blocks (rows (nb, ni), cols (nb, nj)) with the
-        fixed dofs `dofs` eliminated, no global sort."""
-        self.sizes = tuple(r.shape[0] * r.shape[1] * c.shape[1] for r, c in blocks)
+        """The record of the matrix of the blocks (rows (nb, ni), cols
+        (nb, nj), values) with the fixed dofs `dofs` eliminated, no global
+        sort."""
+        self.sizes = tuple(r.shape[0] * r.shape[1] * c.shape[1] for r, c, _ in blocks)
         nt = sum(self.sizes)
         if nt + n >= 2 ** 31 - 1:
             raise AssemblyError("pattern too large for int32 indices")
@@ -165,13 +168,12 @@ class SparsePattern:
         self.take = take
         self.nodes = nodes
         self.key = key
-        self.order: Optional[np.ndarray] = None
         self.lu = None
 
         rows = np.empty(nt, dtype=np.int32)
         cols = np.empty(nt, dtype=np.int32)
         pos = 0
-        for (r, c), size in zip(blocks, self.sizes):
+        for (r, c, _), size in zip(blocks, self.sizes):
             nb, ni = r.shape
             nj = c.shape[1]
             rows[pos:pos + size].reshape(nb, ni, nj)[...] = r[:, :, None]
@@ -223,14 +225,8 @@ class SparsePattern:
         # to intp on every fill
         self.scatter = np.empty(nt, dtype=np.intp)
         self.scatter[perm] = dest[entry_slot]
-
-    def elimination_order(self, entity_keys: Callable[[], np.ndarray]) -> np.ndarray:
-        """Fill-reducing order of this pattern's dofs (see `entity_order`),
-        built at the first call from `entity_keys()`, the mesh-entity key of
-        each dof."""
-        if self.order is None:
-            self.order = entity_order(self.indptr, self.indices, entity_keys())
-        return self.order
+        del perm, dest, entry_slot, slot_row, slot_col
+        self.order = entity_order(self.indptr, self.indices, keys)
 
 
 def entity_order(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -261,13 +257,18 @@ def entity_order(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> n
     return np.argsort(perm_c[entity], kind="stable")
 
 
-def apply_dirichlet(T: "Triplets", b: np.ndarray, values: np.ndarray):
-    """The matrix of T's block values, its Dirichlet dofs fixed to their
+def apply_dirichlet(pattern: SparsePattern, blocks: List[tuple], b: np.ndarray,
+                    values: np.ndarray):
+    """The matrix of the blocks' values, its Dirichlet dofs fixed to their
     entries of the step's value list, and b with those values moved to the
     right-hand side (see `SparsePattern`).  Entries whose value is exactly
     zero are left out of the returned CSR."""
-    p = T.pattern
-    slots = np.bincount(p.scatter, weights=T.values(), minlength=p.nslots)
+    p = pattern
+    if tuple(v.size for *_, v in blocks) != p.sizes:
+        raise AssemblyError("element blocks of the %d-dof matrix do not match its "
+                            "assembly pattern" % p.n)
+    vals = np.concatenate([v.reshape(-1) for *_, v in blocks]) if blocks else np.empty(0)
+    slots = np.bincount(p.scatter, weights=vals, minlength=p.nslots)
     data = slots[:p.nnz]
     data[p.diag] = 1.0
     values = values[p.take]
@@ -286,46 +287,3 @@ def last_set(dofs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     dofs = np.asarray(dofs, dtype=np.int64)
     unique, first = np.unique(dofs[::-1], return_index=True)
     return unique, len(dofs) - 1 - first
-
-
-class Triplets:
-    """Element blocks of one matrix, added in the same order every assembly.
-
-    The pattern is looked up in `cache[name]`; it is reused when it was built
-    for the same `key`, and otherwise `pattern_with` builds it from this
-    assembly's blocks and stores it there, as a new record with no order or
-    LU yet.  With a pattern in hand only the values are kept.
-    """
-
-    def __init__(self, n: int, cache: dict, name: str, key: Hashable = None):
-        self.n = n
-        self.cache = cache
-        self.name = name
-        self.key = key
-        pattern = cache.get(name)
-        self.pattern = pattern if pattern is not None and pattern.key == key else None
-        self.blocks: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.vals: List[np.ndarray] = []
-
-    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
-        if self.pattern is None:
-            self.blocks.append((rows, cols))
-        self.vals.append(vals.reshape(-1))
-
-    def pattern_with(self, fixed: Callable[[], tuple]) -> SparsePattern:
-        """The matrix's pattern, built when there is none from the blocks and
-        `fixed()`, the Dirichlet arguments of `SparsePattern` (dofs, take and
-        nodes): the matrix's Dirichlet dofs do not change in time."""
-        if self.pattern is None:
-            self.pattern = SparsePattern(self.n, self.blocks, *fixed(), key=self.key)
-            self.cache[self.name] = self.pattern
-            self.blocks = []
-        return self.pattern
-
-    def values(self) -> np.ndarray:
-        """The block values of this assembly, concatenated in block order."""
-        sizes = tuple(len(v) for v in self.vals)
-        if sizes != self.pattern.sizes:
-            raise AssemblyError("element blocks of %r do not match its assembly pattern"
-                                % self.name)
-        return np.concatenate(self.vals) if self.vals else np.empty(0)

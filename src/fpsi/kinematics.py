@@ -15,8 +15,8 @@ Conventions (all discrete-form normative):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -126,9 +126,10 @@ def inv_sqrt_spd(K: np.ndarray) -> np.ndarray:
 class MaterialParams:
     """Physical parameters of the coupled problem (mm-g-s units).
 
-    K is the permeability, either a scalar (isotropic) or an SPD (d,d)
-    matrix; the Darcy and interface coefficients use K^-1 and K^-1/2 exactly
-    as they appear in the discrete forms.
+    K is the permeability, given as a scalar (isotropic) or an SPD 2x2
+    matrix and stored as the matrix (a scalar K as K I).  The Darcy and
+    interface coefficients use K^-1 and K^-1/2 exactly as they appear in the
+    discrete forms; both are computed once, as `K_inv` and `K_inv_sqrt`.
     """
 
     rho_f: float      # fluid density, g/mm^3
@@ -138,8 +139,10 @@ class MaterialParams:
     mu_s: float       # Lame mu, g/(mm s^2)
     phi: float        # porosity
     s0: float         # storage coefficient, mm s^2 / g
-    K: Union[float, np.ndarray]   # permeability, mm^2
+    K: np.ndarray                 # permeability, mm^2
     gamma: float = 1.0            # interface slip coefficient
+    K_inv: np.ndarray = field(init=False, repr=False)
+    K_inv_sqrt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("rho_f", "rho_s", "mu_f", "mu_s", "s0"):
@@ -151,26 +154,21 @@ class MaterialParams:
             raise ValueError("phi must lie in (0, 1)")
         if self.gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
-        if np.isscalar(self.K):
-            if self.K <= 0.0:
+        K = np.asarray(self.K, dtype=float)
+        if K.ndim == 0:
+            if K <= 0.0:
                 raise ValueError("K must be positive")
-        else:
-            self.K = np.asarray(self.K, dtype=float)
-            if not np.allclose(self.K, self.K.T):
-                raise ValueError("permeability matrix must be symmetric")
-            if np.any(np.linalg.eigvalsh(self.K) <= 0.0):
-                raise ValueError("permeability matrix must be positive definite")
+            K = K * np.eye(2)
+        if K.shape != (2, 2):
+            raise ValueError("permeability must be a scalar or a 2x2 matrix")
+        if not np.allclose(K, K.T):
+            raise ValueError("permeability matrix must be symmetric")
+        if np.any(np.linalg.eigvalsh(K) <= 0.0):
+            raise ValueError("permeability matrix must be positive definite")
+        self.K = K
+        self.K_inv = np.linalg.inv(K)
+        self.K_inv_sqrt = inv_sqrt_spd(K)
 
     @property
     def rho_p(self) -> float:
         return mixture_density(self.rho_s, self.rho_f, self.phi)
-
-    def K_inv(self, dim: int) -> np.ndarray:
-        if np.isscalar(self.K):
-            return np.eye(dim) / self.K
-        return np.linalg.inv(self.K)
-
-    def K_inv_sqrt(self, dim: int) -> np.ndarray:
-        if np.isscalar(self.K):
-            return np.eye(dim) / np.sqrt(self.K)
-        return inv_sqrt_spd(self.K)

@@ -143,7 +143,7 @@ def biot_trig() -> MmsCase:
     S = prm.lam_s * E.trace() * sp.eye(2) + 2 * prm.mu_s * E
     gp = [sp.diff(p, _x), sp.diff(p, _y)]
     f_s = [-e + g for e, g in zip(_div_mat(S), gp)]
-    kinv = 1.0 / prm.K
+    kinv = float(prm.K_inv[0, 0])
     f_d = [kinv * q[i] + gp[i] for i in range(2)]
     g_s = _div_vec([w[0] + q[0], w[1] + q[1]])
     return MmsCase(

@@ -4,8 +4,8 @@ The monolithic matrix is unsymmetric (advection, interface coupling) and can
 be badly scaled when the permeability is small, so every solve verifies the
 relative residual ||Ax - b|| / max(||b||, eps).
 
-The LU is of P A P^T for a caller's elimination order (`fem.entity_order`
-builds one per assembly pattern; none means the identity).  SuperLU factors
+The LU is of P A P^T for the elimination order of the matrix's record
+(`fem.SparsePattern.order`, built by `fem.entity_order`).  SuperLU factors
 it with its columns as given (permc_spec NATURAL) and threshold pivoting at
 DIAG_PIVOT_THRESH: the diagonal entry is kept as pivot when it is at least
 that fraction of the largest entry below it in its column.  The saddle-point
@@ -19,22 +19,22 @@ refinement below and the residual check catch what that costs in accuracy.
 A fresh LU solve runs one pass of iterative refinement when the first
 residual is above the tolerance, then gives up.
 
-A caller that solves a sequence of nearby matrices (one per time step) can
-hand in a holder of the last LU of that family: any object with an `lu`
-attribute, which is None until the first factorization.  The time stepper
-hands in the matrix's assembly pattern (`fem.SparsePattern`).  The solve
-then starts from x = lu.solve(b) and repeats x += lu.solve(b - A x) until
-the true residual is at the tolerance.  It stops reusing when a pass fails
-to halve the residual, when the residual is not finite, or after
-MAX_REUSE_PASSES passes; it then drops the held LU, factors A fresh and
-keeps the new LU in the holder.  At most one LU per holder is ever alive.
-The held LU keeps its order: a reused LU solves in the order it was made in.
+Every solve takes the record of its matrix: the assembly pattern
+(`fem.SparsePattern`), or any object with an `order` and an `lu`, which is
+None until the first factorization.  A sequence of nearby matrices (one per
+time step) shares one record, so a solve with a held LU starts from
+x = lu.solve(b) and repeats x += lu.solve(b - A x) until the true residual
+is at the tolerance.  It stops reusing when a pass fails to halve the
+residual, when the residual is not finite, or after MAX_REUSE_PASSES
+passes; it then drops the held LU, factors A fresh and keeps the new LU in
+the record.  At most one LU per record is ever alive.  The held LU keeps
+its order: a reused LU solves in the order it was made in.  A caller that
+solves its matrix once (`stepping.solve_steady`) drops the LU afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -63,10 +63,10 @@ class OrderedLU:
     """LU of P A P^T, where row and column order[i] of A become row and
     column i; `solve` takes and returns vectors in A's numbering."""
 
-    def __init__(self, A: sparse.spmatrix, order: Optional[np.ndarray]):
+    def __init__(self, A: sparse.spmatrix, order: np.ndarray):
         n = A.shape[0]
         self.shape = A.shape
-        self.order = np.arange(n) if order is None else np.asarray(order)
+        self.order = order
         rows = sparse.csr_matrix(A)[self.order]
         position = np.empty(n, dtype=rows.indices.dtype)
         position[self.order] = np.arange(n)
@@ -105,14 +105,13 @@ def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, max_passes: int):
     return x, res, passes
 
 
-def solve(A: sparse.spmatrix, b: np.ndarray, rtol: float = RESIDUAL_TOL,
-          lagged=None, order: Optional[np.ndarray] = None):
+def solve(A: sparse.spmatrix, b: np.ndarray, record, rtol: float = RESIDUAL_TOL):
     """Solve Ax = b by sparse LU; returns (x, SolveReport).
 
-    A fresh LU is of A in the elimination order `order` (a permutation of
-    the dofs; None is the identity).  With `lagged`, a holder with an `lu`
-    attribute, a held LU of the same shape is tried first by iterative
-    refinement, and the LU of a fresh factorization is left in the holder.
+    `record` is the matrix's `fem.SparsePattern` (any object with `order`
+    and `lu`).  A held `record.lu` of the same shape is tried first by
+    iterative refinement; otherwise A is factored afresh in `record.order`
+    and the new LU is left in `record.lu`.
     """
     if A.shape[0] != A.shape[1]:
         raise SolverError("matrix is not square: %s" % (A.shape,))
@@ -126,14 +125,13 @@ def solve(A: sparse.spmatrix, b: np.ndarray, rtol: float = RESIDUAL_TOL,
     bnorm = max(float(np.linalg.norm(b)), _EPS)
 
     spent = 0
-    if lagged is not None and lagged.lu is not None and lagged.lu.shape == A.shape:
-        x, res, spent = _refine(A, b, lagged.lu, bnorm, rtol, MAX_REUSE_PASSES)
+    if record.lu is not None and record.lu.shape == A.shape:
+        x, res, spent = _refine(A, b, record.lu, bnorm, rtol, MAX_REUSE_PASSES)
         if res <= rtol:
             return x, SolveReport(residual=res, refined=False, n=n, iterations=spent,
                                   factored=False, nnz=A.nnz, fill=0)
-    if lagged is not None:
-        lagged.lu = None           # free the old factors before making new ones
-    lu = OrderedLU(A, order)
+    record.lu = None               # free the old factors before making new ones
+    lu = OrderedLU(A, record.order)
     # one pass of iterative refinement recovers the last digits when the
     # factorization is fine but the matrix is badly scaled
     x, res, passes = _refine(A, b, lu, bnorm, rtol, 1)
@@ -143,7 +141,6 @@ def solve(A: sparse.spmatrix, b: np.ndarray, rtol: float = RESIDUAL_TOL,
             "(%.3e > %.3e)" % (res, rtol),
             residual=res,
         )
-    if lagged is not None:
-        lagged.lu = lu
+    record.lu = lu
     return x, SolveReport(residual=res, refined=passes > 0, n=n, iterations=spent + passes,
                           factored=True, nnz=A.nnz, fill=lu.fill)

@@ -17,13 +17,14 @@ and hands the geometry of its reference configuration on from state to
 state.  BDF2 takes its first step with BDF1 (no older history exists).
 
 Each matrix of items 2 and 3 has one record, its assembly pattern
-(`Problem.patterns`, a `fem.SparsePattern`): the structure with its
-Dirichlet dofs eliminated and the scatter of the element entries into it,
-built at its first assembly, the LU elimination order built at its first solve
-(`fem.entity_order`) and the previous step's LU.  A solve reuses that LU
-and factors afresh only when refinement with it stops contracting; see
-`solver.solve`.  The system LU is dropped when the scheme changes (BDF2's
-first BDF2 step), whose matrix differs in its mass terms.
+(`Problem.patterns`, a `fem.SparsePattern`), built whole at its first
+assembly: the structure with its Dirichlet dofs eliminated, the scatter of
+the element entries into it and the LU elimination order
+(`fem.entity_order`).  It also holds the previous step's LU: a solve
+(`solver.solve(A, b, record)`) reuses that LU and factors afresh only when
+refinement with it stops contracting.  The system LU is dropped when the
+scheme changes (BDF2's first BDF2 step), whose matrix differs in its mass
+terms.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import numpy as np
 
 from .assembly import Geometry, Problem, StepInputs, assemble_system, check_deformation
 from .errors import FpsiError
-from .fem import (Triplets, add_kron_eye, apply_dirichlet, component_trace, gradient_gram,
-                  last_set)
+from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace,
+                  gradient_gram, last_set)
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
 
@@ -157,7 +158,7 @@ def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> Step
 
 def extension_stiffness(problem: Problem, geo):
     """Lame-type extension operator on the fluid velocity space, as the
-    element blocks (`fem.Triplets`) of the "extension" matrix.
+    list of element blocks (rows, cols, values) of the "extension" matrix.
 
     Element moduli stiffen as cells compress: mu_m = mu_s |cell|^-1.2 with
     the cell volume taken in the configuration of `geo`, lambda_m = 16 mu_m.
@@ -174,9 +175,7 @@ def extension_stiffness(problem: Problem, geo):
     elem = P.transpose(0, 1, 4, 3, 2) + 16.0 * P
     add_kron_eye(elem, component_trace(P))
 
-    T = Triplets(problem.spaces["v_f"].num_dofs, problem.patterns, "extension")
-    T.add(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))
-    return T
+    return [(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))]
 
 
 def _extension_dofs(problem: Problem):
@@ -203,11 +202,15 @@ def solve_extension(problem: Problem, geo, v_s: np.ndarray):
     """Domain velocity on the fluid side: trace of v_s on the interface,
     zero on the outer fluid boundary, extension operator in between.
     Returns (w_f, SolveReport)."""
-    T = extension_stiffness(problem, geo)
-    pattern = T.pattern_with(lambda: _extension_dofs(problem))
-    A, b = apply_dirichlet(T, np.zeros(T.n), np.append(v_s, 0.0))
-    return solve(A, b, rtol=problem.solver_rtol, lagged=pattern,
-                 order=pattern.elimination_order(lambda: problem.entity_keys(("v_f",))))
+    blocks = extension_stiffness(problem, geo)
+    n = problem.spaces["v_f"].num_dofs
+    pattern = problem.patterns.get("extension")
+    if pattern is None:
+        pattern = SparsePattern(n, blocks, problem.entity_keys(("v_f",)),
+                                *_extension_dofs(problem))
+        problem.patterns["extension"] = pattern
+    A, b = apply_dirichlet(pattern, blocks, np.zeros(n), np.append(v_s, 0.0))
+    return solve(A, b, pattern, rtol=problem.solver_rtol)
 
 
 def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
@@ -239,8 +242,7 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
     if state.k >= 1 and scheme_for_step(order, state.k) != sch:
         # the mass terms change with the scheme: the held LU is of another matrix
         pattern.lu = None
-    lu_order = pattern.elimination_order(lambda: problem.entity_keys(problem.layout.names))
-    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol, lagged=pattern, order=lu_order)
+    x, rep = solve(system.A, system.b, pattern, rtol=problem.solver_rtol)
     fields = system.layout.split(x)
     system = None              # the step matrix is not held next to the new geometry
 
@@ -279,9 +281,9 @@ def solve_steady(problem: Problem):
 
     The matrix is solved once, so its LU is not kept."""
     system = assemble_system(problem, StepInputs.steady(problem))
-    lu_order = problem.patterns["system"].elimination_order(
-        lambda: problem.entity_keys(system.layout.names))
-    x, rep = solve(system.A, system.b, rtol=problem.solver_rtol, order=lu_order)
+    pattern = problem.patterns["system"]
+    x, rep = solve(system.A, system.b, pattern, rtol=problem.solver_rtol)
+    pattern.lu = None
     return system.layout.split(x), rep
 
 

@@ -1,9 +1,10 @@
 """Fixed-pattern assembly against a test-local reference assembly.
 
-The reference expands every element block into COO triplets, converts to
-CSR with summed duplicates and eliminates Dirichlet dofs as D A D + diag,
-dropping explicit zeros: the assembly before patterns were reused.  Both
-paths share the element kernels (checked against oracles elsewhere), so the
+The reference expands every element block of the list that
+`apply_dirichlet` receives into COO triplets, converts to CSR with summed
+duplicates and eliminates Dirichlet dofs as D A D + diag, dropping explicit
+zeros: the assembly before patterns were reused.  Both paths take the same
+blocks (their kernels are checked against oracles elsewhere), so the
 comparison isolates the pattern, the scatter and the elimination, step
 after step on one problem.
 """
@@ -29,45 +30,29 @@ B_RTOL = 1e-12
 DT = 1e-4
 
 
-class ReferenceTriplets:
-    """Every block as COO triplets, summed by COO -> CSR.  It builds no
-    pattern; `pattern` is the matrix's record from the assembly under test,
-    read only for its Dirichlet dofs."""
-
-    def __init__(self, n, cache, name, key=None):
-        self.n = n
-        self.cache, self.name = cache, name
-        self.rows, self.cols, self.vals = [], [], []
-
-    @property
-    def pattern(self):
-        return self.cache[self.name]
-
-    def pattern_with(self, fixed):
-        return self.pattern
-
-    def add(self, rows, cols, vals):
-        nb, ni = rows.shape
-        nj = cols.shape[1]
-        self.rows.append(np.repeat(rows[:, :, None], nj, axis=2).ravel())
-        self.cols.append(np.repeat(cols[:, None, :], ni, axis=1).ravel())
-        self.vals.append(vals.reshape(-1))
-
-    def tocsr(self):
-        A = sparse.coo_matrix((np.concatenate(self.vals),
-                               (np.concatenate(self.rows), np.concatenate(self.cols))),
-                              shape=(self.n, self.n)).tocsr()
-        A.sum_duplicates()
-        return A
+def coo_sum(n, blocks):
+    """The matrix of the blocks (rows, cols, values) as COO triplets,
+    summed by COO -> CSR."""
+    rows, cols = [], []
+    for r, c, _ in blocks:
+        nb, ni = r.shape
+        nj = c.shape[1]
+        rows.append(np.repeat(r[:, :, None], nj, axis=2).ravel())
+        cols.append(np.repeat(c[:, None, :], ni, axis=1).ravel())
+    vals = [v.reshape(-1) for *_, v in blocks]
+    A = sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    return A
 
 
-def reference_dirichlet(T, b, values):
-    """The summed matrix of the reference triplets T with identity rows and
-    columns by D A D + diag(fixed), zeros dropped; the fixed dofs and their
-    positions in the value list are those of the pattern under test."""
-    A = T.tocsr()
-    dofs = T.pattern.dofs
-    values = values[T.pattern.take]
+def reference_dirichlet(pattern, blocks, b, values):
+    """The summed matrix of the blocks with identity rows and columns by
+    D A D + diag(fixed), zeros dropped; the fixed dofs and their positions
+    in the value list are those of the pattern under test."""
+    A = coo_sum(pattern.n, blocks)
+    dofs = pattern.dofs
+    values = values[pattern.take]
     n = A.shape[0]
     x0 = np.zeros(n)
     x0[dofs] = values
@@ -107,52 +92,46 @@ def backflow_active(problem, inp):
 
 
 class Recorder:
-    """Wraps the step entry points to check each matrix against the reference."""
+    """Wraps the step entry points to check each matrix against the
+    reference built from the blocks its `apply_dirichlet` receives."""
 
     def __init__(self, mp):
-        self.system = []          # (scheme order, a dev, b dev, same structure, backflow)
+        self.system = []          # (scheme a0, a dev, b dev, same structure, backflow)
         self.extension = []       # (a and b dev, same structure) after elimination
-        reference = {}            # the extension's reference triplets of this step
         self.handed = []          # matrices handed to the solver
+        checked = []              # the system's comparison of this assembly
         real_assemble = stepping.assemble_system
-        real_stiffness = stepping.extension_stiffness
-        real_dirichlet = stepping.apply_dirichlet
+        real_dirichlet = fem.apply_dirichlet
         real_solve = stepping.solve
+
+        def compare(pattern, blocks, b, values):
+            out, rhs = real_dirichlet(pattern, blocks, b, values)
+            expect, expect_b = reference_dirichlet(pattern, blocks, b, values)
+            checked.append((rel_dev(out, expect),
+                            np.abs(rhs - expect_b).max() / np.abs(expect_b).max(),
+                            same_structure(out, expect)))
+            return out, rhs
 
         def assemble(problem, inp, dump_matrix=None):
             system = real_assemble(problem, inp, dump_matrix)
-            with pytest.MonkeyPatch.context() as ref:
-                ref.setattr(assembly, "Triplets", ReferenceTriplets)
-                ref.setattr(assembly, "apply_dirichlet", reference_dirichlet)
-                expect = real_assemble(problem, inp)
-            self.system.append((inp.a0, rel_dev(system.A, expect.A),
-                                np.abs(system.b - expect.b).max() / np.abs(expect.b).max(),
-                                same_structure(system.A, expect.A),
-                                backflow_active(problem, inp)))
+            (a_dev, b_dev, same), = checked
+            checked.clear()
+            self.system.append((inp.a0, a_dev, b_dev, same, backflow_active(problem, inp)))
             return system
 
-        def stiffness(problem, geo):
-            T = real_stiffness(problem, geo)
-            with pytest.MonkeyPatch.context() as ref:
-                ref.setattr(stepping, "Triplets", ReferenceTriplets)
-                reference["T"] = real_stiffness(problem, geo)
-            return T
+        def extension(pattern, blocks, b, values):
+            out = compare(pattern, blocks, b, values)
+            a_dev, b_dev, same = checked.pop()
+            self.extension.append((max(a_dev, b_dev), same))
+            return out
 
-        def dirichlet(T, b, values):
-            out, rhs = real_dirichlet(T, b, values)
-            expect, expect_b = reference_dirichlet(reference.pop("T"), b, values)
-            self.extension.append((max(rel_dev(out, expect),
-                                       np.abs(rhs - expect_b).max() / np.abs(expect_b).max()),
-                                   same_structure(out, expect)))
-            return out, rhs
-
-        def solve(A, b, **kwargs):
+        def solve(A, b, record, **kwargs):
             self.handed.append((A, b))
-            return real_solve(A, b, **kwargs)
+            return real_solve(A, b, record, **kwargs)
 
         mp.setattr(stepping, "assemble_system", assemble)
-        mp.setattr(stepping, "extension_stiffness", stiffness)
-        mp.setattr(stepping, "apply_dirichlet", dirichlet)
+        mp.setattr(assembly, "apply_dirichlet", compare)
+        mp.setattr(stepping, "apply_dirichlet", extension)
         mp.setattr(stepping, "solve", solve)
 
 
@@ -245,7 +224,9 @@ def test_each_pattern_is_built_once(monkeypatch):
             builds.append(n)
             super().__init__(n, *args, **kwargs)
 
-    monkeypatch.setattr(fem, "SparsePattern", Counting)
+    # the two get-or-build sites: the system's and the extension's
+    monkeypatch.setattr(assembly, "SparsePattern", Counting)
+    monkeypatch.setattr(stepping, "SparsePattern", Counting)
     prob = channel()
     assert prob.patterns == {}                 # nothing is built with the problem
     state = State.initial(prob)
@@ -319,15 +300,11 @@ def test_last_set_keeps_the_last_occurrence():
 def eliminate_both(n, blocks, vals, dofs, values, b):
     """The fused elimination of the blocks and the reference one, with the
     fixed dofs `dofs` (repeats allowed: the later wins) set to `values`."""
-    cache = {}
-    T = fem.Triplets(n, cache, "m")
-    R = ReferenceTriplets(n, cache, "m")
-    for (r, c), v in zip(blocks, vals):
-        T.add(r, c, v)
-        R.add(r, c, v)
-    T.pattern_with(lambda: fem.last_set(dofs))
+    blocks = [(r, c, v) for (r, c), v in zip(blocks, vals)]
+    pattern = fem.SparsePattern(n, blocks, np.arange(n), *fem.last_set(dofs))
     values = np.asarray(values, dtype=float)
-    return fem.apply_dirichlet(T, b, values), reference_dirichlet(R, b, values), T.pattern
+    return (fem.apply_dirichlet(pattern, blocks, b, values),
+            reference_dirichlet(pattern, blocks, b, values), pattern)
 
 
 def assert_matches(fused, reference):
@@ -378,10 +355,7 @@ def test_fused_elimination_pins_a_dof_without_diagonal():
     assert_unit_rows(A, [0, 8])
     assert pattern.dofs.tolist() == [0, 8] and len(pattern.lift_rows) > 0
     # b -= A[:, fixed] g for the free rows, from the summed matrix
-    summed = ReferenceTriplets(9, {}, "m")
-    for (r, c), v in zip(blocks, vals):
-        summed.add(r, c, v)
-    dense = summed.tocsr().toarray()
+    dense = coo_sum(9, [(r, c, v) for (r, c), v in zip(blocks, vals)]).toarray()
     free = np.arange(1, 8)
     expect = b[free] - dense[free][:, [0, 8]] @ np.array([0.5, 2.0])
     assert np.allclose(out[free], expect, rtol=1e-14, atol=1e-14)
@@ -422,36 +396,27 @@ def test_pattern_of_arbitrary_blocks_matches_coo():
               (rng.integers(0, n - 5, (10, 2)), rng.integers(0, n, (10, 6)))]
     vals = [rng.standard_normal((r.shape[0], r.shape[1], c.shape[1])) for r, c in blocks]
     none = np.empty(0, dtype=np.int64)
-    cache = {}
-    T = fem.Triplets(n, cache, "m")
-    ref = ReferenceTriplets(n, {}, "m")
-    for (r, c), v in zip(blocks, vals):
-        T.add(r, c, v)
-        ref.add(r, c, v)
-    T.pattern_with(lambda: (none, none))
-    A, _ = fem.apply_dirichlet(T, np.zeros(n), np.empty(0))
-    R = ref.tocsr()
+    first = [(r, c, v) for (r, c), v in zip(blocks, vals)]
+    pattern = fem.SparsePattern(n, first, np.arange(n), none, none)
+    A, _ = fem.apply_dirichlet(pattern, first, np.zeros(n), np.empty(0))
+    R = coo_sum(n, first)
     assert same_structure(A, R) and rel_dev(A, R) <= A_RTOL
     assert np.diff(A.indptr)[n - 5:].tolist() == [0, 1, 1, 0, 0]
 
-    # a second fill on the stored pattern with new values
-    T2 = fem.Triplets(n, cache, "m")
-    ref2 = ReferenceTriplets(n, {}, "m")
-    for (r, c), v in zip(blocks, vals):
-        T2.add(r, c, 2.0 * v)
-        ref2.add(r, c, 2.0 * v)
-    assert T2.pattern_with(None) is T.pattern and T2.blocks == []
-    assert rel_dev(fem.apply_dirichlet(T2, np.zeros(n), np.empty(0))[0], ref2.tocsr()) <= A_RTOL
+    # a second fill of the same record with new values
+    second = [(r, c, 2.0 * v) for r, c, v in first]
+    A2, _ = fem.apply_dirichlet(pattern, second, np.zeros(n), np.empty(0))
+    assert rel_dev(A2, coo_sum(n, second)) <= A_RTOL
 
 
 def test_blocks_that_differ_from_the_pattern_are_refused():
     n = 6
-    block = (np.array([[0, 1]]), np.array([[2, 3]]))
-    T = fem.Triplets(n, {}, "m")
-    T.add(*block, np.ones((1, 2, 2)))
-    T.pattern_with(lambda: (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
-    T2 = fem.Triplets(n, T.cache, "m")
-    T2.add(*block, np.ones((1, 2, 2)))
-    T2.add(*block, np.ones((1, 2, 2)))
+    block = (np.array([[0, 1]]), np.array([[2, 3]]), np.ones((1, 2, 2)))
+    none = np.empty(0, dtype=np.int64)
+    pattern = fem.SparsePattern(n, [block], np.arange(n), none, none)
     with pytest.raises(AssemblyError, match="do not match its assembly pattern"):
-        fem.apply_dirichlet(T2, np.zeros(n), np.empty(0))
+        fem.apply_dirichlet(pattern, [block, block], np.zeros(n), np.empty(0))
+    # the same number of entries split differently is refused too
+    half = (np.array([[0]]), np.array([[2, 3]]), np.ones((1, 1, 2)))
+    with pytest.raises(AssemblyError, match="do not match its assembly pattern"):
+        fem.apply_dirichlet(pattern, [half, half], np.zeros(n), np.empty(0))

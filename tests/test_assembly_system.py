@@ -48,11 +48,10 @@ def wavy(X):
 def test_geometry_cache_invariants():
     prob = mixed_problem()
     geo = build_geometry(prob, interpolate(prob.spaces["u"], wavy))
-    for sub in (geo.fluid, geo.solid):
+    for batch, sub in ((prob.fluid, geo.fluid), (prob.solid, geo.solid)):
         assert np.all(sub["J"] > 0.0)
-        eye = np.eye(2)
-        assert np.allclose(np.einsum("cqab,cqbe->cqae", sub["F"], sub["Finv"]),
-                           eye, atol=1e-12)
+        # G holds the P2 gradients pushed forward: grad(phi) F^-1
+        assert np.allclose(sub["G"], batch.grad2 @ np.linalg.inv(sub["F"]), atol=1e-12)
     n, P, Js = geo.iface["n"], geo.iface["P"], geo.iface["Js"]
     assert np.allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-12)
     assert np.all(Js > 0.0)

@@ -263,6 +263,28 @@ def test_cli_output_into_a_missing_directory_exits_1(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in out.iterdir()) == []
 
 
+def test_cli_relative_outputs_lie_under_output_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nscenario = decay\nt_end = 1e-4\noutput_dir = out\noutput_every = 0\n"
+                   "checkpoint = final.npz\ndump_matrix = A.mtx\n"
+                   "[mesh]\nsource = channel:2\n[material]\nK = 1e-5\n")
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    assert (tmp_path / "out" / "A.mtx").read_text().startswith("%%MatrixMarket")
+    assert (tmp_path / "out" / "final.npz").exists()
+    assert not (tmp_path / "A.mtx").exists()
+
+
+def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nscenario = decay\nt_end = 1e-4\noutput_dir = %s\n"
+                   "[mesh]\nsource = square:4\n" % (tmp_path / "out"))
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "'square:4' is not accepted" in err and "'channel:<n>'" in err
+    assert "mesh file" in err
+
+
 def test_package_exports_resolve():
     import fpsi
     assert [name for name in fpsi.__all__ if not hasattr(fpsi, name)] == []

@@ -52,7 +52,7 @@ def test_uniform_field_closed_forms():
     # uniform velocities: no viscous dissipation, no elastic power
     assert rep.viscous_dissipation == pytest.approx(0.0, abs=1e-14)
     assert rep.elastic_power == pytest.approx(0.0, abs=1e-14)
-    assert rep.darcy_dissipation == pytest.approx(9.0 / PRM.K * area)
+    assert rep.darcy_dissipation == pytest.approx(9.0 / PRM.K[0, 0] * area)
 
     # interface: n = (-1,1)/sqrt(2), L = sqrt(2)
     L = np.sqrt(2.0)

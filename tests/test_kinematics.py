@@ -213,17 +213,22 @@ def test_material_params_validation():
     with pytest.raises(ValueError):
         _params(K=np.array([[1.0, 0.0], [0.0, -1.0]]))  # not positive definite
     with pytest.raises(ValueError):
+        _params(K=np.eye(3))                            # not 2x2
+    with pytest.raises(ValueError):
+        _params(K=0.0)
+    with pytest.raises(ValueError):
         _params(gamma=-1.0)
 
 
 def test_permeability_inverse_helpers():
     p = _params(K=4.0)
-    assert np.allclose(p.K_inv(2), np.eye(2) / 4.0)
-    assert np.allclose(p.K_inv_sqrt(2), np.eye(2) / 2.0)
+    assert np.array_equal(p.K, 4.0 * np.eye(2))          # a scalar K is stored as K I
+    assert np.array_equal(p.K_inv, np.eye(2) / 4.0)
+    assert np.array_equal(p.K_inv_sqrt, np.eye(2) / 2.0)
     Kmat = np.array([[2.0, 1.0], [1.0, 2.0]])
     p = _params(K=Kmat)
-    assert np.allclose(p.K_inv(2) @ Kmat, np.eye(2), atol=1e-14)
-    R = p.K_inv_sqrt(2)
+    assert np.allclose(p.K_inv @ Kmat, np.eye(2), atol=1e-14)
+    R = p.K_inv_sqrt
     assert np.allclose(R @ Kmat @ R, np.eye(2), atol=1e-13)
     with pytest.raises(ValueError):
         inv_sqrt_spd(np.array([[1.0, 0.0], [0.0, 0.0]]))

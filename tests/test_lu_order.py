@@ -1,5 +1,6 @@
 """Elimination order of the sparse LU: grouping by mesh entity, one build per
-pattern, fill against SuperLU's default column order, and the solutions."""
+matrix record at its first assembly, fill against SuperLU's default column
+order, and the solutions."""
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ class Solves:
         self.calls = []
         real = stepping.solve
 
-        def solve(A, b, **kwargs):
-            x, rep = real(A, b, **kwargs)
+        def solve(A, b, record, **kwargs):
+            x, rep = real(A, b, record, **kwargs)
             self.calls.append((A, b, x, rep))
             return x, rep
 
@@ -43,7 +44,7 @@ def steps(prob, order, n):
 
 def cached_order(prob, name):
     order = prob.patterns[name].order
-    assert order is not None
+    assert order is not None and len(order) == prob.patterns[name].n
     return order
 
 
@@ -80,7 +81,7 @@ def test_order_groups_dofs_by_entity_with_pressures_last():
     assert_grouped(cached_order(prob, "extension"), ext_keys, np.zeros(len(ext_keys), bool))
 
 
-def test_order_is_built_once_per_pattern_at_the_first_solve(monkeypatch):
+def test_order_is_built_once_per_pattern_at_its_first_assembly(monkeypatch):
     builds = []
     build = fem.entity_order
 
@@ -92,6 +93,9 @@ def test_order_is_built_once_per_pattern_at_the_first_solve(monkeypatch):
     prob = channel(4)
     assert builds == []                        # nothing is ordered with the problem
     state = State.initial(prob)
+    # the system's order comes with its record, before anything is solved
+    stepping.assemble_system(prob, stepping._step_inputs(prob, state, stepping.BDF1, DT))
+    assert builds == [prob.layout.total] and prob.patterns["system"].lu is None
     seen = []
     for _ in range(6):
         state, _ = advance_step(prob, state, DT, 2)
@@ -120,10 +124,14 @@ def rel_error(A, b, x):
 
 def test_steady_stokes_matches_spsolve(monkeypatch):
     rec = Solves(monkeypatch)
-    solve_steady(mms_problem(stokes_trig(), 16))
+    prob = mms_problem(stokes_trig(), 16)
+    solve_steady(prob)
     (A, b, x, rep), = rec.calls
     assert rep.residual <= RESIDUAL_TOL
     assert rel_error(A, b, x) <= 1e-8
+    # the record keeps its order, but the steady LU is not kept
+    assert prob.patterns["system"].lu is None
+    cached_order(prob, "system")
 
 
 def test_bdf2_channel_step_matches_spsolve(monkeypatch):

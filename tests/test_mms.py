@@ -148,7 +148,7 @@ def test_biot_forcing_matches_finite_differences():
         div_S = 0.5 * prm.lam_s * gdiv + 0.5 * prm.mu_s * (lap_wi + gdiv)
         assert np.allclose(f_s[:, i], -div_S + _d1(p, X, i),
                            rtol=1e-6, atol=1e-8)
-        assert np.allclose(f_d[:, i], q(X)[:, i] / prm.K + _d1(p, X, i),
+        assert np.allclose(f_d[:, i], q(X)[:, i] / prm.K[i, i] + _d1(p, X, i),
                            rtol=1e-6, atol=1e-8)
 
 

@@ -32,7 +32,7 @@ def private_imports(source: str, filename: str = "<src>"):
 
 def test_scanner_flags_private_imports():
     src = ("from __future__ import annotations\n"
-           "from .fem import Triplets, _stable_bucket\n"
+           "from .fem import SparsePattern, _stable_bucket\n"
            "from . import _helpers\n"
            "from fpsi.spaces import _find\n"
            "from numpy import _private_of_a_dependency\n"

@@ -189,7 +189,7 @@ def test_restart_assembles_in_the_uninterrupted_geometry(tmp_path):
     _, resumed = advance_step(prob, back, 1e-4, 2)
     assert resumed.geo is not straight.geo
     ref, got = geometry_arrays(straight.geo), geometry_arrays(resumed.geo)
-    assert sorted(got) == sorted(ref) and len(ref) == 15
+    assert sorted(got) == sorted(ref) and len(ref) == 13
     assert all(np.array_equal(got[key], ref[key]) for key in ref)
 
 

@@ -8,7 +8,11 @@ protocol with each `src` on the PYTHONPATH, BLAS threads set to 1:
 
   - a 30-step BDF2 `fpsi run` of the pressure pulse on channel:16
     (K = 1e-5) with VTK output every 10 steps, the first step's matrix
-    dump and a checkpoint of the final state;
+    dump and a checkpoint of the final state; its LUs are factored at
+    steps 1 and 2 and reused after that;
+  - a 10-step BDF1 `fpsi run` of the same pulse at K = 5e-13 with no VTK
+    output, whose stiff slip term makes the system refactor on every step,
+    so the fresh-LU path is compared on every step;
   - `fpsi mms stokes`, `fpsi mms biot` and `fpsi mms time` at their default
     levels.
 
@@ -25,7 +29,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RUN_CONFIG = """[run]
+RUN_CONFIGS = {
+    "run": """[run]
 scenario = pressure_wave_2d
 order = 2
 dt = 1e-4
@@ -38,7 +43,20 @@ dump_matrix = {out}/A.mtx
 source = channel:16
 [material]
 K = 1e-5
-"""
+""",
+    "stiff": """[run]
+scenario = pressure_wave_2d
+order = 1
+dt = 1e-4
+t_end = 1e-3
+output_dir = {out}
+output_every = 0
+[mesh]
+source = channel:16
+[material]
+K = 5e-13
+""",
+}
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -52,9 +70,10 @@ def outputs(src: Path, out: Path) -> dict:
     """Run the protocol with the package in `src`; every file written under
     `out`, by path relative to it, with its bytes."""
     out.mkdir()
-    config = out.parent / (out.name + ".ini")
-    config.write_text(RUN_CONFIG.format(out=out / "run"))
-    fpsi(src, "run", str(config), "--quiet")
+    for name, text in RUN_CONFIGS.items():
+        config = out.parent / ("%s_%s.ini" % (out.name, name))
+        config.write_text(text.format(out=out / name))
+        fpsi(src, "run", str(config), "--quiet")
     for case in ("stokes", "biot", "time"):
         fpsi(src, "mms", case, "--output", str(out / ("mms_" + case)))
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
