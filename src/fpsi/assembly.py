@@ -298,8 +298,10 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     (no GAMMA_OUT facet and no pressure load), which is when p_f is only
     defined up to a constant.  open_markers lists natural fluid boundaries
     that get the directional (backflow-stabilized) treatment in transient
-    runs.  A mesh without solid cells never moves: its steps assemble in
-    the reference configuration.
+    runs.  forcing holds the source terms of the v_f, v_s and q equations
+    and of the pore mass balance ("mass_s"); any other key is an error.  A
+    mesh without solid cells never moves: its steps assemble in the
+    reference configuration.
     """
     d = mesh.dim
     if d != 2:
@@ -309,6 +311,9 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     loads = list(loads or [])
     dirichlet = list(dirichlet or [])
     forcing = dict(forcing or {})
+    unread = sorted(set(forcing) - {"v_f", "v_s", "q", "mass_s"})
+    if unread:
+        raise AssemblyError("no form reads the forcing term(s) %s" % ", ".join(unread))
 
     spaces: Dict[str, FunctionSpace] = {}
     sizes: Dict[str, int] = {}
@@ -514,9 +519,6 @@ def _fluid_terms(problem, inp, geo, blocks, b, transient):
     fn = problem.forcing.get("v_f")
     if fn is not None:
         scatter_add(b, vd, weighted_moment(sub.w, sub.val2, _forcing_at(fn, sub.X, inp.t, d)))
-    gn = problem.forcing.get("mass_f")
-    if gn is not None:
-        scatter_add(b, pd, weighted_moment(sub.w, sub.val1, _forcing_at(gn, sub.X, inp.t, 1)))
 
 
 def _solid_terms(problem, inp, geo, blocks, b, transient):

@@ -55,8 +55,6 @@ class MmsCase:
 def _wrap(exprs, tdep: bool) -> Callable:
     """Vectorized callable fn(X, t=None) from sympy expressions; without
     tdep it ignores t, so every case's fields take (X, t) alike."""
-    if isinstance(exprs, sp.MatrixBase):
-        exprs = list(exprs)
     exprs = [sp.sympify(e) for e in np.atleast_1d(exprs)]
     syms = (_x, _y, _t) if tdep else (_x, _y)
     fns = [sp.lambdify(syms, e, "numpy") for e in exprs]

@@ -35,10 +35,10 @@ PROBE_POINT = (25.0, 5.0)   # inner wall, half the channel length
 _LAM_S, _MU_S = lame_from_E_nu(3.0e5, 0.3)
 
 
-def benchmark_params(K=5e-13, gamma: float = 1.0) -> MaterialParams:
+def benchmark_params(K=5e-13) -> MaterialParams:
     return MaterialParams(rho_f=1e-3, rho_s=1.2e-3, mu_f=3e-3,
                           lam_s=_LAM_S, mu_s=_MU_S,
-                          phi=0.3, s0=5e-5, K=K, gamma=gamma)
+                          phi=0.3, s0=5e-5, K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def solve_mms_steady(case: MmsCase, n: int) -> Dict[str, float]:
             for name, fn in case.exact.items()}
 
 
-def mms_spatial_study(case: MmsCase, ns=(4, 8, 16, 32)):
+def mms_spatial_study(case: MmsCase, ns):
     """L2 errors per field over a sequence of mesh resolutions."""
     errors: Dict[str, list] = {name: [] for name in case.exact}
     for n in ns:

@@ -233,38 +233,44 @@ def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
 
 def advance_step(problem: Problem, state: State, dt: float, order: int,
                  dump_matrix: Optional[str] = None):
-    """One semi-implicit step; returns (new_state, diagnostics)."""
+    """One semi-implicit step; returns (new_state, diagnostics).  An
+    FpsiError raised in it keeps its type and attributes (cell, residual),
+    and its message gains the prefix "step k failed: "."""
     k = state.k + 1
-    sch = scheme_for_step(order, k)
-    inp = _step_inputs(problem, state, sch, dt)
-    system = assemble_system(problem, inp, dump_matrix=dump_matrix)
-    pattern = problem.patterns["system"]
-    if state.k >= 1 and scheme_for_step(order, state.k) != sch:
-        # the mass terms change with the scheme: the held LU is of another matrix
-        pattern.lu = None
-    x, rep = solve(system.A, system.b, pattern, rtol=problem.solver_rtol)
-    fields = system.layout.split(x)
-    system = None              # the step matrix is not held next to the new geometry
+    try:
+        sch = scheme_for_step(order, k)
+        inp = _step_inputs(problem, state, sch, dt)
+        system = assemble_system(problem, inp, dump_matrix=dump_matrix)
+        pattern = problem.patterns["system"]
+        if state.k >= 1 and scheme_for_step(order, state.k) != sch:
+            # the mass terms change with the scheme: the held LU is of another matrix
+            pattern.lu = None
+        x, rep = solve(system.A, system.b, pattern, rtol=problem.solver_rtol)
+        fields = system.layout.split(x)
+        system = None              # the step matrix is not held next to the new geometry
 
-    nu = problem.spaces["u"].num_dofs
-    ext = None
-    if problem.solid is None:
-        u_new = np.zeros(nu)
-        w_new = np.zeros(nu)
-        geo, jmin = inp.geo, 1.0   # u = 0: the reference configuration, F = I
-    else:
-        w_f = None
-        if problem.fluid is not None:
-            w_f, ext = solve_extension(problem, inp.geo, fields["v_s"])
-        w_new = domain_velocity(problem, fields.get("v_s"), w_f)
-        u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
-        geo, jmin = check_deformation(problem, u_new)
+        nu = problem.spaces["u"].num_dofs
+        ext = None
+        if problem.solid is None:
+            u_new = np.zeros(nu)
+            w_new = np.zeros(nu)
+            geo, jmin = inp.geo, 1.0   # u = 0: the reference configuration, F = I
+        else:
+            w_f = None
+            if problem.fluid is not None:
+                w_f, ext = solve_extension(problem, inp.geo, fields["v_s"])
+            w_new = domain_velocity(problem, fields.get("v_s"), w_f)
+            u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
+            geo, jmin = check_deformation(problem, u_new)
 
-    fields["u"] = u_new
-    fields["w"] = w_new
-    new_state = State(k=k, t=state.t + dt, fields=fields, prev=state.fields, geo=geo)
-    diag = StepDiagnostics(scheme=sch, system=rep, extension=ext, geo=inp.geo, jmin=jmin)
-    return new_state, diag
+        fields["u"] = u_new
+        fields["w"] = w_new
+        new_state = State(k=k, t=state.t + dt, fields=fields, prev=state.fields, geo=geo)
+        diag = StepDiagnostics(scheme=sch, system=rep, extension=ext, geo=inp.geo, jmin=jmin)
+        return new_state, diag
+    except FpsiError as exc:
+        exc.args = ("step %d failed: %s" % (k, exc),) + exc.args[1:]
+        raise
 
 
 def run_transient(problem: Problem, dt: float, order: int, n_steps: int,

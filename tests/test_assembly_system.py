@@ -444,6 +444,9 @@ def test_assembly_error_paths():
                      loads=[PressureLoad(GAMMA_S0, lambda t: 1.0)])
     with pytest.raises(AssemblyError, match="no facets"):
         make_problem(fluid_mesh, open_markers=(GAMMA_FS,))
+    # a fluid mass source has no form: refused, not dropped
+    with pytest.raises(AssemblyError, match=r"no form reads the forcing term\(s\) mass_f$"):
+        make_problem(fluid_mesh, forcing={"mass_f": lambda X, t: np.zeros(len(X))})
 
 
 def test_stokes_pressure_nullspace():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from fpsi.cli import main
+from fpsi.cli import main, run_scenario
 from fpsi.config import (RunConfig, default_config_text, load_config,
                          material_params, parse_config, parse_permeability,
                          parse_physical_map, serialize_config)
-from fpsi.errors import ConfigError
+from fpsi.errors import ConfigError, DegenerateDeformationError
 from fpsi.kinematics import lame_from_E_nu
 from fpsi.reporting import TimeSeries
 from fpsi.scenarios import channel_mesh
@@ -283,6 +283,69 @@ def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'square:4' is not accepted" in err and "'channel:<n>'" in err
     assert "mesh file" in err
+
+
+@pytest.mark.parametrize("scenario", ["mms_stokes", "mms_biot", "mms_time"])
+def test_cli_mms_scenario_is_a_config_error(tmp_path, capsys, scenario):
+    # the studies run through `fpsi mms` only
+    out = tmp_path / "out"
+    cfg = tmp_path / "mms.ini"
+    cfg.write_text("[run]\nscenario = %s\noutput_dir = %s\n" % (scenario, out))
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown scenario %r (choose from "
+                          "pressure_wave_2d, decay)" % scenario)
+    assert not out.exists()
+
+
+OVERLOADED_RUN = """[run]
+t_end = 5e-4
+output_dir = %s
+output_every = 0
+[mesh]
+source = channel:4
+[material]
+K = 1e-5
+[forcing]
+p_ext = 1e8
+"""
+
+
+def test_run_step_failure_keeps_its_type_and_names_the_step(tmp_path):
+    # an inlet pulse of 1e8 inverts cell 161 of channel:4 in the first step
+    with pytest.raises(DegenerateDeformationError,
+                       match=r"^step 1 failed: deformation degenerate: ") as err:
+        run_scenario(parse_config(OVERLOADED_RUN % (tmp_path / "out")), quiet=True)
+    assert err.value.cell == 161
+
+
+def test_cli_step_failure_exits_2_naming_the_step(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(OVERLOADED_RUN % (tmp_path / "out"))
+    assert main(["run", str(cfg), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 1 failed: deformation degenerate: det F = ")
+    assert "at cell 161" in err and err.count("step 1 failed") == 1
+
+
+@pytest.mark.parametrize("levels", ["2", "-1"])
+@pytest.mark.parametrize("case", ["stokes", "biot", "time"])
+def test_cli_mms_too_few_levels_exits_2_before_any_study(tmp_path, capsys, monkeypatch,
+                                                         case, levels):
+    import fpsi.cli as cli
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran before --levels was checked")
+
+    for name in ("stokes_report", "biot_report", "time_report"):
+        monkeypatch.setattr(cli, name, no_study)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["mms", case, "--levels", levels, "--output", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert ("argument --levels: need >= 3 levels for observed orders, got %s" % levels) in err
+    assert not out.exists()
 
 
 def test_package_exports_resolve():

@@ -47,8 +47,8 @@ def _comp(fn, i, t=None):
     return lambda X: fn(X, t)[:, i]
 
 
-def test_wrap_shapes_and_matrix_input():
-    v = _wrap(sp.Matrix([sp.Symbol("x") ** 2, sp.Symbol("y")]), False)
+def test_wrap_shapes():
+    v = _wrap([sp.Symbol("x") ** 2, sp.Symbol("y")], False)
     out = v(np.array([[2.0, 3.0], [1.0, 1.0]]))
     assert out.shape == (2, 2)
     assert np.allclose(out, [[4.0, 3.0], [1.0, 1.0]])
@@ -67,8 +67,6 @@ def test_wrap_shapes_and_matrix_input():
 def _simplified_wrap(exprs, tdep):
     """_wrap of the sp.simplify'd expressions: the forcing as it was derived
     before simplification was dropped."""
-    if isinstance(exprs, sp.MatrixBase):
-        exprs = list(exprs)
     return _wrap([sp.simplify(sp.sympify(e)) for e in np.atleast_1d(exprs)], tdep)
 
 

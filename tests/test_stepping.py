@@ -6,7 +6,7 @@ import pytest
 
 import fpsi.assembly as assembly
 from fpsi.assembly import DirichletBC, StepInputs, build_geometry
-from fpsi.errors import DegenerateDeformationError, FpsiError
+from fpsi.errors import DegenerateDeformationError, FpsiError, SolverError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
 from fpsi.mms import unsteady_fluid
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
@@ -141,6 +141,31 @@ def count_geometry_builds(monkeypatch):
 
     monkeypatch.setattr(assembly, "build_geometry", counting)
     return calls
+
+
+def test_step_failure_keeps_its_type_and_names_the_step():
+    # an inlet pulse of 1e8 inverts cell 161 of channel:4 in the first step
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5), p_ext=1e8)
+    with pytest.raises(DegenerateDeformationError,
+                       match=r"^step 1 failed: deformation degenerate: det F = ") as err:
+        run_transient(prob, 1e-4, 1, 5)
+    assert err.value.cell == 161 and err.value.value < 0.0
+    assert "at cell 161" in str(err.value)
+
+
+def test_solver_failure_keeps_its_residual_and_names_the_step(monkeypatch):
+    import fpsi.stepping as stepping
+
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+    state = run_transient(prob, 1e-4, 1, 1)
+
+    def failing_solve(*args, **kwargs):
+        raise SolverError("residual 3.0e-02 above tolerance", residual=3e-2)
+
+    monkeypatch.setattr(stepping, "solve", failing_solve)
+    with pytest.raises(SolverError, match=r"^step 2 failed: residual 3\.0e-02 above") as err:
+        advance_step(prob, state, 1e-4, 1)
+    assert err.value.residual == 3e-2
 
 
 @pytest.mark.parametrize("frozen", [True, False])

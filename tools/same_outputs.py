@@ -13,6 +13,9 @@ protocol with each `src` on the PYTHONPATH, BLAS threads set to 1:
   - a 10-step BDF1 `fpsi run` of the same pulse at K = 5e-13 with no VTK
     output, whose stiff slip term makes the system refactor on every step,
     so the fresh-LU path is compared on every step;
+  - a BDF1 `fpsi run` on channel:4 (K = 1e-5) under an inlet pulse of 1e8,
+    whose first step inverts a cell: its exit code and stderr, the step
+    failure's report, are written to `fail.status` and compared too;
   - `fpsi mms stokes`, `fpsi mms biot` and `fpsi mms time` at their default
     levels.
 
@@ -57,13 +60,30 @@ source = channel:16
 K = 5e-13
 """,
 }
+FAILING_CONFIG = """[run]
+scenario = pressure_wave_2d
+order = 1
+dt = 1e-4
+t_end = 5e-4
+output_dir = {out}
+output_every = 0
+[mesh]
+source = channel:4
+[material]
+K = 1e-5
+[forcing]
+p_ext = 1e8
+"""
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def fpsi(src: Path, *args: str) -> None:
+def fpsi(src: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """`fpsi <args>` with the package in `src`; stdout is dropped.  With
+    check=False a failure does not raise, and stderr is captured."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
-    subprocess.run([sys.executable, "-m", "fpsi.cli", *args], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    return subprocess.run([sys.executable, "-m", "fpsi.cli", *args], env=env, check=check,
+                          stdout=subprocess.DEVNULL,
+                          stderr=None if check else subprocess.PIPE, text=True)
 
 
 def outputs(src: Path, out: Path) -> dict:
@@ -74,6 +94,10 @@ def outputs(src: Path, out: Path) -> dict:
         config = out.parent / ("%s_%s.ini" % (out.name, name))
         config.write_text(text.format(out=out / name))
         fpsi(src, "run", str(config), "--quiet")
+    config = out.parent / ("%s_fail.ini" % out.name)
+    config.write_text(FAILING_CONFIG.format(out=out / "fail"))
+    failed = fpsi(src, "run", str(config), "--quiet", check=False)
+    (out / "fail.status").write_text("exit %d\n%s" % (failed.returncode, failed.stderr))
     for case in ("stokes", "biot", "time"):
         fpsi(src, "mms", case, "--output", str(out / ("mms_" + case)))
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
