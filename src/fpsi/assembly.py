@@ -57,7 +57,8 @@ from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace,
                   field_at_qp, gradient_gram, grads_at_qp, kron_eye, last_set, scalar_at_qp,
                   scatter_add, weighted_gram, weighted_moment)
 from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
-from .mesh import FLUID, GAMMA_OUT, SOLID, Mesh, extract_interface
+from .mesh import FLUID, SOLID, Mesh, extract_interface
+from .solver import RESIDUAL_TOL
 from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
@@ -210,7 +211,7 @@ class Problem:
     forcing: Dict[str, Callable]
     pin_pf: Optional[Tuple[int, Callable[[float], float]]]
     layout: BlockLayout
-    solver_rtol: float = 1e-9
+    solver_rtol: float = RESIDUAL_TOL
     map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -288,20 +289,19 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
                   loads: Optional[Sequence[PressureLoad]] = None,
                   open_markers: Sequence[int] = (),
                   forcing: Optional[Dict[str, Callable]] = None,
-                  pin_pf="auto") -> Problem:
+                  pin_pf: Optional[Tuple[int, Callable[[float], float]]] = None) -> Problem:
     """Build spaces, quadrature caches and the block layout for one mesh.
 
     Every batch takes the degree-QUAD_DEGREE rule.  The interface penalty is
     tau = penalty_scale * h^-2 per facet; penalty_const replaces it with a
-    constant (the form tests switch the penalty off with 0).  pin_pf="auto"
-    pins one p_f DOF to zero exactly when the fluid has no natural boundary
-    (no GAMMA_OUT facet and no pressure load), which is when p_f is only
-    defined up to a constant.  open_markers lists natural fluid boundaries
-    that get the directional (backflow-stabilized) treatment in transient
-    runs.  forcing holds the source terms of the v_f, v_s and q equations
-    and of the pore mass balance ("mass_s"); any other key is an error.  A
-    mesh without solid cells never moves: its steps assemble in the
-    reference configuration.
+    constant (the form tests switch the penalty off with 0).  pin_pf =
+    (node, g) holds p_f node `node` at g(t); a fluid with no natural
+    boundary needs it, since p_f is then defined only up to a constant.
+    open_markers lists natural fluid boundaries that get the directional
+    (backflow-stabilized) treatment in transient runs.  forcing holds the
+    source terms of the v_f, v_s and q equations and of the pore mass
+    balance ("mass_s"); any other key is an error.  A mesh without solid
+    cells never moves: its steps assemble in the reference configuration.
     """
     d = mesh.dim
     if d != 2:
@@ -367,16 +367,10 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         if marker not in natural:
             natural[marker] = natural_traces(marker, "open boundary")
 
-    if pin_pf == "auto":
-        has_natural = len(loads) > 0 or len(mesh.facets_with_marker(GAMMA_OUT)) > 0
-        pin = (0, lambda t: 0.0) if (has_fluid and not has_natural) else None
-    else:
-        pin = pin_pf
-
     prob = Problem(mesh=mesh, params=params, spaces=spaces,
                    fluid=fluid, solid=solid, iface=iface, natural=natural,
                    open_markers=tuple(open_markers), loads=loads, dirichlet=dirichlet,
-                   forcing=forcing, pin_pf=pin, layout=layout)
+                   forcing=forcing, pin_pf=pin_pf, layout=layout)
     if has_solid:
         prob.map_vs_to_u = transfer_nodes(spaces["v_s"], spaces["u"])
     if has_fluid:

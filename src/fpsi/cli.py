@@ -1,6 +1,6 @@
 """Command-line front end: one way into each job.
 
-    fpsi run <config>          the channel (pressure_wave_2d or decay) from a config file
+    fpsi run <config>          the channel pressure pulse from a config file
     fpsi mms <case> ...        convergence study (stokes, biot, time)
     fpsi check-mesh <path>     load and validate a mesh file
     fpsi version
@@ -34,7 +34,7 @@ from .vtk_io import write_state
 
 
 def _scenario_mesh(cfg: RunConfig):
-    src = cfg.mesh_source.strip()
+    src = cfg.source.strip()
     if src.startswith("channel:"):
         try:
             n = int(src.split(":", 1)[1])
@@ -44,15 +44,14 @@ def _scenario_mesh(cfg: RunConfig):
     if src.startswith("square:"):
         raise ConfigError("mesh source %r is not accepted: use 'channel:<n>' or the "
                           "path of a mesh file (native text or MSH 2.2)" % src)
-    return load_mesh(src, parse_physical_map(cfg.msh_physical_map))
+    return load_mesh(src, parse_physical_map(cfg.physical_map))
 
 
 def run_scenario(cfg: RunConfig, quiet: bool = False) -> None:
-    """The channel run of `cfg`: the pressure pulse, or for `decay` no load."""
+    """The channel run of `cfg`: the inlet pulse p_ext over (0, t_pulse)."""
     mesh = _scenario_mesh(cfg)
     params = material_params(cfg)
-    p_ext = cfg.p_ext if cfg.scenario == "pressure_wave_2d" else 0.0
-    problem = channel_problem(mesh, params, p_ext=p_ext, t_pulse=cfg.t_pulse,
+    problem = channel_problem(mesh, params, p_ext=cfg.p_ext, t_pulse=cfg.t_pulse,
                               penalty_scale=cfg.penalty_scale)
     problem.solver_rtol = cfg.residual_tol
 
@@ -141,13 +140,13 @@ def time_report(levels: int, orders) -> str:
 
 def cmd_mms(args) -> None:
     """Run one convergence study and write it to <output>/convergence.txt;
-    --order 0 runs the time study for BDF1 and BDF2."""
+    the time study runs BDF1 and BDF2."""
     if args.case == "stokes":
         text = stokes_report(args.levels)
     elif args.case == "biot":
         text = biot_report(args.levels)
     else:
-        text = time_report(args.levels, (1, 2) if args.order == 0 else (args.order,))
+        text = time_report(args.levels, (1, 2))
     os.makedirs(args.output, exist_ok=True)
     path = os.path.join(args.output, "convergence.txt")
     with open(path, "w") as fh:
@@ -191,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mms.add_argument("case", choices=("stokes", "biot", "time"))
     p_mms.add_argument("--levels", type=level_count, default=3,
                        help="number of refinement levels (>= 3)")
-    p_mms.add_argument("--order", type=int, default=0, choices=(0, 1, 2),
-                       help="BDF order for the time study (0 = both)")
     p_mms.add_argument("--output", default=".")
 
     p_chk = sub.add_parser("check-mesh", help="validate a mesh file")

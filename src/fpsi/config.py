@@ -1,8 +1,11 @@
 """Run configuration of `fpsi run`: INI-style sections of key = value pairs.
 
-It configures the channel run (`SCENARIOS`; `decay` has no [forcing] pulse);
-the manufactured-solution studies take none (`fpsi mms`).  Unknown sections or
-keys are hard errors so a typo never silently falls back to a default.
+It configures the channel run (`SCENARIOS`); the manufactured-solution
+studies take none (`fpsi mms`).  `RunConfig`'s defaults are the channel
+benchmark's values, and the one place they are written: `scenarios` reads
+its materials, pulse, penalty and probe from here.  Each attribute is named
+after its key.  Unknown sections or keys are hard errors so a typo never
+silently falls back to a default.
 Units are mm-g-s; 1 Pa = 1 g/(mm s^2), so pressures in Pa go in verbatim.
 """
 
@@ -15,8 +18,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .kinematics import MaterialParams, lame_from_E_nu
+from .solver import RESIDUAL_TOL
 
-SCENARIOS = ("pressure_wave_2d", "decay")
+SCENARIOS = ("pressure_wave_2d",)
 
 
 @dataclass
@@ -31,8 +35,8 @@ class RunConfig:
     dump_matrix: str = ""            # Matrix Market dump of the first system
     probe_x: float = 25.0
     probe_y: float = 5.0
-    mesh_source: str = "channel:16"  # channel:<n> | path to a mesh file
-    msh_physical_map: str = ""       # '1:FLUID,2:SOLID,...' for .msh input
+    source: str = "channel:16"       # channel:<n> | path to a mesh file
+    physical_map: str = ""           # '1:FLUID,2:SOLID,...' for .msh input
     rho_f: float = 1e-3
     rho_s: float = 1.2e-3
     mu_f: float = 3e-3
@@ -42,27 +46,22 @@ class RunConfig:
     s0: float = 5e-5
     K: str = "5e-13"                 # scalar or 'kxx kxy kyx kyy'
     gamma: float = 1.0
-    p_ext: float = 1.333e3           # 1.333e3 Pa in g/(mm s^2); negative: suction
+    p_ext: float = 1.333e3           # Pa = g/(mm s^2); negative: suction
     t_pulse: float = 3e-3
     penalty_scale: float = 1.0       # interface penalty tau = penalty_scale * h^-2
-    residual_tol: float = 1e-9
+    residual_tol: float = RESIDUAL_TOL
 
 
-# (section, key) -> (attribute, type)
+# section -> its keys, each the name of a RunConfig attribute
 _LAYOUT = {
     "run": ("scenario", "order", "dt", "t_end", "output_dir", "output_every",
             "checkpoint", "dump_matrix", "probe_x", "probe_y"),
-    "mesh": ("mesh_source", "msh_physical_map"),
+    "mesh": ("source", "physical_map"),
     "material": ("rho_f", "rho_s", "mu_f", "E", "nu", "phi", "s0", "K", "gamma"),
     "forcing": ("p_ext", "t_pulse"),
     "numerics": ("penalty_scale", "residual_tol"),
 }
-_KEY_OF = {"mesh_source": "source", "msh_physical_map": "physical_map"}
 _TYPES = {f.name: f.type for f in dc_fields(RunConfig)}
-
-
-def _key_name(attr: str) -> str:
-    return _KEY_OF.get(attr, attr)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -74,16 +73,13 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("cannot parse config: %s" % exc)
 
     cfg = RunConfig()
-    known = {(sec, _key_name(attr)): attr
-             for sec, attrs in _LAYOUT.items() for attr in attrs}
     for sec in cp.sections():
         if sec not in _LAYOUT:
             raise ConfigError("unknown config section [%s]" % sec)
         for key, raw in cp.items(sec):
-            attr = known.get((sec, key))
-            if attr is None:
+            if key not in _LAYOUT[sec]:
                 raise ConfigError("unknown key %r in section [%s]" % (key, sec))
-            typ = _TYPES[attr]
+            typ = _TYPES[key]
             try:
                 if typ in ("int", int):
                     val = int(raw)
@@ -93,7 +89,7 @@ def parse_config(text: str) -> RunConfig:
                     val = raw.strip()
             except ValueError:
                 raise ConfigError("bad value for %s.%s: %r" % (sec, key, raw))
-            setattr(cfg, attr, val)
+            setattr(cfg, key, val)
     validate_config(cfg)
     return cfg
 
@@ -122,10 +118,10 @@ def validate_config(cfg: RunConfig) -> None:
 
 def serialize_config(cfg: RunConfig) -> str:
     lines = []
-    for sec, attrs in _LAYOUT.items():
+    for sec, keys in _LAYOUT.items():
         lines.append("[%s]" % sec)
-        for attr in attrs:
-            lines.append("%s = %s" % (_key_name(attr), getattr(cfg, attr)))
+        for key in keys:
+            lines.append("%s = %s" % (key, getattr(cfg, key)))
         lines.append("")
     return "\n".join(lines)
 

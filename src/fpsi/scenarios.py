@@ -5,8 +5,9 @@ rectangle 50 x 10 mm with 1 mm poroelastic strips on top and bottom.  The
 left fluid edge carries the external pressure pulse as a natural boundary
 term, the right edge is a do-nothing outlet, the outer strip edges and strip
 ends are clamped and drained (v_s = 0, p_d = 0), and the two horizontal lines
-y = +-5 form the coupling interface.  Default material parameters are the
-mm-g-s values of the tube benchmark; note 1 Pa = 1 g/(mm s^2) in this system.
+y = +-5 form the coupling interface.  The benchmark's materials, pulse,
+penalty and probe are the defaults of `config.RunConfig`, the run `fpsi run`
+makes; they are mm-g-s values, and 1 Pa = 1 g/(mm s^2) in this system.
 
 Manufactured-solution problems run on a unit square occupied by a single
 subdomain, loading forcing terms from mms.MmsCase.  They stay in the
@@ -16,29 +17,28 @@ mesh, and the steady solves take the reference geometry.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict
 
 import numpy as np
 
 from .assembly import DirichletBC, PressureLoad, Problem, build_problem
+from .config import RunConfig, material_params
 from .errors import MeshError
-from .kinematics import MaterialParams, lame_from_E_nu
+from .kinematics import MaterialParams
 from .mesh import (FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, Mesh,
                    validate_mesh)
 from .mms import MmsCase
 from .spaces import error_L2, interpolate
 from .stepping import State, run_transient, solve_steady
 
-PROBE_POINT = (25.0, 5.0)   # inner wall, half the channel length
-
-# channel benchmark materials (mm-g-s): E = 3e5, nu = 0.3
-_LAM_S, _MU_S = lame_from_E_nu(3.0e5, 0.3)
+# inner wall, half the channel length
+PROBE_POINT = (RunConfig.probe_x, RunConfig.probe_y)
 
 
-def benchmark_params(K=5e-13) -> MaterialParams:
-    return MaterialParams(rho_f=1e-3, rho_s=1.2e-3, mu_f=3e-3,
-                          lam_s=_LAM_S, mu_s=_MU_S,
-                          phi=0.3, s0=5e-5, K=K)
+def benchmark_params(K=float(RunConfig.K)) -> MaterialParams:
+    """The channel benchmark's materials, `RunConfig`'s defaults, with permeability K."""
+    return replace(material_params(RunConfig()), K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +140,12 @@ def _zero_scalar(X, _t=None):
 
 
 def channel_problem(mesh: Mesh, params: MaterialParams, *,
-                    p_ext: float = 1.333e3, t_pulse: float = 3e-3,
-                    penalty_scale: float = 1.0) -> Problem:
-    """Pressure-wave (or, with p_ext = 0, decay) problem on a channel mesh.
+                    p_ext: float = RunConfig.p_ext, t_pulse: float = RunConfig.t_pulse,
+                    penalty_scale: float = RunConfig.penalty_scale) -> Problem:
+    """Pressure-wave problem on a channel mesh.
 
-    A negative p_ext gives a suction pulse."""
+    A negative p_ext gives a suction pulse; with p_ext = 0 nothing loads
+    the channel, and a run from rest stays at rest."""
     bcs = [DirichletBC("v_s", (GAMMA_S0,), _zero_vec),
            DirichletBC("p_d", (GAMMA_S0,), _zero_scalar)]
     loads = []
@@ -163,17 +164,15 @@ def mms_problem(case: MmsCase, n: int) -> Problem:
     if case.subdomain == "fluid":
         mesh = unit_square_mesh(n, "fluid")
         bcs = [DirichletBC("v_f", (GAMMA_F0,), case.exact["v_f"])]
-        prob = build_problem(mesh, case.params, dirichlet=bcs,
-                             forcing=case.forcing, pin_pf=None)
-        coord = prob.spaces["p_f"].node_coords[0:1]
+        # p_f node 0 is vertex 0: a P1 space numbers its vertices in ascending order
+        coord = mesh.vertices[0:1]
         exact_p = case.exact["p_f"]
-        prob.pin_pf = (0, lambda t: float(np.atleast_1d(exact_p(coord, t))[0]))
-    else:
-        mesh = unit_square_mesh(n, "solid")
-        bcs = [DirichletBC("v_s", (GAMMA_S0,), case.exact["v_s"]),
-               DirichletBC("p_d", (GAMMA_S0,), case.exact["p_d"])]
-        prob = build_problem(mesh, case.params, dirichlet=bcs, forcing=case.forcing)
-    return prob
+        return build_problem(mesh, case.params, dirichlet=bcs, forcing=case.forcing,
+                             pin_pf=(0, lambda t: float(np.atleast_1d(exact_p(coord, t))[0])))
+    mesh = unit_square_mesh(n, "solid")
+    bcs = [DirichletBC("v_s", (GAMMA_S0,), case.exact["v_s"]),
+           DirichletBC("p_d", (GAMMA_S0,), case.exact["p_d"])]
+    return build_problem(mesh, case.params, dirichlet=bcs, forcing=case.forcing)
 
 
 def solve_mms_steady(case: MmsCase, n: int) -> Dict[str, float]:

@@ -8,7 +8,7 @@ triangles; points and vectors get a zero z component.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -26,13 +26,12 @@ def vertex_values(space: FunctionSpace, vec: np.ndarray) -> np.ndarray:
     return out[:, 0] if ncomp == 1 else out
 
 
-def write_vtk(path: str, mesh: Mesh, points: Optional[np.ndarray] = None,
-              point_fields: Optional[Dict[str, np.ndarray]] = None,
-              cell_fields: Optional[Dict[str, np.ndarray]] = None,
+def write_vtk(path: str, mesh: Mesh, points: np.ndarray,
+              point_fields: Dict[str, np.ndarray], cell_fields: Dict[str, np.ndarray],
               title: str = "output") -> None:
-    pts = mesh.vertices if points is None else np.asarray(points, dtype=float)
-    nv = pts.shape[0]
-    pts = np.column_stack([pts, np.zeros(nv)])
+    """Triangles of `mesh` at `points`; cell fields are integer tags."""
+    nv = points.shape[0]
+    pts = np.column_stack([points, np.zeros(nv)])
     nc = mesh.num_cells
 
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
@@ -45,33 +44,23 @@ def write_vtk(path: str, mesh: Mesh, points: Optional[np.ndarray] = None,
     lines.append("CELL_TYPES %d" % nc)
     lines.extend(["5"] * nc)         # VTK_TRIANGLE
 
-    cell_fields = cell_fields or {}
-    if cell_fields:
-        lines.append("CELL_DATA %d" % nc)
-        for name, arr in cell_fields.items():
-            arr = np.asarray(arr)
-            if np.issubdtype(arr.dtype, np.integer):
-                lines.append("SCALARS %s int 1" % name)
-                lines.append("LOOKUP_TABLE default")
-                lines.extend(str(int(v)) for v in arr)
-            else:
-                lines.append("SCALARS %s double 1" % name)
-                lines.append("LOOKUP_TABLE default")
-                lines.extend("%.17g" % v for v in arr)
+    lines.append("CELL_DATA %d" % nc)
+    for name, arr in cell_fields.items():
+        lines.append("SCALARS %s int 1" % name)
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(str(int(v)) for v in arr)
 
-    point_fields = point_fields or {}
-    if point_fields:
-        lines.append("POINT_DATA %d" % nv)
-        for name, arr in point_fields.items():
-            arr = np.asarray(arr, dtype=float)
-            if arr.ndim == 1:
-                lines.append("SCALARS %s double 1" % name)
-                lines.append("LOOKUP_TABLE default")
-                lines.extend("%.17g" % v for v in arr)
-            else:
-                arr = np.column_stack([arr, np.zeros(nv)])
-                lines.append("VECTORS %s double" % name)
-                lines.extend("%.17g %.17g %.17g" % (v[0], v[1], v[2]) for v in arr)
+    lines.append("POINT_DATA %d" % nv)
+    for name, arr in point_fields.items():
+        arr = np.asarray(arr, dtype=float)
+        if arr.ndim == 1:
+            lines.append("SCALARS %s double 1" % name)
+            lines.append("LOOKUP_TABLE default")
+            lines.extend("%.17g" % v for v in arr)
+        else:
+            arr = np.column_stack([arr, np.zeros(nv)])
+            lines.append("VECTORS %s double" % name)
+            lines.extend("%.17g %.17g %.17g" % (v[0], v[1], v[2]) for v in arr)
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

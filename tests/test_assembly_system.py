@@ -402,9 +402,9 @@ def zero_bc(field, markers):
 
 
 def test_rest_state_system():
-    # pin_pf="auto" keeps the all-Dirichlet fluid pressure nonsingular
+    # the pinned p_f dof keeps the all-Dirichlet fluid pressure nonsingular
     prob = mixed_problem(
-        pin_pf="auto",
+        pin_pf=(0, lambda t: 0.0),
         dirichlet=[zero_bc("v_f", (GAMMA_F0,)), zero_bc("v_s", (GAMMA_S0,)),
                    DirichletBC("p_d", (GAMMA_S0,), lambda X, t: np.zeros(len(X)))])
     nu = prob.spaces["u"].num_dofs

@@ -1,16 +1,21 @@
 """Config parsing/validation and the command-line front end."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from fpsi.assembly import Problem
 from fpsi.cli import main, run_scenario
 from fpsi.config import (RunConfig, default_config_text, load_config,
                          material_params, parse_config, parse_permeability,
                          parse_physical_map, serialize_config)
 from fpsi.errors import ConfigError, DegenerateDeformationError
-from fpsi.kinematics import lame_from_E_nu
+from fpsi.kinematics import MaterialParams, lame_from_E_nu
 from fpsi.reporting import TimeSeries
-from fpsi.scenarios import channel_mesh
+from fpsi.scenarios import PROBE_POINT, benchmark_params, channel_mesh, channel_problem
+from fpsi.solver import RESIDUAL_TOL
 from fpsi.stepping import load_checkpoint
 from tests.test_mesh import TET_NATIVE, write_native
 
@@ -31,14 +36,14 @@ REMOVED_KEYS = {
 
 def test_default_template_roundtrip():
     assert parse_config(default_config_text()) == RunConfig()
-    cfg = RunConfig(scenario="decay", dt=2e-4, K="1e-5", mesh_source="channel:4")
+    cfg = RunConfig(p_ext=0.0, dt=2e-4, K="1e-5", source="channel:4")
     assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_parse_sets_values_and_renamed_keys():
     cfg = parse_config("""
 [run]
-scenario = decay
+scenario = pressure_wave_2d
 order = 2
 dt = 2e-4            # inline comment
 output_every = 0
@@ -50,11 +55,11 @@ K = 1e-5 0 0 2e-5
 [numerics]
 penalty_scale = 10
 """)
-    assert cfg.scenario == "decay" and cfg.order == 2
+    assert cfg.scenario == "pressure_wave_2d" and cfg.order == 2
     assert cfg.dt == pytest.approx(2e-4)
     assert cfg.output_every == 0
-    assert cfg.mesh_source == "channel:8"
-    assert cfg.msh_physical_map == "1:FLUID,2:SOLID"
+    assert cfg.source == "channel:8"
+    assert cfg.physical_map == "1:FLUID,2:SOLID"
     assert cfg.penalty_scale == 10.0
     assert np.allclose(parse_permeability(cfg.K), [[1e-5, 0], [0, 2e-5]])
 
@@ -105,6 +110,25 @@ def test_material_params_from_config():
     assert prm.lam_s == pytest.approx(lam)
     assert prm.mu_s == pytest.approx(mu)
     assert np.allclose(prm.K, 5e-13 * np.eye(2))
+
+
+@pytest.mark.parametrize("K", [5e-13, 1e-5])
+def test_benchmark_params_are_the_config_defaults(K):
+    # the gate's channel is the one `fpsi run` runs, bit for bit
+    got, expect = benchmark_params(K), material_params(RunConfig(K=repr(K)))
+    for f in dataclasses.fields(MaterialParams):
+        assert np.array_equal(getattr(got, f.name), getattr(expect, f.name)), f.name
+
+
+def test_channel_defaults_are_the_config_defaults():
+    cfg = RunConfig()
+    assert PROBE_POINT == (cfg.probe_x, cfg.probe_y)
+    assert inspect.signature(benchmark_params).parameters["K"].default == float(cfg.K)
+    defaults = inspect.signature(channel_problem).parameters
+    for name in ("p_ext", "t_pulse", "penalty_scale"):
+        assert defaults[name].default == getattr(cfg, name), name
+    rtol = {f.name: f.default for f in dataclasses.fields(Problem)}["solver_rtol"]
+    assert rtol == cfg.residual_tol == RESIDUAL_TOL
 
 
 def test_parse_physical_map():
@@ -187,7 +211,7 @@ def test_cli_decay_run_artifacts(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("""
 [run]
-scenario = decay
+scenario = pressure_wave_2d
 dt = 1e-4
 t_end = 3e-4
 output_dir = %s
@@ -200,6 +224,8 @@ probe_y = 5.0
 source = channel:2
 [material]
 K = 1e-5
+[forcing]
+p_ext = 0
 """ % (out, tmp_path / "first.mtx"))
     assert main(["run", str(cfg), "--quiet"]) == 0
 
@@ -222,19 +248,17 @@ K = 1e-5
     mtx = (tmp_path / "first.mtx").read_text()
     assert mtx.startswith("%%MatrixMarket")
 
-    from fpsi.config import load_config
-    from fpsi.scenarios import channel_problem
     prob = channel_problem(channel_mesh(2), material_params(load_config(str(cfg))),
                            p_ext=0.0)
     state, meta = load_checkpoint(str(out / "final.npz"), prob)
-    assert meta["scenario"] == "decay"
+    assert meta["scenario"] == "pressure_wave_2d"
     assert state.t == pytest.approx(3e-4)
 
 
 def test_cli_probe_outside_the_mesh_exits_1(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nscenario = decay\nt_end = 1e-4\noutput_dir = %s\n"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\n"
                    "probe_x = 100\n[mesh]\nsource = channel:2\n" % out)
     assert main(["run", str(cfg), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -254,7 +278,7 @@ def test_cli_output_into_a_missing_directory_exits_1(tmp_path, capsys, monkeypat
     out = tmp_path / "out"
     target = "sub/final" if key == "checkpoint" else str(tmp_path / "nodir" / "A.mtx")
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nscenario = decay\nt_end = 2e-4\noutput_dir = %s\n%s = %s\n"
+    cfg.write_text("[run]\nt_end = 2e-4\noutput_dir = %s\n%s = %s\n"
                    "[mesh]\nsource = channel:2\n" % (out, key, target))
     assert main(["run", str(cfg), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -266,9 +290,10 @@ def test_cli_output_into_a_missing_directory_exits_1(tmp_path, capsys, monkeypat
 def test_cli_relative_outputs_lie_under_output_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nscenario = decay\nt_end = 1e-4\noutput_dir = out\noutput_every = 0\n"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = out\noutput_every = 0\n"
                    "checkpoint = final.npz\ndump_matrix = A.mtx\n"
-                   "[mesh]\nsource = channel:2\n[material]\nK = 1e-5\n")
+                   "[mesh]\nsource = channel:2\n[material]\nK = 1e-5\n"
+                   "[forcing]\np_ext = 0\n")
     assert main(["run", str(cfg), "--quiet"]) == 0
     assert (tmp_path / "out" / "A.mtx").read_text().startswith("%%MatrixMarket")
     assert (tmp_path / "out" / "final.npz").exists()
@@ -277,7 +302,7 @@ def test_cli_relative_outputs_lie_under_output_dir(tmp_path, monkeypatch):
 
 def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[run]\nscenario = decay\nt_end = 1e-4\noutput_dir = %s\n"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\n"
                    "[mesh]\nsource = square:4\n" % (tmp_path / "out"))
     assert main(["run", str(cfg), "--quiet"]) == 1
     err = capsys.readouterr().err
@@ -285,16 +310,17 @@ def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
     assert "mesh file" in err
 
 
-@pytest.mark.parametrize("scenario", ["mms_stokes", "mms_biot", "mms_time"])
+@pytest.mark.parametrize("scenario", ["mms_stokes", "mms_biot", "mms_time", "decay"])
 def test_cli_mms_scenario_is_a_config_error(tmp_path, capsys, scenario):
-    # the studies run through `fpsi mms` only
+    # the studies run through `fpsi mms` only; an unloaded channel is
+    # pressure_wave_2d with p_ext = 0
     out = tmp_path / "out"
     cfg = tmp_path / "mms.ini"
     cfg.write_text("[run]\nscenario = %s\noutput_dir = %s\n" % (scenario, out))
     assert main(["run", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown scenario %r (choose from "
-                          "pressure_wave_2d, decay)" % scenario)
+                          "pressure_wave_2d)" % scenario)
     assert not out.exists()
 
 
@@ -326,6 +352,22 @@ def test_cli_step_failure_exits_2_naming_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: step 1 failed: deformation degenerate: det F = ")
     assert "at cell 161" in err and err.count("step 1 failed") == 1
+
+
+def test_cli_mms_order_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the time study runs both BDF orders; no case takes --order
+    import fpsi.cli as cli
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran despite the usage error")
+
+    monkeypatch.setattr(cli, "biot_report", no_study)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["mms", "biot", "--order", "2", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("levels", ["2", "-1"])

@@ -21,7 +21,7 @@ from tests.test_mesh import two_triangle_mesh
 
 
 def rest_problem(**kw):
-    kw.setdefault("pin_pf", "auto")
+    kw.setdefault("pin_pf", (0, lambda t: 0.0))
     return make_problem(
         two_triangle_mesh((FLUID, SOLID)),
         dirichlet=[zero_bc("v_f", (GAMMA_F0,)), zero_bc("v_s", (GAMMA_S0,)),

@@ -29,7 +29,7 @@ def test_vertex_values_restriction_and_zero_extension():
 def test_write_vtk_header_and_counts(tmp_path):
     mesh = two_triangle_mesh()
     path = tmp_path / "plain.vtk"
-    write_vtk(str(path), mesh,
+    write_vtk(str(path), mesh, mesh.vertices,
               point_fields={"s": np.arange(4.0),
                             "vec": np.ones((4, 2))},
               cell_fields={"tag": mesh.cell_tags},

@@ -17,7 +17,9 @@ protocol with each `src` on the PYTHONPATH, BLAS threads set to 1:
     whose first step inverts a cell: its exit code and stderr, the step
     failure's report, are written to `fail.status` and compared too;
   - `fpsi mms stokes`, `fpsi mms biot` and `fpsi mms time` at their default
-    levels.
+    levels;
+  - `fpsi config-template`, whose stdout is saved as `config-template.ini`,
+    so no default of the run can change unseen.
 
 Every file either side writes is compared byte for byte.  Prints each file
 that differs or that only one side wrote, and exits 1 if there is any.
@@ -78,11 +80,11 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def fpsi(src: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
-    """`fpsi <args>` with the package in `src`; stdout is dropped.  With
-    check=False a failure does not raise, and stderr is captured."""
+    """`fpsi <args>` with the package in `src`; stdout is captured.  With
+    check=False a failure does not raise, and stderr is captured too."""
     env = dict(os.environ, PYTHONPATH=str(src), **{var: "1" for var in THREAD_VARS})
     return subprocess.run([sys.executable, "-m", "fpsi.cli", *args], env=env, check=check,
-                          stdout=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE,
                           stderr=None if check else subprocess.PIPE, text=True)
 
 
@@ -100,6 +102,7 @@ def outputs(src: Path, out: Path) -> dict:
     (out / "fail.status").write_text("exit %d\n%s" % (failed.returncode, failed.stderr))
     for case in ("stokes", "biot", "time"):
         fpsi(src, "mms", case, "--output", str(out / ("mms_" + case)))
+    (out / "config-template.ini").write_text(fpsi(src, "config-template").stdout)
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
