@@ -51,13 +51,14 @@ import numpy as np
 from scipy import sparse
 from scipy.io import mmwrite
 
-from .elements import eval_basis, facet_quadrature, simplex_quadrature
+from .elements import eval_basis, simplex_quadrature
 from .errors import AssemblyError
 from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace,
                   field_at_qp, gradient_gram, grads_at_qp, kron_eye, last_set, scalar_at_qp,
                   scatter_add, weighted_gram, weighted_moment)
-from .kinematics import MaterialParams, deformation_state, green_lagrange, svk_stress
-from .mesh import FLUID, SOLID, Mesh, extract_interface
+from .kinematics import (MaterialParams, deformation_state, green_lagrange, pushforward_normal,
+                         svk_stress)
+from .mesh import FLUID, MARKER_TO_NAME, SOLID, Mesh, extract_interface, facet_normals
 from .solver import RESIDUAL_TOL
 from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
 
@@ -255,16 +256,13 @@ def _quad_batch(sub_spaces, cells, facets=None, nref=None) -> QuadBatch:
         w = rule.weights[None, :] * adet[:, None]
         X = x0[:, None, :] + xi @ np.swapaxes(B, 1, 2)
     else:                                   # straight 2D facets (build_problem is 2D only)
-        rule = facet_quadrature(d, QUAD_DEGREE)
-        p = mesh.vertices[np.asarray(facets, dtype=np.int64)]      # (nb, 2, d)
+        rule = simplex_quadrature(d - 1, QUAD_DEGREE)
+        outward, length = facet_normals(mesh, facets, cells)
+        p = mesh.vertices[facets]                                   # (nb, 2, d)
         t = p[:, 1] - p[:, 0]
-        length = np.linalg.norm(t, axis=1)
         X = p[:, None, 0, :] + rule.points[None, :, 0, None] * t[:, None, :]
         w = rule.weights[None, :] * length[:, None]
-        if nref is None:
-            nref = np.column_stack([t[:, 1], -t[:, 0]]) / length[:, None]
-            inward = mesh.vertices[mesh.cells[cells]].mean(axis=1) - p[:, 0]
-            nref[np.einsum("fd,fd->f", nref, inward) > 0.0] *= -1.0
+        nref = outward if nref is None else nref
         xi = np.clip((X - x0[:, None, :]) @ np.swapaxes(Binv, 1, 2), 0.0, 1.0)
 
     shape = xi.shape[:-1]                                           # (nq,) or (nb, nq)
@@ -356,7 +354,8 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
             raise AssemblyError("%s on a mesh without fluid cells" % what)
         idx = mesh.facets_with_marker(marker)
         if len(idx) == 0:
-            raise AssemblyError("%s marker %d has no facets" % (what, marker))
+            raise AssemblyError("%s marker %s has no facets"
+                                % (what, MARKER_TO_NAME.get(marker, marker)))
         cells = mesh.edge_cells[mesh.facet_edges[idx], 0]
         return _quad_batch(fluid_spaces, cells, mesh.facets[idx])
 
@@ -406,7 +405,8 @@ def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
 
     Cells and natural boundaries keep what `batch_deformation` gives them.
     The interface keeps the deformed unit normal n, its tangential
-    projector P and the area scaling Js = J |F^-T n_ref|.
+    projector P and the area scaling Js = J |F^-T n_ref|, both from
+    `kinematics.pushforward_normal`.
     """
     geo = Geometry()
     if problem.fluid is not None:
@@ -414,11 +414,12 @@ def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
     if problem.solid is not None:
         geo.solid = batch_deformation(problem.solid, u)
     if problem.iface is not None:
-        g = batch_deformation(problem.iface.fluid, u)
-        mag = np.linalg.norm(g["vn"], axis=-1)
-        n = g["vn"] / mag[..., None]
+        tr = problem.iface.fluid
+        F = deformation_state(grads_at_qp(tr.grad2, tr.nodes_u, u, problem.dim),
+                              cell_ids=tr.cells)[0]
+        n, Js = pushforward_normal(F, tr.nref[:, None, :])
         P = np.eye(problem.dim) - n[..., :, None] * n[..., None, :]
-        geo.iface = {"Js": g["J"] * mag, "n": n, "P": P}
+        geo.iface = {"Js": Js, "n": n, "P": P}
     for marker, tr in problem.natural.items():
         geo.loads[marker] = batch_deformation(tr, u)
     return geo

@@ -19,18 +19,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import (RunConfig, default_config_text, load_config, material_params,
-                     parse_physical_map)
+from .config import (RunConfig, load_config, material_params, parse_physical_map,
+                     serialize_config)
 from .energy import evaluate_energy
 from .errors import ConfigError, FpsiError
-from .mesh import TAG_TO_NAME, MARKER_TO_NAME, load_mesh
+from .mesh import GAMMA_F0, GAMMA_OUT, GAMMA_S0, MARKER_TO_NAME, SOLID, TAG_TO_NAME, load_mesh
 from .mms import biot_trig, stokes_polynomial, stokes_trig, unsteady_fluid
-from .reporting import TimeSeries, convergence_table
+from .reporting import TimeSeries, convergence_table, write_state
 from .scenarios import (channel_mesh, channel_problem, mms_spatial_study,
                         mms_temporal_study, solve_mms_steady)
 from .spaces import eval_at_point, locate_cell
 from .stepping import State, advance_step, save_checkpoint
-from .vtk_io import write_state
 
 
 def _scenario_mesh(cfg: RunConfig):
@@ -44,7 +43,13 @@ def _scenario_mesh(cfg: RunConfig):
     if src.startswith("square:"):
         raise ConfigError("mesh source %r is not accepted: use 'channel:<n>' or the "
                           "path of a mesh file (native text or MSH 2.2)" % src)
-    return load_mesh(src, parse_physical_map(cfg.physical_map))
+    mesh = load_mesh(src, parse_physical_map(cfg.physical_map))
+    missing = [] if len(mesh.cells_with_tag(SOLID)) else ["SOLID cells"]
+    missing += ["%s facets" % MARKER_TO_NAME[m] for m in (GAMMA_F0, GAMMA_OUT, GAMMA_S0)
+                if not len(mesh.facets_with_marker(m))]
+    if missing:       # the channel run loads GAMMA_F0, opens GAMMA_OUT and clamps GAMMA_S0
+        raise ConfigError("[mesh] source %s has no %s" % (src, ", ".join(missing)))
+    return mesh
 
 
 def run_scenario(cfg: RunConfig, quiet: bool = False) -> None:
@@ -219,7 +224,7 @@ def main(argv: Optional[list] = None) -> int:
         elif args.command == "version":
             print(__version__)
         elif args.command == "config-template":
-            print(default_config_text())
+            print(serialize_config(RunConfig()))
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1

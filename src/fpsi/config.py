@@ -126,14 +126,15 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def parse_permeability(text: str) -> np.ndarray:
+def parse_permeability(text: str):
+    """A scalar K (`MaterialParams` makes it K I) or the matrix 'kxx kxy kyx kyy'."""
     parts = str(text).split()
     try:
         vals = [float(p) for p in parts]
     except ValueError:
         raise ConfigError("permeability must be numeric, got %r" % text)
     if len(vals) == 1:
-        return np.eye(2) * vals[0]
+        return vals[0]
     if len(vals) == 4:
         return np.array(vals).reshape(2, 2)
     raise ConfigError("permeability takes 1 or 4 numbers, got %d" % len(vals))
@@ -170,7 +171,3 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
     return parse_config(text)
-
-
-def default_config_text() -> str:
-    return serialize_config(RunConfig())

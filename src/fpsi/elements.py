@@ -6,8 +6,8 @@ edge order below, which the mesh's edge table and every function space
 share.
 
 Quadrature is a conical (Duffy) product of Gauss-Legendre and Gauss-Jacobi
-rules, exact to any requested polynomial degree.  Facet rules are Gauss
-rules on the unit interval.
+rules, exact to any requested polynomial degree.  The facet rule is the
+dimension-1 rule: Gauss-Legendre on the unit interval.
 """
 
 from __future__ import annotations
@@ -58,28 +58,6 @@ def simplex_quadrature(dim: int, degree: int) -> QuadratureRule:
     raise ValueError("unsupported dimension %d" % dim)
 
 
-def facet_quadrature(cell_dim: int, degree: int) -> QuadratureRule:
-    """Rule on the reference facet of a `cell_dim`-simplex (one dim lower)."""
-    return simplex_quadrature(cell_dim - 1, degree)
-
-
-def _barycentric(dim: int, points: np.ndarray) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lam = np.empty((pts.shape[0], dim + 1))
-    lam[:, 0] = 1.0 - pts.sum(axis=1)
-    lam[:, 1:] = pts
-    return lam
-
-
-def _check_inside(dim: int, points: np.ndarray, tol: float = 1e-12) -> None:
-    lam = _barycentric(dim, points)
-    if lam.min() < -tol:
-        bad = np.unravel_index(np.argmin(lam), lam.shape)[0]
-        raise ValueError(
-            "point %s lies outside the closed reference simplex" % (np.atleast_2d(points)[bad],)
-        )
-
-
 def eval_basis(dim: int, degree: int, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Evaluate P1/P2 basis values and gradients at reference points.
 
@@ -91,8 +69,12 @@ def eval_basis(dim: int, degree: int, points: np.ndarray) -> Tuple[np.ndarray, n
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != dim:
         raise ValueError("points have dimension %d, element has %d" % (pts.shape[1], dim))
-    _check_inside(dim, pts)
-    lam = _barycentric(dim, pts)                      # (nq, dim+1)
+    lam = np.empty((pts.shape[0], dim + 1))           # barycentric coordinates
+    lam[:, 0] = 1.0 - pts.sum(axis=1)
+    lam[:, 1:] = pts
+    if lam.min() < -1e-12:
+        bad = np.unravel_index(np.argmin(lam), lam.shape)[0]
+        raise ValueError("point %s lies outside the closed reference simplex" % (pts[bad],))
     dlam = np.zeros((dim + 1, dim))
     dlam[0, :] = -1.0
     dlam[1:, :] = np.eye(dim)

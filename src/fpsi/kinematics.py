@@ -32,6 +32,21 @@ def _eye_like(A: np.ndarray) -> np.ndarray:
 J_MIN = 1e-10
 
 
+def _det(A: np.ndarray) -> np.ndarray:
+    """Determinant of 2x2 matrices, closed form."""
+    return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
+
+
+def _inverse(A: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverse of 2x2 matrices of nonzero determinant `det`, closed form."""
+    inv = np.empty_like(A)
+    inv[..., 0, 0] = A[..., 1, 1] / det
+    inv[..., 0, 1] = -A[..., 0, 1] / det
+    inv[..., 1, 0] = -A[..., 1, 0] / det
+    inv[..., 1, 1] = A[..., 0, 0] / det
+    return inv
+
+
 def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None):
     """F, J, F^-1, F^-T from a displacement gradient.
 
@@ -41,7 +56,7 @@ def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None)
     """
     grad_u = np.asarray(grad_u, dtype=float)
     F = grad_u + _eye_like(grad_u)
-    J = F[..., 0, 0] * F[..., 1, 1] - F[..., 0, 1] * F[..., 1, 0]
+    J = _det(F)
     if np.any(J <= J_MIN):
         flat = np.argmin(J)
         idx = np.unravel_index(flat, J.shape) if J.ndim else ()
@@ -53,11 +68,7 @@ def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None)
             % (float(np.min(J)), "cell %s" % cell if cell is not None else str(idx), J_MIN),
             cell=cell, value=float(np.min(J)),
         )
-    Finv = np.empty_like(F)
-    Finv[..., 0, 0] = F[..., 1, 1] / J
-    Finv[..., 0, 1] = -F[..., 0, 1] / J
-    Finv[..., 1, 0] = -F[..., 1, 0] / J
-    Finv[..., 1, 1] = F[..., 0, 0] / J
+    Finv = _inverse(F, J)
     FinvT = np.swapaxes(Finv, -1, -2)
     return F, J, Finv, FinvT
 
@@ -87,15 +98,14 @@ def fluid_rate_of_strain(grad_v: np.ndarray, Finv: np.ndarray) -> np.ndarray:
 
 
 def pushforward_normal(F: np.ndarray, n_ref: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Deformed unit normal and area scaling Js = J |F^-T n_ref| (Nanson)."""
+    """Deformed unit normal and area scaling Js = J |F^-T n_ref| (Nanson);
+    n_ref broadcasts against the leading axes of the invertible F."""
     F = np.asarray(F, dtype=float)
-    n_ref = np.asarray(n_ref, dtype=float)
-    J = np.linalg.det(F)
-    FinvT = np.swapaxes(np.linalg.inv(F), -1, -2)
-    v = np.einsum("...ij,...j->...i", FinvT, n_ref)
+    J = _det(F)
+    FinvT = np.swapaxes(_inverse(F, J), -1, -2)
+    v = (FinvT @ np.asarray(n_ref, dtype=float)[..., None])[..., 0]
     mag = np.linalg.norm(v, axis=-1)
-    n = v / mag[..., None]
-    return n, J * mag
+    return v / mag[..., None], J * mag
 
 
 def mixture_density(rho_s: float, rho_f: float, phi: float) -> float:
@@ -156,18 +166,14 @@ class MaterialParams:
             raise ValueError("gamma must be nonnegative")
         K = np.asarray(self.K, dtype=float)
         if K.ndim == 0:
-            if K <= 0.0:
-                raise ValueError("K must be positive")
             K = K * np.eye(2)
         if K.shape != (2, 2):
             raise ValueError("permeability must be a scalar or a 2x2 matrix")
         if not np.allclose(K, K.T):
             raise ValueError("permeability matrix must be symmetric")
-        if np.any(np.linalg.eigvalsh(K) <= 0.0):
-            raise ValueError("permeability matrix must be positive definite")
         self.K = K
-        self.K_inv = np.linalg.inv(K)
-        self.K_inv_sqrt = inv_sqrt_spd(K)
+        self.K_inv_sqrt = inv_sqrt_spd(K)      # rejects a K that is not positive definite
+        self.K_inv = _inverse(K, _det(K))
 
     @property
     def rho_p(self) -> float:

@@ -193,13 +193,23 @@ class Interface:
         return len(self.h)
 
 
-def extract_interface(mesh: Mesh) -> Interface:
-    """GAMMA_FS facets with normals oriented fluid -> solid.
+def facet_normals(mesh: Mesh, facets: np.ndarray, cells: np.ndarray):
+    """Unit normals of straight facets pointing out of `cells`, and their lengths.
 
     A facet from vertex a to vertex b has the normal (t1, -t0) / |t| of
-    t = b - a, flipped where it points from the solid cell centroid towards
-    the fluid cell centroid.
+    t = b - a, flipped where it points towards its cell's centroid.
     """
+    p = mesh.vertices[facets]
+    t = p[:, 1] - p[:, 0]
+    h = np.linalg.norm(t, axis=1)
+    n = np.column_stack([t[:, 1], -t[:, 0]]) / h[:, None]
+    inward = mesh.vertices[mesh.cells[cells]].mean(axis=1) - p[:, 0]
+    n[np.einsum("fd,fd->f", n, inward) > 0.0] *= -1.0
+    return n, h
+
+
+def extract_interface(mesh: Mesh) -> Interface:
+    """GAMMA_FS facets with normals out of the fluid cells (fluid -> solid)."""
     idx = mesh.facets_with_marker(GAMMA_FS)
     fverts = mesh.facets[idx]
     fe = mesh.facet_edges[idx]
@@ -213,13 +223,7 @@ def extract_interface(mesh: Mesh) -> Interface:
     fluid_first = mesh.cell_tags[c0] == FLUID
     cf = np.where(fluid_first, c0, c1)
     cs = np.where(fluid_first, c1, c0)
-    p = mesh.vertices[fverts]
-    t = p[:, 1] - p[:, 0]
-    h = np.linalg.norm(t, axis=1)
-    n = np.column_stack([t[:, 1], -t[:, 0]]) / h[:, None]
-    towards_solid = (mesh.vertices[mesh.cells[cs]].mean(axis=1)
-                     - mesh.vertices[mesh.cells[cf]].mean(axis=1))
-    n[np.einsum("fd,fd->f", n, towards_solid) < 0.0] *= -1.0
+    n, h = facet_normals(mesh, fverts, cf)
     return Interface(fverts.copy(), cf, cs, n, h)
 
 

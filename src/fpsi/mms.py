@@ -8,7 +8,7 @@ at zero), so the discrete operators are tested in isolation:
                       both fields lie in the Taylor-Hood space, so the solver
                       must reproduce them to roundoff.
   stokes_trig         steady Stokes, v = curl(sin^2(pi x) sin^2(pi y)),
-                      p = sin(pi x) cos(pi y); expected L2 orders 3 / 2.
+                      p = sin(3 pi x) cos(3 pi y); expected L2 orders 3 / 2.
   biot_trig           steady poroelastic system on the solid: displacement,
                       filtration flux and pore pressure all smooth trig
                       fields with p = 0 on the whole boundary so the flux
@@ -41,6 +41,10 @@ from .errors import FpsiError
 from .kinematics import MaterialParams
 
 _x, _y, _t = sp.symbols("x y t")
+
+# the materials of every case: unit coefficients, porosity 1/2
+UNIT_PARAMS = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0, mu_s=1.0,
+                             phi=0.5, s0=1.0, K=1.0)
 
 
 @dataclass
@@ -109,27 +113,22 @@ def _stokes_case(name: str, v, p, prm: MaterialParams) -> MmsCase:
 
 
 def stokes_polynomial() -> MmsCase:
-    prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0, mu_s=1.0,
-                         phi=0.5, s0=1.0, K=1.0)
     v = [_x ** 2, -2 * _x * _y]
     p = _x + 2 * _y - sp.Rational(3, 2)
-    return _stokes_case("stokes_polynomial", v, p, prm)
+    return _stokes_case("stokes_polynomial", v, p, UNIT_PARAMS)
 
 
 def stokes_trig() -> MmsCase:
-    prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0, mu_s=1.0,
-                         phi=0.5, s0=1.0, K=1.0)
     psi = sp.sin(sp.pi * _x) ** 2 * sp.sin(sp.pi * _y) ** 2
     v = [sp.diff(psi, _y), -sp.diff(psi, _x)]  # divergence-free by construction
     # Higher frequency than the velocity so the pressure's own approximation
     # error dominates early and the asymptotic rate shows on coarse meshes.
     p = sp.sin(3 * sp.pi * _x) * sp.cos(3 * sp.pi * _y)
-    return _stokes_case("stokes_trig", v, p, prm)
+    return _stokes_case("stokes_trig", v, p, UNIT_PARAMS)
 
 
 def biot_trig() -> MmsCase:
-    prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0, mu_s=1.0,
-                         phi=0.5, s0=1.0, K=1.0)
+    prm = UNIT_PARAMS
     s = sp.sin(sp.pi * _x) * sp.sin(sp.pi * _y)
     w = [sp.Rational(1, 10) * s, sp.Rational(1, 10) * s]
     q = [sp.Rational(3, 10) * sp.sin(2 * sp.pi * _x) * sp.sin(sp.pi * _y),
@@ -153,8 +152,7 @@ def biot_trig() -> MmsCase:
 
 
 def unsteady_fluid() -> MmsCase:
-    prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0, mu_s=1.0,
-                         phi=0.5, s0=1.0, K=1.0)
+    prm = UNIT_PARAMS
     g = 1 + sp.sin(3 * _t) / 2
     v = [g * _x ** 2, -2 * g * _x * _y]
     p = g * (_x + 2 * _y - sp.Rational(3, 2))

@@ -1,13 +1,21 @@
-"""Convergence tables and probe time series."""
+"""Run output: legacy VTK snapshots, probe time series, convergence tables.
+
+A snapshot is legacy VTK (ASCII, version 3.0).  Points are written at
+deformed positions x + u.  Every field is exported as vertex data (the P1
+view of the quadratic fields), zero-extended outside its subdomain so one
+array spans the whole mesh.  Cells are written as VTK triangles; points and
+vectors get a zero z component.
+"""
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .energy import EnergyReport
 from .errors import FpsiError
+from .spaces import FunctionSpace
 
 TIMESERIES_COLUMNS = (
     "t", "ux_probe", "ur_probe",
@@ -79,3 +87,44 @@ class TimeSeries:
                 if line.strip():
                     out.rows.append(tuple(float(v) for v in line.split(",")))
         return out
+
+
+def vertex_values(space: FunctionSpace, vec: np.ndarray) -> np.ndarray:
+    """Field at mesh vertices, zero outside the space's subdomain."""
+    mesh = space.mesh
+    ncomp = space.ncomp
+    out = np.zeros((mesh.num_vertices, ncomp))
+    data = np.asarray(vec, dtype=float).reshape(-1, ncomp)
+    out[space.vertex_ids] = data[:len(space.vertex_ids)]     # vertex nodes come first
+    return out[:, 0] if ncomp == 1 else out
+
+
+def write_state(path: str, problem, fields: Dict[str, np.ndarray],
+                title: str = "state") -> None:
+    """Snapshot of the displacement and every unknown on the deformed mesh,
+    with each cell's subdomain tag."""
+    mesh = problem.mesh
+    nv, nc = mesh.num_vertices, mesh.num_cells
+    points = mesh.vertices + vertex_values(problem.spaces["u"], fields["u"])
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % nv]
+    lines.extend("%.17g %.17g 0" % tuple(p) for p in points)
+    lines.append("CELLS %d %d" % (nc, nc * 4))
+    lines.extend("3 %d %d %d" % tuple(cell) for cell in mesh.cells)
+    lines.append("CELL_TYPES %d" % nc)
+    lines.extend(["5"] * nc)         # VTK_TRIANGLE
+    lines += ["CELL_DATA %d" % nc, "SCALARS subdomain int 1", "LOOKUP_TABLE default"]
+    lines.extend("%d" % v for v in mesh.cell_tags)
+
+    lines.append("POINT_DATA %d" % nv)
+    for name in ("u",) + problem.layout.names:
+        arr = vertex_values(problem.spaces[name], fields[name])
+        if arr.ndim == 1:
+            lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
+            lines.extend("%.17g" % v for v in arr)
+        else:
+            lines.append("VECTORS %s double" % name)
+            lines.extend("%.17g %.17g 0" % tuple(v) for v in arr)
+
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

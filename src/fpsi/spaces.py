@@ -32,7 +32,6 @@ class FunctionSpace:
     mesh: Mesh
     degree: int
     rank: int                 # 0 scalar, 1 vector
-    tag: Optional[int]        # FLUID, SOLID or None for the whole mesh
     cells: np.ndarray         # global cell ids of the subdomain
     cell_nodes: np.ndarray    # (ncells, nloc) scalar node ids
     node_coords: np.ndarray   # (nnodes, dim)
@@ -118,7 +117,6 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         mesh=mesh,
         degree=degree,
         rank=rank,
-        tag=tag,
         cells=cells,
         cell_nodes=cell_nodes,
         node_coords=np.vstack(coords),

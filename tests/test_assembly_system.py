@@ -8,7 +8,7 @@ from scipy.sparse.linalg import spsolve
 
 from fpsi.assembly import (QUAD_DEGREE, DirichletBC, PressureLoad, StepInputs,
                            assemble_system, build_geometry, build_problem)
-from fpsi.elements import eval_basis, facet_quadrature, simplex_quadrature
+from fpsi.elements import eval_basis, simplex_quadrature
 from fpsi.errors import AssemblyError, DegenerateDeformationError
 from fpsi.kinematics import MaterialParams
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, extract_interface
@@ -122,7 +122,7 @@ def test_quadrature_batches_match_per_entity_loop():
     assert prob.open_markers == (GAMMA_F0, GAMMA_OUT)
     assert np.allclose(prob.natural[GAMMA_F0].nref, [-1.0, 0.0], rtol=0.0, atol=1e-15)
     assert np.allclose(prob.natural[GAMMA_OUT].nref, [1.0, 0.0], rtol=0.0, atol=1e-15)
-    frule = facet_quadrature(2, q)
+    frule = simplex_quadrature(1, q)
     for name, (fverts, tr) in facet_sets.items():
         assert tr.val2.ndim == 3 and len(tr.cells) == len(fverts) > 0
         for f, (a, b) in enumerate(fverts):
@@ -442,7 +442,7 @@ def test_assembly_error_paths():
     with pytest.raises(AssemblyError, match="without fluid cells"):
         make_problem(one_triangle_mesh(SOLID),
                      loads=[PressureLoad(GAMMA_S0, lambda t: 1.0)])
-    with pytest.raises(AssemblyError, match="no facets"):
+    with pytest.raises(AssemblyError, match="open boundary marker GAMMA_FS has no facets"):
         make_problem(fluid_mesh, open_markers=(GAMMA_FS,))
     # a fluid mass source has no form: refused, not dropped
     with pytest.raises(AssemblyError, match=r"no form reads the forcing term\(s\) mass_f$"):

@@ -8,13 +8,14 @@ import pytest
 
 from fpsi.assembly import Problem
 from fpsi.cli import main, run_scenario
-from fpsi.config import (RunConfig, default_config_text, load_config,
-                         material_params, parse_config, parse_permeability,
-                         parse_physical_map, serialize_config)
+from fpsi.config import (RunConfig, load_config, material_params, parse_config,
+                         parse_permeability, parse_physical_map, serialize_config)
 from fpsi.errors import ConfigError, DegenerateDeformationError
 from fpsi.kinematics import MaterialParams, lame_from_E_nu
+from fpsi.mesh import GAMMA_F0, GAMMA_OUT
 from fpsi.reporting import TimeSeries
-from fpsi.scenarios import PROBE_POINT, benchmark_params, channel_mesh, channel_problem
+from fpsi.scenarios import (PROBE_POINT, benchmark_params, channel_mesh, channel_problem,
+                            unit_square_mesh)
 from fpsi.solver import RESIDUAL_TOL
 from fpsi.stepping import load_checkpoint
 from tests.test_mesh import TET_NATIVE, write_native
@@ -35,7 +36,7 @@ REMOVED_KEYS = {
 
 
 def test_default_template_roundtrip():
-    assert parse_config(default_config_text()) == RunConfig()
+    assert parse_config(serialize_config(RunConfig())) == RunConfig()
     cfg = RunConfig(p_ext=0.0, dt=2e-4, K="1e-5", source="channel:4")
     assert parse_config(serialize_config(cfg)) == cfg
 
@@ -94,7 +95,8 @@ def test_cli_removed_key_exits_1(tmp_path, capsys, text):
 
 
 def test_parse_permeability():
-    assert np.allclose(parse_permeability("5e-13"), 5e-13 * np.eye(2))
+    assert parse_permeability("5e-13") == 5e-13           # MaterialParams makes it K I
+    assert np.array_equal(material_params(RunConfig(K="5e-13")).K, 5e-13 * np.eye(2))
     M = parse_permeability("1 2 3 4")
     assert np.allclose(M, [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ConfigError, match="1 or 4 numbers"):
@@ -298,6 +300,36 @@ def test_cli_relative_outputs_lie_under_output_dir(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "A.mtx").read_text().startswith("%%MatrixMarket")
     assert (tmp_path / "out" / "final.npz").exists()
     assert not (tmp_path / "A.mtx").exists()
+
+
+def run_on_mesh_file(tmp_path, mesh):
+    """`fpsi run` on the mesh written as a native file: (exit code, the
+    expected start of its mesh-source error, output dir)."""
+    path, out = tmp_path / "mesh.txt", tmp_path / "out"
+    write_native(mesh, str(path))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\nprobe_x = 0.5\nprobe_y = 0.5\n"
+                   "[mesh]\nsource = %s\n" % (out, path))
+    return main(["run", str(cfg), "--quiet"]), "[mesh] source %s has no " % path, out
+
+
+def test_cli_mesh_without_an_outlet_exits_1_before_writing(tmp_path, capsys):
+    mesh = channel_mesh(2)
+    mesh.facet_markers[mesh.facet_markers == GAMMA_OUT] = GAMMA_F0
+    code, prefix, out = run_on_mesh_file(tmp_path, mesh)
+    assert code == 1
+    assert capsys.readouterr().err == "config error: %sGAMMA_OUT facets\n" % prefix
+    assert not out.exists()
+
+
+def test_cli_fluid_only_mesh_exits_1_before_writing(tmp_path, capsys):
+    mesh = unit_square_mesh(2, "fluid")
+    right = np.all(mesh.vertices[mesh.facets][:, :, 0] == 1.0, axis=1)
+    mesh.facet_markers[right] = GAMMA_OUT
+    code, prefix, out = run_on_mesh_file(tmp_path, mesh)
+    assert code == 1
+    assert capsys.readouterr().err == "config error: %sSOLID cells, GAMMA_S0 facets\n" % prefix
+    assert not out.exists()
 
 
 def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):

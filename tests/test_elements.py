@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fpsi.elements import eval_basis, facet_quadrature, simplex_quadrature
+from fpsi.elements import eval_basis, simplex_quadrature
 
 # P2 nodes of the reference triangle: the vertices, then the midpoints of
 # the local edges (0, 1), (0, 2), (1, 2)
@@ -25,7 +25,7 @@ def monomial_integral_triangle(i, j):
 def test_quadrature_measures():
     rule = simplex_quadrature(2, 2)
     assert rule.weights.sum() == pytest.approx(0.5, rel=1e-14)
-    rule = facet_quadrature(2, 6)
+    rule = simplex_quadrature(1, 6)
     assert rule.points.shape[1] == 1
     assert rule.weights.sum() == pytest.approx(1.0, rel=1e-14)
 

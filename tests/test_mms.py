@@ -11,7 +11,6 @@ import sympy as sp
 
 import fpsi.mms as mms
 from fpsi.errors import FpsiError
-from fpsi.kinematics import MaterialParams
 from fpsi.mms import CASES, MmsCase, _wrap, biot_trig, stokes_polynomial, \
     stokes_trig, unsteady_fluid
 from fpsi.scenarios import mms_problem, mms_temporal_study, solve_mms_steady, \
@@ -85,10 +84,8 @@ def test_forcing_matches_simplified_derivation(name, monkeypatch):
 
 def test_divergence_check_rejects_a_source():
     x, y = sp.symbols("x y")
-    prm = MaterialParams(rho_f=1.0, rho_s=1.0, mu_f=1.0, lam_s=1.0, mu_s=1.0,
-                         phi=0.5, s0=1.0, K=1.0)
     with pytest.raises(FpsiError, match="div v of source"):
-        mms._stokes_case("source", [x, y], sp.Integer(0), prm)
+        mms._stokes_case("source", [x, y], sp.Integer(0), mms.UNIT_PARAMS)
 
 
 def test_zero_check_falls_back_to_simplify():

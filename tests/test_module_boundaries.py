@@ -1,7 +1,8 @@
 """Module boundaries: no fpsi module imports another module's _private
 helpers, no module imports a name it never reads, no function takes a
-parameter it never reads, no handler catches every exception, and no
-function is defined that only tests reach.
+parameter it never reads, no handler catches every exception, no
+function is defined that only tests reach, and no class keeps a field
+that nothing reads.
 
 A helper that two modules need is public in one of them (or moves to
 `fem.py`); the checks parse every source file with `ast`, so they need no
@@ -268,7 +269,6 @@ def test_scanner_flags_unreferenced_definitions():
 ENTRY_POINTS = {
     # imported by the frozen acceptance gate (tests/test_acceptance.py)
     "kinematics.fluid_rate_of_strain",
-    "kinematics.pushforward_normal",
     "scenarios.benchmark_params",
     # read by the benchmark (perfbench/workload.py)
     "reporting.TimeSeries.column",
@@ -284,3 +284,69 @@ def test_every_definition_is_referenced_from_the_package():
     names = {line.split(": ", 1)[1] for line in found}
     assert [line for line in found if line.split(": ", 1)[1] not in ENTRY_POINTS] == []
     assert sorted(ENTRY_POINTS - names) == []          # stale allowlist entries
+
+
+def unread_fields(sources, readers):
+    """Class fields of `sources` that no code of `readers` loads.
+
+    A field is an annotated name in a class body or a `self.<name> = ...`
+    attribute set in a method.  A read is an attribute load of the name
+    anywhere in `readers` (file name -> text).  The scan matches by name
+    only, like the defs guard.  Each finding reads
+    "file:line: module.Class.field".
+    """
+    fields = []
+    for filename, source in sources.items():
+        module = Path(filename).stem
+        for cls in ast.walk(ast.parse(source, filename)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    fields.append((filename, node.lineno, module, cls.name, node.target.id))
+            for node in ast.walk(cls):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                for t in targets:
+                    if (isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"):
+                        fields.append((filename, node.lineno, module, cls.name, t.attr))
+    loads = {node.attr for filename, source in readers.items()
+             for node in ast.walk(ast.parse(source, filename))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return ["%s:%d: %s.%s.%s" % f for f in sorted(set(fields)) if f[-1] not in loads]
+
+
+def test_scanner_flags_unread_fields():
+    sources = {
+        "a.py": ("class Box:\n"
+                 "    size: int\n"
+                 "    label: str = ''\n"
+                 "    def __init__(self):\n"
+                 "        self.cache = None\n"
+                 "        self.rows: list = []\n"
+                 "        self.size = 1\n"
+                 "def area(box):\n    return box.size * len(box.rows)\n"),
+    }
+    readers = dict(sources, **{"t.py": "def test(b):\n    b.label = 'x'\n"})
+    assert [line.split(": ", 1)[1] for line in unread_fields(sources, readers)] == [
+        "a.Box.label",
+        "a.Box.cache",
+    ]
+
+
+# Fields nothing reads, kept on purpose; empty: a field nobody reads goes.
+UNREAD_FIELDS = set()
+
+
+def test_no_class_field_is_unread():
+    root = SRC.parents[1]
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) >= 10
+    readers = {str(path): path.read_text()
+               for folder in ("src/fpsi", "tests", "perfbench", "tools")
+               for path in sorted((root / folder).glob("*.py"))}
+    found = unread_fields(sources, readers)
+    assert [line for line in found if line.split(": ", 1)[1] not in UNREAD_FIELDS] == []
+    names = {line.split(": ", 1)[1] for line in found}
+    assert sorted(UNREAD_FIELDS - names) == []          # stale allowlist entries

@@ -5,10 +5,10 @@ import pytest
 
 from fpsi.errors import FpsiError
 from fpsi.mesh import FLUID, SOLID
-from fpsi.reporting import TimeSeries, convergence_table, observed_orders
+from fpsi.reporting import (TimeSeries, convergence_table, observed_orders, vertex_values,
+                            write_state)
 from fpsi.spaces import interpolate
 from fpsi.stepping import State
-from fpsi.vtk_io import vertex_values, write_state, write_vtk
 from tests.test_assembly_forms import make_problem
 from tests.test_mesh import two_triangle_mesh
 
@@ -26,14 +26,12 @@ def test_vertex_values_restriction_and_zero_extension():
     assert np.allclose(out[1], [0.0, 0.0])
 
 
-def test_write_vtk_header_and_counts(tmp_path):
-    mesh = two_triangle_mesh()
+def test_write_state_header_and_counts(tmp_path):
+    prob = make_problem(two_triangle_mesh((FLUID, SOLID)))
+    fields = State.initial(prob).fields
+    fields["v_f"] = np.ones_like(fields["v_f"])
     path = tmp_path / "plain.vtk"
-    write_vtk(str(path), mesh, mesh.vertices,
-              point_fields={"s": np.arange(4.0),
-                            "vec": np.ones((4, 2))},
-              cell_fields={"tag": mesh.cell_tags},
-              title="check")
+    write_state(str(path), prob, fields, title="check")
     text = path.read_text().splitlines()
     assert text[0] == "# vtk DataFile Version 3.0"
     assert text[1] == "check"
@@ -43,12 +41,12 @@ def test_write_vtk_header_and_counts(tmp_path):
     assert "CELLS 2 8" in text
     assert "CELL_TYPES 2" in text
     assert "CELL_DATA 2" in text
-    assert "SCALARS tag int 1" in text
+    assert "SCALARS subdomain int 1" in text
     assert "POINT_DATA 4" in text
-    assert "SCALARS s double 1" in text
-    assert "VECTORS vec double" in text
-    # 2D vectors gain a zero z component
-    vec_at = text.index("VECTORS vec double")
+    assert "SCALARS p_f double 1" in text
+    assert "VECTORS v_f double" in text
+    # 2D vectors gain a zero z component; the fluid triangle holds vertex 0
+    vec_at = text.index("VECTORS v_f double")
     assert text[vec_at + 1].split() == ["1", "1", "0"]
 
 
