@@ -237,19 +237,20 @@ class Problem:
         return out
 
 
-def _quad_batch(sub_spaces, cells, facets=None, nref=None) -> QuadBatch:
+def _quad_batch(sub_spaces, cells, facets=None) -> QuadBatch:
     """Quadrature batch of the given cells, or of their traces on `facets`.
 
     sub_spaces = (P2 space, P1 space) of the subdomain holding the cells,
     then the global displacement space.  facets (nb, d) lists one straight
-    facet of each cell; its reference normal is `nref` or, by default, the
-    cell's outward unit normal there.
+    facet of each cell; its reference normal is the cell's outward unit
+    normal there.
     """
     space2, space1, space_u = sub_spaces
     mesh = space_u.mesh
     d = mesh.dim
     cells = np.asarray(cells, dtype=np.int64)
     x0, B, adet, Binv = cell_geometry(mesh, cells)
+    nref = None
     if facets is None:
         rule = simplex_quadrature(d, QUAD_DEGREE)
         xi = rule.points                                            # (nq, d), shared
@@ -257,12 +258,11 @@ def _quad_batch(sub_spaces, cells, facets=None, nref=None) -> QuadBatch:
         X = x0[:, None, :] + xi @ np.swapaxes(B, 1, 2)
     else:                                   # straight 2D facets (build_problem is 2D only)
         rule = simplex_quadrature(d - 1, QUAD_DEGREE)
-        outward, length = facet_normals(mesh, facets, cells)
+        nref, length = facet_normals(mesh, facets, cells)
         p = mesh.vertices[facets]                                   # (nb, 2, d)
         t = p[:, 1] - p[:, 0]
         X = p[:, None, 0, :] + rule.points[None, :, 0, None] * t[:, None, :]
         w = rule.weights[None, :] * length[:, None]
-        nref = outward if nref is None else nref
         xi = np.clip((X - x0[:, None, :]) @ np.swapaxes(Binv, 1, 2), 0.0, 1.0)
 
     shape = xi.shape[:-1]                                           # (nq,) or (nb, nq)
@@ -343,11 +343,10 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     if facets:
         tau = np.full(len(facets), float(penalty_const)) if penalty_const is not None \
             else penalty_scale * facets.h ** -2.0
-        # Both sides' traces share the fluid-oriented normal.
-        iface = InterfaceData(
-            _quad_batch(fluid_spaces, facets.fluid_cells, facets.vertices, facets.normals),
-            _quad_batch(solid_spaces, facets.solid_cells, facets.vertices, facets.normals),
-            tau)
+        # each side's trace carries the normal out of its own cells
+        iface = InterfaceData(_quad_batch(fluid_spaces, facets.fluid_cells, facets.vertices),
+                              _quad_batch(solid_spaces, facets.solid_cells, facets.vertices),
+                              tau)
 
     def natural_traces(marker: int, what: str) -> QuadBatch:
         if not has_fluid:

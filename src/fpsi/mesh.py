@@ -180,13 +180,12 @@ def _signed_volumes(vertices, cells) -> np.ndarray:
 
 @dataclass
 class Interface:
-    """The GAMMA_FS facets in stored marker order, with their two cells and
-    the fluid -> solid unit normal of the reference mesh."""
+    """The GAMMA_FS facets in stored marker order, with their fluid and solid
+    cells and their lengths in the reference mesh."""
 
     vertices: np.ndarray      # (nf, 2) vertex ids, in stored facet order
     fluid_cells: np.ndarray   # (nf,)
     solid_cells: np.ndarray   # (nf,)
-    normals: np.ndarray       # (nf, 2)
     h: np.ndarray             # (nf,) facet lengths
 
     def __len__(self) -> int:
@@ -209,7 +208,7 @@ def facet_normals(mesh: Mesh, facets: np.ndarray, cells: np.ndarray):
 
 
 def extract_interface(mesh: Mesh) -> Interface:
-    """GAMMA_FS facets with normals out of the fluid cells (fluid -> solid)."""
+    """GAMMA_FS facets, each with its fluid and its solid cell."""
     idx = mesh.facets_with_marker(GAMMA_FS)
     fverts = mesh.facets[idx]
     fe = mesh.facet_edges[idx]
@@ -223,8 +222,7 @@ def extract_interface(mesh: Mesh) -> Interface:
     fluid_first = mesh.cell_tags[c0] == FLUID
     cf = np.where(fluid_first, c0, c1)
     cs = np.where(fluid_first, c1, c0)
-    n, h = facet_normals(mesh, fverts, cf)
-    return Interface(fverts.copy(), cf, cs, n, h)
+    return Interface(fverts.copy(), cf, cs, facet_normals(mesh, fverts, cf)[1])
 
 
 def validate_mesh(mesh: Mesh) -> Mesh:

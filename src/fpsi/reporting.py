@@ -99,6 +99,14 @@ def vertex_values(space: FunctionSpace, vec: np.ndarray) -> np.ndarray:
     return out[:, 0] if ncomp == 1 else out
 
 
+def _formatted(fmt: str, arr: np.ndarray):
+    """Each row of a 2-D array (or each value of a 1-D one) through `fmt`,
+    formatted from Python numbers: the same text as formatting the numpy
+    scalars one by one, in about half the time."""
+    values = arr.tolist()
+    return map(fmt.__mod__, map(tuple, values) if arr.ndim == 2 else values)
+
+
 def write_state(path: str, problem, fields: Dict[str, np.ndarray],
                 title: str = "state") -> None:
     """Snapshot of the displacement and every unknown on the deformed mesh,
@@ -108,23 +116,23 @@ def write_state(path: str, problem, fields: Dict[str, np.ndarray],
     points = mesh.vertices + vertex_values(problem.spaces["u"], fields["u"])
     lines = ["# vtk DataFile Version 3.0", title, "ASCII",
              "DATASET UNSTRUCTURED_GRID", "POINTS %d double" % nv]
-    lines.extend("%.17g %.17g 0" % tuple(p) for p in points)
+    lines.extend(_formatted("%.17g %.17g 0", points))
     lines.append("CELLS %d %d" % (nc, nc * 4))
-    lines.extend("3 %d %d %d" % tuple(cell) for cell in mesh.cells)
+    lines.extend(_formatted("3 %d %d %d", mesh.cells))
     lines.append("CELL_TYPES %d" % nc)
     lines.extend(["5"] * nc)         # VTK_TRIANGLE
     lines += ["CELL_DATA %d" % nc, "SCALARS subdomain int 1", "LOOKUP_TABLE default"]
-    lines.extend("%d" % v for v in mesh.cell_tags)
+    lines.extend(_formatted("%d", mesh.cell_tags))
 
     lines.append("POINT_DATA %d" % nv)
     for name in ("u",) + problem.layout.names:
         arr = vertex_values(problem.spaces[name], fields[name])
         if arr.ndim == 1:
             lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
-            lines.extend("%.17g" % v for v in arr)
+            lines.extend(_formatted("%.17g", arr))
         else:
             lines.append("VECTORS %s double" % name)
-            lines.extend("%.17g %.17g 0" % tuple(v) for v in arr)
+            lines.extend(_formatted("%.17g %.17g 0", arr))
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -16,20 +16,36 @@ thresholds 1e-6, 1e-4 and 1e-3 and 28.6M at 3e-3.  1e-4 sits a factor 30
 below that cliff and still caps the growth one pivot may bring at 1e4; the
 refinement below and the residual check catch what that costs in accuracy.
 
-A fresh LU solve runs one pass of iterative refinement when the first
-residual is above the tolerance, then gives up.
+Precision split: the LU is made and applied in single precision and
+everything around it stays in double.  `OrderedLU` casts P A P^T to float32
+once and factors it with SuperLU's single-precision path; its `solve` takes
+a float64 right-hand side, scales it to unit max-norm, casts it to float32
+and returns the correction in float64.  The products A x, the residuals and
+their norms, and the tolerance are float64, so iterative refinement with
+the float32 factors reaches the same 1e-9 residual as a float64 LU would
+(mixed-precision refinement: Langou et al., SC'06; Carson & Higham, SISC
+40, 2018).  L and U take half the memory of float64 factors, with the same
+fill, and each factor and triangular solve streams half the bytes.
+
+Refinement is x = lu.solve(b), then passes x += lu.solve(b - A x).  It
+stops when a pass fails to halve the residual, when the residual is not
+finite, or after MAX_REUSE_PASSES passes, and also:
+
+  - with a held LU, as soon as the residual is at the tolerance;
+  - with a fresh LU, one pass after the residual first reaches the
+    tolerance, so every fresh LU runs at least one pass and ends with some
+    margin below the tolerance.  A fresh LU that ends above it raises
+    SolverError.
 
 Every solve takes the record of its matrix: the assembly pattern
 (`fem.SparsePattern`), or any object with an `order` and an `lu`, which is
 None until the first factorization.  A sequence of nearby matrices (one per
-time step) shares one record, so a solve with a held LU starts from
-x = lu.solve(b) and repeats x += lu.solve(b - A x) until the true residual
-is at the tolerance.  It stops reusing when a pass fails to halve the
-residual, when the residual is not finite, or after MAX_REUSE_PASSES
-passes; it then drops the held LU, factors A fresh and keeps the new LU in
-the record.  At most one LU per record is ever alive.  The held LU keeps
-its order: a reused LU solves in the order it was made in.  A caller that
-solves its matrix once (`stepping.solve_steady`) drops the LU afterwards.
+time step) shares one record, so a solve with a held LU refines from it
+first.  When that refinement stops above the tolerance, the solve drops the
+held LU, factors A fresh and keeps the new LU in the record.  At most one
+LU per record is ever alive.  The held LU keeps its order: a reused LU
+solves in the order it was made in.  A caller that solves its matrix once
+(`stepping.solve_steady`) drops the LU afterwards.
 """
 
 from __future__ import annotations
@@ -51,7 +67,7 @@ _EPS = 1e-30
 @dataclass
 class SolveReport:
     residual: float
-    refined: bool          # the fresh-LU path needed its refinement pass
+    refined: bool          # a fresh LU was refined (every fresh LU runs a pass)
     n: int
     iterations: int        # refinement passes spent in this call
     factored: bool         # a fresh LU was made
@@ -60,17 +76,21 @@ class SolveReport:
 
 
 class OrderedLU:
-    """LU of P A P^T, where row and column order[i] of A become row and
-    column i; `solve` takes and returns vectors in A's numbering."""
+    """Single-precision LU of P A P^T, where row and column order[i] of A
+    become row and column i; `solve` takes and returns float64 vectors in
+    A's numbering."""
 
     def __init__(self, A: sparse.spmatrix, order: np.ndarray):
         n = A.shape[0]
         self.shape = A.shape
         self.order = order
         rows = sparse.csr_matrix(A)[self.order]
+        if np.max(np.abs(rows.data), initial=0.0) > np.finfo(np.float32).max:
+            raise SolverError("matrix entries overflow single precision")
         position = np.empty(n, dtype=rows.indices.dtype)
         position[self.order] = np.arange(n)
-        PA = sparse.csr_matrix((rows.data, position[rows.indices], rows.indptr), shape=A.shape)
+        PA = sparse.csr_matrix((rows.data.astype(np.float32), position[rows.indices],
+                                rows.indptr), shape=A.shape)
         try:
             self.lu = splu(PA.tocsc(), permc_spec="NATURAL",
                            diag_pivot_thresh=DIAG_PIVOT_THRESH)
@@ -82,20 +102,30 @@ class OrderedLU:
         return int(self.lu.nnz)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.empty(self.shape[0])
-        x[self.order] = self.lu.solve(b[self.order])
+        x = np.zeros(self.shape[0])
+        pb = b[self.order]
+        scale = float(np.max(np.abs(pb), initial=0.0))
+        if scale > 0.0:             # unit max-norm: no float32 underflow or overflow
+            x[self.order] = self.lu.solve((pb / scale).astype(np.float32))
+            x *= scale
         return x
 
 
-def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, max_passes: int):
-    """x = lu.solve(b), then x += lu.solve(b - A x) until the residual is at
-    rtol, a pass fails to halve it, it is not finite, or max_passes ran.
+def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, past_tol: int):
+    """Refine x = lu.solve(b) by passes x += lu.solve(b - A x).  Stops
+    when a pass fails to halve the residual, when it is not finite, after
+    MAX_REUSE_PASSES passes, or `past_tol` passes after the residual first
+    reaches rtol.
     Returns (x, relative residual, passes)."""
     x = lu.solve(b)
     r = b - A @ x
     res = float(np.linalg.norm(r)) / bnorm
     passes = 0
-    while passes < max_passes and np.isfinite(res) and res > rtol:
+    while passes < MAX_REUSE_PASSES and np.isfinite(res):
+        if res <= rtol:
+            if past_tol == 0:
+                break
+            past_tol -= 1
         x = x + lu.solve(r)
         r = b - A @ x
         last, res = res, float(np.linalg.norm(r)) / bnorm
@@ -126,14 +156,12 @@ def solve(A: sparse.spmatrix, b: np.ndarray, record, rtol: float = RESIDUAL_TOL)
 
     spent = 0
     if record.lu is not None and record.lu.shape == A.shape:
-        x, res, spent = _refine(A, b, record.lu, bnorm, rtol, MAX_REUSE_PASSES)
+        x, res, spent = _refine(A, b, record.lu, bnorm, rtol, 0)
         if res <= rtol:
             return x, SolveReport(residual=res, refined=False, n=n, iterations=spent,
                                   factored=False, nnz=A.nnz, fill=0)
     record.lu = None               # free the old factors before making new ones
     lu = OrderedLU(A, record.order)
-    # one pass of iterative refinement recovers the last digits when the
-    # factorization is fine but the matrix is badly scaled
     x, res, passes = _refine(A, b, lu, bnorm, rtol, 1)
     if not np.isfinite(res) or res > rtol:
         raise SolverError(

@@ -122,6 +122,11 @@ def test_quadrature_batches_match_per_entity_loop():
     assert prob.open_markers == (GAMMA_F0, GAMMA_OUT)
     assert np.allclose(prob.natural[GAMMA_F0].nref, [-1.0, 0.0], rtol=0.0, atol=1e-15)
     assert np.allclose(prob.natural[GAMMA_OUT].nref, [1.0, 0.0], rtol=0.0, atol=1e-15)
+    # each interface trace's normal points out of its own cells; the fluid lies
+    # between the two interface lines, so the normal out of it has the sign of y
+    y = mesh.vertices[iface.vertices][:, :, 1].mean(axis=1)
+    assert np.array_equal(np.sign(prob.iface.fluid.nref[:, 1]), np.sign(y))
+    assert np.array_equal(prob.iface.solid.nref, -prob.iface.fluid.nref)
     frule = simplex_quadrature(1, q)
     for name, (fverts, tr) in facet_sets.items():
         assert tr.val2.ndim == 3 and len(tr.cells) == len(fverts) > 0

@@ -9,7 +9,8 @@ from scipy.sparse.linalg import splu, spsolve
 import fpsi.fem as fem
 import fpsi.stepping as stepping
 from fpsi.mms import biot_trig, stokes_trig
-from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
+from fpsi.scenarios import (benchmark_params, channel_mesh, channel_problem, mms_problem,
+                            solve_mms_steady)
 from fpsi.solver import RESIDUAL_TOL
 from fpsi.stepping import State, advance_step, solve_steady
 
@@ -132,6 +133,28 @@ def test_steady_stokes_matches_spsolve(monkeypatch):
     # the record keeps its order, but the steady LU is not kept
     assert prob.patterns["system"].lu is None
     cached_order(prob, "system")
+
+
+@pytest.mark.parametrize("case", [stokes_trig, biot_trig], ids=["stokes", "biot"])
+def test_steady_errors_match_a_double_precision_solve(monkeypatch, case):
+    """The float32 LU refined in float64 gives the errors a float64 direct
+    solve of the same system gives.  The reference is spsolve refined by
+    two more spsolve passes: plain spsolve leaves Stokes' p_f error 4e-10
+    (relative) off its refined value, at a residual of 8e-14."""
+    errors = solve_mms_steady(case(), 16)
+
+    def direct(A, b, record, **kwargs):
+        A = A.tocsc()
+        x = spsolve(A, b)
+        for _ in range(2):
+            x = x + spsolve(A, b - A @ x)
+        return x, None
+
+    monkeypatch.setattr(stepping, "solve", direct)
+    reference = solve_mms_steady(case(), 16)
+    assert errors.keys() == reference.keys()
+    for name, ref in reference.items():
+        assert abs(errors[name] - ref) <= 1e-10 * ref, name
 
 
 def test_bdf2_channel_step_matches_spsolve(monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 from fpsi.errors import MeshError
 from fpsi.elements import LOCAL_EDGES
 from fpsi.mesh import (FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, MARKER_TO_NAME,
-                       SOLID, TAG_TO_NAME, Mesh, extract_interface, load_mesh, parse_msh,
-                       parse_native, validate_mesh)
+                       SOLID, TAG_TO_NAME, Mesh, extract_interface, facet_normals, load_mesh,
+                       parse_msh, parse_native, validate_mesh)
 from fpsi.scenarios import channel_mesh, unit_square_mesh
 
 
@@ -182,9 +182,13 @@ def test_extract_interface_orientation():
     iface = extract_interface(mesh)
     assert len(iface) == 1
     assert iface.fluid_cells.tolist() == [0] and iface.solid_cells.tolist() == [1]
-    # normal points from the fluid cell (below the diagonal) to the solid cell
-    assert np.dot(iface.normals[0], [-1.0, 1.0]) > 0.0
-    assert np.linalg.norm(iface.normals[0]) == pytest.approx(1.0)
+    # the normal out of the fluid cell (below the diagonal) points to the
+    # solid cell, and the one out of the solid cell is its opposite
+    n, h = facet_normals(mesh, iface.vertices, iface.fluid_cells)
+    assert np.dot(n[0], [-1.0, 1.0]) > 0.0
+    assert np.linalg.norm(n[0]) == pytest.approx(1.0)
+    assert np.array_equal(facet_normals(mesh, iface.vertices, iface.solid_cells)[0], -n)
+    assert np.array_equal(h, iface.h)
     assert iface.h[0] == pytest.approx(np.sqrt(2.0))
 
 
@@ -221,6 +225,7 @@ def test_edge_table_matches_facet_walk(make):
 
     # the interface arrays against the walk
     iface = extract_interface(mesh)
+    normals = facet_normals(mesh, iface.vertices, iface.fluid_cells)[0]
     idx = mesh.facets_with_marker(GAMMA_FS)
     assert len(iface) == len(idx) > 0
     for k, i in enumerate(idx):
@@ -237,7 +242,7 @@ def test_edge_table_matches_facet_walk(make):
                          - mesh.vertices[mesh.cells[fluid[0]]].mean(axis=0))
         if normal @ towards_solid < 0.0:
             normal = -normal
-        assert np.allclose(iface.normals[k], normal, rtol=0.0, atol=1e-15)
+        assert np.allclose(normals[k], normal, rtol=0.0, atol=1e-15)
         assert iface.h[k] == pytest.approx(h, rel=1e-15)
 
 
@@ -426,10 +431,11 @@ def test_channel_mesh_invariants(n):
     # geometry bounds: 50 x 12 box
     assert mesh.vertices[:, 0].min() == 0.0 and mesh.vertices[:, 0].max() == 50.0
     assert mesh.vertices[:, 1].min() == -6.0 and mesh.vertices[:, 1].max() == 6.0
-    # interface normals point away from the fluid
+    # interface normals out of the fluid point away from the channel's axis
     iface = extract_interface(mesh)
     y = mesh.vertices[iface.vertices][:, :, 1].mean(axis=1)
-    assert np.array_equal(np.sign(iface.normals[:, 1]), np.sign(y))
+    normals = facet_normals(mesh, iface.vertices, iface.fluid_cells)[0]
+    assert np.array_equal(np.sign(normals[:, 1]), np.sign(y))
 
 
 def test_channel_mesh_resolution_limits():

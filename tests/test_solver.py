@@ -90,7 +90,73 @@ def test_fresh_solve_fills_the_holder():
     held = record(A.shape[0])
     x, rep = solve(A, b, held)
     assert rep.factored and held.lu is not None and held.lu.shape == A.shape
-    assert rep.residual <= RESIDUAL_TOL and rep.iterations == 0
+    # a fresh LU always refines: at least one pass, and one past the tolerance
+    assert rep.residual <= RESIDUAL_TOL and rep.iterations >= 1 and rep.refined
+
+
+def test_factors_are_single_precision():
+    A, b = sample_system()
+    held = record(A.shape[0])
+    x, _ = solve(A, b, held)
+    assert held.lu.lu.L.dtype == held.lu.lu.U.dtype == np.float32
+    assert x.dtype == np.float64
+    # the refined solution is a double-precision one, not a float32 one
+    ref = spsolve(A.tocsc(), b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_entries_beyond_single_precision_are_refused():
+    A = sparse.csr_matrix(np.array([[1e39, 1.0], [1.0, 3.0]]))
+    held = record(2)
+    with pytest.raises(SolverError, match="overflow single precision"):
+        solve(A, np.ones(2), held)
+    assert held.lu is None
+
+
+@pytest.mark.parametrize("size", [1e-40, 1e37])
+def test_right_hand_sides_outside_float32_range_are_scaled(size):
+    # 1e-40 is below float32's smallest normal number, and A^-1 b at 1e37
+    # overflows float32; the solve scales b to unit max-norm first
+    A, b = sample_system()
+    x, rep = solve(A * 0.01, b * size, record(A.shape[0]))
+    ref = spsolve(A.tocsc() * 0.01, b * size)
+    assert rep.residual <= RESIDUAL_TOL
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def refinement_residuals(A, b, lu, passes):
+    """Relative residual after 0..passes plain refinement passes with lu."""
+    x = lu.solve(b)
+    out = [np.linalg.norm(b - A @ x) / np.linalg.norm(b)]
+    for _ in range(passes):
+        x = x + lu.solve(b - A @ x)
+        out.append(np.linalg.norm(b - A @ x) / np.linalg.norm(b))
+    return out
+
+
+def test_fresh_lu_ends_below_the_tolerance_one_pass_past_it():
+    A, b = sample_system()
+    for rtol in (RESIDUAL_TOL, 1e-4):
+        held = record(A.shape[0])
+        x, rep = solve(A, b, held, rtol=rtol)
+        assert rep.factored and rep.iterations >= 1
+        res = refinement_residuals(A, b, held.lu, rep.iterations)
+        assert rep.residual == pytest.approx(res[-1], rel=1e-12) and res[-1] <= rtol
+        # the tolerance was first reached one pass before the last
+        assert res[-2] <= rtol and all(r > rtol for r in res[:-2])
+
+
+def test_held_lu_stops_at_the_tolerance():
+    A, b = sample_system()
+    held = record(A.shape[0])
+    solve(A, b, held)
+    B = perturbed(A, 1e-3)
+    x, rep = solve(B, b, held, rtol=1e-7)
+    assert not rep.factored and rep.iterations >= 1 and not rep.refined
+    res = refinement_residuals(B, b, held.lu, rep.iterations)
+    assert rep.residual == pytest.approx(res[-1], rel=1e-12)
+    # the last pass is the first one at the tolerance: no pass past it
+    assert res[-1] <= 1e-7 and all(r > 1e-7 for r in res[:-1])
 
 
 def test_held_lu_solves_a_nearby_matrix():
@@ -116,9 +182,11 @@ def test_distant_matrix_falls_back_to_a_fresh_factor():
     assert rep.factored and rep.residual <= RESIDUAL_TOL
     assert held.lu is not first
     # the new LU is the one of the scaled matrix: the next solve reuses it
+    second = held.lu
     x2, rep2 = solve(A * 10.0, b, held)
-    assert not rep2.factored and rep2.iterations == 0
-    assert np.array_equal(x, x2)
+    assert not rep2.factored and held.lu is second
+    assert rep2.residual <= RESIDUAL_TOL
+    assert np.allclose(x2, x, rtol=1e-8, atol=0.0)
 
 
 def test_held_lu_of_another_shape_is_not_used():
@@ -128,7 +196,9 @@ def test_held_lu_of_another_shape_is_not_used():
     held = record(A.shape[0])
     held.lu = small.lu         # an LU of another shape
     x, rep = solve(A, b, held)
-    assert rep.factored and rep.iterations == 0
+    _, fresh = solve(A, b, record(A.shape[0]))
+    # no pass was spent on the wrong LU: the passes are the fresh path's own
+    assert rep.factored and rep.iterations == fresh.iterations
     assert held.lu.shape == A.shape
 
 

@@ -335,7 +335,7 @@ def test_lu_reuse_matches_fresh_factors():
     system = [s for s, _ in diags]
     assert system[0].factored
     assert sum(not s.factored for s in system) >= 3
-    assert all(not s.refined for s in system)
+    assert all(s.refined == s.factored for s in system)     # only a fresh LU is refined
     for sys_rep, ext_rep in diags:
         assert sys_rep.residual <= 1e-9 and ext_rep.residual <= 1e-9
         assert sys_rep.factored or sys_rep.iterations >= 1
@@ -345,16 +345,36 @@ def test_lu_reuse_matches_fresh_factors():
 def test_bdf2_step_after_the_bdf1_start_factors_afresh():
     prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
     state = State.initial(prob)
-    reports = []
-    for _ in range(3):
-        state, diag = advance_step(prob, state, 1e-4, 2)
-        reports.append(diag.system)
+    state, _ = advance_step(prob, state, 1e-4, 2)
+    assert prob.patterns["system"].lu is not None          # the BDF1 LU is held
+    after_bdf1 = state
+    state, diag = advance_step(prob, state, 1e-4, 2)
+    step2 = diag.system
     # step 2 is the first BDF2 step: the BDF1 LU is not tried on its matrix,
-    # so any pass spent is the fresh path's own refinement
-    step2 = reports[1]
-    assert step2.factored and step2.iterations <= 1
-    assert step2.iterations == int(step2.refined)
-    assert not reports[2].factored       # BDF2 -> BDF2 reuses again
+    # so every pass spent is the fresh path's own, as with no LU held
+    prob.patterns["system"].lu = None
+    _, alone = advance_step(prob, after_bdf1, 1e-4, 2)
+    assert step2.factored and step2.refined and step2.iterations >= 1
+    assert step2.iterations == alone.system.iterations
+    _, diag = advance_step(prob, state, 1e-4, 2)
+    assert not diag.system.factored      # BDF2 -> BDF2 reuses again
+
+
+def test_stiff_slip_step_refactors_and_meets_the_tolerance():
+    # K = 5e-13 (criterion 9's first run): on channel:4 the lagged LU stops
+    # contracting at steps 5 and 7, which factor afresh after their failed
+    # reuse passes, and the float32 LU still reaches 1e-9 there
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=5e-13))
+    state = State.initial(prob)
+    reports = []
+    for _ in range(7):
+        state, diag = advance_step(prob, state, 1e-4, 1)
+        reports.append(diag.system)
+        assert diag.system.residual <= 1e-9 and diag.extension.residual <= 1e-9
+    refactored = [rep for rep in reports[1:] if rep.factored]
+    assert refactored
+    for rep in refactored:
+        assert rep.refined and rep.iterations >= 2 and rep.fill > 0
 
 
 def test_steady_solve_keeps_no_factors():

@@ -7,6 +7,7 @@ from fpsi.errors import FpsiError
 from fpsi.mesh import FLUID, SOLID
 from fpsi.reporting import (TimeSeries, convergence_table, observed_orders, vertex_values,
                             write_state)
+from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem
 from fpsi.spaces import interpolate
 from fpsi.stepping import State
 from tests.test_assembly_forms import make_problem
@@ -48,6 +49,48 @@ def test_write_state_header_and_counts(tmp_path):
     # 2D vectors gain a zero z component; the fluid triangle holds vertex 0
     vec_at = text.index("VECTORS v_f double")
     assert text[vec_at + 1].split() == ["1", "1", "0"]
+
+
+def per_value_snapshot(prob, fields, title):
+    """The snapshot text written the plain way: each number on its own
+    through "%.17g" or "%d", straight from the numpy arrays."""
+    mesh = prob.mesh
+    points = mesh.vertices + vertex_values(prob.spaces["u"], fields["u"])
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+             "POINTS %d double" % mesh.num_vertices]
+    lines += [" ".join("%.17g" % v for v in p) + " 0" for p in points]
+    lines.append("CELLS %d %d" % (mesh.num_cells, 4 * mesh.num_cells))
+    lines += ["3 " + " ".join("%d" % v for v in cell) for cell in mesh.cells]
+    lines.append("CELL_TYPES %d" % mesh.num_cells)
+    lines += ["5"] * mesh.num_cells
+    lines += ["CELL_DATA %d" % mesh.num_cells, "SCALARS subdomain int 1", "LOOKUP_TABLE default"]
+    lines += ["%d" % v for v in mesh.cell_tags]
+    lines.append("POINT_DATA %d" % mesh.num_vertices)
+    for name in ("u",) + prob.layout.names:
+        arr = vertex_values(prob.spaces[name], fields[name])
+        if arr.ndim == 1:
+            lines += ["SCALARS %s double 1" % name, "LOOKUP_TABLE default"]
+            lines += ["%.17g" % v for v in arr]
+        else:
+            lines.append("VECTORS %s double" % name)
+            lines += [" ".join("%.17g" % v for v in row) + " 0" for row in arr]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_state_matches_per_value_formatting(tmp_path):
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+    rng = np.random.default_rng(0)
+    fields = {}
+    for name, zero in State.initial(prob).fields.items():
+        # signs, magnitudes from 1e-300 to 1e300, exact zeros and -0.0
+        vals = rng.standard_normal(len(zero)) * 10.0 ** rng.integers(-300, 300, len(zero))
+        vals[::7] = 0.0
+        vals[3::11] = -0.0
+        fields[name] = vals
+    fields["u"] *= 1e-300                 # keep the deformed points finite
+    path = tmp_path / "state.vtk"
+    write_state(str(path), prob, fields, title="t = 0.25")
+    assert path.read_text() == per_value_snapshot(prob, fields, "t = 0.25")
 
 
 def test_write_state_uses_deformed_points(tmp_path):

@@ -22,11 +22,16 @@ protocol with each `src` on the PYTHONPATH, BLAS threads set to 1:
     so no default of the run can change unseen.
 
 Every file either side writes is compared byte for byte.  Prints each file
-that differs or that only one side wrote, and exits 1 if there is any.
+that differs or that only one side wrote, and exits 1 if there is any.  For
+a text file that differs only in its numbers, it also prints the largest
+relative difference |a - b| / max(|a|, |b|) between the numeric tokens the
+two sides wrote in the same place, so a roundoff-level change can be told
+from a real one.
 """
 
 import io
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -77,6 +82,7 @@ K = 1e-5
 p_ext = 1e8
 """
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+NUMBER = re.compile(rb"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def fpsi(src: Path, *args: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -106,6 +112,22 @@ def outputs(src: Path, out: Path) -> dict:
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
+def number_difference(before: bytes, after: bytes) -> str:
+    """How two versions of a file differ: the largest relative difference
+    between their numeric tokens, when everything else in them agrees."""
+    if b"\0" in before + after:
+        return "binary"
+    parts = [NUMBER.split(text) for text in (before, after)]
+    if len(parts[0]) != len(parts[1]) or parts[0][0::2] != parts[1][0::2]:
+        return "text differs beyond its numbers"
+    largest = 0.0
+    for a, b in zip(parts[0][1::2], parts[1][1::2]):
+        a, b = float(a), float(b)
+        if a != b:
+            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return "largest relative difference %.1e" % largest
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python tools/same_outputs.py <git-rev>", file=sys.stderr)
@@ -121,8 +143,11 @@ def main(argv) -> int:
     differ = sorted(name for name in before.keys() | after.keys()
                     if before.get(name) != after.get(name))
     for name in differ:
-        print("differs: %s%s" % (name, "" if name in before and name in after
-                                 else " (written by one side only)"))
+        if name not in before or name not in after:
+            how = "written by one side only"
+        else:
+            how = number_difference(before[name], after[name])
+        print("differs: %s (%s)" % (name, how))
     print("%d of %d files differ from %s" % (len(differ), len(before.keys() | after.keys()),
                                               argv[0]))
     return 1 if differ else 0
