@@ -27,6 +27,13 @@ the float32 factors reaches the same 1e-9 residual as a float64 LU would
 40, 2018).  L and U take half the memory of float64 factors, with the same
 fill, and each factor and triangular solve streams half the bytes.
 
+Each pass cuts the error by about cond(A) times float32's unit roundoff, so
+refinement stalls on a matrix too ill-conditioned for single precision.
+The solve sees the stall itself: when the float32 factor fails, or its
+refinement stops above the tolerance, A is factored again in float64 and
+that LU is refined by the same rule.  So every matrix a float64 LU solves
+is still solved, and nothing needs setting.
+
 Refinement is x = lu.solve(b), then passes x += lu.solve(b - A x).  It
 stops when a pass fails to halve the residual, when the residual is not
 finite, or after MAX_REUSE_PASSES passes, and also:
@@ -34,8 +41,11 @@ finite, or after MAX_REUSE_PASSES passes, and also:
   - with a held LU, as soon as the residual is at the tolerance;
   - with a fresh LU, one pass after the residual first reaches the
     tolerance, so every fresh LU runs at least one pass and ends with some
-    margin below the tolerance.  A fresh LU that ends above it raises
-    SolverError.
+    margin below the tolerance.  A fresh float64 LU that ends above it
+    raises SolverError.
+
+A pass that raises the residual is undone, so refinement returns the best
+iterate it made.
 
 Every solve takes the record of its matrix: the assembly pattern
 (`fem.SparsePattern`), or any object with an `order` and an `lu`, which is
@@ -76,20 +86,21 @@ class SolveReport:
 
 
 class OrderedLU:
-    """Single-precision LU of P A P^T, where row and column order[i] of A
-    become row and column i; `solve` takes and returns float64 vectors in
-    A's numbering."""
+    """LU of P A P^T in `dtype` (float32 or float64), where row and column
+    order[i] of A become row and column i; `solve` takes and returns float64
+    vectors in A's numbering."""
 
-    def __init__(self, A: sparse.spmatrix, order: np.ndarray):
+    def __init__(self, A: sparse.spmatrix, order: np.ndarray, dtype=np.float32):
         n = A.shape[0]
         self.shape = A.shape
         self.order = order
+        self.dtype = dtype
         rows = sparse.csr_matrix(A)[self.order]
-        if np.max(np.abs(rows.data), initial=0.0) > np.finfo(np.float32).max:
-            raise SolverError("matrix entries overflow single precision")
+        if np.max(np.abs(rows.data), initial=0.0) > np.finfo(dtype).max:
+            raise SolverError("matrix entries overflow %s" % np.dtype(dtype).name)
         position = np.empty(n, dtype=rows.indices.dtype)
         position[self.order] = np.arange(n)
-        PA = sparse.csr_matrix((rows.data.astype(np.float32), position[rows.indices],
+        PA = sparse.csr_matrix((rows.data.astype(dtype), position[rows.indices],
                                 rows.indptr), shape=A.shape)
         try:
             self.lu = splu(PA.tocsc(), permc_spec="NATURAL",
@@ -106,7 +117,7 @@ class OrderedLU:
         pb = b[self.order]
         scale = float(np.max(np.abs(pb), initial=0.0))
         if scale > 0.0:             # unit max-norm: no float32 underflow or overflow
-            x[self.order] = self.lu.solve((pb / scale).astype(np.float32))
+            x[self.order] = self.lu.solve((pb / scale).astype(self.dtype))
             x *= scale
         return x
 
@@ -115,7 +126,7 @@ def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, past_tol: int):
     """Refine x = lu.solve(b) by passes x += lu.solve(b - A x).  Stops
     when a pass fails to halve the residual, when it is not finite, after
     MAX_REUSE_PASSES passes, or `past_tol` passes after the residual first
-    reaches rtol.
+    reaches rtol.  A pass that raised the residual is undone.
     Returns (x, relative residual, passes)."""
     x = lu.solve(b)
     r = b - A @ x
@@ -126,13 +137,33 @@ def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, past_tol: int):
             if past_tol == 0:
                 break
             past_tol -= 1
-        x = x + lu.solve(r)
-        r = b - A @ x
-        last, res = res, float(np.linalg.norm(r)) / bnorm
+        x_next = x + lu.solve(r)
+        r_next = b - A @ x_next
+        res_next = float(np.linalg.norm(r_next)) / bnorm
         passes += 1
+        if not res_next <= res:
+            break
+        x, r, last, res = x_next, r_next, res, res_next
         if not res <= 0.5 * last:
             break
     return x, res, passes
+
+
+def _fresh_lu(A, b: np.ndarray, order: np.ndarray, bnorm: float, rtol: float):
+    """Factor A afresh and refine: in float32, or in float64 when the
+    float32 factor fails or its refinement stops above rtol.
+    Returns (lu, x, relative residual, passes)."""
+    try:
+        lu = OrderedLU(A, order, np.float32)
+        x, res, passes = _refine(A, b, lu, bnorm, rtol, 1)
+    except SolverError:
+        res, passes = np.inf, 0
+    if not res <= rtol:
+        lu = None                  # free the float32 factors first
+        lu = OrderedLU(A, order, np.float64)
+        x, res, more = _refine(A, b, lu, bnorm, rtol, 1)
+        passes += more
+    return lu, x, res, passes
 
 
 def solve(A: sparse.spmatrix, b: np.ndarray, record, rtol: float = RESIDUAL_TOL):
@@ -140,8 +171,9 @@ def solve(A: sparse.spmatrix, b: np.ndarray, record, rtol: float = RESIDUAL_TOL)
 
     `record` is the matrix's `fem.SparsePattern` (any object with `order`
     and `lu`).  A held `record.lu` of the same shape is tried first by
-    iterative refinement; otherwise A is factored afresh in `record.order`
-    and the new LU is left in `record.lu`.
+    iterative refinement; otherwise A is factored afresh in `record.order`,
+    in float32 or, when that refinement stalls, in float64, and the new LU
+    is left in `record.lu`.
     """
     if A.shape[0] != A.shape[1]:
         raise SolverError("matrix is not square: %s" % (A.shape,))
@@ -161,8 +193,7 @@ def solve(A: sparse.spmatrix, b: np.ndarray, record, rtol: float = RESIDUAL_TOL)
             return x, SolveReport(residual=res, refined=False, n=n, iterations=spent,
                                   factored=False, nnz=A.nnz, fill=0)
     record.lu = None               # free the old factors before making new ones
-    lu = OrderedLU(A, record.order)
-    x, res, passes = _refine(A, b, lu, bnorm, rtol, 1)
+    lu, x, res, passes = _fresh_lu(A, b, record.order, bnorm, rtol)
     if not np.isfinite(res) or res > rtol:
         raise SolverError(
             "linear solve did not reach the residual tolerance "

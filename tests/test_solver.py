@@ -9,10 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import hilbert
 from scipy.sparse.linalg import spsolve
 
 from fpsi.errors import SolverError
-from fpsi.solver import RESIDUAL_TOL, solve
+from fpsi.solver import MAX_REUSE_PASSES, RESIDUAL_TOL, OrderedLU, solve
 
 
 def record(n, order=None):
@@ -59,7 +60,6 @@ def test_singular_matrix_raises():
 
 def test_unreachable_tolerance_reports_residual():
     # ill conditioned, so the residual is nonzero even after refinement
-    from scipy.linalg import hilbert
     A = sparse.csr_matrix(hilbert(12))
     with pytest.raises(SolverError) as exc:
         solve(A, np.ones(12), record(12), rtol=1e-300)
@@ -105,12 +105,49 @@ def test_factors_are_single_precision():
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_entries_beyond_single_precision_are_refused():
+def test_entries_beyond_single_precision_are_factored_in_double():
     A = sparse.csr_matrix(np.array([[1e39, 1.0], [1.0, 3.0]]))
     held = record(2)
-    with pytest.raises(SolverError, match="overflow single precision"):
-        solve(A, np.ones(2), held)
-    assert held.lu is None
+    x, rep = solve(A, np.ones(2), held)
+    assert rep.factored and rep.residual <= RESIDUAL_TOL
+    assert held.lu.lu.L.dtype == np.float64
+    with pytest.raises(SolverError, match="overflow float32"):
+        OrderedLU(A, np.arange(2), np.float32)
+
+
+def test_refinement_that_stalls_in_single_precision_refactors_in_double():
+    # cond(hilbert(8)) = 1.5e10: float32's roundoff times that is above 1,
+    # so refinement with float32 factors stops short of the tolerance
+    A = sparse.csr_matrix(hilbert(8))
+    b = A @ np.ones(8)
+    single = OrderedLU(A, np.arange(8), np.float32)
+    assert min(refinement_residuals(A, b, single, MAX_REUSE_PASSES)) > RESIDUAL_TOL
+    held = record(8)
+    x, rep = solve(A, b, held)
+    assert rep.factored and rep.residual <= RESIDUAL_TOL
+    assert held.lu.lu.L.dtype == held.lu.lu.U.dtype == np.float64
+    assert np.allclose(x, 1.0, rtol=1e-5, atol=0.0)
+    # the float64 LU is held and reused like a float32 one
+    x2, rep2 = solve(A, b, held)
+    assert not rep2.factored and rep2.residual <= RESIDUAL_TOL
+
+
+def test_a_pass_that_raises_the_residual_is_undone(monkeypatch):
+    A, b = sample_system()
+    exact = spsolve(A.tocsc(), b)
+    calls = []
+
+    def exact_then_far_off(self, rhs):
+        calls.append(rhs)
+        return exact.copy() if len(calls) == 1 else 1e3 * rhs
+
+    monkeypatch.setattr(OrderedLU, "solve", exact_then_far_off)
+    held = record(A.shape[0])
+    x, rep = solve(A, b, held)
+    # the pass one past the tolerance ran, raised the residual and was undone
+    assert len(calls) == 2 and rep.iterations == 1
+    assert np.array_equal(x, exact) and rep.residual <= 1e-14
+    assert held.lu.dtype == np.float32
 
 
 @pytest.mark.parametrize("size", [1e-40, 1e37])
@@ -217,7 +254,6 @@ def test_reuse_path_rejects_non_finite_inputs():
 
 
 def test_unreachable_tolerance_with_a_held_lu_reports_residual():
-    from scipy.linalg import hilbert
     A = sparse.csr_matrix(hilbert(12))
     held = record(12)
     solve(sparse.csr_matrix(np.eye(12) + 1e-3 * hilbert(12)), np.ones(12), held)
