@@ -30,12 +30,12 @@ symmetrization (known values move to the right-hand side).
 Assembly is fixed-pattern (see fem.py): each term appends its element
 blocks (rows, cols, values) to one list.  The first assembly of a problem
 builds the system's record from that list (`fem.SparsePattern`): the CSR
-pattern with its Dirichlet dofs, which are found then and only then,
-eliminated, the scatter of every element entry into it and the LU
-elimination order.  Every later step computes element values and boundary
-values only.  Terms that the data can switch off (backflow at outflow, the
-kinetic correction at rest) always add their blocks, with zero values when
-inactive, so one pattern serves every step.
+pattern with its Dirichlet dofs, which `build_problem` resolves
+(`Problem.fixed`), eliminated, the scatter of every element entry into it
+and the LU elimination order.  Every later step computes element values and
+boundary values only.  Terms that the data can switch off (backflow at
+outflow, the kinetic correction at rest) always add their blocks, with zero
+values when inactive, so one pattern serves every step.
 
 The geometry of u~ (`Geometry`) comes with the step's inputs: the stepper
 builds it once per configuration with `check_deformation` and hands it on
@@ -59,7 +59,6 @@ from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace,
 from .kinematics import (MaterialParams, deformation_state, green_lagrange, pushforward_normal,
                          svk_stress)
 from .mesh import FLUID, MARKER_TO_NAME, SOLID, Mesh, extract_interface, facet_normals
-from .solver import RESIDUAL_TOL
 from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
@@ -208,11 +207,9 @@ class Problem:
     natural: Dict[int, QuadBatch]     # facet traces of the loaded and open markers
     open_markers: Tuple[int, ...]     # natural boundaries with backflow treatment
     loads: List[PressureLoad]
-    dirichlet: List[DirichletBC]
     forcing: Dict[str, Callable]
-    pin_pf: Optional[Tuple[int, Callable[[float], float]]]
+    fixed: List[Tuple[np.ndarray, Callable]]    # (system dofs, values(t)) per condition, pin last
     layout: BlockLayout
-    solver_rtol: float = RESIDUAL_TOL
     map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -295,6 +292,7 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     constant (the form tests switch the penalty off with 0).  pin_pf =
     (node, g) holds p_f node `node` at g(t); a fluid with no natural
     boundary needs it, since p_f is then defined only up to a constant.
+    The pin and the `dirichlet` conditions resolve here into `Problem.fixed`.
     open_markers lists natural fluid boundaries that get the directional
     (backflow-stabilized) treatment in transient runs.  forcing holds the
     source terms of the v_f, v_s and q equations and of the pore mass
@@ -307,7 +305,6 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     has_fluid = np.any(mesh.cell_tags == FLUID)
     has_solid = np.any(mesh.cell_tags == SOLID)
     loads = list(loads or [])
-    dirichlet = list(dirichlet or [])
     forcing = dict(forcing or {})
     unread = sorted(set(forcing) - {"v_f", "v_s", "q", "mass_s"})
     if unread:
@@ -365,10 +362,27 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         if marker not in natural:
             natural[marker] = natural_traces(marker, "open boundary")
 
+    # each condition's system dofs, found once; one without nodes adds nothing
+    fixed = []
+    for bc in dirichlet or ():
+        if bc.field not in layout.offsets:
+            raise AssemblyError("Dirichlet condition on absent field %r" % bc.field)
+        space = spaces[bc.field]
+        at = space.nodes_on_markers(bc.markers)
+        if len(at):         # the default arguments bind this condition's own values
+            fixed.append((space.dofs_of_nodes(at) + layout.offsets[bc.field],
+                          lambda t, f=bc.value, X=space.node_coords[at], n=space.ncomp:
+                          batch_eval(lambda Y: f(Y, t), X, n).ravel()))
+    if pin_pf is not None:
+        if not 0 <= pin_pf[0] < layout.sizes.get("p_f", 0):       # no fluid: no p_f nodes
+            raise AssemblyError("pinned pressure node %d is not a node of p_f" % pin_pf[0])
+        fixed.append((np.array([layout.offsets["p_f"] + int(pin_pf[0])]),
+                      lambda t: np.array([float(pin_pf[1](t))])))
+
     prob = Problem(mesh=mesh, params=params, spaces=spaces,
                    fluid=fluid, solid=solid, iface=iface, natural=natural,
-                   open_markers=tuple(open_markers), loads=loads, dirichlet=dirichlet,
-                   forcing=forcing, pin_pf=pin_pf, layout=layout)
+                   open_markers=tuple(open_markers), loads=loads,
+                   forcing=forcing, fixed=fixed, layout=layout)
     if has_solid:
         prob.map_vs_to_u = transfer_nodes(spaces["v_s"], spaces["u"])
     if has_fluid:
@@ -461,10 +475,12 @@ def assemble_system(problem: Problem, inp: StepInputs,
     key = (transient, inp.vf_tilde is not None)
     pattern = problem.patterns.get("system")
     if pattern is None or pattern.key != key:
+        # the Dirichlet dofs, sorted; where conditions overlap, the later wins
+        dofs = np.concatenate([np.empty(0, dtype=np.int64)] + [d for d, _ in problem.fixed])
         pattern = SparsePattern(lay.total, blocks, problem.entity_keys(lay.names),
-                                *_dirichlet_dofs(problem), key=key)
+                                *last_set(dofs), key=key)
         problem.patterns["system"] = pattern
-    A, b = apply_dirichlet(pattern, blocks, b, _dirichlet_values(problem, pattern.nodes, inp.t))
+    A, b = apply_dirichlet(pattern, blocks, b, _dirichlet_values(problem, inp.t))
     if dump_matrix:
         # through a handle: mmwrite appends ".mtx" to a name without it and
         # writes nothing, silently, into a directory that does not exist
@@ -704,34 +720,7 @@ def _forcing_at(fn, X, t, ncomp):
 # Dirichlet conditions
 # ---------------------------------------------------------------------------
 
-def _dirichlet_dofs(problem: Problem):
-    """The system's Dirichlet dofs (sorted), the position of each one's value
-    in the list of `_dirichlet_values` (later conditions win) and the nodes
-    of each condition; found at the system's first assembly."""
-    lay = problem.layout
-    nodes: List[np.ndarray] = []
-    dofs: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    for bc in problem.dirichlet:
-        if bc.field not in lay.offsets:
-            raise AssemblyError("Dirichlet condition on absent field %r" % bc.field)
-        space = problem.spaces[bc.field]
-        nodes.append(space.nodes_on_markers(bc.markers))
-        dofs.append(space.dofs_of_nodes(nodes[-1]) + lay.offsets[bc.field])
-    if problem.pin_pf is not None:
-        dofs.append(np.array([lay.offsets["p_f"] + int(problem.pin_pf[0])], dtype=np.int64))
-    return (*last_set(np.concatenate(dofs)), tuple(nodes))
-
-
-def _dirichlet_values(problem: Problem, nodes: Tuple[np.ndarray, ...], t: float) -> np.ndarray:
-    """The Dirichlet value list at time t: each condition's values at its
-    nodes, in condition order, then the pinned pressure."""
-    vals: List[np.ndarray] = [np.empty(0)]
-    for bc, at in zip(problem.dirichlet, nodes):
-        if len(at) == 0:
-            continue
-        space = problem.spaces[bc.field]
-        v = batch_eval(lambda X: bc.value(X, t), space.node_coords[at], space.ncomp)
-        vals.append(v.ravel())
-    if problem.pin_pf is not None:
-        vals.append(np.array([float(problem.pin_pf[1](t))]))
-    return np.concatenate(vals)
+def _dirichlet_values(problem: Problem, t: float) -> np.ndarray:
+    """The Dirichlet value list at time t: the values of each entry of
+    `Problem.fixed`, in order."""
+    return np.concatenate([np.empty(0)] + [values(t) for _, values in problem.fixed])

@@ -22,7 +22,7 @@ from . import __version__
 from .config import (RunConfig, load_config, material_params, parse_physical_map,
                      serialize_config)
 from .energy import evaluate_energy
-from .errors import ConfigError, FpsiError
+from .errors import ConfigError, FpsiError, MeshError
 from .mesh import GAMMA_F0, GAMMA_OUT, GAMMA_S0, MARKER_TO_NAME, SOLID, TAG_TO_NAME, load_mesh
 from .mms import biot_trig, stokes_polynomial, stokes_trig, unsteady_fluid
 from .reporting import TimeSeries, convergence_table, write_state
@@ -40,10 +40,11 @@ def _scenario_mesh(cfg: RunConfig):
         except ValueError:
             raise ConfigError("bad channel resolution in mesh source %r" % src)
         return channel_mesh(n)
-    if src.startswith("square:"):
-        raise ConfigError("mesh source %r is not accepted: use 'channel:<n>' or the "
-                          "path of a mesh file (native text or MSH 2.2)" % src)
-    mesh = load_mesh(src, parse_physical_map(cfg.physical_map))
+    try:
+        mesh = load_mesh(src, parse_physical_map(cfg.physical_map))
+    except MeshError as exc:
+        raise ConfigError("[mesh] source %r is not accepted (%s): use 'channel:<n>' or the "
+                          "path of a mesh file (native text or MSH 2.2)" % (src, exc))
     missing = [] if len(mesh.cells_with_tag(SOLID)) else ["SOLID cells"]
     missing += ["%s facets" % MARKER_TO_NAME[m] for m in (GAMMA_F0, GAMMA_OUT, GAMMA_S0)
                 if not len(mesh.facets_with_marker(m))]
@@ -58,7 +59,6 @@ def run_scenario(cfg: RunConfig, quiet: bool = False) -> None:
     params = material_params(cfg)
     problem = channel_problem(mesh, params, p_ext=cfg.p_ext, t_pulse=cfg.t_pulse,
                               penalty_scale=cfg.penalty_scale)
-    problem.solver_rtol = cfg.residual_tol
 
     probe = np.array([cfg.probe_x, cfg.probe_y])
     uspace = problem.spaces["u"]

@@ -140,9 +140,7 @@ class SparsePattern:
     discards the fixed rows.
 
     Each step lists its boundary values in one fixed order; the fixed dof
-    dofs[i] takes the value at position take[i] of that list.  `nodes` is
-    kept for the caller that builds the list: the constrained nodes of each
-    of its conditions.
+    dofs[i] takes the value at position take[i] of that list.
 
     `order` is the fill-reducing elimination order of the structure
     (`entity_order`) for `keys`, the mesh-entity key of each dof.  `key`
@@ -154,8 +152,7 @@ class SparsePattern:
     """
 
     def __init__(self, n: int, blocks: List[tuple], keys: np.ndarray,
-                 dofs: np.ndarray, take: np.ndarray, nodes: tuple = (),
-                 key: Hashable = None):
+                 dofs: np.ndarray, take: np.ndarray, key: Hashable = None):
         """The record of the matrix of the blocks (rows (nb, ni), cols
         (nb, nj), values) with the fixed dofs `dofs` eliminated, no global
         sort."""
@@ -166,7 +163,6 @@ class SparsePattern:
         self.n = n
         self.dofs = np.asarray(dofs, dtype=np.int64)
         self.take = take
-        self.nodes = nodes
         self.key = key
         self.lu = None
 

@@ -2,7 +2,7 @@
 
 The monolithic matrix is unsymmetric (advection, interface coupling) and can
 be badly scaled when the permeability is small, so every solve verifies the
-relative residual ||Ax - b|| / max(||b||, eps).
+relative residual ||Ax - b|| / max(||b||, eps) against RESIDUAL_TOL.
 
 The LU is of P A P^T for the elimination order of the matrix's record
 (`fem.SparsePattern.order`, built by `fem.entity_order`).  SuperLU factors
@@ -122,18 +122,18 @@ class OrderedLU:
         return x
 
 
-def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, past_tol: int):
+def _refine(A, b: np.ndarray, lu, bnorm: float, past_tol: int):
     """Refine x = lu.solve(b) by passes x += lu.solve(b - A x).  Stops
     when a pass fails to halve the residual, when it is not finite, after
     MAX_REUSE_PASSES passes, or `past_tol` passes after the residual first
-    reaches rtol.  A pass that raised the residual is undone.
+    reaches RESIDUAL_TOL.  A pass that raised the residual is undone.
     Returns (x, relative residual, passes)."""
     x = lu.solve(b)
     r = b - A @ x
     res = float(np.linalg.norm(r)) / bnorm
     passes = 0
     while passes < MAX_REUSE_PASSES and np.isfinite(res):
-        if res <= rtol:
+        if res <= RESIDUAL_TOL:
             if past_tol == 0:
                 break
             past_tol -= 1
@@ -149,24 +149,24 @@ def _refine(A, b: np.ndarray, lu, bnorm: float, rtol: float, past_tol: int):
     return x, res, passes
 
 
-def _fresh_lu(A, b: np.ndarray, order: np.ndarray, bnorm: float, rtol: float):
+def _fresh_lu(A, b: np.ndarray, order: np.ndarray, bnorm: float):
     """Factor A afresh and refine: in float32, or in float64 when the
-    float32 factor fails or its refinement stops above rtol.
+    float32 factor fails or its refinement stops above RESIDUAL_TOL.
     Returns (lu, x, relative residual, passes)."""
     try:
         lu = OrderedLU(A, order, np.float32)
-        x, res, passes = _refine(A, b, lu, bnorm, rtol, 1)
+        x, res, passes = _refine(A, b, lu, bnorm, 1)
     except SolverError:
         res, passes = np.inf, 0
-    if not res <= rtol:
+    if not res <= RESIDUAL_TOL:
         lu = None                  # free the float32 factors first
         lu = OrderedLU(A, order, np.float64)
-        x, res, more = _refine(A, b, lu, bnorm, rtol, 1)
+        x, res, more = _refine(A, b, lu, bnorm, 1)
         passes += more
     return lu, x, res, passes
 
 
-def solve(A: sparse.spmatrix, b: np.ndarray, record, rtol: float = RESIDUAL_TOL):
+def solve(A: sparse.spmatrix, b: np.ndarray, record):
     """Solve Ax = b by sparse LU; returns (x, SolveReport).
 
     `record` is the matrix's `fem.SparsePattern` (any object with `order`
@@ -188,16 +188,16 @@ def solve(A: sparse.spmatrix, b: np.ndarray, record, rtol: float = RESIDUAL_TOL)
 
     spent = 0
     if record.lu is not None and record.lu.shape == A.shape:
-        x, res, spent = _refine(A, b, record.lu, bnorm, rtol, 0)
-        if res <= rtol:
+        x, res, spent = _refine(A, b, record.lu, bnorm, 0)
+        if res <= RESIDUAL_TOL:
             return x, SolveReport(residual=res, refined=False, n=n, iterations=spent,
                                   factored=False, nnz=A.nnz, fill=0)
     record.lu = None               # free the old factors before making new ones
-    lu, x, res, passes = _fresh_lu(A, b, record.order, bnorm, rtol)
-    if not np.isfinite(res) or res > rtol:
+    lu, x, res, passes = _fresh_lu(A, b, record.order, bnorm)
+    if not np.isfinite(res) or res > RESIDUAL_TOL:
         raise SolverError(
             "linear solve did not reach the residual tolerance "
-            "(%.3e > %.3e)" % (res, rtol),
+            "(%.3e > %.3e)" % (res, RESIDUAL_TOL),
             residual=res,
         )
     record.lu = lu

@@ -210,20 +210,18 @@ def solve_extension(problem: Problem, geo, v_s: np.ndarray):
                                 *_extension_dofs(problem))
         problem.patterns["extension"] = pattern
     A, b = apply_dirichlet(pattern, blocks, np.zeros(n), np.append(v_s, 0.0))
-    return solve(A, b, pattern, rtol=problem.solver_rtol)
+    return solve(A, b, pattern)
 
 
-def domain_velocity(problem: Problem, v_s: Optional[np.ndarray],
-                    w_f: Optional[np.ndarray]) -> np.ndarray:
+def domain_velocity(problem: Problem, v_s: np.ndarray, w_f: Optional[np.ndarray]) -> np.ndarray:
     """Assemble the global domain velocity from solid velocity and extension."""
     d = problem.dim
     w = np.zeros(problem.spaces["u"].num_dofs).reshape(-1, d)
     if w_f is not None:
         src, dst = problem.map_vf_to_u
         w[dst] = w_f.reshape(-1, d)[src]
-    if v_s is not None:
-        src, dst = problem.map_vs_to_u
-        w[dst] = v_s.reshape(-1, d)[src]
+    src, dst = problem.map_vs_to_u
+    w[dst] = v_s.reshape(-1, d)[src]
     return w.ravel()
 
 
@@ -245,7 +243,7 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
         if state.k >= 1 and scheme_for_step(order, state.k) != sch:
             # the mass terms change with the scheme: the held LU is of another matrix
             pattern.lu = None
-        x, rep = solve(system.A, system.b, pattern, rtol=problem.solver_rtol)
+        x, rep = solve(system.A, system.b, pattern)
         fields = system.layout.split(x)
         system = None              # the step matrix is not held next to the new geometry
 
@@ -259,7 +257,7 @@ def advance_step(problem: Problem, state: State, dt: float, order: int,
             w_f = None
             if problem.fluid is not None:
                 w_f, ext = solve_extension(problem, inp.geo, fields["v_s"])
-            w_new = domain_velocity(problem, fields.get("v_s"), w_f)
+            w_new = domain_velocity(problem, fields["v_s"], w_f)
             u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
             geo, jmin = check_deformation(problem, u_new)
 
@@ -288,7 +286,7 @@ def solve_steady(problem: Problem):
     The matrix is solved once, so its LU is not kept."""
     system = assemble_system(problem, StepInputs.steady(problem))
     pattern = problem.patterns["system"]
-    x, rep = solve(system.A, system.b, pattern, rtol=problem.solver_rtol)
+    x, rep = solve(system.A, system.b, pattern)
     pattern.lu = None
     return system.layout.split(x), rep
 

@@ -9,6 +9,8 @@ comparison isolates the pattern, the scatter and the elimination, step
 after step on one problem.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,10 +18,10 @@ from scipy import sparse
 import fpsi.assembly as assembly
 import fpsi.fem as fem
 import fpsi.stepping as stepping
-from fpsi.assembly import DirichletBC
+from fpsi.assembly import DirichletBC, StepInputs, assemble_system, build_problem
 from fpsi.errors import AssemblyError
 from fpsi.fem import field_at_qp
-from fpsi.mesh import GAMMA_F0, GAMMA_FS, GAMMA_OUT
+from fpsi.mesh import GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0
 from fpsi.mms import biot_trig, stokes_trig
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
 from fpsi.spaces import FunctionSpace, interpolate
@@ -125,9 +127,9 @@ class Recorder:
             self.extension.append((max(a_dev, b_dev), same))
             return out
 
-        def solve(A, b, record, **kwargs):
+        def solve(A, b, record):
             self.handed.append((A, b))
-            return real_solve(A, b, record, **kwargs)
+            return real_solve(A, b, record)
 
         mp.setattr(stepping, "assemble_system", assemble)
         mp.setattr(assembly, "apply_dirichlet", compare)
@@ -140,16 +142,20 @@ def channel(p_ext=1.333e3, t_pulse=2.5 * DT):
                            p_ext=p_ext, t_pulse=t_pulse)
 
 
-def system_dofs(problem):
-    """Dirichlet dofs of the monolithic system, from the problem's conditions."""
+# the (field, markers) of the Dirichlet conditions each problem is built with
+WALL_BCS = (("v_s", (GAMMA_S0,)), ("p_d", (GAMMA_S0,)))      # channel and solid MMS
+INLET_BCS = (("v_f", (GAMMA_F0,)),)                          # fluid MMS, p_f node 0 pinned
+
+
+def system_dofs(problem, conditions, pinned_pf=()):
+    """Dirichlet dofs of the monolithic system, found here from the
+    conditions' (field, markers) and the pinned p_f nodes, apart from the
+    problem's own resolved list."""
     lay = problem.layout
-    dofs = []
-    for bc in problem.dirichlet:
-        space = problem.spaces[bc.field]
-        dofs.append(space.dofs_of_nodes(space.nodes_on_markers(bc.markers))
-                    + lay.offsets[bc.field])
-    if problem.pin_pf is not None:
-        dofs.append([lay.offsets["p_f"] + problem.pin_pf[0]])
+    dofs = [lay.offsets["p_f"] + np.array(pinned_pf, dtype=np.int64)] if pinned_pf else []
+    for field, markers in conditions:
+        space = problem.spaces[field]
+        dofs.append(space.dofs_of_nodes(space.nodes_on_markers(markers)) + lay.offsets[field])
     return np.unique(np.concatenate(dofs)).astype(np.int64)
 
 
@@ -182,7 +188,7 @@ def test_channel_steps_match_reference(monkeypatch, order, p_ext):
         {False, True} if p_ext != 0.0 else {True})
     for dev, same in rec.extension:
         assert dev <= A_RTOL and same
-    dofs = system_dofs(prob)
+    dofs = system_dofs(prob, WALL_BCS)
     for k, (A, _) in enumerate(rec.handed):
         assert np.all(A.data != 0.0)
         if k % 2 == 0:                # system solve; odd entries are the extension
@@ -213,7 +219,9 @@ def test_steady_mms_matches_reference(monkeypatch, case):
     assert a_dev <= A_RTOL and b_dev <= B_RTOL and same
     (A, _), = rec.handed
     assert np.all(A.data != 0.0)
-    assert_unit_rows(A, system_dofs(prob))
+    fluid = case().subdomain == "fluid"
+    assert_unit_rows(A, system_dofs(prob, INLET_BCS, (0,)) if fluid
+                     else system_dofs(prob, WALL_BCS))
 
 
 def test_each_pattern_is_built_once(monkeypatch):
@@ -262,32 +270,36 @@ def test_dirichlet_dofs_are_found_once(monkeypatch):
 
     monkeypatch.setattr(FunctionSpace, "nodes_on_markers", counting)
     prob = channel()
-    assert prob.patterns == {}                 # nothing is found with the problem
+    # the system's conditions are found with the problem, once each
+    assert calls == [markers for _, markers in WALL_BCS] and prob.patterns == {}
+    calls.clear()
     state = State.initial(prob)
-    per_step = []
     for _ in range(4):
         state, _ = advance_step(prob, state, DT, 2)
-        per_step.append(len(calls))
-    assert per_step[0] == len(prob.dirichlet) + 1      # the system's BCs, the extension's
-    assert per_step == per_step[:1] * 4
+    # the steps find only the extension's outer boundary, at its first assembly
+    assert calls == [(GAMMA_F0, GAMMA_OUT)]
     assert set(prob.patterns) == {"system", "extension"}
-    assert np.array_equal(prob.patterns["system"].dofs, system_dofs(prob))
+    assert np.array_equal(prob.patterns["system"].dofs, system_dofs(prob, WALL_BCS))
     assert len(prob.patterns["extension"].dofs) > 0
 
 
 def test_later_dirichlet_conditions_win():
-    prob = channel()
-    wall = next(bc for bc in prob.dirichlet if bc.field == "v_s")
-    # the same facets twice: the second condition's values must be kept
-    prob.dirichlet = [DirichletBC(wall.field, wall.markers, lambda X, t: np.ones_like(X)),
-                      DirichletBC(wall.field, wall.markers, lambda X, t: X + t)]
-    space = prob.spaces[wall.field]
-    nodes = space.nodes_on_markers(wall.markers)
-    dofs, take, per_condition = assembly._dirichlet_dofs(prob)
+    # the v_s wall twice: the second condition's values must be kept; the p_d
+    # condition between them keeps its own values
+    prob = build_problem(channel_mesh(4), benchmark_params(K=1e-5), dirichlet=[
+        DirichletBC("v_s", (GAMMA_S0,), lambda X, t: np.ones_like(X)),
+        DirichletBC("p_d", (GAMMA_S0,), lambda X, t: X[:, 0] * t),
+        DirichletBC("v_s", (GAMMA_S0,), lambda X, t: X + t)])
+    assert len(prob.fixed) == 3
+    lay = prob.layout
+    vs, pd = prob.spaces["v_s"], prob.spaces["p_d"]
+    at_vs, at_pd = vs.nodes_on_markers((GAMMA_S0,)), pd.nodes_on_markers((GAMMA_S0,))
     for t in (0.5, 1.5):
-        vals = assembly._dirichlet_values(prob, per_condition, t)[take]
-        where = np.searchsorted(dofs, space.dofs_of_nodes(nodes) + prob.layout.offsets["v_s"])
-        assert np.array_equal(vals[where], (space.node_coords[nodes] + t).ravel())
+        b = assemble_system(prob, dataclasses.replace(StepInputs.steady(prob), t=t)).b
+        assert np.array_equal(b[vs.dofs_of_nodes(at_vs) + lay.offsets["v_s"]],
+                              (vs.node_coords[at_vs] + t).ravel())
+        assert np.array_equal(b[pd.dofs_of_nodes(at_pd) + lay.offsets["p_d"]],
+                              pd.node_coords[at_pd][:, 0] * t)
 
 
 def test_last_set_keeps_the_last_occurrence():

@@ -441,9 +441,14 @@ def test_layout_and_dirichlet_rows():
 
 def test_assembly_error_paths():
     fluid_mesh = one_triangle_mesh(FLUID)
-    with pytest.raises(AssemblyError, match="absent field"):
-        prob = make_problem(fluid_mesh, dirichlet=[zero_bc("v_s", (GAMMA_S0,))])
-        assemble_system(prob, StepInputs.steady(prob))
+    # refused when the problem is built, not at its first assembly
+    with pytest.raises(AssemblyError, match="Dirichlet condition on absent field 'v_s'"):
+        make_problem(fluid_mesh, dirichlet=[zero_bc("v_s", (GAMMA_S0,))])
+    with pytest.raises(AssemblyError, match="pinned pressure node 0 is not a node of p_f"):
+        make_problem(one_triangle_mesh(SOLID), pin_pf=(0, lambda t: 0.0))
+    # one past the last of the 3 p_f nodes would pin the first dof of the next field
+    with pytest.raises(AssemblyError, match="pinned pressure node 3 is not a node of p_f"):
+        make_problem(fluid_mesh, pin_pf=(3, lambda t: 0.0))
     with pytest.raises(AssemblyError, match="without fluid cells"):
         make_problem(one_triangle_mesh(SOLID),
                      loads=[PressureLoad(GAMMA_S0, lambda t: 1.0)])

@@ -6,7 +6,6 @@ import inspect
 import numpy as np
 import pytest
 
-from fpsi.assembly import Problem
 from fpsi.cli import main, run_scenario
 from fpsi.config import (RunConfig, load_config, material_params, parse_config,
                          parse_permeability, parse_physical_map, serialize_config)
@@ -26,12 +25,14 @@ from tests.test_mesh import TET_NATIVE, write_native
 # ---------------------------------------------------------------------------
 
 # keys that name no option (one quadrature rule, one penalty rule, the sign
-# of a pulse is the sign of p_ext): each is an unknown key
+# of a pulse is the sign of p_ext, one residual tolerance for every solve):
+# each is an unknown key
 REMOVED_KEYS = {
     "quad_degree": "[numerics]\nquad_degree = 6\n",
     "penalty_rule": "[numerics]\npenalty_rule = h^-2\n",
     "penalty_value": "[numerics]\npenalty_value = 1.0\n",
     "sign_pext": "[forcing]\nsign_pext = -1\n",
+    "residual_tol": "[numerics]\nresidual_tol = 1e-2\n",
 }
 
 
@@ -73,9 +74,11 @@ penalty_scale = 10
     ("[run]\norder = 3\n", "order must be"),
     ("[run]\ndt = -1e-4\n", "dt must be positive"),
     ("[run]\ndt = 1.0\n", "t_end"),
+    ("[run]\nt_end = 2.5e-4\n", "t_end = 0.00025 is not a whole number of steps of dt"),
+    ("[run]\nt_end = 3.5e-4\n", "t_end = 0.00035 is not a whole number of steps of dt"),
     ("[run]\noutput_every = -1\n", "output_every"),
     ("[numerics]\npenalty_scale = 0\n", "penalty weights"),
-    ("[numerics]\nresidual_tol = 0\n", "residual_tol"),
+    ("[numerics]\nresidual_tol = 0\n", "residual_tol"),         # now an unknown key
 ] + [(text, "unknown key '%s'" % key) for key, text in REMOVED_KEYS.items()] + [
     ("[material]\nnu = 0.5\n", "bad material"),
     ("[material]\nK = 1 2\n", "bad material"),
@@ -129,8 +132,9 @@ def test_channel_defaults_are_the_config_defaults():
     defaults = inspect.signature(channel_problem).parameters
     for name in ("p_ext", "t_pulse", "penalty_scale"):
         assert defaults[name].default == getattr(cfg, name), name
-    rtol = {f.name: f.default for f in dataclasses.fields(Problem)}["solver_rtol"]
-    assert rtol == cfg.residual_tol == RESIDUAL_TOL
+    # the solver's tolerance, readable on the config but not a field of it
+    assert cfg.residual_tol == RunConfig.residual_tol == RESIDUAL_TOL
+    assert "residual_tol" not in {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_parse_physical_map():
@@ -340,6 +344,24 @@ def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'square:4' is not accepted" in err and "'channel:<n>'" in err
     assert "mesh file" in err
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("absent.mesh", "mesh file not found: "),
+    ("channel.msh", "MSH input requires a physical tag mapping"),
+])
+def test_cli_mesh_file_the_reader_rejects_exits_1_before_writing(tmp_path, capsys, name,
+                                                                 reason):
+    src, out = tmp_path / name, tmp_path / "out"
+    if name.endswith(".msh"):
+        src.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")   # and no physical_map
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\n[mesh]\nsource = %s\n" % (out, src))
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [mesh] source %r is not accepted (%s" % (str(src), reason))
+    assert "'channel:<n>'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario", ["mms_stokes", "mms_biot", "mms_time", "decay"])

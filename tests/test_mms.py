@@ -172,10 +172,10 @@ def test_unsteady_forcing_matches_finite_differences():
 def test_mms_problem_pins_pressure_to_exact_value():
     case = stokes_polynomial()
     prob = mms_problem(case, 2)
-    node, g = prob.pin_pf
-    assert node == 0
+    dofs, values = prob.fixed[-1]             # the pin comes after the conditions
+    assert dofs.tolist() == [prob.layout.offsets["p_f"]]       # p_f node 0
     coord = prob.spaces["p_f"].node_coords[0:1]
-    assert g(0.0) == pytest.approx(float(case.exact["p_f"](coord)[0]))
+    assert values(0.0).tolist() == pytest.approx([float(case.exact["p_f"](coord)[0])])
 
 
 def test_stokes_polynomial_is_reproduced_exactly():

@@ -12,6 +12,7 @@ from scipy import sparse
 from scipy.linalg import hilbert
 from scipy.sparse.linalg import spsolve
 
+import fpsi.solver as solver
 from fpsi.errors import SolverError
 from fpsi.solver import MAX_REUSE_PASSES, RESIDUAL_TOL, OrderedLU, solve
 
@@ -58,11 +59,12 @@ def test_singular_matrix_raises():
     assert held.lu is None
 
 
-def test_unreachable_tolerance_reports_residual():
+def test_unreachable_tolerance_reports_residual(monkeypatch):
     # ill conditioned, so the residual is nonzero even after refinement
     A = sparse.csr_matrix(hilbert(12))
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(SolverError) as exc:
-        solve(A, np.ones(12), record(12), rtol=1e-300)
+        solve(A, np.ones(12), record(12))
     assert exc.value.residual is not None and exc.value.residual > 0.0
 
 
@@ -171,11 +173,12 @@ def refinement_residuals(A, b, lu, passes):
     return out
 
 
-def test_fresh_lu_ends_below_the_tolerance_one_pass_past_it():
+def test_fresh_lu_ends_below_the_tolerance_one_pass_past_it(monkeypatch):
     A, b = sample_system()
     for rtol in (RESIDUAL_TOL, 1e-4):
+        monkeypatch.setattr(solver, "RESIDUAL_TOL", rtol)
         held = record(A.shape[0])
-        x, rep = solve(A, b, held, rtol=rtol)
+        x, rep = solve(A, b, held)
         assert rep.factored and rep.iterations >= 1
         res = refinement_residuals(A, b, held.lu, rep.iterations)
         assert rep.residual == pytest.approx(res[-1], rel=1e-12) and res[-1] <= rtol
@@ -183,12 +186,13 @@ def test_fresh_lu_ends_below_the_tolerance_one_pass_past_it():
         assert res[-2] <= rtol and all(r > rtol for r in res[:-2])
 
 
-def test_held_lu_stops_at_the_tolerance():
+def test_held_lu_stops_at_the_tolerance(monkeypatch):
     A, b = sample_system()
     held = record(A.shape[0])
     solve(A, b, held)
     B = perturbed(A, 1e-3)
-    x, rep = solve(B, b, held, rtol=1e-7)
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-7)
+    x, rep = solve(B, b, held)
     assert not rep.factored and rep.iterations >= 1 and not rep.refined
     res = refinement_residuals(B, b, held.lu, rep.iterations)
     assert rep.residual == pytest.approx(res[-1], rel=1e-12)
@@ -253,12 +257,13 @@ def test_reuse_path_rejects_non_finite_inputs():
         solve(bad_A, b, held)
 
 
-def test_unreachable_tolerance_with_a_held_lu_reports_residual():
+def test_unreachable_tolerance_with_a_held_lu_reports_residual(monkeypatch):
     A = sparse.csr_matrix(hilbert(12))
     held = record(12)
     solve(sparse.csr_matrix(np.eye(12) + 1e-3 * hilbert(12)), np.ones(12), held)
+    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(SolverError) as exc:
-        solve(A, np.ones(12), held, rtol=1e-300)
+        solve(A, np.ones(12), held)
     assert exc.value.residual is not None and exc.value.residual > 0.0
     assert held.lu is None           # the old LU was dropped, no failed one kept
 
