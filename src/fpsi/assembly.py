@@ -34,8 +34,9 @@ pattern with its Dirichlet dofs, which `build_problem` resolves
 (`Problem.fixed`), eliminated, the scatter of every element entry into it
 and the LU elimination order.  Every later step computes element values and
 boundary values only.  Terms that the data can switch off (backflow at
-outflow, the kinetic correction at rest) always add their blocks, with zero
-values when inactive, so one pattern serves every step.
+outflow, the kinetic correction at rest, slip at gamma = 0, a zero load or
+history) are always added, with zero values when inactive, so one pattern
+and one path serve every step.
 
 The geometry of u~ (`Geometry`) comes with the step's inputs: the stepper
 builds it once per configuration with `check_deformation` and hands it on
@@ -49,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.io import mmwrite
 
 from .elements import eval_basis, simplex_quadrature
 from .errors import AssemblyError
@@ -452,8 +452,7 @@ def check_deformation(problem: Problem, u: np.ndarray) -> Tuple[Geometry, float]
 # Assembly of the monolithic system
 # ---------------------------------------------------------------------------
 
-def assemble_system(problem: Problem, inp: StepInputs,
-                    dump_matrix: Optional[str] = None) -> BlockSystem:
+def assemble_system(problem: Problem, inp: StepInputs) -> BlockSystem:
     """Assemble A, b for one step (or a steady solve when inp.dt is None)
     in the geometry inp.geo."""
     lay = problem.layout
@@ -481,11 +480,6 @@ def assemble_system(problem: Problem, inp: StepInputs,
                                 *last_set(dofs), key=key)
         problem.patterns["system"] = pattern
     A, b = apply_dirichlet(pattern, blocks, b, _dirichlet_values(problem, inp.t))
-    if dump_matrix:
-        # through a handle: mmwrite appends ".mtx" to a name without it and
-        # writes nothing, silently, into a directory that does not exist
-        with open(dump_matrix, "wb") as fh:
-            mmwrite(fh, A.tocoo())
     return BlockSystem(A, b, lay)
 
 
@@ -509,7 +503,7 @@ def _fluid_terms(problem, inp, geo, blocks, b, transient):
     if transient:
         S += weighted_gram(wJ * (prm.rho_f * inp.a0 / inp.dt), sub.val2, sub.val2)
         hist = inp.hist.get("v_f")
-        if hist is not None and np.any(hist):
+        if hist is not None:
             hq = field_at_qp(sub.val2, sub.nodes2, hist, d)
             scatter_add(b, vd, -weighted_moment(wJ * (prm.rho_f / inp.dt), sub.val2, hq))
 
@@ -575,15 +569,14 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
         nv = lay.sizes["v_s"]
         hv = inp.hist.get("v_s", np.zeros(nv))
         hq = inp.hist.get("q", np.zeros(nv))
-        if np.any(hv) or np.any(hq):
-            comb_s = prm.rho_p * hv + prm.rho_f * hq
-            comb_d = prm.rho_f * hv + (prm.rho_f / prm.phi) * hq
-            hs = field_at_qp(sub.val2, sub.nodes2, comb_s, d)
-            hd = field_at_qp(sub.val2, sub.nodes2, comb_d, d)
-            scatter_add(b, vsd, -weighted_moment(wJ / inp.dt, sub.val2, hs))
-            scatter_add(b, qd, -weighted_moment(wJ / inp.dt, sub.val2, hd))
+        comb_s = prm.rho_p * hv + prm.rho_f * hq
+        comb_d = prm.rho_f * hv + (prm.rho_f / prm.phi) * hq
+        hs = field_at_qp(sub.val2, sub.nodes2, comb_s, d)
+        hd = field_at_qp(sub.val2, sub.nodes2, comb_d, d)
+        scatter_add(b, vsd, -weighted_moment(wJ / inp.dt, sub.val2, hs))
+        scatter_add(b, qd, -weighted_moment(wJ / inp.dt, sub.val2, hd))
         hp = inp.hist.get("p_d")
-        if hp is not None and np.any(hp):
+        if hp is not None:
             hpq = scalar_at_qp(sub.val1, sub.nodes1, hp)
             scatter_add(b, pdd, -weighted_moment(wJ * (prm.s0 / inp.dt), sub.val1, hpq))
     else:
@@ -592,8 +585,7 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
 
     # History part of the elastic stress moves to the right-hand side.
     FS = lagged_stress(problem, geo, inp.u_impl_hist)
-    if np.any(FS):
-        scatter_add(b, vsd, -np.einsum("cq,cqia->cia", sub.w, g @ np.swapaxes(FS, -1, -2)))
+    scatter_add(b, vsd, -np.einsum("cq,cqia->cia", sub.w, g @ np.swapaxes(FS, -1, -2)))
 
     # pressure blocks (tested against psi_s and psi_d) and the constraint rows
     B = weighted_moment(wJ, sub.val1, geo.solid["G"]).reshape(nc, -1, n2d)
@@ -661,15 +653,14 @@ def _interface_terms(problem, inp, geo, blocks):
         blocks.append((np.hstack([sd, fd]), fd, kin))
 
     # slip term gamma K^-1/2 P(w_f - w_s) . P(psi_f - psi_s)
-    if prm.gamma > 0.0:
-        P = geo.iface["P"]
-        wM = (wJs * prm.gamma)[..., None, None] * (P @ prm.K_inv_sqrt @ P)
-        V = np.concatenate([ftr.val2, -str_.val2], axis=2)          # (nf, nq, 2 nloc)
-        nv = V.shape[2]
-        X = (V[..., None, None] * wM[:, :, None]).reshape(nf, nq, -1)
-        K = (np.swapaxes(X, 1, 2) @ V).reshape(nf, nv, d, d, nv)     # [I,a,b,J]
-        sdofs = np.hstack([fd, sd])
-        blocks.append((sdofs, sdofs, K.transpose(0, 1, 2, 4, 3).reshape(nf, nv * d, nv * d)))
+    P = geo.iface["P"]
+    wM = (wJs * prm.gamma)[..., None, None] * (P @ prm.K_inv_sqrt @ P)
+    V = np.concatenate([ftr.val2, -str_.val2], axis=2)          # (nf, nq, 2 nloc)
+    nv = V.shape[2]
+    X = (V[..., None, None] * wM[:, :, None]).reshape(nf, nq, -1)
+    K = (np.swapaxes(X, 1, 2) @ V).reshape(nf, nv, d, d, nv)     # [I,a,b,J]
+    sdofs = np.hstack([fd, sd])
+    blocks.append((sdofs, sdofs, K.transpose(0, 1, 2, 4, 3).reshape(nf, nv * d, nv * d)))
 
 
 def _backflow_terms(problem, inp, geo, blocks):
@@ -702,10 +693,7 @@ def _load_terms(problem, inp, geo, b):
     for load in problem.loads:
         tr = problem.natural[load.marker]
         g = geo.loads[load.marker]
-        p = load.value(inp.t)
-        if p == 0.0:
-            continue
-        coef = p * tr.w * g["J"]
+        coef = load.value(inp.t) * tr.w * g["J"]
         scatter_add(b, tr.vdofs + lay.offsets["v_f"], weighted_moment(coef, tr.val2, g["vn"]))
 
 

@@ -19,17 +19,19 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .assembly import assemble_system
 from .config import (RunConfig, load_config, material_params, parse_physical_map,
                      serialize_config)
 from .energy import evaluate_energy
 from .errors import ConfigError, FpsiError, MeshError
 from .mesh import GAMMA_F0, GAMMA_OUT, GAMMA_S0, MARKER_TO_NAME, SOLID, TAG_TO_NAME, load_mesh
 from .mms import biot_trig, stokes_polynomial, stokes_trig, unsteady_fluid
-from .reporting import TimeSeries, convergence_table, write_state
+from .reporting import (TimeSeries, convergence_table, save_checkpoint, write_matrix,
+                        write_state)
 from .scenarios import (channel_mesh, channel_problem, mms_spatial_study,
                         mms_temporal_study, solve_mms_steady)
 from .spaces import eval_at_point, locate_cell
-from .stepping import State, advance_step, save_checkpoint
+from .stepping import State, advance_step, scheme_for_step, step_inputs
 
 
 def _scenario_mesh(cfg: RunConfig):
@@ -75,6 +77,8 @@ def run_scenario(cfg: RunConfig, quiet: bool = False) -> None:
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError("%s = %s: directory %s does not exist"
                               % (key, getattr(cfg, key), os.path.dirname(path)))
+        if path and os.path.isdir(path):
+            raise ConfigError("%s = %s: %s is a directory" % (key, getattr(cfg, key), path))
     series = TimeSeries()
     state = State.initial(problem)
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -85,9 +89,12 @@ def run_scenario(cfg: RunConfig, quiet: bool = False) -> None:
 
     if cfg.output_every > 0:
         snapshot(0)
+    if dump_matrix:
+        # the matrix of step 1, which reuses the record this assembly builds
+        inp = step_inputs(problem, state, scheme_for_step(cfg.order, 1), cfg.dt)
+        write_matrix(dump_matrix, assemble_system(problem, inp).A)
     for k in range(1, n_steps + 1):
-        dump = dump_matrix if k == 1 else None
-        state, diag = advance_step(problem, state, cfg.dt, cfg.order, dump_matrix=dump)
+        state, diag = advance_step(problem, state, cfg.dt, cfg.order)
         rep = evaluate_energy(problem, state.fields, diag.geo)
         diag = None            # release the step's geometry before the next step
         up = eval_at_point(uspace, state.fields["u"], probe, cell_index=probe_cell)
@@ -169,8 +176,7 @@ def level_count(text: str) -> int:
 
 
 def cmd_check_mesh(args) -> None:
-    pm = parse_physical_map(args.physical_map) if args.physical_map else None
-    mesh = load_mesh(args.path, pm)
+    mesh = load_mesh(args.path, parse_physical_map(args.physical_map))
     tags = {TAG_TO_NAME[int(t)]: int((mesh.cell_tags == t).sum())
             for t in np.unique(mesh.cell_tags)}
     marks = {MARKER_TO_NAME[int(m)]: int((mesh.facet_markers == m).sum())

@@ -26,7 +26,6 @@ above through a caller-supplied table.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
@@ -534,10 +533,13 @@ def load_mesh(path: str, physical_map: Optional[Dict[int, str]] = None) -> Mesh:
     Format is chosen by extension (.msh) or by a $MeshFormat sniff; MSH needs
     physical_map to translate integer physical groups to tag/marker names.
     """
-    if not os.path.exists(path):
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
         raise MeshError("mesh file not found: %s" % path)
-    with open(path) as fh:
-        text = fh.read()
+    except OSError as exc:
+        raise MeshError("cannot read mesh file %s: %s" % (path, exc.strerror))
     is_msh = path.endswith(".msh") or text.lstrip().startswith("$MeshFormat")
     if is_msh:
         if physical_map is None:

@@ -1,4 +1,5 @@
-"""Run output: legacy VTK snapshots, probe time series, convergence tables.
+"""Run output: legacy VTK snapshots, probe time series, convergence tables,
+Matrix Market dumps and npz checkpoints.
 
 A snapshot is legacy VTK (ASCII, version 3.0).  Points are written at
 deformed positions x + u.  Every field is exported as vertex data (the P1
@@ -9,13 +10,17 @@ vectors get a zero z component.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import json
+import zipfile
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+from scipy.io import mmwrite
 
 from .energy import EnergyReport
 from .errors import FpsiError
 from .spaces import FunctionSpace
+from .stepping import State
 
 TIMESERIES_COLUMNS = (
     "t", "ux_probe", "ur_probe",
@@ -136,3 +141,50 @@ def write_state(path: str, problem, fields: Dict[str, np.ndarray],
 
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_matrix(path: str, A) -> None:
+    """The sparse matrix A in Matrix Market coordinate format."""
+    # through a handle: mmwrite appends ".mtx" to a name without it and
+    # writes nothing, silently, into a directory that does not exist
+    with open(path, "wb") as fh:
+        mmwrite(fh, A.tocoo())
+
+
+def save_checkpoint(path: str, state: State, meta: Optional[dict] = None) -> None:
+    arrays = {"cur_" + n: v for n, v in state.fields.items()}
+    arrays.update({"prev_" + n: v for n, v in state.prev.items()})
+    arrays["step_index"] = np.int64(state.k)
+    arrays["time"] = np.float64(state.t)
+    arrays["meta"] = np.bytes_(json.dumps(meta or {}).encode())
+    # through a handle: np.savez would append ".npz" to a path without it
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_checkpoint(path: str, problem):
+    """Restore a State; field sizes must match the problem."""
+    if not zipfile.is_zipfile(path):
+        raise FpsiError("checkpoint %s is not an npz archive" % path)
+    with np.load(path, allow_pickle=False) as npz:
+        data = dict(npz)
+    for key in ("step_index", "time"):
+        if key not in data:
+            raise FpsiError("checkpoint is missing %r" % key)
+    want = problem.zero_fields()
+    fields = {}
+    prev = {}
+    for name, ref in want.items():
+        for prefix, target in (("cur_", fields), ("prev_", prev)):
+            key = prefix + name
+            if key not in data:
+                raise FpsiError("checkpoint is missing field %r" % key)
+            vec = np.asarray(data[key], dtype=float)
+            if vec.shape != ref.shape:
+                raise FpsiError("checkpoint field %r has size %d, expected %d"
+                                % (key, vec.size, ref.size))
+            target[name] = vec
+    meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else {}
+    state = State(k=int(data["step_index"]), t=float(data["time"]),
+                  fields=fields, prev=prev)
+    return state, meta

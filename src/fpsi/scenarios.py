@@ -148,9 +148,7 @@ def channel_problem(mesh: Mesh, params: MaterialParams, *,
     the channel, and a run from rest stays at rest."""
     bcs = [DirichletBC("v_s", (GAMMA_S0,), _zero_vec),
            DirichletBC("p_d", (GAMMA_S0,), _zero_scalar)]
-    loads = []
-    if p_ext != 0.0:
-        loads.append(PressureLoad(GAMMA_F0, pulse_schedule(p_ext, t_pulse)))
+    loads = [PressureLoad(GAMMA_F0, pulse_schedule(p_ext, t_pulse))]
     return build_problem(mesh, params, penalty_scale=penalty_scale,
                          dirichlet=bcs, loads=loads,
                          open_markers=(GAMMA_F0, GAMMA_OUT))

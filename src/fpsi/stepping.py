@@ -29,8 +29,6 @@ terms.
 
 from __future__ import annotations
 
-import json
-import zipfile
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -69,17 +67,13 @@ def scheme_for_step(order: int, k: int) -> Scheme:
 
 def extrapolate(sch: Scheme, f1, f2):
     """Predicted value at level k from the two previous levels."""
-    if sch.e2 == 0.0:
-        return sch.e1 * np.asarray(f1, dtype=float)
     return sch.e1 * np.asarray(f1, dtype=float) + sch.e2 * np.asarray(f2, dtype=float)
 
 
-def kinematic_update(sch: Scheme, dt: float, v, u1, u2=None):
+def kinematic_update(sch: Scheme, dt: float, v, u1, u2):
     """Displacement satisfying the BDF identity [du/dt]^k = v."""
     out = dt * np.asarray(v, dtype=float) - sch.a1 * np.asarray(u1, dtype=float)
-    if sch.a2 != 0.0:
-        out = out - sch.a2 * np.asarray(u2, dtype=float)
-    return out / sch.a0
+    return (out - sch.a2 * np.asarray(u2, dtype=float)) / sch.a0
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +115,13 @@ class StepDiagnostics:
     jmin: float                       # smallest cell J of the new configuration
 
 
-def _step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepInputs:
+def step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepInputs:
     """The assembler's inputs for the step from `state`, in its geometry,
     which is built here if the state has none yet."""
     if state.geo is None:
         state.geo = check_deformation(problem, state.fields["u"])[0]
     f1, f2 = state.fields, state.prev
-    hist = {}
-    for name in problem.layout.names:
-        h = sch.a1 * f1[name]
-        if sch.a2 != 0.0:
-            h = h + sch.a2 * f2[name]
-        hist[name] = h
+    hist = {name: sch.a1 * f1[name] + sch.a2 * f2[name] for name in problem.layout.names}
     nu = problem.spaces["u"].num_dofs
     if problem.solid is None:
         u_impl_hist = np.zeros(nu)
@@ -229,16 +218,15 @@ def domain_velocity(problem: Problem, v_s: np.ndarray, w_f: Optional[np.ndarray]
 # Stepping
 # ---------------------------------------------------------------------------
 
-def advance_step(problem: Problem, state: State, dt: float, order: int,
-                 dump_matrix: Optional[str] = None):
+def advance_step(problem: Problem, state: State, dt: float, order: int):
     """One semi-implicit step; returns (new_state, diagnostics).  An
     FpsiError raised in it keeps its type and attributes (cell, residual),
     and its message gains the prefix "step k failed: "."""
     k = state.k + 1
     try:
         sch = scheme_for_step(order, k)
-        inp = _step_inputs(problem, state, sch, dt)
-        system = assemble_system(problem, inp, dump_matrix=dump_matrix)
+        inp = step_inputs(problem, state, sch, dt)
+        system = assemble_system(problem, inp)
         pattern = problem.patterns["system"]
         if state.k >= 1 and scheme_for_step(order, state.k) != sch:
             # the mass terms change with the scheme: the held LU is of another matrix
@@ -289,46 +277,3 @@ def solve_steady(problem: Problem):
     x, rep = solve(system.A, system.b, pattern)
     pattern.lu = None
     return system.layout.split(x), rep
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(path: str, state: State, meta: Optional[dict] = None) -> None:
-    arrays = {"cur_" + n: v for n, v in state.fields.items()}
-    arrays.update({"prev_" + n: v for n, v in state.prev.items()})
-    arrays["step_index"] = np.int64(state.k)
-    arrays["time"] = np.float64(state.t)
-    arrays["meta"] = np.bytes_(json.dumps(meta or {}).encode())
-    # through a handle: np.savez would append ".npz" to a path without it
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_checkpoint(path: str, problem: Problem):
-    """Restore a State; field sizes must match the problem."""
-    if not zipfile.is_zipfile(path):
-        raise FpsiError("checkpoint %s is not an npz archive" % path)
-    with np.load(path, allow_pickle=False) as npz:
-        data = dict(npz)
-    for key in ("step_index", "time"):
-        if key not in data:
-            raise FpsiError("checkpoint is missing %r" % key)
-    want = problem.zero_fields()
-    fields = {}
-    prev = {}
-    for name, ref in want.items():
-        for prefix, target in (("cur_", fields), ("prev_", prev)):
-            key = prefix + name
-            if key not in data:
-                raise FpsiError("checkpoint is missing field %r" % key)
-            vec = np.asarray(data[key], dtype=float)
-            if vec.shape != ref.shape:
-                raise FpsiError("checkpoint field %r has size %d, expected %d"
-                                % (key, vec.size, ref.size))
-            target[name] = vec
-    meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else {}
-    state = State(k=int(data["step_index"]), t=float(data["time"]),
-                  fields=fields, prev=prev)
-    return state, meta

@@ -114,8 +114,8 @@ class Recorder:
                             same_structure(out, expect)))
             return out, rhs
 
-        def assemble(problem, inp, dump_matrix=None):
-            system = real_assemble(problem, inp, dump_matrix)
+        def assemble(problem, inp):
+            system = real_assemble(problem, inp)
             (a_dev, b_dev, same), = checked
             checked.clear()
             self.system.append((inp.a0, a_dev, b_dev, same, backflow_active(problem, inp)))

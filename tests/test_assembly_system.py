@@ -12,9 +12,10 @@ from fpsi.elements import eval_basis, simplex_quadrature
 from fpsi.errors import AssemblyError, DegenerateDeformationError
 from fpsi.kinematics import MaterialParams
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, extract_interface
+from fpsi.reporting import write_matrix
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, unit_square_mesh
 from fpsi.spaces import cell_geometry, interpolate
-from fpsi.stepping import BDF1, State, _step_inputs
+from fpsi.stepping import BDF1, State, step_inputs
 from tests.test_assembly_forms import PARAMS, make_problem, one_triangle_mesh
 from tests.test_mesh import two_triangle_mesh
 
@@ -86,7 +87,7 @@ def test_negative_p_ext_loads_with_the_opposite_sign():
     for p_ext in (1.333e3, -1.333e3):
         prob = channel_problem(mesh, benchmark_params(K=1e-5), p_ext=p_ext)
         # the first step from rest lies inside the pulse: b is the load alone
-        inp = _step_inputs(prob, State.initial(prob), BDF1, dt)
+        inp = step_inputs(prob, State.initial(prob), BDF1, dt)
         systems.append(assemble_system(prob, inp))
     plus, minus = systems
     assert np.any(plus.b != 0.0)
@@ -441,6 +442,10 @@ def test_layout_and_dirichlet_rows():
 
 def test_assembly_error_paths():
     fluid_mesh = one_triangle_mesh(FLUID)
+    flat = one_triangle_mesh(FLUID)
+    flat.vertices = np.column_stack([flat.vertices, np.zeros(3)])
+    with pytest.raises(AssemblyError, match="assembly is implemented for 2D meshes only"):
+        make_problem(flat)
     # refused when the problem is built, not at its first assembly
     with pytest.raises(AssemblyError, match="Dirichlet condition on absent field 'v_s'"):
         make_problem(fluid_mesh, dirichlet=[zero_bc("v_s", (GAMMA_S0,))])
@@ -520,7 +525,7 @@ def test_assembly_is_deterministic():
 def test_matrix_dump(tmp_path):
     prob = make_problem(one_triangle_mesh(FLUID))
     path = tmp_path / "A.mtx"
-    assemble_system(prob, StepInputs.steady(prob), dump_matrix=str(path))
+    write_matrix(str(path), assemble_system(prob, StepInputs.steady(prob)).A)
     text = path.read_text()
     assert "MatrixMarket" in text.splitlines()[0]
 
@@ -528,6 +533,6 @@ def test_matrix_dump(tmp_path):
 def test_matrix_dump_at_an_extensionless_path(tmp_path):
     # written through a handle: the file has exactly the given name
     prob = make_problem(one_triangle_mesh(FLUID))
-    assemble_system(prob, StepInputs.steady(prob), dump_matrix=str(tmp_path / "A"))
+    write_matrix(str(tmp_path / "A"), assemble_system(prob, StepInputs.steady(prob)).A)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["A"]
     assert "MatrixMarket" in (tmp_path / "A").read_text().splitlines()[0]

@@ -12,11 +12,10 @@ from fpsi.config import (RunConfig, load_config, material_params, parse_config,
 from fpsi.errors import ConfigError, DegenerateDeformationError
 from fpsi.kinematics import MaterialParams, lame_from_E_nu
 from fpsi.mesh import GAMMA_F0, GAMMA_OUT
-from fpsi.reporting import TimeSeries
+from fpsi.reporting import TimeSeries, load_checkpoint
 from fpsi.scenarios import (PROBE_POINT, benchmark_params, channel_mesh, channel_problem,
                             unit_square_mesh)
 from fpsi.solver import RESIDUAL_TOL
-from fpsi.stepping import load_checkpoint
 from tests.test_mesh import TET_NATIVE, write_native
 
 
@@ -190,6 +189,10 @@ def test_cli_check_mesh(tmp_path, capsys):
     assert main(["check-mesh", str(broken)]) == 2
     assert "error" in capsys.readouterr().err
 
+    assert main(["check-mesh", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: cannot read mesh file %s: Is a directory\n" % tmp_path
+
 
 def test_cli_check_mesh_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "short.mesh"
@@ -273,23 +276,34 @@ def test_cli_probe_outside_the_mesh_exits_1(tmp_path, capsys):
     assert not out.exists()             # rejected before anything is written
 
 
-@pytest.mark.parametrize("key", ["checkpoint", "dump_matrix"])
-def test_cli_output_into_a_missing_directory_exits_1(tmp_path, capsys, monkeypatch, key):
+@pytest.mark.parametrize("key,is_dir", [("checkpoint", False), ("dump_matrix", False),
+                                        ("checkpoint", True), ("dump_matrix", True)],
+                         ids=["checkpoint", "dump_matrix",
+                              "checkpoint-is-a-directory", "dump_matrix-is-a-directory"])
+def test_cli_output_into_a_missing_directory_exits_1(tmp_path, capsys, monkeypatch, key,
+                                                     is_dir):
     import fpsi.cli as cli
 
     def no_step(*args, **kwargs):
         raise AssertionError("stepped before the output paths were checked")
 
     monkeypatch.setattr(cli, "advance_step", no_step)
+    monkeypatch.setattr(cli, "assemble_system", no_step)
     out = tmp_path / "out"
-    target = "sub/final" if key == "checkpoint" else str(tmp_path / "nodir" / "A.mtx")
+    if is_dir:                          # an absolute target lies where it names
+        target = str(tmp_path)
+    else:
+        target = "sub/final" if key == "checkpoint" else str(tmp_path / "nodir" / "A.mtx")
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nt_end = 2e-4\noutput_dir = %s\n%s = %s\n"
                    "[mesh]\nsource = channel:2\n" % (out, key, target))
     assert main(["run", str(cfg), "--quiet"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: %s = %s: directory " % (key, target))
-    assert "does not exist" in err
+    if is_dir:
+        assert err == "config error: %s = %s: %s is a directory\n" % (key, target, target)
+    else:
+        assert err.startswith("config error: %s = %s: directory " % (key, target))
+        assert "does not exist" in err
     assert sorted(p.name for p in out.iterdir()) == []
 
 
@@ -349,12 +363,15 @@ def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
 @pytest.mark.parametrize("name,reason", [
     ("absent.mesh", "mesh file not found: "),
     ("channel.msh", "MSH input requires a physical tag mapping"),
+    ("folder.mesh", "cannot read mesh file "),
 ])
 def test_cli_mesh_file_the_reader_rejects_exits_1_before_writing(tmp_path, capsys, name,
                                                                  reason):
     src, out = tmp_path / name, tmp_path / "out"
     if name.endswith(".msh"):
         src.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")   # and no physical_map
+    if name == "folder.mesh":
+        src.mkdir()
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\n[mesh]\nsource = %s\n" % (out, src))
     assert main(["run", str(cfg), "--quiet"]) == 1

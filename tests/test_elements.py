@@ -139,3 +139,5 @@ def test_reference_element_validation():
         eval_basis(1, 1, np.array([[0.5]]))
     with pytest.raises(ValueError):
         eval_basis(2, 3, np.array([[0.2, 0.2]]))
+    with pytest.raises(ValueError, match="points have dimension 3, element has 2"):
+        eval_basis(2, 1, np.array([[0.2, 0.2, 0.2]]))

@@ -95,7 +95,7 @@ def test_order_is_built_once_per_pattern_at_its_first_assembly(monkeypatch):
     assert builds == []                        # nothing is ordered with the problem
     state = State.initial(prob)
     # the system's order comes with its record, before anything is solved
-    stepping.assemble_system(prob, stepping._step_inputs(prob, state, stepping.BDF1, DT))
+    stepping.assemble_system(prob, stepping.step_inputs(prob, state, stepping.BDF1, DT))
     assert builds == [prob.layout.total] and prob.patterns["system"].lu is None
     seen = []
     for _ in range(6):

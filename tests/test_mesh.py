@@ -105,6 +105,19 @@ def test_validation_rejects_contradictory_markers():
     mesh.facet_markers = np.append(mesh.facet_markers, GAMMA_OUT)
     with pytest.raises(MeshError, match="contradictory"):
         validate_mesh(mesh)
+    mesh = two_triangle_mesh()
+    mesh.facets[0] = [1, 3]             # the other diagonal: no cell has it
+    with pytest.raises(MeshError, match=r"marked facet \(1, 3\) is not a facet of any cell"):
+        validate_mesh(mesh)
+
+
+def test_validation_rejects_a_facet_of_three_cells():
+    mesh = two_triangle_mesh()
+    mesh.vertices = np.vstack([mesh.vertices, [[0.5, 2.0]]])
+    mesh.cells = np.vstack([mesh.cells, [[0, 2, 4]]])   # a third cell on edge (0, 2)
+    mesh.cell_tags = np.append(mesh.cell_tags, FLUID)
+    with pytest.raises(MeshError, match=r"facet \(0, 2\) shared by 3 cells"):
+        validate_mesh(mesh)
 
 
 def test_validation_rejects_missing_boundary_marker():
@@ -129,6 +142,9 @@ def test_validation_rejects_interface_marker_inside_one_subdomain():
     mesh = two_triangle_mesh((FLUID, FLUID))
     mesh.facets = np.vstack([mesh.facets, [[0, 2]]])
     mesh.facet_markers = np.append(mesh.facet_markers, GAMMA_FS)
+    # extract_interface refuses it on a mesh that was never validated
+    with pytest.raises(MeshError, match=r"facet \[0, 2\] touches cells \[0, 1\]"):
+        extract_interface(mesh)
     with pytest.raises(MeshError, match="not between subdomains"):
         validate_mesh(mesh)
 
@@ -392,6 +408,13 @@ def test_msh_requires_map_and_version(tmp_path):
     ("5 1 2 202 1 3 4", "5 1 2 202 1 3 x", "$Elements row 4: cannot read"),
     ("5 1 2 202 1 3 4", "5 1", "$Elements row 4 must start with 'id type ntags'"),
     ("2.2 0 8", "2.2", "only ASCII MSH 2.2 is supported, got 2.2"),
+    ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n", "", "missing $MeshFormat section"),
+    ("$Elements\n", "Elements\n", "missing $Nodes or $Elements section"),
+    ("7 1 2 203 1 1 3", "7 1 2 203 1 1 3 4", "element 7 has wrong node count"),
+    ("$Elements\n7\n1 2 2 101 1 1 2 3\n2 2 2 102 1 1 3 4\n", "$Elements\n5\n",
+     "no cells found in MSH file"),
+    ("1 2 2 101 1 1 2 3", "1 2 2 201 1 1 2 3", "cell physical tag did not map to FLUID or SOLID"),
+    ("3 1 2 201 1 1 2", "3 1 2 101 1 1 2", "facet physical tag mapped to a cell tag name"),
 ])
 def test_msh_malformed_rows(old, new, msg):
     assert MSH_TEXT.count(old) == 1

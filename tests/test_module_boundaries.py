@@ -1,8 +1,9 @@
 """Module boundaries: no fpsi module imports another module's _private
 helpers, no module imports a name it never reads, no function takes a
 parameter it never reads, no handler catches every exception, no
-function is defined that only tests reach, and no class keeps a field
-that nothing reads.
+function is defined that only tests reach, no class keeps a field that
+nothing reads, and only the front end, the config and mesh readers and
+the output module touch files.
 
 A helper that two modules need is public in one of them (or moves to
 `fem.py`); the checks parse every source file with `ast`, so they need no
@@ -273,7 +274,7 @@ ENTRY_POINTS = {
     # read by the benchmark (perfbench/workload.py)
     "reporting.TimeSeries.column",
     # kept for the `[run] restart` key that ROADMAP item 7 plans
-    "stepping.load_checkpoint",
+    "reporting.load_checkpoint",
 }
 
 
@@ -350,3 +351,65 @@ def test_no_class_field_is_unread():
     assert [line for line in found if line.split(": ", 1)[1] not in UNREAD_FIELDS] == []
     names = {line.split(": ", 1)[1] for line in found}
     assert sorted(UNREAD_FIELDS - names) == []          # stale allowlist entries
+
+
+FILE_MODULES = ("os", "json", "zipfile", "scipy.io")
+
+
+def file_access(source: str, filename: str = "<src>"):
+    """Imports of a file-handling module (os, json, zipfile, scipy.io) and
+    calls of `open`, `np.save*` and `np.load` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = ["%s.%s" % (node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if ((isinstance(f, ast.Name) and f.id == "open")
+                    or (isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "np"
+                        and (f.attr.startswith("save") or f.attr == "load"))):
+                found.append("%s:%d: %s()" % (filename, node.lineno, ast.unparse(f)))
+            continue
+        else:
+            continue
+        found += ["%s:%d: import %s" % (filename, node.lineno, name) for name in names
+                  if any(name == m or name.startswith(m + ".") for m in FILE_MODULES)]
+    return found
+
+
+def test_scanner_flags_file_access():
+    src = ("import os.path\n"
+           "import json, numpy as np\n"
+           "from scipy.io import mmwrite\n"
+           "from scipy import io, sparse\n"
+           "from zipfile import is_zipfile\n"
+           "from .reporting import write_matrix\n"
+           "def f(path, a):\n"
+           "    with open(path) as fh:\n"
+           "        np.savez(fh, a=a)\n"
+           "    return np.load(path), np.loadtxt, sparse.save_npz, np.asarray(a)\n")
+    assert [line.split(": ", 1)[1] for line in file_access(src)] == [
+        "import os.path",
+        "import json",
+        "import scipy.io.mmwrite",
+        "import scipy.io",
+        "import zipfile.is_zipfile",
+        "open()",
+        "np.savez()",
+        "np.load()",
+    ]
+
+
+# modules that read or write files: the command-line front end, the config
+# and mesh readers, and the run output; the numerics do no file I/O
+FILE_IO_MODULES = {"cli", "config", "mesh", "reporting"}
+
+
+def test_only_the_io_modules_touch_files():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    found = [line for path in modules if path.stem not in FILE_IO_MODULES
+             for line in file_access(path.read_text(), path.name)]
+    assert found == []

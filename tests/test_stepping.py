@@ -9,11 +9,11 @@ from fpsi.assembly import DirichletBC, StepInputs, build_geometry
 from fpsi.errors import DegenerateDeformationError, FpsiError, SolverError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
 from fpsi.mms import unsteady_fluid
+from fpsi.reporting import load_checkpoint, save_checkpoint
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
 from fpsi.spaces import interpolate
 from fpsi.stepping import (BDF1, BDF2, State, advance_step, check_deformation,
-                           domain_velocity, extrapolate, kinematic_update,
-                           load_checkpoint, run_transient, save_checkpoint,
+                           domain_velocity, extrapolate, kinematic_update, run_transient,
                            scheme_for_step, solve_extension, solve_steady)
 from tests.test_assembly_forms import PARAMS, make_problem
 from tests.test_assembly_system import zero_bc
@@ -60,12 +60,13 @@ def test_bdf_rate_exactness():
     # quadratics, so the update lands on u(t) given the exact rate
     dt, t = 0.1, 2.0
     lin = lambda s: 3.0 - 2.0 * s
-    assert kinematic_update(BDF1, dt, -2.0, lin(t - dt)) == pytest.approx(lin(t))
+    assert kinematic_update(BDF1, dt, -2.0, lin(t - dt), lin(t - 2 * dt)) \
+        == pytest.approx(lin(t))
     quad = lambda s: s * s
     assert kinematic_update(BDF2, dt, 2.0 * t, quad(t - dt), quad(t - 2 * dt)) \
         == pytest.approx(quad(t))
     assert np.allclose(kinematic_update(BDF1, 0.5, np.array([2.0, -4.0]),
-                                        np.array([0.0, 4.0])), [1.0, 2.0])
+                                        np.array([0.0, 4.0]), np.array([9.0, 9.0])), [1.0, 2.0])
 
 
 def test_extrapolate():

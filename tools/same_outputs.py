@@ -16,6 +16,11 @@ protocol with each `src` on the PYTHONPATH, BLAS threads set to 1:
   - a BDF1 `fpsi run` on channel:4 (K = 1e-5) under an inlet pulse of 1e8,
     whose first step inverts a cell: its exit code and stderr, the step
     failure's report, are written to `fail.status` and compared too;
+  - `fpsi check-mesh` on channel:4 written as a native-format mesh file,
+    whose stdout is saved as `check-mesh.txt`, and a 3-step BDF2 `fpsi run`
+    with that file as its mesh source and VTK output every step, so the
+    file readers are compared too; the file is written once, by the test
+    suite's `write_native`, and both sides read it;
   - `fpsi mms stokes`, `fpsi mms biot` and `fpsi mms time` at their default
     levels;
   - `fpsi config-template`, whose stdout is saved as `config-template.ini`,
@@ -66,6 +71,18 @@ source = channel:16
 [material]
 K = 5e-13
 """,
+    "mesh_file": """[run]
+scenario = pressure_wave_2d
+order = 2
+dt = 1e-4
+t_end = 3e-4
+output_dir = {out}
+output_every = 1
+[mesh]
+source = {mesh}
+[material]
+K = 1e-5
+""",
 }
 FAILING_CONFIG = """[run]
 scenario = pressure_wave_2d
@@ -94,14 +111,24 @@ def fpsi(src: Path, *args: str, check: bool = True) -> subprocess.CompletedProce
                           stderr=None if check else subprocess.PIPE, text=True)
 
 
-def outputs(src: Path, out: Path) -> dict:
-    """Run the protocol with the package in `src`; every file written under
-    `out`, by path relative to it, with its bytes."""
+def write_mesh_file(path: Path) -> None:
+    """channel:4 as a native-format mesh file, written with the working
+    tree's package by the writer of the mesh tests."""
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    from fpsi.scenarios import channel_mesh
+    from tests.test_mesh import write_native
+    write_native(channel_mesh(4), str(path))
+
+
+def outputs(src: Path, out: Path, mesh: Path) -> dict:
+    """Run the protocol with the package in `src` and the mesh file `mesh`;
+    every file written under `out`, by path relative to it, with its bytes."""
     out.mkdir()
     for name, text in RUN_CONFIGS.items():
         config = out.parent / ("%s_%s.ini" % (out.name, name))
-        config.write_text(text.format(out=out / name))
+        config.write_text(text.format(out=out / name, mesh=mesh))
         fpsi(src, "run", str(config), "--quiet")
+    (out / "check-mesh.txt").write_text(fpsi(src, "check-mesh", str(mesh)).stdout)
     config = out.parent / ("%s_fail.ini" % out.name)
     config.write_text(FAILING_CONFIG.format(out=out / "fail"))
     failed = fpsi(src, "run", str(config), "--quiet", check=False)
@@ -138,8 +165,10 @@ def main(argv) -> int:
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp / "rev", filter="data")
-        before = outputs(tmp / "rev" / "src", tmp / "before")
-        after = outputs(ROOT / "src", tmp / "after")
+        mesh = tmp / "channel4.txt"
+        write_mesh_file(mesh)
+        before = outputs(tmp / "rev" / "src", tmp / "before", mesh)
+        after = outputs(ROOT / "src", tmp / "after", mesh)
     differ = sorted(name for name in before.keys() | after.keys()
                     if before.get(name) != after.get(name))
     for name in differ:
