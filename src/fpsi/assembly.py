@@ -53,11 +53,12 @@ from scipy import sparse
 
 from .elements import eval_basis, simplex_quadrature
 from .errors import AssemblyError
-from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace,
-                  field_at_qp, gradient_gram, grads_at_qp, kron_eye, last_set, scalar_at_qp,
-                  scatter_add, weighted_gram, weighted_moment)
-from .kinematics import (MaterialParams, deformation_state, green_lagrange, pushforward_normal,
-                         svk_stress)
+from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace, field_at_qp,
+                  gradient_gram, gradient_moment, grads_at_qp, kron_eye, last_set,
+                  push_gradients, scalar_at_qp, scatter_add, transposed, weighted_gram,
+                  weighted_moment)
+from .kinematics import (MaterialParams, deformation_state, green_lagrange, matmul2, matvec2,
+                         pushforward_normal, svk_stress)
 from .mesh import FLUID, MARKER_TO_NAME, SOLID, Mesh, extract_interface, facet_normals
 from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
 
@@ -113,14 +114,18 @@ class QuadBatch:
     share their quadrature points in reference coordinates, so a cell batch
     keeps one (nq, n) value table for all cells; facets meet their cells at
     different reference points, so a facet batch keeps one table per facet
-    (nb, nq, n) and its unit reference normal `nref`.
+    (nb, nq, n) and its unit reference normal `nref`.  The P2 gradients are
+    per entry in either case, in product layout (nb, n2, d, nq): the
+    gradient of a field is one (d x n2)(n2 x d nq) product per entry
+    (`fem.grads_at_qp`), and the nq values of one basis function and
+    component lie next to each other.
     """
 
     cells: np.ndarray          # (nb,) global ids of the (owning) cells
     w: np.ndarray              # (nb, nq) weights incl. |det B| or facet length
     X: np.ndarray              # (nb, nq, d) reference-domain coordinates
     val2: np.ndarray           # (nq, n2) cells, (nb, nq, n2) facets: P2 values
-    grad2: np.ndarray          # (nb, nq, n2, d) P2 gradients in domain coords
+    dphi2: np.ndarray          # (nb, n2, d, nq) P2 gradients in domain coords
     val1: np.ndarray           # (nq, n1) cells, (nb, nq, n1) facets: P1 values
     nodes2: np.ndarray         # (nb, n2) scalar nodes of the subdomain P2 space
     nodes1: np.ndarray         # (nb, n1) scalar nodes of the subdomain P1 space
@@ -266,13 +271,15 @@ def _quad_batch(sub_spaces, cells, facets=None) -> QuadBatch:
     v2, g2hat = eval_basis(d, 2, xi.reshape(-1, d))
     v1, _ = eval_basis(d, 1, xi.reshape(-1, d))
     n2 = v2.shape[1]
-    # grad(phi) = grad_hat(phi) B^-1, one (nq n2, d) x (d, d) product per cell
-    grad2 = (g2hat.reshape(shape[:-1] + (-1, d)) @ Binv).reshape(len(cells), shape[-1], n2, d)
+    # grad(phi) = grad_hat(phi) B^-1 in product layout: B^-T times the
+    # reference table (n2, d, nq), or (nb, n2, d, nq) on facets, per basis function
+    ghat = np.moveaxis(g2hat.reshape(shape + (n2, d)), -3, -1)
+    dphi2 = np.swapaxes(Binv, 1, 2)[:, None] @ ghat
 
     loc = np.searchsorted(space2.cells, cells)      # both spaces share the subdomain cells
     nodes2 = space2.cell_nodes[loc]
     vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(len(cells), -1)
-    return QuadBatch(cells, w, X, v2.reshape(shape + (n2,)), grad2,
+    return QuadBatch(cells, w, X, v2.reshape(shape + (n2,)), dphi2,
                      v1.reshape(shape + (d + 1,)), nodes2, space1.cell_nodes[loc],
                      space_u.cell_nodes[cells], vdofs, nref)
 
@@ -401,34 +408,39 @@ def batch_deformation(batch: QuadBatch, u: np.ndarray) -> dict:
 
     Raises DegenerateDeformationError naming the cell if J is not positive.
     A cell batch gets F, J and G = grad(phi) F^-1, the P2 basis gradients
-    pushed to the deformed configuration, which every gradient form shares.
-    A facet batch gets J and vn = F^-T n_ref, the unnormalized Nanson
-    push-forward of its reference normal.
+    pushed to the deformed configuration in the product layout of `dphi2`,
+    which every gradient form shares.  A facet batch gets J and vn =
+    F^-T n_ref, the unnormalized Nanson push-forward of its reference normal.
     """
     F, J, Finv, FinvT = deformation_state(
-        grads_at_qp(batch.grad2, batch.nodes_u, u, batch.X.shape[-1]), cell_ids=batch.cells)
+        grads_at_qp(batch.dphi2, batch.nodes_u, u, batch.X.shape[-1]), cell_ids=batch.cells)
     if batch.nref is None:
-        return {"F": F, "J": J, "G": batch.grad2 @ Finv}
-    return {"J": J, "vn": (FinvT @ batch.nref[:, None, :, None])[..., 0]}
+        return {"F": F, "J": J, "G": push_gradients(batch.dphi2, Finv)}
+    return {"J": J, "vn": matvec2(FinvT, batch.nref[:, None, :])}
 
 
 def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
     """Deformation-dependent weights of the displacement u at every
     quadrature point, checked positive.
 
-    Cells and natural boundaries keep what `batch_deformation` gives them.
-    The interface keeps the deformed unit normal n, its tangential
-    projector P and the area scaling Js = J |F^-T n_ref|, both from
-    `kinematics.pushforward_normal`.
+    The solid and the natural boundaries keep what `batch_deformation`
+    gives them.  The fluid keeps J, G and its gradient Gram
+    sum_q w J G_i (x) G_j (`fem.gradient_gram`), which the viscous block
+    (times mu_f) and the mesh extension (times its per-cell modulus) share;
+    no fluid form reads F.  The interface keeps the deformed unit normal n,
+    its tangential projector P and the area scaling Js = J |F^-T n_ref|,
+    both from `kinematics.pushforward_normal`.
     """
     geo = Geometry()
     if problem.fluid is not None:
-        geo.fluid = batch_deformation(problem.fluid, u)
+        fluid = batch_deformation(problem.fluid, u)
+        geo.fluid = {"J": fluid["J"], "G": fluid["G"],
+                     "gram": gradient_gram(problem.fluid.w * fluid["J"], fluid["G"])}
     if problem.solid is not None:
         geo.solid = batch_deformation(problem.solid, u)
     if problem.iface is not None:
         tr = problem.iface.fluid
-        F = deformation_state(grads_at_qp(tr.grad2, tr.nodes_u, u, problem.dim),
+        F = deformation_state(grads_at_qp(tr.dphi2, tr.nodes_u, u, problem.dim),
                               cell_ids=tr.cells)[0]
         n, Js = pushforward_normal(F, tr.nref[:, None, :])
         P = np.eye(problem.dim) - n[..., :, None] * n[..., None, :]
@@ -489,16 +501,18 @@ def _fluid_terms(problem, inp, geo, blocks, b, transient):
     d = problem.dim
     lay = problem.layout
     wJ = sub.w * geo.fluid["J"]
-    G = geo.fluid["G"]                     # grad(phi) F^-1
-    nc, _, nloc, _ = G.shape
+    G = geo.fluid["G"]                     # grad(phi) F^-1, (nc, nloc, d, nq)
+    nc, nloc, _, nq = G.shape
     vd = sub.vdofs + lay.offsets["v_f"]
     pd = sub.nodes1 + lay.offsets["p_f"]
 
-    # a_f: 2 mu J D:D = mu J [delta_ab Gi.Gj + Gj_a Gi_b]; the scalar part S
-    # (times I) collects the mass and advection blocks as well
-    P = gradient_gram(wJ * prm.mu_f, G)    # P[i,a,j,b] = sum mu w J Gi_a Gj_b
-    K = P.transpose(0, 1, 4, 3, 2).copy()
-    S = component_trace(P)
+    # a_f: 2 mu J D:D = mu J [delta_ab Gi.Gj + Gj_a Gi_b], from the geometry's
+    # Gram P[i,a,j,b] = sum w J Gi_a Gj_b; the scalar part S (times I)
+    # collects the mass and advection blocks as well
+    P = geo.fluid["gram"]
+    K = transposed(P, (0, 1, 4, 3, 2))
+    K *= prm.mu_f
+    S = prm.mu_f * component_trace(P)
 
     if transient:
         S += weighted_gram(wJ * (prm.rho_f * inp.a0 / inp.dt), sub.val2, sub.val2)
@@ -512,13 +526,17 @@ def _fluid_terms(problem, inp, geo, blocks, b, transient):
         adv = field_at_qp(sub.val2, sub.nodes2, inp.vf_tilde, d)
         if inp.w_tilde is not None:
             adv = adv - field_at_qp(sub.val2, sub.nodes_u, inp.w_tilde, d)
-        S += weighted_gram(wJ * prm.rho_f, sub.val2, (G @ adv[..., None])[..., 0])
+        # S[i,j] += sum_q rho w J phi_i (G_j . adv) = sum_(e,q) Y[i,(e,q)] G[j,(e,q)]
+        # with Y = rho w J adv_e phi_i: one (nloc x d nq)(d nq x nloc) product per cell
+        a = np.ascontiguousarray(np.moveaxis(adv * (wJ * prm.rho_f)[..., None], -1, 1))
+        Y = a[:, None] * np.repeat(sub.val2.T[:, None, :], d, axis=1)   # (nc, nloc, d, nq)
+        S += Y.reshape(nc, nloc, d * nq) @ np.swapaxes(G.reshape(nc, nloc, d * nq), 1, 2)
     blocks.append((vd, vd, add_kron_eye(K, S).reshape(nc, nloc * d, nloc * d)))
 
     # pressure block and its transposed constraint: B[j,(i,a)] = w J p_j G_i[a]
-    B = weighted_moment(wJ, sub.val1, G).reshape(nc, -1, nloc * d)
-    blocks.append((pd, vd, B))                              # + b_f(q_f, v_f)
-    blocks.append((vd, pd, -np.swapaxes(B, 1, 2)))          # - b_f(p_f, psi_f)
+    BT = gradient_moment(wJ, G, sub.val1)
+    blocks.append((pd, vd, np.swapaxes(BT, 1, 2)))          # + b_f(q_f, v_f)
+    blocks.append((vd, pd, -BT))                            # - b_f(p_f, psi_f)
 
     fn = problem.forcing.get("v_f")
     if fn is not None:
@@ -535,20 +553,26 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
     vsd = sub.vdofs + lay.offsets["v_s"]
     qd = sub.vdofs + lay.offsets["q"]
     pdd = sub.nodes1 + lay.offsets["p_d"]
-    g = sub.grad2
-    nc, nq, nloc, _ = g.shape
+    g = sub.dphi2                                      # (nc, nloc, d, nq)
+    nc, nloc, _, nq = g.shape
     n2d = nloc * d
 
     # a_s: F~ S(E(u_k, u~)) : grad(psi), linear in v_s through u_k = beta v_s + u_hist.
     # Trial (j,b): E = 1/4 (g_j (x) F~_b + F~_b (x) g_j), tr E = 1/2 g_j.F~_b.  With
     # h_i = F~ g_i, C = F~ F~^T and s_ij = g_i.g_j the test row (i,a) reads
     #   (F~ S g_i)_a = mu/2 (h_ja h_ib + C_ab s_ij) + lam/2 h_ia h_jb.
-    h = g @ np.swapaxes(Ft, -1, -2)
+    h = push_gradients(g, np.swapaxes(Ft, -1, -2))
     H = gradient_gram(sub.w, h)                        # H[i,a,j,b] = sum w h_ia h_jb
-    C = (Ft @ np.swapaxes(Ft, -1, -2)).reshape(nc, nq, d * d)
-    s = (g @ np.swapaxes(g, -1, -2)).reshape(nc, nq, nloc * nloc)
-    CS = weighted_gram(sub.w, C, s).reshape(nc, d, d, nloc, nloc)
-    Ael = (0.5 * prm.mu_s) * (H.transpose(0, 1, 4, 3, 2) + CS.transpose(0, 3, 1, 4, 2))
+    # CS[a,b,i,j] = sum_q w C_ab s_ij as one (d d nloc x d nq)(d nq x nloc)
+    # product per cell
+    C = np.moveaxis(matmul2(Ft, np.swapaxes(Ft, -1, -2)), 1, -1).reshape(nc, d * d, nq)
+    wCg = (C * sub.w[:, None, :])[:, :, None, None, :] * g[:, None]   # (nc, d d, nloc, d, nq)
+    gm = g.reshape(nc, nloc, d * nq)
+    CS = (wCg.reshape(nc, d * d * nloc, d * nq) @ np.swapaxes(gm, 1, 2)).reshape(
+        nc, d, d, nloc, nloc)
+    Ael = transposed(H, (0, 1, 4, 3, 2))
+    Ael += transposed(CS, (0, 3, 1, 4, 2))
+    Ael *= 0.5 * prm.mu_s
     Ael += (0.5 * prm.lam_s) * H
     Ael *= inp.beta
 
@@ -583,13 +607,16 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
         blocks.append((vsd, vsd, Ael.reshape(nc, n2d, n2d)))
         blocks.append((qd, qd, Ad.reshape(nc, n2d, n2d)))
 
-    # History part of the elastic stress moves to the right-hand side.
-    FS = lagged_stress(problem, geo, inp.u_impl_hist)
-    scatter_add(b, vsd, -np.einsum("cq,cqia->cia", sub.w, g @ np.swapaxes(FS, -1, -2)))
+    # History part of the elastic stress moves to the right-hand side:
+    # sum_q w (F~ S g_i)_a, one (nloc x d nq)(d nq x d) product per cell
+    wFS = np.moveaxis(lagged_stress(problem, geo, inp.u_impl_hist) * sub.w[:, :, None, None],
+                      1, -1)                                     # (nc, a, e, nq)
+    rhs = g.reshape(nc, nloc, d * nq) @ np.swapaxes(wFS.reshape(nc, d, d * nq), 1, 2)
+    scatter_add(b, vsd, -rhs)
 
     # pressure blocks (tested against psi_s and psi_d) and the constraint rows
-    B = weighted_moment(wJ, sub.val1, geo.solid["G"]).reshape(nc, -1, n2d)
-    BT = np.swapaxes(B, 1, 2)
+    BT = gradient_moment(wJ, geo.solid["G"], sub.val1)
+    B = np.swapaxes(BT, 1, 2)
     blocks.append((pdd, vsd, B))       # + b_s(q_d, v_s)
     blocks.append((pdd, qd, B))        # + b_s(q_d, q)
     blocks.append((vsd, pdd, -BT))     # - b_s(p_d, psi_s)  (sigma_p = sigma_s - p_d I)
@@ -613,8 +640,8 @@ def lagged_stress(problem: Problem, geo: Geometry, u: np.ndarray) -> np.ndarray:
     sub = problem.solid
     d = problem.dim
     Ft = geo.solid["F"]
-    E = green_lagrange(grads_at_qp(sub.grad2, sub.nodes_u, u, d) + np.eye(d), Ft)
-    return Ft @ svk_stress(E, problem.params.lam_s, problem.params.mu_s)
+    E = green_lagrange(grads_at_qp(sub.dphi2, sub.nodes_u, u, d) + np.eye(d), Ft)
+    return matmul2(Ft, svk_stress(E, problem.params.lam_s, problem.params.mu_s))
 
 
 def _interface_terms(problem, inp, geo, blocks):
@@ -654,7 +681,7 @@ def _interface_terms(problem, inp, geo, blocks):
 
     # slip term gamma K^-1/2 P(w_f - w_s) . P(psi_f - psi_s)
     P = geo.iface["P"]
-    wM = (wJs * prm.gamma)[..., None, None] * (P @ prm.K_inv_sqrt @ P)
+    wM = (wJs * prm.gamma)[..., None, None] * matmul2(matmul2(P, prm.K_inv_sqrt), P)
     V = np.concatenate([ftr.val2, -str_.val2], axis=2)          # (nf, nq, 2 nloc)
     nv = V.shape[2]
     X = (V[..., None, None] * wM[:, :, None]).reshape(nf, nq, -1)

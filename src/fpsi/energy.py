@@ -24,11 +24,17 @@ import numpy as np
 
 from .assembly import Geometry, Problem, lagged_stress
 from .fem import field_at_qp, grads_at_qp, scalar_at_qp
+from .kinematics import matmul2, matvec2
 
 
 def _integral(w: np.ndarray, f: np.ndarray) -> float:
     """sum over batches and quadrature points of w[b,q] f[b,q]."""
     return float(np.vdot(w, f))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum of a * b over the component axes after (batch, point), componentwise."""
+    return sum(a[(...,) + c] * b[(...,) + c] for c in np.ndindex(a.shape[2:]))
 
 
 @dataclass
@@ -60,11 +66,12 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
         wJ = sub.w * geo.fluid["J"]
         vf = fields["v_f"]
         vq = field_at_qp(sub.val2, sub.nodes2, vf, d)
-        rep.kinetic_fluid = 0.5 * prm.rho_f * _integral(wJ, np.sum(vq * vq, axis=-1))
+        rep.kinetic_fluid = 0.5 * prm.rho_f * _integral(wJ, _dot(vq, vq))
         # D = {grad v F~^-1}_s with grad(phi) F~^-1 = G from the geometry
         M = grads_at_qp(geo.fluid["G"], sub.nodes2, vf, d)
-        D = 0.5 * (M + np.swapaxes(M, -1, -2))
-        rep.viscous_dissipation = 2.0 * prm.mu_f * _integral(wJ, np.sum(D * D, axis=(-2, -1)))
+        off = 0.5 * (M[..., 0, 1] + M[..., 1, 0])
+        DD = M[..., 0, 0] ** 2 + M[..., 1, 1] ** 2 + 2.0 * off ** 2      # D:D, componentwise
+        rep.viscous_dissipation = 2.0 * prm.mu_f * _integral(wJ, DD)
 
     if problem.solid is not None:
         sub = problem.solid
@@ -72,18 +79,16 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
         vs = fields["v_s"]
         vsq = field_at_qp(sub.val2, sub.nodes2, vs, d)
         qq = field_at_qp(sub.val2, sub.nodes2, fields["q"], d)
-        rep.kinetic_solid = 0.5 * (1.0 - prm.phi) * prm.rho_s * _integral(
-            wJ, np.sum(vsq * vsq, axis=-1))
+        rep.kinetic_solid = 0.5 * (1.0 - prm.phi) * prm.rho_s * _integral(wJ, _dot(vsq, vsq))
         mix = vsq + qq / prm.phi
-        rep.kinetic_mixture = 0.5 * prm.phi * prm.rho_f * _integral(
-            wJ, np.sum(mix * mix, axis=-1))
+        rep.kinetic_mixture = 0.5 * prm.phi * prm.rho_f * _integral(wJ, _dot(mix, mix))
         pdq = scalar_at_qp(sub.val1, sub.nodes1, fields["p_d"])
         rep.pressure_storage = 0.5 * prm.s0 * _integral(wJ, pdq * pdq)
-        rep.darcy_dissipation = _integral(wJ, np.sum((qq @ prm.K_inv) * qq, axis=-1))
+        rep.darcy_dissipation = _integral(wJ, _dot(matvec2(prm.K_inv.T, qq), qq))
         # rate of elastic working: F~ S(E(u_k, u~)) : grad(v_s)
         FS = lagged_stress(problem, geo, fields["u"])
-        gvs = grads_at_qp(sub.grad2, sub.nodes2, vs, d)
-        rep.elastic_power = _integral(sub.w, np.sum(FS * gvs, axis=(-2, -1)))
+        gvs = grads_at_qp(sub.dphi2, sub.nodes2, vs, d)
+        rep.elastic_power = _integral(sub.w, _dot(FS, gvs))
 
     if problem.iface is not None:
         ftr = problem.iface.fluid
@@ -94,9 +99,9 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
         vsq = field_at_qp(strc.val2, strc.nodes2, fields["v_s"], d)
         qq = field_at_qp(strc.val2, strc.nodes2, fields["q"], d)
         rel = vfq - vsq
-        Mrel = (P @ prm.K_inv_sqrt @ P @ rel[..., None])[..., 0]
-        rep.bjs_dissipation = prm.gamma * _integral(wJs, np.sum(rel * Mrel, axis=-1))
-        jump = np.sum((vfq - vsq - qq) * geo.iface["n"], axis=-1)
+        Mrel = matvec2(matmul2(matmul2(P, prm.K_inv_sqrt), P), rel)
+        rep.bjs_dissipation = prm.gamma * _integral(wJs, _dot(rel, Mrel))
+        jump = _dot(vfq - vsq - qq, geo.iface["n"])
         rep.penalty_defect = _integral(wJs, np.abs(jump))
 
     return rep

@@ -2,7 +2,16 @@
 energy monitor.
 
 Quadrature-point evaluation: FE fields, their gradients and the weighted
-element contractions, written as batched matrix products.
+element contractions.  A batch's P2 gradients are stored once in product
+layout (nb, n, d, nq), so a field's gradient is one (d x n)(n x d nq)
+product per entry (`grads_at_qp`), and pushing them through a tensor per
+point is two multiply-adds per component (`push_gradients`), not a
+product per point.  Gradient Grams and moments are one product per entry
+(`gradient_gram`, `gradient_moment`); the fluid's Gram is built once per
+configuration with its geometry and serves the viscous block and the mesh
+extension.  Their component exchanges are gathers (`transposed`).  The 2x2 tensor algebra at the points
+(F, F^-1, strains, stresses, Nanson normals) is componentwise, in
+`kinematics`.
 
 Fixed-pattern sparse assembly: a matrix is the sum of a fixed sequence of
 dense element blocks (rows, cols, values), kept as a plain list, with its
@@ -51,11 +60,15 @@ def scalar_at_qp(val: np.ndarray, nodes: np.ndarray, vec: np.ndarray) -> np.ndar
 def grads_at_qp(grad: np.ndarray, nodes: np.ndarray, vec: np.ndarray, d: int) -> np.ndarray:
     """Gradient of an FE vector field at quadrature points: (nb, nq, d, d), dv_m/dx_e.
 
-    grad holds the basis gradients (nb, nq, n, d) of the batch, nodes (nb, n)
-    the scalar nodes of the space the interleaved dofs `vec` belong to.
+    grad holds the basis gradients of the batch in product layout (nb, n, d,
+    nq), nodes (nb, n) the scalar nodes of the space the interleaved dofs
+    `vec` belong to.  One (d x n)(n x d nq) product per entry; the result is
+    a view that keeps the nq values of each entry and component together.
     """
+    nb, n, _, nq = grad.shape
     vloc = vec.reshape(-1, d)[nodes]                         # (nb, n, d)
-    return np.swapaxes(vloc, 1, 2)[:, None] @ grad
+    M = np.swapaxes(vloc, 1, 2) @ grad.reshape(nb, n, d * nq)
+    return np.moveaxis(M.reshape(nb, d, d, nq), 3, 1)
 
 
 def weighted_gram(w: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -78,15 +91,56 @@ def weighted_moment(w: np.ndarray, X: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def gradient_gram(w: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """P[b,i,a,j,e] = sum_q w[b,q] G[b,q,i,a] G[b,q,j,e] for G (nb, nq, n, d)."""
-    nb, nq, n, d = G.shape
-    X = G.reshape(nb, nq, n * d)
-    return (np.swapaxes(X * w[..., None], 1, 2) @ X).reshape(nb, n, d, n, d)
+    """P[b,i,a,j,e] = sum_q w[b,q] G[b,i,a,q] G[b,j,e,q] for G (nb, n, d, nq)."""
+    nb, n, d, nq = G.shape
+    X = G.reshape(nb, n * d, nq)
+    return ((X * w[:, None, :]) @ np.swapaxes(X, 1, 2)).reshape(nb, n, d, n, d)
+
+
+def gradient_moment(w: np.ndarray, G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_q w[b,q] G[b,i,a,q] X[q,j] -> (nb, n d, nj) for G (nb, n, d, nq)
+    and a shared table X (nq, nj): the weight goes on the small table, then
+    one (n d x nq)(nq x nj) product per entry."""
+    nb, n, d, nq = G.shape
+    return G.reshape(nb, n * d, nq) @ np.swapaxes(w[:, None, :] * X.T, 1, 2)
+
+
+# entries per pass of `push_gradients`, so that a pass's operands stay in cache
+PUSH_BLOCK = 256
+
+
+def push_gradients(grad: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """grad(phi) A at every quadrature point, componentwise: (nb, n, d, nq)
+    for the gradients `grad` (nb, n, d, nq) and the tensors A, which
+    broadcast against (nb, nq, d, d).  It runs over blocks of PUSH_BLOCK
+    entries."""
+    nb, n, d, nq = grad.shape
+    out = np.empty(grad.shape)
+    tmp = np.empty((min(nb, PUSH_BLOCK), n, nq))
+    for s in range(0, nb, PUSH_BLOCK):
+        g, a, o = grad[s:s + PUSH_BLOCK], A[s:s + PUSH_BLOCK], out[s:s + PUSH_BLOCK]
+        for e in range(d):
+            np.multiply(g[:, :, 0], a[:, None, :, 0, e], out=o[:, :, e])
+            for k in range(1, d):
+                o[:, :, e] += np.multiply(g[:, :, k], a[:, None, :, k, e], out=tmp[:len(o)])
+    return out
 
 
 def component_trace(P: np.ndarray) -> np.ndarray:
-    """sum_a P[b,i,a,j,a] -> (nb, ni, nj)."""
-    return sum(P[:, :, a, :, a] for a in range(P.shape[2]))
+    """sum_a P[b,i,a,j,a] -> (nb, ni, nj), for d >= 2 components."""
+    tr = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
+    for a in range(2, P.shape[2]):
+        tr += P[:, :, a, :, a]
+    return tr
+
+
+def transposed(X: np.ndarray, axes: Tuple[int, ...]) -> np.ndarray:
+    """X.transpose(axes) as a new C-ordered array, for axes that keep the
+    batch axis first: one gather of each entry's values, where a strided
+    copy would step through the small trailing axes one by one."""
+    nb = X.shape[0]
+    perm = np.arange(X[0].size).reshape(X.shape[1:]).transpose([a - 1 for a in axes[1:]])
+    return np.take(X.reshape(nb, -1), perm.ravel(), axis=1).reshape((nb,) + perm.shape)
 
 
 def add_kron_eye(E: np.ndarray, M: np.ndarray) -> np.ndarray:

@@ -23,13 +23,33 @@ import numpy as np
 from .errors import DegenerateDeformationError
 
 
-def _eye_like(A: np.ndarray) -> np.ndarray:
-    d = A.shape[-1]
-    return np.broadcast_to(np.eye(d), A.shape)
-
-
 # smallest admissible det F; a configuration at or below it counts as inverted
 J_MIN = 1e-10
+
+
+def tensor2(A00, A01, A10, A11) -> np.ndarray:
+    """The 2x2 tensors of the given components, (..., 2, 2).
+
+    The result is a view of one array that stores each component as a whole
+    block, so every A[..., a, b] of it is contiguous and the componentwise
+    products below run on plain blocks.
+    """
+    A00, A01, A10, A11 = np.broadcast_arrays(A00, A01, A10, A11)
+    out = np.empty((2, 2) + A00.shape)
+    out[0, 0], out[0, 1], out[1, 0], out[1, 1] = A00, A01, A10, A11
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def matmul2(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B of 2x2 tensors at quadrature points, componentwise; broadcasts."""
+    return tensor2(*(A[..., a, 0] * B[..., 0, b] + A[..., a, 1] * B[..., 1, b]
+                     for a in (0, 1) for b in (0, 1)))
+
+
+def matvec2(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x of 2x2 tensors and 2-vectors, componentwise: (..., 2)."""
+    return np.stack([A[..., a, 0] * x[..., 0] + A[..., a, 1] * x[..., 1] for a in (0, 1)],
+                    axis=-1)
 
 
 def _det(A: np.ndarray) -> np.ndarray:
@@ -38,7 +58,8 @@ def _det(A: np.ndarray) -> np.ndarray:
 
 
 def _inverse(A: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Inverse of 2x2 matrices of nonzero determinant `det`, closed form."""
+    """Inverse of 2x2 matrices of nonzero determinant `det`, closed form,
+    in the memory layout of A."""
     inv = np.empty_like(A)
     inv[..., 0, 0] = A[..., 1, 1] / det
     inv[..., 0, 1] = -A[..., 0, 1] / det
@@ -52,10 +73,12 @@ def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None)
 
     Rejects J <= J_MIN before anything divides by J; when the caller passes
     per-entry cell ids the error reports which cell degenerated.  The
-    gradients are 2x2: closed-form determinant and inverse.
+    gradients are 2x2: closed-form determinant and inverse, componentwise,
+    with F and F^-1 stored as `tensor2` stores them.
     """
     grad_u = np.asarray(grad_u, dtype=float)
-    F = grad_u + _eye_like(grad_u)
+    F = tensor2(grad_u[..., 0, 0] + 1.0, grad_u[..., 0, 1], grad_u[..., 1, 0],
+                grad_u[..., 1, 1] + 1.0)
     J = _det(F)
     if np.any(J <= J_MIN):
         flat = np.argmin(J)
@@ -74,26 +97,31 @@ def deformation_state(grad_u: np.ndarray, cell_ids: Optional[np.ndarray] = None)
 
 
 def green_lagrange(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
-    """Two-field Green-Lagrange strain 1/2 {F1^T F2 - I}_s.
+    """Two-field Green-Lagrange strain 1/2 {F1^T F2 - I}_s, componentwise.
 
     Bilinear in the gradients; F1 = F2 = F recovers 1/2 (F^T F - I).
     """
     F1 = np.asarray(F1, dtype=float)
     F2 = np.asarray(F2, dtype=float)
-    M = np.swapaxes(F1, -1, -2) @ F2
-    return 0.25 * (M + np.swapaxes(M, -1, -2)) - 0.5 * _eye_like(M)
+
+    def m(a, b):            # (F1^T F2)_ab
+        return F1[..., 0, a] * F2[..., 0, b] + F1[..., 1, a] * F2[..., 1, b]
+
+    off = 0.25 * (m(0, 1) + m(1, 0))
+    return tensor2(0.5 * m(0, 0) - 0.5, off, off, 0.5 * m(1, 1) - 0.5)
 
 
 def svk_stress(E: np.ndarray, lam_s: float, mu_s: float) -> np.ndarray:
-    """Second Piola-Kirchhoff stress of the St. Venant-Kirchhoff law."""
+    """Second Piola-Kirchhoff stress of the St. Venant-Kirchhoff law, componentwise."""
     E = np.asarray(E, dtype=float)
-    tr = np.trace(E, axis1=-2, axis2=-1)
-    return lam_s * tr[..., None, None] * _eye_like(E) + 2.0 * mu_s * E
+    ltr = lam_s * (E[..., 0, 0] + E[..., 1, 1])
+    return tensor2(ltr + 2.0 * mu_s * E[..., 0, 0], 2.0 * mu_s * E[..., 0, 1],
+                   2.0 * mu_s * E[..., 1, 0], ltr + 2.0 * mu_s * E[..., 1, 1])
 
 
 def fluid_rate_of_strain(grad_v: np.ndarray, Finv: np.ndarray) -> np.ndarray:
     """D_u(v) = {grad v F^-1}_s, the ALE rate-of-strain tensor."""
-    M = np.asarray(grad_v, dtype=float) @ Finv
+    M = matmul2(np.asarray(grad_v, dtype=float), np.asarray(Finv, dtype=float))
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
@@ -102,9 +130,8 @@ def pushforward_normal(F: np.ndarray, n_ref: np.ndarray) -> Tuple[np.ndarray, np
     n_ref broadcasts against the leading axes of the invertible F."""
     F = np.asarray(F, dtype=float)
     J = _det(F)
-    FinvT = np.swapaxes(_inverse(F, J), -1, -2)
-    v = (FinvT @ np.asarray(n_ref, dtype=float)[..., None])[..., 0]
-    mag = np.linalg.norm(v, axis=-1)
+    v = matvec2(np.swapaxes(_inverse(F, J), -1, -2), np.asarray(n_ref, dtype=float))
+    mag = np.sqrt(v[..., 0] ** 2 + v[..., 1] ** 2)
     return v / mag[..., None], J * mag
 
 

@@ -540,6 +540,9 @@ def load_mesh(path: str, physical_map: Optional[Dict[int, str]] = None) -> Mesh:
         raise MeshError("mesh file not found: %s" % path)
     except OSError as exc:
         raise MeshError("cannot read mesh file %s: %s" % (path, exc.strerror))
+    except UnicodeDecodeError as exc:
+        raise MeshError("cannot read mesh file %s: not text (byte 0x%02x at offset %d)"
+                        % (path, exc.object[exc.start], exc.start))
     is_msh = path.endswith(".msh") or text.lstrip().startswith("$MeshFormat")
     if is_msh:
         if physical_map is None:

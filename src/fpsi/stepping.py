@@ -36,8 +36,8 @@ import numpy as np
 
 from .assembly import Geometry, Problem, StepInputs, assemble_system, check_deformation
 from .errors import FpsiError
-from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace,
-                  gradient_gram, last_set)
+from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace, last_set,
+                  transposed)
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
 
@@ -152,17 +152,19 @@ def extension_stiffness(problem: Problem, geo):
     Element moduli stiffen as cells compress: mu_m = mu_s |cell|^-1.2 with
     the cell volume taken in the configuration of `geo`, lambda_m = 16 mu_m.
     The operator is  mu_m [delta_ab Gi.Gj + Gj_a Gi_b] + lambda_m Gi_a Gj_b.
+    Its moduli are constant per cell, so it is the geometry's fluid gradient
+    Gram (the viscous block's too) rescaled cell by cell.
     """
     sub = problem.fluid
     d = problem.dim
-    wJ = sub.w * geo.fluid["J"]
-    G = geo.fluid["G"]
-    nc, _, nloc, _ = G.shape
-    mu_m = problem.params.mu_s * wJ.sum(axis=1) ** -1.2
+    P = geo.fluid["gram"]                           # P[i,a,j,b] = sum w J Gi_a Gj_b
+    nc, nloc = P.shape[:2]
+    mu_m = problem.params.mu_s * (sub.w * geo.fluid["J"]).sum(axis=1) ** -1.2
 
-    P = gradient_gram(wJ * mu_m[:, None], G)        # P[i,a,j,b] = sum mu_m w J Gi_a Gj_b
-    elem = P.transpose(0, 1, 4, 3, 2) + 16.0 * P
+    elem = transposed(P, (0, 1, 4, 3, 2))
+    elem += 16.0 * P
     add_kron_eye(elem, component_trace(P))
+    elem *= mu_m[:, None, None, None, None]
 
     return [(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))]
 

@@ -10,6 +10,7 @@ from fpsi.assembly import (QUAD_DEGREE, DirichletBC, PressureLoad, StepInputs,
                            assemble_system, build_geometry, build_problem)
 from fpsi.elements import eval_basis, simplex_quadrature
 from fpsi.errors import AssemblyError, DegenerateDeformationError
+from fpsi.fem import grads_at_qp
 from fpsi.kinematics import MaterialParams
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, extract_interface
 from fpsi.reporting import write_matrix
@@ -48,11 +49,21 @@ def wavy(X):
 
 def test_geometry_cache_invariants():
     prob = mixed_problem()
-    geo = build_geometry(prob, interpolate(prob.spaces["u"], wavy))
+    u = interpolate(prob.spaces["u"], wavy)
+    geo = build_geometry(prob, u)
     for batch, sub in ((prob.fluid, geo.fluid), (prob.solid, geo.solid)):
         assert np.all(sub["J"] > 0.0)
-        # G holds the P2 gradients pushed forward: grad(phi) F^-1
-        assert np.allclose(sub["G"], batch.grad2 @ np.linalg.inv(sub["F"]), atol=1e-12)
+        # G holds the P2 gradients pushed forward, grad(phi) F^-1, in the
+        # product layout (nb, n, d, nq) of the batch's gradients
+        F = np.eye(2) + grads_at_qp(batch.dphi2, batch.nodes_u, u, 2)
+        assert np.allclose(np.linalg.det(F), sub["J"], rtol=1e-13, atol=0.0)
+        pushed = np.moveaxis(batch.dphi2, 3, 1) @ np.linalg.inv(F)
+        assert np.allclose(np.moveaxis(sub["G"], 3, 1), pushed, atol=1e-12)
+    # the fluid keeps the Gram of its pushed gradients, weighted by w J
+    G = geo.fluid["G"]
+    gram = np.einsum("bq,biaq,bjcq->biajc", prob.fluid.w * geo.fluid["J"], G, G)
+    assert np.allclose(geo.fluid["gram"], gram, rtol=1e-13, atol=1e-13 * np.abs(gram).max())
+    assert "F" in geo.solid and "F" not in geo.fluid
     n, P, Js = geo.iface["n"], geo.iface["P"], geo.iface["Js"]
     assert np.allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-12)
     assert np.all(Js > 0.0)
@@ -110,7 +121,7 @@ def test_quadrature_batches_match_per_entity_loop():
     for sub in (prob.fluid, prob.solid):
         assert sub.val2.shape == v2.shape and sub.val1.shape == (len(rule.weights), 3)
         assert np.array_equal(sub.val2, v2)
-        for c, X, grad in zip(sub.cells, sub.X, sub.grad2):
+        for c, X, grad in zip(sub.cells, sub.X, np.moveaxis(sub.dphi2, 3, 1)):
             x0, B, Binv = affine(c)
             assert np.allclose(X, x0 + rule.points @ B.T, rtol=0.0, atol=1e-13)
             assert np.allclose(grad, g2hat @ Binv, rtol=0.0, atol=1e-13)
@@ -140,7 +151,8 @@ def test_quadrature_batches_match_per_entity_loop():
                 vals, grads = eval_basis(2, 2, xi[None])
                 assert np.allclose(tr.X[f, k], x, rtol=0.0, atol=1e-13), name
                 assert np.allclose(tr.val2[f, k], vals[0], rtol=0.0, atol=1e-13), name
-                assert np.allclose(tr.grad2[f, k], grads[0] @ Binv, rtol=0.0, atol=1e-13), name
+                assert np.allclose(tr.dphi2[f, :, :, k], grads[0] @ Binv, rtol=0.0, atol=1e-13), \
+                    name
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,16 @@ def test_cli_check_mesh(tmp_path, capsys):
         "error: cannot read mesh file %s: Is a directory\n" % tmp_path
 
 
+def test_cli_check_mesh_binary_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bin.mesh"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(["check-mesh", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot read mesh file %s: not text (byte 0xff at offset 0)\n" \
+        % path
+    assert "mesh ok" not in captured.out
+
+
 def test_cli_check_mesh_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "short.mesh"
     write_native(channel_mesh(2), str(path))
@@ -364,6 +374,7 @@ def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
     ("absent.mesh", "mesh file not found: "),
     ("channel.msh", "MSH input requires a physical tag mapping"),
     ("folder.mesh", "cannot read mesh file "),
+    ("binary.mesh", "cannot read mesh file "),
 ])
 def test_cli_mesh_file_the_reader_rejects_exits_1_before_writing(tmp_path, capsys, name,
                                                                  reason):
@@ -372,6 +383,8 @@ def test_cli_mesh_file_the_reader_rejects_exits_1_before_writing(tmp_path, capsy
         src.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")   # and no physical_map
     if name == "folder.mesh":
         src.mkdir()
+    if name == "binary.mesh":
+        src.write_bytes(b"\xff\xfe\x00garbage")
     cfg = tmp_path / "run.ini"
     cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\n[mesh]\nsource = %s\n" % (out, src))
     assert main(["run", str(cfg), "--quiet"]) == 1
