@@ -41,6 +41,8 @@ and one path serve every step.
 The geometry of u~ (`Geometry`) comes with the step's inputs: the stepper
 builds it once per configuration with `check_deformation` and hands it on
 to the next step, and a steady solve takes the reference configuration.
+It holds each geometric quantity once, for the forms, the mesh extension
+and the energy monitor alike (`build_geometry`).
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ from .elements import eval_basis, simplex_quadrature
 from .errors import AssemblyError
 from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace, field_at_qp,
                   gradient_gram, gradient_moment, grads_at_qp, kron_eye, last_set,
-                  push_gradients, scalar_at_qp, scatter_add, transposed, weighted_gram,
-                  weighted_moment)
-from .kinematics import (MaterialParams, deformation_state, green_lagrange, matmul2, matvec2,
+                  scalar_at_qp, scatter_add, transposed, weighted_gram, weighted_moment)
+from .kinematics import (MaterialParams, deformation_state, green_lagrange, matmul2,
                          pushforward_normal, svk_stress)
 from .mesh import FLUID, MARKER_TO_NAME, SOLID, Mesh, extract_interface, facet_normals
 from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
@@ -407,44 +408,46 @@ def batch_deformation(batch: QuadBatch, u: np.ndarray) -> dict:
     """Deformation of the displacement u at a batch's quadrature points.
 
     Raises DegenerateDeformationError naming the cell if J is not positive.
-    A cell batch gets F, J and G = grad(phi) F^-1, the P2 basis gradients
-    pushed to the deformed configuration in the product layout of `dphi2`,
-    which every gradient form shares.  A facet batch gets J and vn =
-    F^-T n_ref, the unnormalized Nanson push-forward of its reference normal.
+    A cell batch gets F, J, the weights wJ = w J and G = grad(phi) F^-1,
+    the P2 basis gradients pushed to the deformed configuration in the
+    product layout of `dphi2`, which every gradient form shares.  A facet
+    batch gets the deformed unit normal n and the weights wJs = w Js of the
+    deformed area, Js = J |F^-T n_ref| (`kinematics.pushforward_normal`).
     """
-    F, J, Finv, FinvT = deformation_state(
+    F, J, Finv, _ = deformation_state(
         grads_at_qp(batch.dphi2, batch.nodes_u, u, batch.X.shape[-1]), cell_ids=batch.cells)
     if batch.nref is None:
-        return {"F": F, "J": J, "G": push_gradients(batch.dphi2, Finv)}
-    return {"J": J, "vn": matvec2(FinvT, batch.nref[:, None, :])}
+        return {"F": F, "J": J, "wJ": batch.w * J,
+                "G": np.einsum("bieq,bqek->bikq", batch.dphi2, Finv)}
+    n, Js = pushforward_normal(F, batch.nref[:, None, :])
+    return {"n": n, "wJs": batch.w * Js}
 
 
 def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
     """Deformation-dependent weights of the displacement u at every
     quadrature point, checked positive.
 
-    The solid and the natural boundaries keep what `batch_deformation`
-    gives them.  The fluid keeps J, G and its gradient Gram
-    sum_q w J G_i (x) G_j (`fem.gradient_gram`), which the viscous block
-    (times mu_f) and the mesh extension (times its per-cell modulus) share;
-    no fluid form reads F.  The interface keeps the deformed unit normal n,
-    its tangential projector P and the area scaling Js = J |F^-T n_ref|,
-    both from `kinematics.pushforward_normal`.
+    Every batch's deformation is `batch_deformation`'s.  The fluid keeps no
+    F but its gradient Gram `gram` P[i,a,j,b] = sum_q w J G_ia G_jb
+    (`fem.gradient_gram`) and `visc` = P[i,b,j,a] + delta_ab sum_c P[i,c,j,c],
+    the sum_q w J 2 D:D of phi_i e_a and phi_j e_b; the viscous block reads
+    mu_f visc, the mesh extension mu_m (visc + 16 gram).  The interface adds
+    the slip tensor P K^-1/2 P, P = I - n n.
     """
     geo = Geometry()
     if problem.fluid is not None:
         fluid = batch_deformation(problem.fluid, u)
-        geo.fluid = {"J": fluid["J"], "G": fluid["G"],
-                     "gram": gradient_gram(problem.fluid.w * fluid["J"], fluid["G"])}
+        gram = gradient_gram(fluid["wJ"], fluid["G"])
+        visc = add_kron_eye(transposed(gram, (0, 1, 4, 3, 2)), component_trace(gram))
+        geo.fluid = {"J": fluid["J"], "wJ": fluid["wJ"], "G": fluid["G"],
+                     "gram": gram, "visc": visc}
     if problem.solid is not None:
         geo.solid = batch_deformation(problem.solid, u)
     if problem.iface is not None:
-        tr = problem.iface.fluid
-        F = deformation_state(grads_at_qp(tr.dphi2, tr.nodes_u, u, problem.dim),
-                              cell_ids=tr.cells)[0]
-        n, Js = pushforward_normal(F, tr.nref[:, None, :])
+        geo.iface = batch_deformation(problem.iface.fluid, u)
+        n = geo.iface["n"]
         P = np.eye(problem.dim) - n[..., :, None] * n[..., None, :]
-        geo.iface = {"Js": Js, "n": n, "P": P}
+        geo.iface["slip"] = matmul2(matmul2(P, problem.params.K_inv_sqrt), P)
     for marker, tr in problem.natural.items():
         geo.loads[marker] = batch_deformation(tr, u)
     return geo
@@ -500,38 +503,34 @@ def _fluid_terms(problem, inp, geo, blocks, b, transient):
     prm = problem.params
     d = problem.dim
     lay = problem.layout
-    wJ = sub.w * geo.fluid["J"]
+    wJ = geo.fluid["wJ"]
     G = geo.fluid["G"]                     # grad(phi) F^-1, (nc, nloc, d, nq)
     nc, nloc, _, nq = G.shape
     vd = sub.vdofs + lay.offsets["v_f"]
     pd = sub.nodes1 + lay.offsets["p_f"]
 
-    # a_f: 2 mu J D:D = mu J [delta_ab Gi.Gj + Gj_a Gi_b], from the geometry's
-    # Gram P[i,a,j,b] = sum w J Gi_a Gj_b; the scalar part S (times I)
-    # collects the mass and advection blocks as well
-    P = geo.fluid["gram"]
-    K = transposed(P, (0, 1, 4, 3, 2))
-    K *= prm.mu_f
-    S = prm.mu_f * component_trace(P)
+    # a_f: 2 mu J D:D, the geometry's viscous operator times mu
+    K = prm.mu_f * geo.fluid["visc"]
 
     if transient:
-        S += weighted_gram(wJ * (prm.rho_f * inp.a0 / inp.dt), sub.val2, sub.val2)
+        # the scalar part S (times I): the mass block, and c_f with the
+        # extrapolated advective field v~_f - w~
+        S = weighted_gram(wJ * (prm.rho_f * inp.a0 / inp.dt), sub.val2, sub.val2)
         hist = inp.hist.get("v_f")
         if hist is not None:
             hq = field_at_qp(sub.val2, sub.nodes2, hist, d)
             scatter_add(b, vd, -weighted_moment(wJ * (prm.rho_f / inp.dt), sub.val2, hq))
-
-    # c_f with the extrapolated advective field v~_f - w~
-    if transient and inp.vf_tilde is not None:
-        adv = field_at_qp(sub.val2, sub.nodes2, inp.vf_tilde, d)
-        if inp.w_tilde is not None:
-            adv = adv - field_at_qp(sub.val2, sub.nodes_u, inp.w_tilde, d)
-        # S[i,j] += sum_q rho w J phi_i (G_j . adv) = sum_(e,q) Y[i,(e,q)] G[j,(e,q)]
-        # with Y = rho w J adv_e phi_i: one (nloc x d nq)(d nq x nloc) product per cell
-        a = np.ascontiguousarray(np.moveaxis(adv * (wJ * prm.rho_f)[..., None], -1, 1))
-        Y = a[:, None] * np.repeat(sub.val2.T[:, None, :], d, axis=1)   # (nc, nloc, d, nq)
-        S += Y.reshape(nc, nloc, d * nq) @ np.swapaxes(G.reshape(nc, nloc, d * nq), 1, 2)
-    blocks.append((vd, vd, add_kron_eye(K, S).reshape(nc, nloc * d, nloc * d)))
+        if inp.vf_tilde is not None:
+            adv = field_at_qp(sub.val2, sub.nodes2, inp.vf_tilde, d)
+            if inp.w_tilde is not None:
+                adv = adv - field_at_qp(sub.val2, sub.nodes_u, inp.w_tilde, d)
+            # S[i,j] += sum_q rho w J phi_i (G_j . adv) = sum_(e,q) Y[i,(e,q)] G[j,(e,q)]
+            # with Y = rho w J adv_e phi_i: one (nloc x d nq)(d nq x nloc) product per cell
+            a = np.ascontiguousarray(np.moveaxis(adv * (wJ * prm.rho_f)[..., None], -1, 1))
+            Y = a[:, None] * np.repeat(sub.val2.T[:, None, :], d, axis=1)   # (nc, nloc, d, nq)
+            S += Y.reshape(nc, nloc, d * nq) @ np.swapaxes(G.reshape(nc, nloc, d * nq), 1, 2)
+        add_kron_eye(K, S)
+    blocks.append((vd, vd, K.reshape(nc, nloc * d, nloc * d)))
 
     # pressure block and its transposed constraint: B[j,(i,a)] = w J p_j G_i[a]
     BT = gradient_moment(wJ, G, sub.val1)
@@ -549,7 +548,7 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
     d = problem.dim
     lay = problem.layout
     Ft = geo.solid["F"]
-    wJ = sub.w * geo.solid["J"]
+    wJ = geo.solid["wJ"]
     vsd = sub.vdofs + lay.offsets["v_s"]
     qd = sub.vdofs + lay.offsets["q"]
     pdd = sub.nodes1 + lay.offsets["p_d"]
@@ -561,7 +560,7 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
     # Trial (j,b): E = 1/4 (g_j (x) F~_b + F~_b (x) g_j), tr E = 1/2 g_j.F~_b.  With
     # h_i = F~ g_i, C = F~ F~^T and s_ij = g_i.g_j the test row (i,a) reads
     #   (F~ S g_i)_a = mu/2 (h_ja h_ib + C_ab s_ij) + lam/2 h_ia h_jb.
-    h = push_gradients(g, np.swapaxes(Ft, -1, -2))
+    h = np.einsum("bieq,bqke->bikq", g, Ft)
     H = gradient_gram(sub.w, h)                        # H[i,a,j,b] = sum w h_ia h_jb
     # CS[a,b,i,j] = sum_q w C_ab s_ij as one (d d nloc x d nq)(d nq x nloc)
     # product per cell
@@ -651,7 +650,7 @@ def _interface_terms(problem, inp, geo, blocks):
     lay = problem.layout
     ftr, str_ = ifd.fluid, ifd.solid
     n = geo.iface["n"]
-    wJs = ftr.w * geo.iface["Js"]
+    wJs = geo.iface["wJs"]
     nf, nq, nloc = ftr.val2.shape
 
     fd = ftr.vdofs + lay.offsets["v_f"]
@@ -680,8 +679,7 @@ def _interface_terms(problem, inp, geo, blocks):
         blocks.append((np.hstack([sd, fd]), fd, kin))
 
     # slip term gamma K^-1/2 P(w_f - w_s) . P(psi_f - psi_s)
-    P = geo.iface["P"]
-    wM = (wJs * prm.gamma)[..., None, None] * matmul2(matmul2(P, prm.K_inv_sqrt), P)
+    wM = (wJs * prm.gamma)[..., None, None] * geo.iface["slip"]
     V = np.concatenate([ftr.val2, -str_.val2], axis=2)          # (nf, nq, 2 nloc)
     nv = V.shape[2]
     X = (V[..., None, None] * wM[:, :, None]).reshape(nf, nq, -1)
@@ -708,9 +706,9 @@ def _backflow_terms(problem, inp, geo, blocks):
         tr = problem.natural[marker]
         g = geo.loads[marker]
         vt = field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, d)       # (nf, nq, d)
-        # v~ . n ds on the deformed facet via Nanson: v~ . (J F^-T n_ref) ds_ref
-        flux = g["J"] * np.sum(vt * g["vn"], axis=-1)
-        wq = (-0.5 * prm.rho_f) * tr.w * np.minimum(flux, 0.0)
+        # v~ . n ds on the deformed facet
+        flux = g["wJs"] * np.sum(vt * g["n"], axis=-1)
+        wq = (-0.5 * prm.rho_f) * np.minimum(flux, 0.0)
         dofs = tr.vdofs + lay.offsets["v_f"]
         blocks.append((dofs, dofs, kron_eye(weighted_gram(wq, tr.val2, tr.val2), d)))
 
@@ -720,8 +718,8 @@ def _load_terms(problem, inp, geo, b):
     for load in problem.loads:
         tr = problem.natural[load.marker]
         g = geo.loads[load.marker]
-        coef = load.value(inp.t) * tr.w * g["J"]
-        scatter_add(b, tr.vdofs + lay.offsets["v_f"], weighted_moment(coef, tr.val2, g["vn"]))
+        coef = load.value(inp.t) * g["wJs"]
+        scatter_add(b, tr.vdofs + lay.offsets["v_f"], weighted_moment(coef, tr.val2, g["n"]))
 
 
 def _forcing_at(fn, X, t, ncomp):

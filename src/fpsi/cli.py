@@ -6,7 +6,7 @@
     fpsi version
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/solver error or
-usage error (argparse, e.g. `--levels` below 3).
+usage error (argparse, e.g. `--levels` below 3 or an `--output` below a file).
 """
 
 from __future__ import annotations
@@ -69,7 +69,11 @@ def run_scenario(cfg: RunConfig, quiet: bool = False) -> None:
     except ValueError:
         raise ConfigError("probe point (probe_x, probe_y) = (%g, %g) lies outside the mesh"
                           % (cfg.probe_x, cfg.probe_y))
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:      # a file is in the way
+        raise ConfigError("output_dir = %s: cannot make the directory: %s"
+                          % (cfg.output_dir, exc.strerror))
     # relative output paths lie under output_dir
     checkpoint = cfg.checkpoint and os.path.join(cfg.output_dir, cfg.checkpoint)
     dump_matrix = cfg.dump_matrix and os.path.join(cfg.output_dir, cfg.dump_matrix)
@@ -175,6 +179,16 @@ def level_count(text: str) -> int:
     return levels
 
 
+def output_directory(text: str) -> str:
+    """`--output`: a directory, or a path below one where one can be made."""
+    path = os.path.abspath(text)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError("%s is not a directory" % path)
+    return text
+
+
 def cmd_check_mesh(args) -> None:
     mesh = load_mesh(args.path, parse_physical_map(args.physical_map))
     tags = {TAG_TO_NAME[int(t)]: int((mesh.cell_tags == t).sum())
@@ -201,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mms.add_argument("case", choices=("stokes", "biot", "time"))
     p_mms.add_argument("--levels", type=level_count, default=3,
                        help="number of refinement levels (>= 3)")
-    p_mms.add_argument("--output", default=".")
+    p_mms.add_argument("--output", type=output_directory, default=".")
 
     p_chk = sub.add_parser("check-mesh", help="validate a mesh file")
     p_chk.add_argument("path")

@@ -12,6 +12,7 @@ Units are mm-g-s; 1 Pa = 1 g/(mm s^2), so pressures in Pa go in verbatim.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields as dc_fields
 from typing import ClassVar
 
@@ -97,6 +98,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for key, typ in _TYPES.items():
+        if typ in ("float", float) and not math.isfinite(getattr(cfg, key)):
+            raise ConfigError("%s must be a finite number, got %s" % (key, getattr(cfg, key)))
     if cfg.scenario not in SCENARIOS:
         raise ConfigError("unknown scenario %r (choose from %s)"
                           % (cfg.scenario, ", ".join(SCENARIOS)))
@@ -136,6 +140,8 @@ def parse_permeability(text: str):
         vals = [float(p) for p in parts]
     except ValueError:
         raise ConfigError("permeability must be numeric, got %r" % text)
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError("permeability must be finite, got %r" % text)
     if len(vals) == 1:
         return vals[0]
     if len(vals) == 4:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembly import Geometry, Problem, lagged_stress
 from .fem import field_at_qp, grads_at_qp, scalar_at_qp
-from .kinematics import matmul2, matvec2
+from .kinematics import matvec2
 
 
 def _integral(w: np.ndarray, f: np.ndarray) -> float:
@@ -63,7 +63,7 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
 
     if problem.fluid is not None:
         sub = problem.fluid
-        wJ = sub.w * geo.fluid["J"]
+        wJ = geo.fluid["wJ"]
         vf = fields["v_f"]
         vq = field_at_qp(sub.val2, sub.nodes2, vf, d)
         rep.kinetic_fluid = 0.5 * prm.rho_f * _integral(wJ, _dot(vq, vq))
@@ -75,7 +75,7 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
 
     if problem.solid is not None:
         sub = problem.solid
-        wJ = sub.w * geo.solid["J"]
+        wJ = geo.solid["wJ"]
         vs = fields["v_s"]
         vsq = field_at_qp(sub.val2, sub.nodes2, vs, d)
         qq = field_at_qp(sub.val2, sub.nodes2, fields["q"], d)
@@ -93,13 +93,12 @@ def evaluate_energy(problem: Problem, fields: Dict[str, np.ndarray],
     if problem.iface is not None:
         ftr = problem.iface.fluid
         strc = problem.iface.solid
-        wJs = ftr.w * geo.iface["Js"]
-        P = geo.iface["P"]
+        wJs = geo.iface["wJs"]
         vfq = field_at_qp(ftr.val2, ftr.nodes2, fields["v_f"], d)
         vsq = field_at_qp(strc.val2, strc.nodes2, fields["v_s"], d)
         qq = field_at_qp(strc.val2, strc.nodes2, fields["q"], d)
         rel = vfq - vsq
-        Mrel = matvec2(matmul2(matmul2(P, prm.K_inv_sqrt), P), rel)
+        Mrel = matvec2(geo.iface["slip"], rel)
         rep.bjs_dissipation = prm.gamma * _integral(wJs, _dot(rel, Mrel))
         jump = _dot(vfq - vsq - qq, geo.iface["n"])
         rep.penalty_defect = _integral(wJs, np.abs(jump))

@@ -4,14 +4,14 @@ energy monitor.
 Quadrature-point evaluation: FE fields, their gradients and the weighted
 element contractions.  A batch's P2 gradients are stored once in product
 layout (nb, n, d, nq), so a field's gradient is one (d x n)(n x d nq)
-product per entry (`grads_at_qp`), and pushing them through a tensor per
-point is two multiply-adds per component (`push_gradients`), not a
-product per point.  Gradient Grams and moments are one product per entry
-(`gradient_gram`, `gradient_moment`); the fluid's Gram is built once per
-configuration with its geometry and serves the viscous block and the mesh
-extension.  Their component exchanges are gathers (`transposed`).  The 2x2 tensor algebra at the points
-(F, F^-1, strains, stresses, Nanson normals) is componentwise, in
-`kinematics`.
+product per entry (`grads_at_qp`); pushing them through a tensor per point
+is one `np.einsum` contraction, done by the geometry.  Gradient Grams and
+moments are one product per entry (`gradient_gram`, `gradient_moment`);
+the fluid's Gram and the viscous operator made from it are built once per
+configuration with its geometry and serve the viscous block and the mesh
+extension.  Component exchanges of element blocks are gathers
+(`transposed`).  The 2x2 tensor algebra at the points (F, F^-1, strains,
+stresses, Nanson normals) is componentwise, in `kinematics`.
 
 Fixed-pattern sparse assembly: a matrix is the sum of a fixed sequence of
 dense element blocks (rows, cols, values), kept as a plain list, with its
@@ -103,27 +103,6 @@ def gradient_moment(w: np.ndarray, G: np.ndarray, X: np.ndarray) -> np.ndarray:
     one (n d x nq)(nq x nj) product per entry."""
     nb, n, d, nq = G.shape
     return G.reshape(nb, n * d, nq) @ np.swapaxes(w[:, None, :] * X.T, 1, 2)
-
-
-# entries per pass of `push_gradients`, so that a pass's operands stay in cache
-PUSH_BLOCK = 256
-
-
-def push_gradients(grad: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """grad(phi) A at every quadrature point, componentwise: (nb, n, d, nq)
-    for the gradients `grad` (nb, n, d, nq) and the tensors A, which
-    broadcast against (nb, nq, d, d).  It runs over blocks of PUSH_BLOCK
-    entries."""
-    nb, n, d, nq = grad.shape
-    out = np.empty(grad.shape)
-    tmp = np.empty((min(nb, PUSH_BLOCK), n, nq))
-    for s in range(0, nb, PUSH_BLOCK):
-        g, a, o = grad[s:s + PUSH_BLOCK], A[s:s + PUSH_BLOCK], out[s:s + PUSH_BLOCK]
-        for e in range(d):
-            np.multiply(g[:, :, 0], a[:, None, :, 0, e], out=o[:, :, e])
-            for k in range(1, d):
-                o[:, :, e] += np.multiply(g[:, :, k], a[:, None, :, k, e], out=tmp[:len(o)])
-    return out
 
 
 def component_trace(P: np.ndarray) -> np.ndarray:

@@ -36,8 +36,7 @@ import numpy as np
 
 from .assembly import Geometry, Problem, StepInputs, assemble_system, check_deformation
 from .errors import FpsiError
-from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace, last_set,
-                  transposed)
+from .fem import SparsePattern, apply_dirichlet, last_set
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
 
@@ -152,18 +151,16 @@ def extension_stiffness(problem: Problem, geo):
     Element moduli stiffen as cells compress: mu_m = mu_s |cell|^-1.2 with
     the cell volume taken in the configuration of `geo`, lambda_m = 16 mu_m.
     The operator is  mu_m [delta_ab Gi.Gj + Gj_a Gi_b] + lambda_m Gi_a Gj_b.
-    Its moduli are constant per cell, so it is the geometry's fluid gradient
-    Gram (the viscous block's too) rescaled cell by cell.
+    Its moduli are constant per cell, so it is mu_m (visc + 16 gram) from
+    the geometry's viscous operator (the viscous block's too) and gradient Gram.
     """
     sub = problem.fluid
     d = problem.dim
-    P = geo.fluid["gram"]                           # P[i,a,j,b] = sum w J Gi_a Gj_b
-    nc, nloc = P.shape[:2]
-    mu_m = problem.params.mu_s * (sub.w * geo.fluid["J"]).sum(axis=1) ** -1.2
+    nc, nloc = geo.fluid["gram"].shape[:2]
+    mu_m = problem.params.mu_s * geo.fluid["wJ"].sum(axis=1) ** -1.2
 
-    elem = transposed(P, (0, 1, 4, 3, 2))
-    elem += 16.0 * P
-    add_kron_eye(elem, component_trace(P))
+    elem = 16.0 * geo.fluid["gram"]
+    elem += geo.fluid["visc"]
     elem *= mu_m[:, None, None, None, None]
 
     return [(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))]

@@ -88,7 +88,7 @@ def backflow_active(problem, inp):
         tr = problem.natural[marker]
         g = inp.geo.loads[marker]
         vt = field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, problem.dim)
-        if np.any(np.sum(vt * g["vn"], axis=-1) < 0.0):
+        if np.any(np.sum(vt * g["n"], axis=-1) < 0.0):
             return True
     return False
 

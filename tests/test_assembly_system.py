@@ -11,7 +11,7 @@ from fpsi.assembly import (QUAD_DEGREE, DirichletBC, PressureLoad, StepInputs,
 from fpsi.elements import eval_basis, simplex_quadrature
 from fpsi.errors import AssemblyError, DegenerateDeformationError
 from fpsi.fem import grads_at_qp
-from fpsi.kinematics import MaterialParams
+from fpsi.kinematics import MaterialParams, pushforward_normal
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, extract_interface
 from fpsi.reporting import write_matrix
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, unit_square_mesh
@@ -64,11 +64,76 @@ def test_geometry_cache_invariants():
     gram = np.einsum("bq,biaq,bjcq->biajc", prob.fluid.w * geo.fluid["J"], G, G)
     assert np.allclose(geo.fluid["gram"], gram, rtol=1e-13, atol=1e-13 * np.abs(gram).max())
     assert "F" in geo.solid and "F" not in geo.fluid
-    n, P, Js = geo.iface["n"], geo.iface["P"], geo.iface["Js"]
+    for batch, sub in ((prob.fluid, geo.fluid), (prob.solid, geo.solid)):
+        assert np.array_equal(sub["wJ"], batch.w * sub["J"])
+    n, wJs = geo.iface["n"], geo.iface["wJs"]
     assert np.allclose(np.linalg.norm(n, axis=-1), 1.0, atol=1e-12)
-    assert np.all(Js > 0.0)
-    assert np.allclose(np.einsum("fqab,fqbe->fqae", P, P), P, atol=1e-12)
+    assert np.all(wJs > 0.0)
+    # the slip tensor is P K^-1/2 P with the tangential projector P = I - n n
+    P = np.eye(2) - np.einsum("fqa,fqb->fqab", n, n)
     assert np.allclose(np.einsum("fqab,fqb->fqa", P, n), 0.0, atol=1e-12)
+    slip = P @ prob.params.K_inv_sqrt @ P
+    assert np.allclose(geo.iface["slip"], slip, rtol=0.0, atol=1e-13 * np.abs(slip).max())
+    assert set(geo.iface) == {"n", "wJs", "slip"}
+
+
+def sheared_channel():
+    """channel:4 and a displacement that shears and stretches every cell and
+    facet differently."""
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    u = interpolate(prob.spaces["u"], lambda X: np.stack(
+        [0.04 * X[:, 1] + 0.002 * X[:, 0] * X[:, 1],
+         0.01 * np.sin(X[:, 0] / 7.0) - 0.003 * X[:, 1]], axis=1))
+    return prob, u
+
+
+def test_every_facet_batch_gets_the_pushed_normal_and_area_weights():
+    prob, u = sheared_channel()
+    geo = build_geometry(prob, u)
+    facets = {"iface": (prob.iface.fluid, geo.iface)}
+    facets.update((m, (prob.natural[m], geo.loads[m])) for m in prob.natural)
+    assert set(facets) == {"iface", GAMMA_F0, GAMMA_OUT}
+    for tr, g in facets.values():
+        F = np.eye(2) + grads_at_qp(tr.dphi2, tr.nodes_u, u, 2)
+        assert np.abs(F[..., 0, 1]).max() > 0.03          # sheared
+        n, Js = pushforward_normal(F, tr.nref[:, None, :])
+        assert np.array_equal(g["n"], n) and np.array_equal(g["wJs"], tr.w * Js)
+        # Nanson: Js n = J F^-T n_ref
+        nanson = np.linalg.det(F)[..., None] * np.einsum(
+            "fqba,fb->fqa", np.linalg.inv(F), tr.nref)
+        assert np.allclose(Js[..., None] * n, nanson, rtol=0.0, atol=1e-13)
+    assert all(set(g) == {"n", "wJs"} for g in geo.loads.values())
+
+
+def test_viscous_operator_is_two_D_colon_D():
+    # visc[i,a,j,b] = sum_q w J 2 D(phi_i e_a) : D(phi_j e_b), D(v) = {grad v F^-1}_s
+    prob, u = sheared_channel()
+    geo = build_geometry(prob, u)
+    G = geo.fluid["G"]                                         # (nc, n, d, nq)
+    D = 0.5 * (np.einsum("ac,xibq->xiacbq", np.eye(2), G)
+               + np.einsum("bc,xiaq->xicabq", np.eye(2), G))    # D[x,i,c, a,b, q]
+    want = 2.0 * np.einsum("xq,xicabq,xjeabq->xicje", geo.fluid["wJ"], D, D)
+    got = geo.fluid["visc"]
+    assert got.shape == want.shape == geo.fluid["gram"].shape
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
+def test_every_batch_goes_through_batch_deformation(monkeypatch):
+    import fpsi.assembly as assembly
+
+    prob, u = sheared_channel()
+    seen = []
+    real = assembly.batch_deformation
+
+    def counting(batch, disp):
+        seen.append(batch)
+        return real(batch, disp)
+
+    monkeypatch.setattr(assembly, "batch_deformation", counting)
+    build_geometry(prob, u)
+    # fluid, solid, the interface's fluid trace, the inlet and the outlet
+    want = [prob.fluid, prob.solid, prob.iface.fluid, *prob.natural.values()]
+    assert len(seen) == 5 and all(a is b for a, b in zip(seen, want))
 
 
 def test_geometry_rejects_degenerate_displacement():

@@ -35,6 +35,20 @@ REMOVED_KEYS = {
 }
 
 
+# float keys given a value that is not a finite number: (key, text, value)
+NON_FINITE = [
+    ("t_end", "[run]\nt_end = inf\n", "inf"),
+    ("t_end", "[run]\nt_end = nan\n", "nan"),
+    ("dt", "[run]\ndt = nan\n", "nan"),
+    ("probe_x", "[run]\nprobe_x = nan\n", "nan"),
+    ("E", "[material]\nE = nan\n", "nan"),
+    ("mu_f", "[material]\nmu_f = inf\n", "inf"),
+    ("p_ext", "[forcing]\np_ext = nan\n", "nan"),
+    ("p_ext", "[forcing]\np_ext = -inf\n", "-inf"),
+    ("penalty_scale", "[numerics]\npenalty_scale = nan\n", "nan"),
+]
+
+
 def test_default_template_roundtrip():
     assert parse_config(serialize_config(RunConfig())) == RunConfig()
     cfg = RunConfig(p_ext=0.0, dt=2e-4, K="1e-5", source="channel:4")
@@ -82,10 +96,25 @@ penalty_scale = 10
     ("[material]\nnu = 0.5\n", "bad material"),
     ("[material]\nK = 1 2\n", "bad material"),
     ("no sections here", "cannot parse"),
+] + [(text, "%s must be a finite number, got %s" % (key, value))
+     for key, text, value in NON_FINITE] + [
+    ("[material]\nK = nan\n", "permeability must be finite, got 'nan'"),
+    ("[material]\nK = 1e-5 0 0 inf\n", "permeability must be finite"),
 ])
 def test_invalid_configs_raise(text, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config(text)
+
+
+def test_cli_non_finite_value_exits_1_before_writing(tmp_path, capsys):
+    # a NaN probe ran to the end and wrote NaN probe columns
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\nprobe_x = nan\n"
+                   "[mesh]\nsource = channel:2\n" % out)
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == "config error: probe_x must be a finite number, got nan\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", REMOVED_KEYS.values())
@@ -317,6 +346,20 @@ def test_cli_output_into_a_missing_directory_exits_1(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in out.iterdir()) == []
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_cli_output_dir_in_the_way_of_a_file_exits_1(tmp_path, capsys, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out" if below else blocker
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\n[mesh]\nsource = channel:2\n" % out)
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: output_dir = %s: cannot make the directory: " % out)
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "taken"]
+
+
 def test_cli_relative_outputs_lie_under_output_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "run.ini"
@@ -472,6 +515,23 @@ def test_cli_mms_too_few_levels_exits_2_before_any_study(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert ("argument --levels: need >= 3 levels for observed orders, got %s" % levels) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_cli_mms_output_file_exits_2_before_any_study(tmp_path, capsys, monkeypatch, below):
+    import fpsi.cli as cli
+
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran before --output was checked")
+
+    monkeypatch.setattr(cli, "time_report", no_study)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if below else blocker
+    with pytest.raises(SystemExit) as exc:
+        main(["mms", "time", "--output", str(out)])
+    assert exc.value.code == 2
+    assert ("argument --output: %s is not a directory" % blocker) in capsys.readouterr().err
 
 
 def test_package_exports_resolve():

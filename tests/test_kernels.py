@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from fpsi import assembly
-from fpsi.fem import (PUSH_BLOCK, component_trace, gradient_gram, gradient_moment, grads_at_qp,
-                      push_gradients, transposed, weighted_gram, weighted_moment)
+from fpsi.fem import (component_trace, gradient_gram, gradient_moment, grads_at_qp, transposed,
+                      weighted_gram, weighted_moment)
 from fpsi.kinematics import (deformation_state, fluid_rate_of_strain, green_lagrange,
                              matmul2, matvec2, pushforward_normal, svk_stress, tensor2)
 from fpsi.scenarios import State, benchmark_params, channel_mesh, channel_problem
@@ -114,15 +114,31 @@ def test_grads_at_qp():
     assert close(grads_at_qp(grad, nodes, vec, D), want)
 
 
-@pytest.mark.parametrize("nb", [NB, 2 * PUSH_BLOCK + 3])        # one block, and a partial last
-@pytest.mark.parametrize("per_entry_A", [False, True])
-@pytest.mark.parametrize("shared_grad", [False, True])
-def test_push_gradients(nb, per_entry_A, shared_grad):
-    grad = np.broadcast_to(rand(N, D, NQ), (nb, N, D, NQ)) if shared_grad else rand(nb, N, D, NQ)
-    A = rand(nb, 1, D, D) if per_entry_A else rand(nb, NQ, D, D)
-    want = np.einsum("bikq,bqke->bieq", grad, np.broadcast_to(A, (nb, NQ, D, D)))
-    got = push_gradients(grad, A)
-    assert got.flags.c_contiguous and close(got, want)
+@pytest.mark.parametrize("stored", ["deformation_state", "plain"])
+def test_pushed_gradients_match_the_per_point_product(stored):
+    # G = grad(phi) F^-1 and h = grad(phi) F~^T, as the geometry and the
+    # elastic block contract them, against one (n x d)(d x d) product per point
+    grad = rand(NB, N, D, NQ)
+    if stored == "deformation_state":        # F, F^-1 stored as `tensor2` stores them
+        F, _, Finv, _ = deformation_state(0.3 * rand(NB, NQ, D, D))
+    else:
+        F = near_identity(NB, NQ)
+        Finv = np.linalg.inv(F)
+    G = np.einsum("bieq,bqek->bikq", grad, Finv)
+    assert close(G, np.moveaxis(np.moveaxis(grad, 3, 1) @ Finv, 1, 3))
+    h = np.einsum("bieq,bqke->bikq", grad, F)
+    assert close(h, np.moveaxis(np.moveaxis(grad, 3, 1) @ np.swapaxes(F, -1, -2), 1, 3))
+
+
+def test_geometry_pushes_each_cell_batch_like_the_per_point_product():
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+    u = interpolate(prob.spaces["u"], lambda X: 0.05 * np.sin(X[:, ::-1]))
+    for sub in (prob.fluid, prob.solid):
+        geo = assembly.batch_deformation(sub, u)
+        Finv = deformation_state(grads_at_qp(sub.dphi2, sub.nodes_u, u, D))[2]
+        # in the product layout of dphi2, which the Grams and moments reshape
+        assert geo["G"].flags.c_contiguous
+        assert close(geo["G"], np.moveaxis(np.moveaxis(sub.dphi2, 3, 1) @ Finv, 1, 3))
 
 
 def test_gradient_gram_and_moment():

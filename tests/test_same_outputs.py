@@ -1,15 +1,34 @@
 """How `tools/same_outputs.py` describes a file that differs between two
 versions of the package: the line every byte-identity check prints."""
 
-from tools.same_outputs import number_difference
+import io
+
+import numpy as np
+
+from tools.same_outputs import array_difference, number_difference
 
 
 def test_roundoff_change_reports_the_largest_relative_difference():
     before = b"t=1.000000e-04  E=2.500000e+00\nstep 10 of 20\n"
     after = b"t=1.000000e-04  E=2.500001e+00\nstep 10 of 20\n"
-    # |2.5 - 2.500001| / 2.500001; the unchanged numbers add nothing
-    assert number_difference(before, after) == "largest relative difference 4.0e-07"
-    assert number_difference(b"x 1 -4", b"x 1 -2") == "largest relative difference 5.0e-01"
+    # |2.5 - 2.500001| / 2.500001; the unchanged numbers add nothing to it,
+    # but the file's largest value, 20, scales the absolute difference 1e-6
+    assert number_difference(before, after) == \
+        "largest relative difference 4.0e-07, largest difference 5.0e-08 of the file's " \
+        "largest value"
+    assert number_difference(b"x 1 -4", b"x 1 -2") == \
+        "largest relative difference 5.0e-01, largest difference 5.0e-01 of the file's " \
+        "largest value"
+
+
+def test_change_on_a_near_zero_value_is_small_against_the_file():
+    # a value near zero that changes by half of itself is a relative change of
+    # 0.5, but 1e-12 of the largest value the file holds
+    before = b"1.0e+03 2.0e-09 5.0\n"
+    after = b"1.0e+03 1.0e-09 5.0\n"
+    assert number_difference(before, after) == \
+        "largest relative difference 5.0e-01, largest difference 1.0e-12 of the file's " \
+        "largest value"
 
 
 def test_change_outside_the_numbers_is_text():
@@ -21,9 +40,31 @@ def test_change_outside_the_numbers_is_text():
 
 def test_equal_numbers_written_differently_differ_by_zero():
     assert number_difference(b"dt = 1e-4, n = 20\n", b"dt = 0.0001, n = 20.0\n") == \
-        "largest relative difference 0.0e+00"
+        "largest relative difference 0.0e+00, largest difference 0.0e+00 of the file's " \
+        "largest value"
 
 
 def test_binary_input_is_not_parsed():
     assert number_difference(b"PK\x03\x04\x00\x01", b"PK\x03\x04\x00\x02") == "binary"
     assert number_difference(b"1.0\n", b"1.0\x00\n") == "binary"
+
+
+def npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def test_npz_archives_are_compared_array_by_array():
+    u = np.array([4.0, -2.0, 1e-9])
+    meta = np.bytes_(b'{"dt": 0.0001}')
+    before = npz(u=u, k=np.int64(3), meta=meta, same=np.ones(2))
+    after = npz(u=u + [0.0, 0.0, 4e-12], k=np.int64(3), meta=meta, same=np.ones(2))
+    # |4e-12| / 4: only the array that differs is named
+    assert array_difference(before, after) == \
+        "arrays differ, largest difference of each array's largest value: u 1.0e-12"
+    other = npz(u=u, k=np.int64(4), meta=np.bytes_(b"{}"), same=np.ones(3))
+    assert array_difference(before, other) == \
+        "arrays differ, largest difference of each array's largest value: k 2.5e-01, " \
+        "meta: shape or type differs, same: shape or type differs"
+    assert array_difference(before, npz(u=u)) == "array names differ"

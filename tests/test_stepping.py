@@ -111,7 +111,7 @@ def test_check_deformation():
     shrink = interpolate(prob.spaces["u"], lambda X: -0.5 * X)   # F = I/2
     geo, jmin = check_deformation(prob, shrink)
     assert jmin == pytest.approx(0.25)
-    assert np.allclose(geo.iface["Js"], 0.5, rtol=0.0, atol=1e-15)
+    assert np.allclose(geo.iface["wJs"], 0.5 * prob.iface.fluid.w, rtol=0.0, atol=1e-15)
     flip = interpolate(prob.spaces["u"], lambda X: np.stack(
         [-2.0 * X[:, 0], np.zeros(len(X))], axis=1))
     with pytest.raises(DegenerateDeformationError):
@@ -215,7 +215,7 @@ def test_restart_assembles_in_the_uninterrupted_geometry(tmp_path):
     _, resumed = advance_step(prob, back, 1e-4, 2)
     assert resumed.geo is not straight.geo
     ref, got = geometry_arrays(straight.geo), geometry_arrays(resumed.geo)
-    assert sorted(got) == sorted(ref) and len(ref) == 13
+    assert sorted(got) == sorted(ref) and len(ref) == 16
     assert all(np.array_equal(got[key], ref[key]) for key in ref)
 
 
@@ -310,7 +310,7 @@ def test_step_reports_min_jacobian_of_new_configuration():
         geo = build_geometry(prob, state.fields["u"])
         jmin = min(geo.fluid["J"].min(), geo.solid["J"].min())
         assert diag.jmin == jmin
-        assert np.array_equal(state.geo.iface["Js"], geo.iface["Js"])
+        assert np.array_equal(state.geo.iface["wJs"], geo.iface["wJs"])
         assert 0.0 < diag.jmin != 1.0
 
 

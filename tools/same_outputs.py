@@ -30,11 +30,15 @@ Every file either side writes is compared byte for byte.  Prints each file
 that differs or that only one side wrote, and exits 1 if there is any.  For
 a text file that differs only in its numbers, it also prints the largest
 relative difference |a - b| / max(|a|, |b|) between the numeric tokens the
-two sides wrote in the same place, so a roundoff-level change can be told
-from a real one.
+two sides wrote in the same place, and the largest |a - b| relative to the
+largest |value| of the file, so a roundoff-level change can be told from a
+real one, also where it falls on values near zero.  An `.npz` archive is
+compared array by array: each array that differs is named with its largest
+|a - b| relative to its largest |value|.
 """
 
 import io
+import math
 import os
 import re
 import subprocess
@@ -42,6 +46,8 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_CONFIGS = {
@@ -147,12 +153,44 @@ def number_difference(before: bytes, after: bytes) -> str:
     parts = [NUMBER.split(text) for text in (before, after)]
     if len(parts[0]) != len(parts[1]) or parts[0][0::2] != parts[1][0::2]:
         return "text differs beyond its numbers"
-    largest = 0.0
+    largest = largest_abs = scale = 0.0
     for a, b in zip(parts[0][1::2], parts[1][1::2]):
         a, b = float(a), float(b)
+        scale = max(scale, abs(a), abs(b))
         if a != b:
             largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
-    return "largest relative difference %.1e" % largest
+            largest_abs = max(largest_abs, abs(a - b))
+    return ("largest relative difference %.1e, largest difference %.1e of the file's "
+            "largest value" % (largest, largest_abs / scale if largest_abs else 0.0))
+
+
+def array_difference(before: bytes, after: bytes) -> str:
+    """How two versions of an `.npz` archive differ, array by array: for
+    each numeric array that differs, its largest |a - b| relative to its
+    largest |value|."""
+    arrays = []
+    for data in (before, after):
+        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+            arrays.append(dict(npz))
+    a, b = arrays
+    if a.keys() != b.keys():
+        return "array names differ"
+    parts = []
+    for name in sorted(a):
+        x, y = a[name], b[name]
+        if x.shape != y.shape or x.dtype != y.dtype:
+            parts.append("%s: shape or type differs" % name)
+        elif x.dtype.kind not in "fiu":
+            if not np.array_equal(x, y):
+                parts.append("%s: contents differ" % name)
+        elif not np.array_equal(x, y, equal_nan=True):
+            diff = float(np.abs(x.astype(float) - y).max())
+            scale = max(float(np.abs(x).max()), float(np.abs(y).max()))
+            parts.append("%s %.1e" % (name, diff / scale if math.isfinite(diff) else diff))
+    if not parts:
+        return "arrays equal, archives differ"
+    return "arrays differ, largest difference of each array's largest value: " \
+        + ", ".join(parts)
 
 
 def main(argv) -> int:
@@ -174,6 +212,8 @@ def main(argv) -> int:
     for name in differ:
         if name not in before or name not in after:
             how = "written by one side only"
+        elif name.endswith(".npz"):
+            how = array_difference(before[name], after[name])
         else:
             how = number_difference(before[name], after[name])
         print("differs: %s (%s)" % (name, how))
