@@ -130,6 +130,22 @@ def test_pushed_gradients_match_the_per_point_product(stored):
     assert close(h, np.moveaxis(np.moveaxis(grad, 3, 1) @ np.swapaxes(F, -1, -2), 1, 3))
 
 
+@pytest.mark.parametrize("nb", [1, NB])
+@pytest.mark.parametrize("per_entry_A", [False, True])
+@pytest.mark.parametrize("shared_grad", [False, True])
+def test_push_gradients(nb, per_entry_A, shared_grad):
+    # the geometry's two contractions, grad(phi) A and grad(phi) A^T, on
+    # broadcast operands: a shared (stride-0) gradient table, one tensor per
+    # entry, and a batch of a single entry
+    grad = np.broadcast_to(rand(N, D, NQ), (nb, N, D, NQ)) if shared_grad else rand(nb, N, D, NQ)
+    A = rand(nb, 1, D, D) if per_entry_A else rand(nb, NQ, D, D)
+    per_point = np.moveaxis(grad, 3, 1)                # (nb, nq, n, d)
+    want = np.moveaxis(per_point @ A, 1, 3)
+    assert close(np.einsum("bieq,bqek->bikq", grad, A), want)
+    want_t = np.moveaxis(per_point @ np.swapaxes(A, -1, -2), 1, 3)
+    assert close(np.einsum("bieq,bqke->bikq", grad, A), want_t)
+
+
 def test_geometry_pushes_each_cell_batch_like_the_per_point_product():
     prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
     u = interpolate(prob.spaces["u"], lambda X: 0.05 * np.sin(X[:, ::-1]))
