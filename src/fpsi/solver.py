@@ -34,32 +34,65 @@ refinement stops above the tolerance, A is factored again in float64 and
 that LU is refined by the same rule.  So every matrix a float64 LU solves
 is still solved, and nothing needs setting.
 
-Refinement is x = lu.solve(b), then passes x += lu.solve(b - A x).  It
-stops when a pass fails to halve the residual, when the residual is not
-finite, or after MAX_REUSE_PASSES passes, and also:
+A fresh LU is refined: x = lu.solve(b), then passes x += lu.solve(b - A x),
+until one pass after the residual first reaches the tolerance, so every
+fresh LU runs at least one pass and ends with some margin below it.  It
+also stops when a pass fails to halve the residual, when the residual is
+not finite, or after MAX_REUSE_PASSES passes, and a pass that raises the
+residual is undone, so refinement returns the best iterate it made.  A
+fresh float64 LU that ends above the tolerance raises SolverError.  The
+LU of A itself needs no more than plain refinement: on a channel step a
+fresh float32 LU is done after two passes, and keeping this path keeps
+every fresh solve as it was.
 
-  - with a held LU, as soon as the residual is at the tolerance;
-  - with a fresh LU, one pass after the residual first reaches the
-    tolerance, so every fresh LU runs at least one pass and ends with some
-    margin below the tolerance.  A fresh float64 LU that ends above it
-    raises SolverError.
+A held LU is of an older matrix, and what it lacks is that matrix's drift,
+not precision: the LU of step 2 of a BDF2 `channel:16` run, refining on
+step 10's matrix, gains only about a factor 10 per pass (8e-3 to 7e-10 in
+eight LU solves), and in float64 its residual history is the same.  So the
+held LU preconditions flexible GMRES instead (Saad, SISC 14, 1993;
+GMRES-based mixed-precision refinement: Carson & Higham, SISC 40, 2018),
+whose steps minimize the residual over all the preconditioned directions
+made so far; it spends 6 LU solves on a held `channel:16` step where
+refinement spent 8.  Its loop (`_fgmres`), from the caller's initial guess
+`x0` (zero when None):
 
-A pass that raises the residual is undone, so refinement returns the best
-iterate it made.
+  - each Arnoldi step costs one LU solve z = lu.solve(v) and one product
+    A z, orthogonalized against the basis by one classical Gram-Schmidt
+    pass; the z are kept, since the scaled float32 solve is not exactly
+    linear, and the least-squares problem is reduced by Givens rotations;
+  - a cycle ends when the Arnoldi residual estimate is half the
+    tolerance, RESIDUAL_TOL ||b|| / 2.  x is updated and its true
+    residual checked once; at or below the tolerance the solve returns,
+    otherwise the next cycle restarts from that residual.  The estimate
+    has matched the true residual to two digits on every cycle measured,
+    so the half is for the solution, not the check: a held solve's error
+    adds up over the steps, and at the tolerance itself v_s drifted
+    1.75e-8 (relative) from the fresh-LU solution in six BDF2 steps on
+    `channel:4`, against 4.9e-9 at the half (6.1e-9 with refinement), for
+    2 more LU solves over the 18 held steps of a `channel:16` run;
+  - the attempt stalls when one step cuts the estimate by less than
+    STALL_CUT, when a residual is not finite, or after MAX_REUSE_PASSES LU
+    solves.  On criterion 9's stiff slip run (`channel:16`, K = 5e-13),
+    whose held LU never suffices, a cut of 4x stops the attempt after as
+    many wasted solves as refinement spent (186 LU solves over 30 steps
+    against 187), where requiring 2x spent 273 and no rule 470.  A 10x
+    rule spent 157 there, but made a third fresh factor on the BDF2 run
+    at K = 1e-5, which the 4x rule does not.
 
 Every solve takes the record of its matrix: the assembly pattern
 (`fem.SparsePattern`), or any object with an `order` and an `lu`, which is
 None until the first factorization.  A sequence of nearby matrices (one per
-time step) shares one record, so a solve with a held LU refines from it
-first.  When that refinement stops above the tolerance, the solve drops the
-held LU, factors A fresh and keeps the new LU in the record.  At most one
-LU per record is ever alive.  The held LU keeps its order: a reused LU
-solves in the order it was made in.  A caller that solves its matrix once
-(`stepping.solve_steady`) drops the LU afterwards.
+time step) shares one record, so a solve with a held LU runs the Krylov
+loop with it first.  When that attempt stalls, the solve drops the held
+LU, factors A fresh (ignoring x0) and keeps the new LU in the record.  At
+most one LU per record is ever alive.  The held LU keeps its order: a
+reused LU solves in the order it was made in.  A caller that solves its
+matrix once (`stepping.solve_steady`) drops the LU afterwards.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +103,7 @@ from .errors import SolverError
 
 RESIDUAL_TOL = 1e-9
 MAX_REUSE_PASSES = 12
+STALL_CUT = 4.0
 DIAG_PIVOT_THRESH = 1e-4
 _EPS = 1e-30
 
@@ -79,7 +113,7 @@ class SolveReport:
     residual: float
     refined: bool          # a fresh LU was refined (every fresh LU runs a pass)
     n: int
-    iterations: int        # refinement passes spent in this call
+    iterations: int        # refinement passes and Krylov iterations of this call
     factored: bool         # a fresh LU was made
     nnz: int               # nonzeros of A
     fill: int              # nonzeros SuperLU stored in L and U; 0 when reused
@@ -122,21 +156,22 @@ class OrderedLU:
         return x
 
 
-def _refine(A, b: np.ndarray, lu, bnorm: float, past_tol: int):
+def _refine(A, b: np.ndarray, lu, bnorm: float):
     """Refine x = lu.solve(b) by passes x += lu.solve(b - A x).  Stops
     when a pass fails to halve the residual, when it is not finite, after
-    MAX_REUSE_PASSES passes, or `past_tol` passes after the residual first
-    reaches RESIDUAL_TOL.  A pass that raised the residual is undone.
+    MAX_REUSE_PASSES passes, or one pass after the residual first reaches
+    RESIDUAL_TOL.  A pass that raised the residual is undone.
     Returns (x, relative residual, passes)."""
     x = lu.solve(b)
     r = b - A @ x
     res = float(np.linalg.norm(r)) / bnorm
     passes = 0
+    past_tol = False
     while passes < MAX_REUSE_PASSES and np.isfinite(res):
         if res <= RESIDUAL_TOL:
-            if past_tol == 0:
+            if past_tol:
                 break
-            past_tol -= 1
+            past_tol = True
         x_next = x + lu.solve(r)
         r_next = b - A @ x_next
         res_next = float(np.linalg.norm(r_next)) / bnorm
@@ -149,38 +184,101 @@ def _refine(A, b: np.ndarray, lu, bnorm: float, past_tol: int):
     return x, res, passes
 
 
+def _fgmres(A, b: np.ndarray, lu, bnorm: float, x0):
+    """Flexible GMRES for Ax = b, right-preconditioned by the held `lu`,
+    from x0 (zero when None).  A cycle runs Arnoldi steps z_j = lu.solve(v_j)
+    until the residual estimate is half of RESIDUAL_TOL ||b||, then updates
+    x and checks its true residual; above the tolerance, the next cycle
+    restarts from it.  The attempt ends when
+    a step cuts the estimate by less than STALL_CUT, when a residual is not
+    finite, or after MAX_REUSE_PASSES LU solves.  Returns (x, relative
+    residual of x, LU solves)."""
+    x = np.zeros(len(b)) if x0 is None else x0.copy()
+    r = b if x0 is None else b - A @ x
+    res = float(np.linalg.norm(r)) / bnorm
+    target = 0.5 * RESIDUAL_TOL * bnorm
+    solves = 0
+    while res > RESIDUAL_TOL and math.isfinite(res):
+        basis = [r / (res * bnorm)]
+        precond = []            # z_j: kept, since the float32 solve is not exactly linear
+        cols = []               # columns of R, the rotated Hessenberg matrix
+        rotations = []
+        g = [res * bnorm]       # rotated right-hand side; |g[-1]| is the estimate
+        while True:
+            if solves == MAX_REUSE_PASSES:
+                return x, res, solves
+            z = lu.solve(basis[-1])
+            solves += 1
+            w = A @ z
+            h = [float(v @ w) for v in basis]       # one classical Gram-Schmidt pass
+            for hi, v in zip(h, basis):
+                w -= hi * v
+            h_next = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rotations):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            rho = math.hypot(h[-1], h_next)
+            if not (math.isfinite(rho) and rho > 0.0):
+                return x, res, solves
+            c, s = h[-1] / rho, h_next / rho
+            h[-1] = rho
+            rotations.append((c, s))
+            cols.append(h)
+            precond.append(z)
+            last = abs(g[-1])
+            g[-1], estimate = c * g[-1], -s * g[-1]
+            g.append(estimate)
+            if abs(estimate) <= target:
+                break
+            if not abs(estimate) * STALL_CUT <= last:
+                return x, res, solves
+            basis.append(w / h_next)
+        y = g[:-1]
+        for i in reversed(range(len(y))):
+            y[i] = (y[i] - sum(cols[k][i] * y[k] for k in range(i + 1, len(y)))) / cols[i][i]
+        for yi, z in zip(y, precond):
+            x += yi * z
+        r = b - A @ x
+        res = float(np.linalg.norm(r)) / bnorm
+    return x, res, solves
+
+
 def _fresh_lu(A, b: np.ndarray, order: np.ndarray, bnorm: float):
     """Factor A afresh and refine: in float32, or in float64 when the
     float32 factor fails or its refinement stops above RESIDUAL_TOL.
     Returns (lu, x, relative residual, passes)."""
     try:
         lu = OrderedLU(A, order, np.float32)
-        x, res, passes = _refine(A, b, lu, bnorm, 1)
+        x, res, passes = _refine(A, b, lu, bnorm)
     except SolverError:
         res, passes = np.inf, 0
     if not res <= RESIDUAL_TOL:
         lu = None                  # free the float32 factors first
         lu = OrderedLU(A, order, np.float64)
-        x, res, more = _refine(A, b, lu, bnorm, 1)
+        x, res, more = _refine(A, b, lu, bnorm)
         passes += more
     return lu, x, res, passes
 
 
-def solve(A: sparse.spmatrix, b: np.ndarray, record):
+def solve(A: sparse.spmatrix, b: np.ndarray, record, x0: np.ndarray | None = None):
     """Solve Ax = b by sparse LU; returns (x, SolveReport).
 
     `record` is the matrix's `fem.SparsePattern` (any object with `order`
-    and `lu`).  A held `record.lu` of the same shape is tried first by
-    iterative refinement; otherwise A is factored afresh in `record.order`,
-    in float32 or, when that refinement stalls, in float64, and the new LU
-    is left in `record.lu`.
+    and `lu`).  A held `record.lu` of the same shape is tried first, as the
+    preconditioner of flexible GMRES from `x0` (zero when None); when that
+    stalls, or no LU of the shape is held, A is factored afresh in
+    `record.order`, in float32 or, when its refinement stalls, in float64,
+    and the new LU is left in `record.lu`.
     """
     if A.shape[0] != A.shape[1]:
         raise SolverError("matrix is not square: %s" % (A.shape,))
     if A.shape[0] != b.shape[0]:
         raise SolverError("matrix/vector size mismatch: %s vs %d" % (A.shape, b.shape[0]))
+    if x0 is not None and x0.shape != b.shape:
+        raise SolverError("initial guess/vector size mismatch: %s vs %s" % (x0.shape, b.shape))
     if not np.all(np.isfinite(b)):
         raise SolverError("right-hand side contains non-finite entries")
+    if x0 is not None and not np.all(np.isfinite(x0)):
+        raise SolverError("initial guess contains non-finite entries")
     if not np.all(np.isfinite(A.data)):
         raise SolverError("matrix contains non-finite entries")
     n = A.shape[0]
@@ -188,7 +286,7 @@ def solve(A: sparse.spmatrix, b: np.ndarray, record):
 
     spent = 0
     if record.lu is not None and record.lu.shape == A.shape:
-        x, res, spent = _refine(A, b, record.lu, bnorm, 0)
+        x, res, spent = _fgmres(A, b, record.lu, bnorm, x0)
         if res <= RESIDUAL_TOL:
             return x, SolveReport(residual=res, refined=False, n=n, iterations=spent,
                                   factored=False, nnz=A.nnz, fill=0)

@@ -21,8 +21,11 @@ Each matrix of items 2 and 3 has one record, its assembly pattern
 assembly: the structure with its Dirichlet dofs eliminated, the scatter of
 the element entries into it and the LU elimination order
 (`fem.entity_order`).  It also holds the previous step's LU: a solve
-(`solver.solve(A, b, record)`) reuses that LU and factors afresh only when
-refinement with it stops contracting.  The system LU is dropped when the
+(`solver.solve(A, b, record, x0)`) preconditions flexible GMRES with that
+LU and factors afresh only when the Krylov steps stop contracting.  The
+system solve starts from the BDF predictor of the unknowns (`extrapolate`
+of levels k-1, k-2) with the step's boundary values at the fixed dofs; the
+extension solve starts from zero.  The system LU is dropped when the
 scheme changes (BDF2's first BDF2 step), whose matrix differs in its mass
 terms.
 """
@@ -230,7 +233,11 @@ def advance_step(problem: Problem, state: State, dt: float, order: int):
         if state.k >= 1 and scheme_for_step(order, state.k) != sch:
             # the mass terms change with the scheme: the held LU is of another matrix
             pattern.lu = None
-        x, rep = solve(system.A, system.b, pattern)
+        # the BDF predictor, at the step's boundary values, starts a held LU's solve
+        x0 = np.concatenate([extrapolate(sch, state.fields[name], state.prev[name])
+                             for name in system.layout.names])
+        x0[pattern.dofs] = system.b[pattern.dofs]
+        x, rep = solve(system.A, system.b, pattern, x0=x0)
         fields = system.layout.split(x)
         system = None              # the step matrix is not held next to the new geometry
 

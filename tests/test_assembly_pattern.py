@@ -127,9 +127,9 @@ class Recorder:
             self.extension.append((max(a_dev, b_dev), same))
             return out
 
-        def solve(A, b, record):
+        def solve(A, b, record, **kwargs):
             self.handed.append((A, b))
-            return real_solve(A, b, record)
+            return real_solve(A, b, record, **kwargs)
 
         mp.setattr(stepping, "assemble_system", assemble)
         mp.setattr(assembly, "apply_dirichlet", compare)

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 
-from tools.same_outputs import array_difference, number_difference
+from tools.same_outputs import array_difference, number_difference, vtk_difference
 
 
 def test_roundoff_change_reports_the_largest_relative_difference():
@@ -68,3 +68,48 @@ def test_npz_archives_are_compared_array_by_array():
         "arrays differ, largest difference of each array's largest value: k 2.5e-01, " \
         "meta: shape or type differs, same: shape or type differs"
     assert array_difference(before, npz(u=u)) == "array names differ"
+
+
+VTK = b"""# vtk DataFile Version 3.0
+t=1.000000e-04
+ASCII
+DATASET UNSTRUCTURED_GRID
+POINTS 3 double
+0 0 0
+%s 0 0
+0 40 0
+CELLS 1 4
+3 0 1 2
+CELL_TYPES 1
+5
+POINT_DATA 3
+SCALARS p_f double 1
+LOOKUP_TABLE default
+1300
+-2.5
+700
+VECTORS v_s double
+%s 0 0
+2e-4 -1e-3 0
+0 0 0
+"""
+
+
+def test_vtk_files_are_compared_block_by_block():
+    before = VTK % (b"50", b"4e-3")
+    after = VTK % (b"50", b"4.000004e-3")
+    # the change of 4e-9 in v_s is 1e-6 of v_s's largest value, 4e-3, but
+    # 3e-12 of the file's, the pressure 1300
+    assert number_difference(before, after).endswith("3.1e-12 of the file's largest value")
+    assert vtk_difference(before, after) == \
+        "largest relative difference 1.0e-06, largest difference of each data block's " \
+        "largest value: v_s 1.0e-06"
+    moved = VTK % (b"50.00005", b"4e-3")
+    assert vtk_difference(before, moved) == \
+        "largest relative difference 1.0e-06, largest difference of each data block's " \
+        "largest value: POINTS 1.0e-06"
+    assert vtk_difference(before, moved.replace(b"POINTS 3", b"POINTS 4")) == \
+        "largest relative difference 2.5e-01, largest difference of each data block's " \
+        "largest value: POINTS header 2.5e-01, POINTS 1.0e-06"
+    assert vtk_difference(before, before.replace(b"v_s", b"v_f")) == \
+        "text differs beyond its numbers"

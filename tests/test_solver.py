@@ -186,18 +186,81 @@ def test_fresh_lu_ends_below_the_tolerance_one_pass_past_it(monkeypatch):
         assert res[-2] <= rtol and all(r > rtol for r in res[:-2])
 
 
+def recorded_solves(monkeypatch):
+    """(lu, right-hand side, result) of every LU solve from here on."""
+    calls = []
+    real = OrderedLU.solve
+
+    def recording(self, rhs):
+        z = real(self, rhs)
+        calls.append((self, rhs.copy(), z))
+        return z
+
+    monkeypatch.setattr(OrderedLU, "solve", recording)
+    return calls
+
+
+def least_squares_residual(B, b, Z):
+    """Relative residual of the best x in the span of the columns of Z."""
+    BZ = B @ Z
+    y = np.linalg.lstsq(BZ, b, rcond=None)[0]
+    return np.linalg.norm(b - BZ @ y) / np.linalg.norm(b)
+
+
 def test_held_lu_stops_at_the_tolerance(monkeypatch):
     A, b = sample_system()
     held = record(A.shape[0])
     solve(A, b, held)
-    B = perturbed(A, 1e-3)
-    monkeypatch.setattr(solver, "RESIDUAL_TOL", 1e-7)
+    B = perturbed(A, 1e-2)
+    calls = recorded_solves(monkeypatch)
     x, rep = solve(B, b, held)
-    assert not rep.factored and rep.iterations >= 1 and not rep.refined
-    res = refinement_residuals(B, b, held.lu, rep.iterations)
-    assert rep.residual == pytest.approx(res[-1], rel=1e-12)
-    # the last pass is the first one at the tolerance: no pass past it
-    assert res[-1] <= 1e-7 and all(r > 1e-7 for r in res[:-1])
+    assert not rep.factored and not rep.refined and rep.iterations == len(calls) >= 2
+    assert all(lu is held.lu for lu, _, _ in calls)
+    V = np.column_stack([v for _, v, _ in calls])
+    Z = np.column_stack([z for _, _, z in calls])
+    # one Arnoldi cycle from x = 0: a basis that starts at b/|b|, orthonormal
+    # up to what one classical Gram-Schmidt pass loses
+    assert np.allclose(V.T @ V, np.eye(len(calls)), rtol=0.0, atol=1e-6)
+    assert np.allclose(V[:, 0], b / np.linalg.norm(b), rtol=0.0, atol=1e-15)
+    # x is the least-residual combination of the preconditioned vectors, and
+    # the last of them is the first with which that residual is at half the
+    # tolerance, where a cycle ends: no Krylov step past it
+    best = [least_squares_residual(B, b, Z[:, :j]) for j in range(1, len(calls) + 1)]
+    assert best[-1] <= 0.5 * RESIDUAL_TOL < best[-2]
+    assert rep.residual == pytest.approx(np.linalg.norm(B @ x - b) / np.linalg.norm(b),
+                                         rel=1e-12)
+    assert rep.residual == pytest.approx(best[-1], rel=1e-3)
+
+
+def test_held_lu_needs_fewer_solves_than_refinement_under_block_drift(monkeypatch):
+    # the rows of one block drift by 10 %, as the Darcy block of a channel
+    # step does: refinement with the held LU gains a factor 10 per pass,
+    # the Krylov solve is exact in about as many steps as the drift has rank
+    A, b = sample_system()
+    held = record(A.shape[0])
+    solve(A, b, held)
+    scale = np.ones(A.shape[0])
+    scale[:20] = 1.1
+    B = (sparse.diags(scale) @ A).tocsr()
+    res = refinement_residuals(B, b, held.lu, MAX_REUSE_PASSES)
+    richardson = next(i for i, r in enumerate(res) if r <= RESIDUAL_TOL) + 1
+    calls = recorded_solves(monkeypatch)
+    x, rep = solve(B, b, held)
+    assert not rep.factored and rep.residual <= RESIDUAL_TOL
+    assert len(calls) < richardson
+    assert np.linalg.norm(B @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
+
+
+def test_held_lu_from_an_exact_start_spends_no_solve(monkeypatch):
+    A, b = sample_system()
+    held = record(A.shape[0])
+    solve(A, b, held)
+    B = perturbed(A, 1e-3)
+    exact = spsolve(B.tocsc(), b)
+    calls = recorded_solves(monkeypatch)
+    x, rep = solve(B, b, held, x0=exact)
+    assert not calls and rep.iterations == 0 and not rep.factored
+    assert rep.residual <= RESIDUAL_TOL and np.array_equal(x, exact)
 
 
 def test_held_lu_solves_a_nearby_matrix():
@@ -214,17 +277,24 @@ def test_held_lu_solves_a_nearby_matrix():
     assert np.allclose(x, spsolve(B.tocsc(), b), rtol=1e-8, atol=0.0)
 
 
-def test_distant_matrix_falls_back_to_a_fresh_factor():
+def test_distant_matrix_falls_back_to_a_fresh_factor(monkeypatch):
+    # a matrix with other entries: the held LU does not precondition it
+    # (a multiple of A would be one Krylov step away)
     A, b = sample_system()
+    far, _ = sample_system(seed=9)
     held = record(A.shape[0])
     solve(A, b, held)
     first = held.lu
-    x, rep = solve(A * 10.0, b, held)
+    calls = recorded_solves(monkeypatch)
+    x, rep = solve(far, b, held, x0=np.zeros_like(b))
     assert rep.factored and rep.residual <= RESIDUAL_TOL
     assert held.lu is not first
-    # the new LU is the one of the scaled matrix: the next solve reuses it
+    # its first Krylov step cut the estimate by less than STALL_CUT, which
+    # ended the attempt
+    assert sum(lu is first for lu, _, _ in calls) == 1
+    # the new LU is the one of that matrix: the next solve reuses it
     second = held.lu
-    x2, rep2 = solve(A * 10.0, b, held)
+    x2, rep2 = solve(far, b, held)
     assert not rep2.factored and held.lu is second
     assert rep2.residual <= RESIDUAL_TOL
     assert np.allclose(x2, x, rtol=1e-8, atol=0.0)
@@ -255,6 +325,10 @@ def test_reuse_path_rejects_non_finite_inputs():
     bad_A.data[5] = np.inf
     with pytest.raises(SolverError, match="matrix contains"):
         solve(bad_A, b, held)
+    with pytest.raises(SolverError, match="initial guess contains"):
+        solve(A, b, held, x0=np.where(np.isnan(bad_b), np.inf, b))
+    with pytest.raises(SolverError, match="initial guess/vector size mismatch"):
+        solve(A, b, held, x0=b[:-1])
 
 
 def test_unreachable_tolerance_with_a_held_lu_reports_residual(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fpsi.assembly as assembly
+import fpsi.solver as solver
 from fpsi.assembly import DirichletBC, StepInputs, build_geometry
 from fpsi.errors import DegenerateDeformationError, FpsiError, SolverError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
@@ -362,9 +363,10 @@ def test_bdf2_step_after_the_bdf1_start_factors_afresh():
 
 
 def test_stiff_slip_step_refactors_and_meets_the_tolerance():
-    # K = 5e-13 (criterion 9's first run): on channel:4 the lagged LU stops
-    # contracting at steps 5 and 7, which factor afresh after their failed
-    # reuse passes, and the float32 LU still reaches 1e-9 there
+    # K = 5e-13 (criterion 9's first run): on channel:4 the Krylov solve
+    # with the lagged LU stalls at steps 2-4 and 6, which factor afresh
+    # after their failed held attempt, and the float32 LU still reaches 1e-9
+    # there
     prob = channel_problem(channel_mesh(4), benchmark_params(K=5e-13))
     state = State.initial(prob)
     reports = []
@@ -376,6 +378,57 @@ def test_stiff_slip_step_refactors_and_meets_the_tolerance():
     assert refactored
     for rep in refactored:
         assert rep.refined and rep.iterations >= 2 and rep.fill > 0
+
+
+def test_held_steps_spend_fewer_system_lu_solves(monkeypatch):
+    # ten BDF2 steps on channel:4 at K = 1e-5 factor the system at steps 1
+    # and 2; its eight held steps took 49 LU solves with refinement passes
+    # from LU^-1 b and take 38 with the Krylov solve from the BDF predictor
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    sizes = []
+    real = solver.OrderedLU.solve
+
+    def counting(self, rhs):
+        sizes.append(self.shape[0])
+        return real(self, rhs)
+
+    monkeypatch.setattr(solver.OrderedLU, "solve", counting)
+    state = State.initial(prob)
+    held = []
+    for _ in range(10):
+        sizes.clear()
+        state, diag = advance_step(prob, state, 1e-4, 2)
+        if not diag.system.factored:
+            held.append(sizes.count(diag.system.n))
+            assert held[-1] == diag.system.iterations
+        assert diag.system.residual <= 1e-9
+    assert len(held) == 8 and sum(held) < 49
+
+
+def test_system_solve_starts_from_the_bdf_predictor(monkeypatch):
+    import fpsi.stepping as stepping
+
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    state = run_transient(prob, 1e-4, 2, 3)
+    starts = []
+    real = stepping.solve
+
+    def recording(A, b, record, **kwargs):
+        starts.append((b, record, kwargs.get("x0")))
+        return real(A, b, record, **kwargs)
+
+    monkeypatch.setattr(stepping, "solve", recording)
+    advance_step(prob, state, 1e-4, 2)
+    (b, system, x0), (_, extension, none) = starts
+    assert system is prob.patterns["system"] and extension is prob.patterns["extension"]
+    assert none is None                 # the extension starts from zero
+    lay = prob.layout
+    for name in lay.names:
+        expect = extrapolate(BDF2, state.fields[name], state.prev[name])
+        free = np.setdiff1d(np.arange(lay.sizes[name]), system.dofs - lay.offsets[name])
+        assert np.array_equal(x0[lay.slice_of(name)][free], expect[free]), name
+    # at the fixed dofs it holds the step's boundary values
+    assert np.array_equal(x0[system.dofs], b[system.dofs])
 
 
 def test_steady_solve_keeps_no_factors():

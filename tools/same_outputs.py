@@ -32,9 +32,12 @@ a text file that differs only in its numbers, it also prints the largest
 relative difference |a - b| / max(|a|, |b|) between the numeric tokens the
 two sides wrote in the same place, and the largest |a - b| relative to the
 largest |value| of the file, so a roundoff-level change can be told from a
-real one, also where it falls on values near zero.  An `.npz` archive is
-compared array by array: each array that differs is named with its largest
-|a - b| relative to its largest |value|.
+real one, also where it falls on values near zero.  A legacy VTK file is
+scaled block by block instead: each data block (the points, the cells, each
+SCALARS or VECTORS field) that differs is named with its largest |a - b|
+relative to its own largest |value|, so the point ids and the pressure do
+not set the scale of a change in the velocity.  An `.npz` archive is
+compared array by array in the same way.
 """
 
 import io
@@ -145,23 +148,80 @@ def outputs(src: Path, out: Path, mesh: Path) -> dict:
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
-def number_difference(before: bytes, after: bytes) -> str:
-    """How two versions of a file differ: the largest relative difference
-    between their numeric tokens, when everything else in them agrees."""
+def paired_numbers(before: bytes, after: bytes):
+    """The numeric tokens two versions of a file wrote in the same places,
+    as two float arrays, or why they cannot be paired."""
     if b"\0" in before + after:
         return "binary"
     parts = [NUMBER.split(text) for text in (before, after)]
     if len(parts[0]) != len(parts[1]) or parts[0][0::2] != parts[1][0::2]:
         return "text differs beyond its numbers"
-    largest = largest_abs = scale = 0.0
-    for a, b in zip(parts[0][1::2], parts[1][1::2]):
-        a, b = float(a), float(b)
-        scale = max(scale, abs(a), abs(b))
-        if a != b:
-            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
-            largest_abs = max(largest_abs, abs(a - b))
+    return tuple(np.array([float(t) for t in p[1::2]]) for p in parts)
+
+
+def relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the pairs that differ."""
+    differ = a != b
+    if not differ.any():
+        return 0.0
+    a, b = a[differ], b[differ]
+    return float((np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))).max())
+
+
+def scaled_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a - b| relative to the largest |value| of a and b; a
+    non-finite largest |a - b| is returned as it is."""
+    diff = float(np.abs(a - b).max(initial=0.0))
+    if not diff or not math.isfinite(diff):
+        return diff
+    return diff / max(float(np.abs(a).max()), float(np.abs(b).max()))
+
+
+def number_difference(before: bytes, after: bytes) -> str:
+    """How two versions of a file differ: the largest relative difference
+    between their numeric tokens, when everything else in them agrees."""
+    pair = paired_numbers(before, after)
+    if isinstance(pair, str):
+        return pair
     return ("largest relative difference %.1e, largest difference %.1e of the file's "
-            "largest value" % (largest, largest_abs / scale if largest_abs else 0.0))
+            "largest value" % (relative_difference(*pair), scaled_difference(*pair)))
+
+
+def vtk_blocks(data: bytes) -> list:
+    """The blocks of a legacy ASCII VTK file, in file order, as [name, the
+    number of numeric tokens in it].  A header is a line that does not start
+    with a number, and its own numbers (counts, a version) are a block of
+    their own; a SCALARS or VECTORS data block is named by its field, any
+    other by its keyword, and a LOOKUP_TABLE line belongs to the block above
+    it."""
+    blocks = [["", 0]]
+    for line in data.splitlines():
+        words = line.split()
+        count = len(NUMBER.findall(line))
+        if words and not NUMBER.fullmatch(words[0]) and words[0] != b"LOOKUP_TABLE":
+            named = words[0] in (b"SCALARS", b"VECTORS") and len(words) > 1
+            name = (words[1] if named else words[0]).decode(errors="replace")
+            blocks += [[name + " header", count], [name, 0]]
+        else:
+            blocks[-1][1] += count
+    return blocks
+
+
+def vtk_difference(before: bytes, after: bytes) -> str:
+    """How two versions of a legacy VTK file differ: `number_difference`
+    with the file's scale replaced by each data block's own."""
+    pair = paired_numbers(before, after)
+    if isinstance(pair, str):
+        return pair
+    parts = []
+    start = 0
+    for name, count in vtk_blocks(before):
+        a, b = (x[start:start + count] for x in pair)
+        start += count
+        if not np.array_equal(a, b):
+            parts.append("%s %.1e" % (name, scaled_difference(a, b)))
+    return ("largest relative difference %.1e, largest difference of each data block's "
+            "largest value: %s" % (relative_difference(*pair), ", ".join(parts) or "none"))
 
 
 def array_difference(before: bytes, after: bytes) -> str:
@@ -184,9 +244,7 @@ def array_difference(before: bytes, after: bytes) -> str:
             if not np.array_equal(x, y):
                 parts.append("%s: contents differ" % name)
         elif not np.array_equal(x, y, equal_nan=True):
-            diff = float(np.abs(x.astype(float) - y).max())
-            scale = max(float(np.abs(x).max()), float(np.abs(y).max()))
-            parts.append("%s %.1e" % (name, diff / scale if math.isfinite(diff) else diff))
+            parts.append("%s %.1e" % (name, scaled_difference(x.astype(float), y)))
     if not parts:
         return "arrays equal, archives differ"
     return "arrays differ, largest difference of each array's largest value: " \
@@ -214,6 +272,8 @@ def main(argv) -> int:
             how = "written by one side only"
         elif name.endswith(".npz"):
             how = array_difference(before[name], after[name])
+        elif name.endswith(".vtk"):
+            how = vtk_difference(before[name], after[name])
         else:
             how = number_difference(before[name], after[name])
         print("differs: %s (%s)" % (name, how))
