@@ -42,7 +42,8 @@ The geometry of u~ (`Geometry`) comes with the step's inputs: the stepper
 builds it once per configuration with `check_deformation` and hands it on
 to the next step, and a steady solve takes the reference configuration.
 It holds each geometric quantity once, for the forms, the mesh extension
-and the energy monitor alike (`build_geometry`).
+(in the reference configuration) and the energy monitor alike
+(`build_geometry`).
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ class Problem:
     map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # one record per matrix ("system", "extension"), built whole at its first
-    # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU
+    # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU;
+    # the extension's also keeps its element blocks, assembled once
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
 
     @property
@@ -427,20 +429,19 @@ def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
     """Deformation-dependent weights of the displacement u at every
     quadrature point, checked positive.
 
-    Every batch's deformation is `batch_deformation`'s.  The fluid keeps no
-    F but its gradient Gram `gram` P[i,a,j,b] = sum_q w J G_ia G_jb
-    (`fem.gradient_gram`) and `visc` = P[i,b,j,a] + delta_ab sum_c P[i,c,j,c],
-    the sum_q w J 2 D:D of phi_i e_a and phi_j e_b; the viscous block reads
-    mu_f visc, the mesh extension mu_m (visc + 16 gram).  The interface adds
-    the slip tensor P K^-1/2 P, P = I - n n.
+    Every batch's deformation is `batch_deformation`'s.  The fluid keeps
+    neither F nor its gradient Gram P[i,a,j,b] = sum_q w J G_ia G_jb
+    (`fem.gradient_gram`), only `visc` = P[i,b,j,a] + delta_ab sum_c P[i,c,j,c],
+    the sum_q w J 2 D:D of phi_i e_a and phi_j e_b: the viscous block reads
+    mu_f visc, and the mesh extension forms its own Gram once per problem.
+    The interface adds the slip tensor P K^-1/2 P, P = I - n n.
     """
     geo = Geometry()
     if problem.fluid is not None:
         fluid = batch_deformation(problem.fluid, u)
         gram = gradient_gram(fluid["wJ"], fluid["G"])
         visc = add_kron_eye(transposed(gram, (0, 1, 4, 3, 2)), component_trace(gram))
-        geo.fluid = {"J": fluid["J"], "wJ": fluid["wJ"], "G": fluid["G"],
-                     "gram": gram, "visc": visc}
+        geo.fluid = {"J": fluid["J"], "wJ": fluid["wJ"], "G": fluid["G"], "visc": visc}
     if problem.solid is not None:
         geo.solid = batch_deformation(problem.solid, u)
     if problem.iface is not None:

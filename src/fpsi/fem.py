@@ -7,11 +7,12 @@ layout (nb, n, d, nq), so a field's gradient is one (d x n)(n x d nq)
 product per entry (`grads_at_qp`); pushing them through a tensor per point
 is one `np.einsum` contraction, done by the geometry.  Gradient Grams and
 moments are one product per entry (`gradient_gram`, `gradient_moment`);
-the fluid's Gram and the viscous operator made from it are built once per
-configuration with its geometry and serve the viscous block and the mesh
-extension.  Component exchanges of element blocks are gathers
-(`transposed`).  The 2x2 tensor algebra at the points (F, F^-1, strains,
-stresses, Nanson normals) is componentwise, in `kinematics`.
+the viscous operator made from the fluid's Gram is built once per
+configuration with its geometry, and the mesh extension forms the Gram of
+the reference configuration once per problem.  Component exchanges of
+element blocks are gathers (`transposed`).  The 2x2 tensor algebra at the
+points (F, F^-1, strains, stresses, Nanson normals) is componentwise, in
+`kinematics`.
 
 Fixed-pattern sparse assembly: a matrix is the sum of a fixed sequence of
 dense element blocks (rows, cols, values), kept as a plain list, with its

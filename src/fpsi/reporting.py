@@ -162,8 +162,21 @@ def save_checkpoint(path: str, state: State, meta: Optional[dict] = None) -> Non
         np.savez(fh, **arrays)
 
 
+def _checkpoint_number(path: str, data: dict, key: str, kinds: str):
+    """The scalar entry `key` of a checkpoint, of a numpy kind in `kinds`
+    and finite."""
+    arr = np.asarray(data[key])
+    if arr.shape != () or arr.dtype.kind not in kinds or not np.isfinite(arr):
+        raise FpsiError("checkpoint %s: %r is not a finite %s scalar"
+                        % (path, key, "integer" if kinds == "iu" else "real"))
+    return arr[()]
+
+
 def load_checkpoint(path: str, problem):
-    """Restore a State; field sizes must match the problem."""
+    """Restore a State; field sizes must match the problem.  A malformed
+    entry (meta that is not UTF-8 JSON, a step index or time that is not one
+    finite number, a field that is not finite) raises FpsiError naming the
+    path and the key."""
     if not zipfile.is_zipfile(path):
         raise FpsiError("checkpoint %s is not an npz archive" % path)
     with np.load(path, allow_pickle=False) as npz:
@@ -171,6 +184,8 @@ def load_checkpoint(path: str, problem):
     for key in ("step_index", "time"):
         if key not in data:
             raise FpsiError("checkpoint is missing %r" % key)
+    k = int(_checkpoint_number(path, data, "step_index", "iu"))
+    t = float(_checkpoint_number(path, data, "time", "iuf"))
     want = problem.zero_fields()
     fields = {}
     prev = {}
@@ -179,12 +194,20 @@ def load_checkpoint(path: str, problem):
             key = prefix + name
             if key not in data:
                 raise FpsiError("checkpoint is missing field %r" % key)
-            vec = np.asarray(data[key], dtype=float)
+            vec = data[key]
             if vec.shape != ref.shape:
                 raise FpsiError("checkpoint field %r has size %d, expected %d"
                                 % (key, vec.size, ref.size))
-            target[name] = vec
-    meta = json.loads(bytes(data["meta"]).decode()) if "meta" in data else {}
-    state = State(k=int(data["step_index"]), t=float(data["time"]),
-                  fields=fields, prev=prev)
-    return state, meta
+            if vec.dtype.kind not in "iuf" or not np.all(np.isfinite(vec)):
+                raise FpsiError("checkpoint %s: field %r is not a finite real array"
+                                % (path, key))
+            target[name] = np.asarray(vec, dtype=float)
+    meta = {}
+    if "meta" in data:
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+        except ValueError as exc:      # UnicodeDecodeError and JSONDecodeError alike
+            raise FpsiError("checkpoint %s: 'meta' is not UTF-8 JSON: %s" % (path, exc))
+        if not isinstance(meta, dict):
+            raise FpsiError("checkpoint %s: 'meta' is not a JSON object" % path)
+    return State(k=k, t=t, fields=fields, prev=prev), meta

@@ -5,8 +5,9 @@ Each step k:
      fluid and domain velocities from levels k-1, k-2 (first order for BDF1,
      second order for BDF2),
   2. assemble and solve the monolithic system for (v_f, v_s, q, p_f, p_d),
-  3. extend the interface trace of v_s harmonically (Lame-type operator with
-     element-volume stiffening) into the fluid to get the domain velocity w,
+  3. extend the interface trace of v_s into the fluid to get the domain
+     velocity w, with one Lame-type operator per problem, assembled in the
+     reference configuration (`extension_stiffness`),
   4. update the displacement from the BDF identity  [du/dt]^k = w^k,
   5. build the geometry of the updated configuration, which rejects the
      step if any cell or facet inverts, and carry it on the new state into
@@ -24,10 +25,17 @@ the element entries into it and the LU elimination order
 (`solver.solve(A, b, record, x0)`) preconditions flexible GMRES with that
 LU and factors afresh only when the Krylov steps stop contracting.  The
 system solve starts from the BDF predictor of the unknowns (`extrapolate`
-of levels k-1, k-2) with the step's boundary values at the fixed dofs; the
-extension solve starts from zero.  The system LU is dropped when the
-scheme changes (BDF2's first BDF2 step), whose matrix differs in its mass
-terms.
+of levels k-1, k-2) with the step's boundary values at the fixed dofs.  The
+system LU is dropped when the scheme changes (BDF2's first BDF2 step),
+whose matrix differs in its mass terms.
+
+The extension's record also keeps its element blocks (`blocks`), assembled
+at the first step in the reference configuration.  The fluid mesh motion is
+a free choice of the method: any extension of the interface trace that
+keeps the cells valid gives the same continuous problem, so one operator
+serves every step.  Each step fixes the interface trace on those blocks and
+solves from zero, so the held LU is the LU of that very matrix, factored
+once.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import numpy as np
 
 from .assembly import Geometry, Problem, StepInputs, assemble_system, check_deformation
 from .errors import FpsiError
-from .fem import SparsePattern, apply_dirichlet, last_set
+from .fem import SparsePattern, apply_dirichlet, gradient_gram, last_set
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
 
@@ -144,25 +152,29 @@ def step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepI
 
 
 # ---------------------------------------------------------------------------
-# Mesh extension: harmonic-type lift of the interface velocity
+# Mesh extension: a fixed Lame-type lift of the interface velocity
 # ---------------------------------------------------------------------------
 
 def extension_stiffness(problem: Problem, geo):
     """Lame-type extension operator on the fluid velocity space, as the
     list of element blocks (rows, cols, values) of the "extension" matrix.
 
-    Element moduli stiffen as cells compress: mu_m = mu_s |cell|^-1.2 with
-    the cell volume taken in the configuration of `geo`, lambda_m = 16 mu_m.
-    The operator is  mu_m [delta_ab Gi.Gj + Gj_a Gi_b] + lambda_m Gi_a Gj_b.
-    Its moduli are constant per cell, so it is mu_m (visc + 16 gram) from
-    the geometry's viscous operator (the viscous block's too) and gradient Gram.
+    Element moduli are mu_m = mu_s |cell|^-1.2, with the cell volume taken
+    in the configuration of `geo`, and lambda_m = 16 mu_m, so small cells
+    are stiffer.  The operator is
+    mu_m [delta_ab Gi.Gj + Gj_a Gi_b] + lambda_m Gi_a Gj_b.  Its moduli are
+    constant per cell, so it is mu_m (visc + 16 gram) from the geometry's
+    viscous operator (the viscous block's too) and the gradient Gram
+    (`fem.gradient_gram`) formed here.  `solve_extension` builds it once per
+    problem, in the reference configuration.
     """
     sub = problem.fluid
     d = problem.dim
-    nc, nloc = geo.fluid["gram"].shape[:2]
-    mu_m = problem.params.mu_s * geo.fluid["wJ"].sum(axis=1) ** -1.2
+    wJ, G = geo.fluid["wJ"], geo.fluid["G"]
+    nc, nloc = G.shape[:2]
+    mu_m = problem.params.mu_s * wJ.sum(axis=1) ** -1.2
 
-    elem = 16.0 * geo.fluid["gram"]
+    elem = 16.0 * gradient_gram(wJ, G)
     elem += geo.fluid["visc"]
     elem *= mu_m[:, None, None, None, None]
 
@@ -189,18 +201,23 @@ def _extension_dofs(problem: Problem):
     return dofs, take
 
 
-def solve_extension(problem: Problem, geo, v_s: np.ndarray):
+def solve_extension(problem: Problem, v_s: np.ndarray):
     """Domain velocity on the fluid side: trace of v_s on the interface,
     zero on the outer fluid boundary, extension operator in between.
-    Returns (w_f, SolveReport)."""
-    blocks = extension_stiffness(problem, geo)
-    n = problem.spaces["v_f"].num_dofs
+    Returns (w_f, SolveReport).
+
+    The operator is assembled once per problem, at its first call, in the
+    reference configuration; its blocks live on the extension's record, so
+    every later call fixes the step's boundary values and solves."""
     pattern = problem.patterns.get("extension")
     if pattern is None:
-        pattern = SparsePattern(n, blocks, problem.entity_keys(("v_f",)),
-                                *_extension_dofs(problem))
+        geo_ref = check_deformation(problem, np.zeros(problem.spaces["u"].num_dofs))[0]
+        blocks = extension_stiffness(problem, geo_ref)
+        pattern = SparsePattern(problem.spaces["v_f"].num_dofs, blocks,
+                                problem.entity_keys(("v_f",)), *_extension_dofs(problem))
+        pattern.blocks = blocks
         problem.patterns["extension"] = pattern
-    A, b = apply_dirichlet(pattern, blocks, np.zeros(n), np.append(v_s, 0.0))
+    A, b = apply_dirichlet(pattern, pattern.blocks, np.zeros(pattern.n), np.append(v_s, 0.0))
     return solve(A, b, pattern)
 
 
@@ -250,7 +267,7 @@ def advance_step(problem: Problem, state: State, dt: float, order: int):
         else:
             w_f = None
             if problem.fluid is not None:
-                w_f, ext = solve_extension(problem, inp.geo, fields["v_s"])
+                w_f, ext = solve_extension(problem, fields["v_s"])
             w_new = domain_velocity(problem, fields["v_s"], w_f)
             u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
             geo, jmin = check_deformation(problem, u_new)

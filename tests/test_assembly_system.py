@@ -59,11 +59,8 @@ def test_geometry_cache_invariants():
         assert np.allclose(np.linalg.det(F), sub["J"], rtol=1e-13, atol=0.0)
         pushed = np.moveaxis(batch.dphi2, 3, 1) @ np.linalg.inv(F)
         assert np.allclose(np.moveaxis(sub["G"], 3, 1), pushed, atol=1e-12)
-    # the fluid keeps the Gram of its pushed gradients, weighted by w J
-    G = geo.fluid["G"]
-    gram = np.einsum("bq,biaq,bjcq->biajc", prob.fluid.w * geo.fluid["J"], G, G)
-    assert np.allclose(geo.fluid["gram"], gram, rtol=1e-13, atol=1e-13 * np.abs(gram).max())
-    assert "F" in geo.solid and "F" not in geo.fluid
+    # the fluid keeps neither F nor the Gram of its pushed gradients
+    assert "F" in geo.solid and "F" not in geo.fluid and "gram" not in geo.fluid
     for batch, sub in ((prob.fluid, geo.fluid), (prob.solid, geo.solid)):
         assert np.array_equal(sub["wJ"], batch.w * sub["J"])
     n, wJs = geo.iface["n"], geo.iface["wJs"]
@@ -114,7 +111,7 @@ def test_viscous_operator_is_two_D_colon_D():
                + np.einsum("bc,xiaq->xicabq", np.eye(2), G))    # D[x,i,c, a,b, q]
     want = 2.0 * np.einsum("xq,xicabq,xjeabq->xicje", geo.fluid["wJ"], D, D)
     got = geo.fluid["visc"]
-    assert got.shape == want.shape == geo.fluid["gram"].shape
+    assert got.shape == want.shape
     assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.abs(want).max())
 
 

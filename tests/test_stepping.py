@@ -1,6 +1,8 @@
 """Time stepping: BDF algebra, state handling, the mesh-velocity extension,
 and checkpointing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,8 @@ def test_solver_failure_keeps_its_residual_and_names_the_step(monkeypatch):
 @pytest.mark.parametrize("frozen", [True, False])
 def test_frozen_geometry_is_built_once(monkeypatch, frozen):
     # one build per configuration: u^0 ... u^steps of a moving mesh, the
-    # reference configuration alone of a mesh without a solid
+    # reference configuration alone of a mesh without a solid; a moving mesh
+    # builds its reference configuration once more, for the extension operator
     calls = count_geometry_builds(monkeypatch)
     if frozen:
         case = unsteady_fluid()
@@ -181,7 +184,7 @@ def test_frozen_geometry_is_built_once(monkeypatch, frozen):
     else:
         prob, dt, steps = channel_problem(channel_mesh(4), benchmark_params(K=1e-5)), 1e-4, 3
     state = run_transient(prob, dt, 2, steps)
-    assert len(calls) == (1 if frozen else steps + 1)
+    assert len(calls) == (1 if frozen else steps + 2)
     if frozen:
         # the same fields as with the geometry rebuilt on every step
         again = mms_problem(case, 8)
@@ -216,7 +219,7 @@ def test_restart_assembles_in_the_uninterrupted_geometry(tmp_path):
     _, resumed = advance_step(prob, back, 1e-4, 2)
     assert resumed.geo is not straight.geo
     ref, got = geometry_arrays(straight.geo), geometry_arrays(resumed.geo)
-    assert sorted(got) == sorted(ref) and len(ref) == 16
+    assert sorted(got) == sorted(ref) and len(ref) == 15
     assert all(np.array_equal(got[key], ref[key]) for key in ref)
 
 
@@ -227,12 +230,10 @@ def test_restart_assembles_in_the_uninterrupted_geometry(tmp_path):
 def test_solve_extension_boundary_values():
     mesh = channel_mesh(2)
     prob = channel_problem(mesh, benchmark_params(K=1e-5))
-    nu = prob.spaces["u"].num_dofs
-    geo = build_geometry(prob, np.zeros(nu))
     vs_space, vf_space = prob.spaces["v_s"], prob.spaces["v_f"]
     v_s = interpolate(vs_space, lambda X: np.stack(
         [0.01 * X[:, 0], 0.02 * np.ones(len(X))], axis=1))
-    ext, _ = solve_extension(prob, geo, v_s)
+    ext, _ = solve_extension(prob, v_s)
     ext = ext.reshape(-1, 2)
 
     # trace on the interface equals the solid velocity there; the outer
@@ -249,6 +250,75 @@ def test_solve_extension_boundary_values():
         assert np.allclose(ext[node], 0.0, atol=1e-13)
     # the lift stays bounded by the data
     assert np.max(np.abs(ext)) <= np.max(np.abs(vs_nodes)) * 5.0
+
+
+def record_extension(monkeypatch, n):
+    """Counts the extension operator's assemblies and keeps every n x n
+    matrix solved, the extension's on a channel: (builds, matrices)."""
+    import fpsi.stepping as stepping
+
+    builds, matrices = [], []
+    real_stiffness, real_solve = stepping.extension_stiffness, stepping.solve
+
+    def stiffness(problem, geo):
+        builds.append(geo)
+        return real_stiffness(problem, geo)
+
+    def solve(A, b, record, **kwargs):
+        if A.shape[0] == n:
+            matrices.append(A)
+        return real_solve(A, b, record, **kwargs)
+
+    monkeypatch.setattr(stepping, "extension_stiffness", stiffness)
+    monkeypatch.setattr(stepping, "solve", solve)
+    return builds, matrices
+
+
+def same_matrix(A, B):
+    return (np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.data, B.data))
+
+
+def test_extension_operator_is_assembled_once_in_the_reference_configuration(monkeypatch):
+    import fpsi.stepping as stepping
+
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    builds, matrices = record_extension(monkeypatch, prob.spaces["v_f"].num_dofs)
+    state = State.initial(prob)
+    factored = []
+    for _ in range(3):
+        state, diag = advance_step(prob, state, 1e-4, 2)
+        factored.append(diag.extension.factored)
+        assert diag.extension.residual <= 1e-9
+    assert np.abs(state.fields["u"]).max() > 0.0          # the mesh has moved
+    assert len(builds) == 1 and factored == [True, False, False]
+    assert len(matrices) == 3 and all(same_matrix(A, matrices[0]) for A in matrices)
+    # the blocks of the reference configuration u = 0, on the same record
+    pattern = prob.patterns["extension"]
+    nu, n = prob.spaces["u"].num_dofs, pattern.n
+    blocks = stepping.extension_stiffness(prob, build_geometry(prob, np.zeros(nu)))
+    want, _ = stepping.apply_dirichlet(pattern, blocks, np.zeros(n),
+                                       np.zeros(prob.spaces["v_s"].num_dofs + 1))
+    assert same_matrix(matrices[0], want)
+
+
+def test_restart_solves_the_uninterrupted_extension_matrix(monkeypatch, tmp_path):
+    def channel():
+        return channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+
+    first = channel()
+    path = str(tmp_path / "chk")
+    save_checkpoint(path, run_transient(first, 1e-4, 2, 2))
+    n = first.spaces["v_f"].num_dofs
+    with monkeypatch.context() as mp:
+        _, straight = record_extension(mp, n)
+        run_transient(channel(), 1e-4, 2, 3)
+    with monkeypatch.context() as mp:
+        _, resumed = record_extension(mp, n)
+        prob = channel()                     # fresh: no extension record yet
+        run_transient(prob, 1e-4, 2, 1, state=load_checkpoint(path, prob)[0])
+    assert len(straight) == 3 and len(resumed) == 1
+    assert same_matrix(resumed[0], straight[-1])
 
 
 def test_domain_velocity_placement():
@@ -499,18 +569,54 @@ def test_checkpoint_at_an_extensionless_path(tmp_path):
         assert np.array_equal(back.fields[name], state.fields[name])
 
 
-@pytest.mark.parametrize("key", ["step_index", "time"])
-def test_checkpoint_without_step_or_time(tmp_path, key):
-    prob = rest_problem()
+def rewritten_checkpoint(tmp_path, prob, key, replace):
+    """Path of a checkpoint of the problem's initial state whose entry `key`
+    is replaced by replace(entry), or deleted when replace is None."""
     path = tmp_path / "chk"
     save_checkpoint(str(path), State.initial(prob))
     with np.load(path, allow_pickle=False) as npz:
         data = dict(npz)
-    del data[key]
+    if replace is None:
+        del data[key]
+    else:
+        data[key] = replace(data[key])
     with open(path, "wb") as fh:
         np.savez(fh, **data)
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["step_index", "time"])
+def test_checkpoint_without_step_or_time(tmp_path, key):
+    prob = rest_problem()
+    path = rewritten_checkpoint(tmp_path, prob, key, None)
     with pytest.raises(FpsiError, match="checkpoint is missing '%s'" % key):
-        load_checkpoint(str(path), prob)
+        load_checkpoint(path, prob)
+
+
+# (key, replacement of its saved entry, what the error says)
+MALFORMED = {
+    "meta-not-utf8": ("meta", lambda old: np.bytes_(b"\xff\xfe{}"), "not UTF-8 JSON"),
+    "meta-not-json": ("meta", lambda old: np.bytes_(b"{note: 1"), "not UTF-8 JSON"),
+    "meta-not-an-object": ("meta", lambda old: np.bytes_(b"[1, 2]"), "not a JSON object"),
+    "step_index-not-a-number": ("step_index", lambda old: np.str_("three"),
+                                "not a finite integer scalar"),
+    "step_index-fractional": ("step_index", lambda old: np.float64(2.5),
+                              "not a finite integer scalar"),
+    "time-two-values": ("time", lambda old: np.array([old, old]), "not a finite real scalar"),
+    "time-nan": ("time", lambda old: np.float64(np.nan), "not a finite real scalar"),
+    "field-nan": ("cur_v_s", lambda old: np.full_like(old, np.nan), "not a finite real array"),
+    "field-text": ("prev_v_s", lambda old: np.full(old.shape, "x"), "not a finite real array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_entry(tmp_path, case):
+    key, replace, message = MALFORMED[case]
+    prob = rest_problem()
+    path = rewritten_checkpoint(tmp_path, prob, key, replace)
+    with pytest.raises(FpsiError, match="^checkpoint %s: (field )?'%s' .*%s"
+                       % (re.escape(path), key, message)):
+        load_checkpoint(path, prob)
 
 
 def test_checkpoint_that_is_no_npz_archive(tmp_path):
