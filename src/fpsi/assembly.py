@@ -54,10 +54,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from .elements import eval_basis, simplex_quadrature
+from .elements import LOCAL_EDGES, eval_basis, simplex_quadrature
 from .errors import AssemblyError
-from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_trace, field_at_qp,
-                  gradient_gram, gradient_moment, grads_at_qp, kron_eye, last_set,
+from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_dofs, component_trace,
+                  field_at_qp, gradient_gram, gradient_moment, grads_at_qp, last_set,
                   scalar_at_qp, scatter_add, transposed, weighted_gram, weighted_moment)
 from .kinematics import (MaterialParams, deformation_state, green_lagrange, matmul2,
                          pushforward_normal, svk_stress)
@@ -116,9 +116,16 @@ class QuadBatch:
     share their quadrature points in reference coordinates, so a cell batch
     keeps one (nq, n) value table for all cells; facets meet their cells at
     different reference points, so a facet batch keeps one table per facet
-    (nb, nq, n) and its unit reference normal `nref`.  The P2 gradients are
-    per entry in either case, in product layout (nb, n2, d, nq): the
-    gradient of a field is one (d x n2)(n2 x d nq) product per entry
+    (nb, nq, n) and its unit reference normal `nref`.  The value tables,
+    nodes and dofs of a facet batch hold the facet's own nodes only
+    (`facet_nodes`): its 2 vertices and its edge in P2 (n2 = 3), its 2
+    vertices in P1 (n1 = 2).  The cell's other nodes have no trace on the
+    facet, so every facet form and the energy monitor's interface terms
+    work on these smaller tables as they are.  The P2 gradients are per
+    entry in either case and span the whole cell (n = 6), with the
+    displacement's nodes `nodes_u`, since F at a facet point needs every
+    node of its cell.  They are stored in product layout (nb, n, d, nq):
+    the gradient of a field is one (d x n)(n x d nq) product per entry
     (`fem.grads_at_qp`), and the nq values of one basis function and
     component lie next to each other.
     """
@@ -127,11 +134,11 @@ class QuadBatch:
     w: np.ndarray              # (nb, nq) weights incl. |det B| or facet length
     X: np.ndarray              # (nb, nq, d) reference-domain coordinates
     val2: np.ndarray           # (nq, n2) cells, (nb, nq, n2) facets: P2 values
-    dphi2: np.ndarray          # (nb, n2, d, nq) P2 gradients in domain coords
+    dphi2: np.ndarray          # (nb, n, d, nq) P2 gradients of the cell, domain coords
     val1: np.ndarray           # (nq, n1) cells, (nb, nq, n1) facets: P1 values
     nodes2: np.ndarray         # (nb, n2) scalar nodes of the subdomain P2 space
     nodes1: np.ndarray         # (nb, n1) scalar nodes of the subdomain P1 space
-    nodes_u: np.ndarray        # (nb, n2) scalar nodes of the global displacement space
+    nodes_u: np.ndarray        # (nb, n) the cell's nodes of the global displacement space
     vdofs: np.ndarray          # (nb, n2*d) interleaved vector dofs
     nref: Optional[np.ndarray] = None   # (nb, d) facets only
 
@@ -222,7 +229,7 @@ class Problem:
     map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # one record per matrix ("system", "extension"), built whole at its first
     # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU;
-    # the extension's also keeps its element blocks, assembled once
+    # the extension's also keeps its eliminated matrix and lift, assembled once
     patterns: Dict[str, SparsePattern] = field(default_factory=dict, repr=False)
 
     @property
@@ -248,7 +255,8 @@ def _quad_batch(sub_spaces, cells, facets=None) -> QuadBatch:
     sub_spaces = (P2 space, P1 space) of the subdomain holding the cells,
     then the global displacement space.  facets (nb, d) lists one straight
     facet of each cell; its reference normal is the cell's outward unit
-    normal there.
+    normal there, and the batch's values, nodes and dofs are those of the
+    facet's own nodes (`facet_nodes`).
     """
     space2, space1, space_u = sub_spaces
     mesh = space_u.mesh
@@ -280,11 +288,31 @@ def _quad_batch(sub_spaces, cells, facets=None) -> QuadBatch:
     dphi2 = np.swapaxes(Binv, 1, 2)[:, None] @ ghat
 
     loc = np.searchsorted(space2.cells, cells)      # both spaces share the subdomain cells
-    nodes2 = space2.cell_nodes[loc]
+    val2, val1 = v2.reshape(shape + (n2,)), v1.reshape(shape + (d + 1,))
+    nodes2, nodes1 = space2.cell_nodes[loc], space1.cell_nodes[loc]
+    if facets is not None:
+        own2, own1 = facet_nodes(mesh, cells, facets)
+        val2 = np.take_along_axis(val2, own2[:, None, :], axis=2)
+        val1 = np.take_along_axis(val1, own1[:, None, :], axis=2)
+        nodes2 = np.take_along_axis(nodes2, own2, axis=1)
+        nodes1 = np.take_along_axis(nodes1, own1, axis=1)
     vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(len(cells), -1)
-    return QuadBatch(cells, w, X, v2.reshape(shape + (n2,)), dphi2,
-                     v1.reshape(shape + (d + 1,)), nodes2, space1.cell_nodes[loc],
+    return QuadBatch(cells, w, X, val2, dphi2, val1, nodes2, nodes1,
                      space_u.cell_nodes[cells], vdofs, nref)
+
+
+def facet_nodes(mesh: Mesh, cells: np.ndarray, facets: np.ndarray):
+    """The local P2 and P1 nodes of each cell that lie on its facet: (nb, 3)
+    and (nb, 2), the facet's two vertices in its own order, then the P2 node
+    of its edge (`elements.LOCAL_EDGES`).  The cell's other nodes have a
+    zero trace on the facet whatever the geometry: the off-facet vertex's
+    barycentric coordinate vanishes there, and it is a factor of each of
+    their basis functions."""
+    own1 = np.argmax(mesh.cells[cells][:, None, :] == facets[:, :, None], axis=2)
+    edge = np.zeros((3, 3), dtype=np.int64)
+    for e, (a, b) in enumerate(LOCAL_EDGES):
+        edge[a, b] = edge[b, a] = 3 + e
+    return np.column_stack([own1, edge[own1[:, 0], own1[:, 1]]]), own1
 
 
 def build_problem(mesh: Mesh, params: MaterialParams, *,
@@ -429,19 +457,13 @@ def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
     """Deformation-dependent weights of the displacement u at every
     quadrature point, checked positive.
 
-    Every batch's deformation is `batch_deformation`'s.  The fluid keeps
-    neither F nor its gradient Gram P[i,a,j,b] = sum_q w J G_ia G_jb
-    (`fem.gradient_gram`), only `visc` = P[i,b,j,a] + delta_ab sum_c P[i,c,j,c],
-    the sum_q w J 2 D:D of phi_i e_a and phi_j e_b: the viscous block reads
-    mu_f visc, and the mesh extension forms its own Gram once per problem.
-    The interface adds the slip tensor P K^-1/2 P, P = I - n n.
+    Every batch's deformation is `batch_deformation`'s; the fluid part is
+    `fluid_geometry`'s.  The interface adds the slip tensor P K^-1/2 P,
+    P = I - n n.
     """
     geo = Geometry()
     if problem.fluid is not None:
-        fluid = batch_deformation(problem.fluid, u)
-        gram = gradient_gram(fluid["wJ"], fluid["G"])
-        visc = add_kron_eye(transposed(gram, (0, 1, 4, 3, 2)), component_trace(gram))
-        geo.fluid = {"J": fluid["J"], "wJ": fluid["wJ"], "G": fluid["G"], "visc": visc}
+        geo.fluid = fluid_geometry(problem, u)
     if problem.solid is not None:
         geo.solid = batch_deformation(problem.solid, u)
     if problem.iface is not None:
@@ -452,6 +474,22 @@ def build_geometry(problem: Problem, u: np.ndarray) -> Geometry:
     for marker, tr in problem.natural.items():
         geo.loads[marker] = batch_deformation(tr, u)
     return geo
+
+
+def fluid_geometry(problem: Problem, u: np.ndarray) -> dict:
+    """The fluid part of `build_geometry` in the configuration u, checked
+    positive: J, wJ, G and the viscous operator `visc`.
+
+    It keeps neither F nor the gradient Gram P[i,a,j,b] = sum_q w J G_ia G_jb
+    (`fem.gradient_gram`), only visc = P[i,b,j,a] + delta_ab sum_c P[i,c,j,c],
+    the sum_q w J 2 D:D of phi_i e_a and phi_j e_b: the viscous block reads
+    mu_f visc.  The mesh extension takes this part alone, in the reference
+    configuration, and forms its own Gram from it once per problem.
+    """
+    fluid = batch_deformation(problem.fluid, u)
+    gram = gradient_gram(fluid["wJ"], fluid["G"])
+    visc = add_kron_eye(transposed(gram, (0, 1, 4, 3, 2)), component_trace(gram))
+    return {"J": fluid["J"], "wJ": fluid["wJ"], "G": fluid["G"], "visc": visc}
 
 
 def check_deformation(problem: Problem, u: np.ndarray) -> Tuple[Geometry, float]:
@@ -495,7 +533,7 @@ def assemble_system(problem: Problem, inp: StepInputs) -> BlockSystem:
         pattern = SparsePattern(lay.total, blocks, problem.entity_keys(lay.names),
                                 *last_set(dofs), key=key)
         problem.patterns["system"] = pattern
-    A, b = apply_dirichlet(pattern, blocks, b, _dirichlet_values(problem, inp.t))
+    A, b, _ = apply_dirichlet(pattern, blocks, b, _dirichlet_values(problem, inp.t))
     return BlockSystem(A, b, lay)
 
 
@@ -576,20 +614,32 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
     Ael += (0.5 * prm.lam_s) * H
     Ael *= inp.beta
 
-    # a_d: J K^-1 q . psi_d
+    # The mass couplings of v_s and q and the Darcy term J K^-1 q . psi_d
+    # are scalar blocks on the dofs of one component each (`component_dofs`):
+    # v_s and q meet component by component, and component a of q meets
+    # component b through K^-1[a, b] Ms, plus the q mass where a = b.
     Ms = weighted_gram(wJ, sub.val2, sub.val2)
-    Ad = Ms[:, :, None, :, None] * prm.K_inv[None, None, :, None, :]
-
+    vsc = component_dofs(sub.nodes2, d) + lay.offsets["v_s"]
+    qc = component_dofs(sub.nodes2, d) + lay.offsets["q"]
+    Dq = Ms[:, None] * np.diagonal(prm.K_inv)[:, None, None]       # (nc, d, nloc, nloc)
     if transient:
         c = inp.a0 / inp.dt
-        Mv = kron_eye(Ms, d)
-        blocks.append((vsd, vsd, add_kron_eye(Ael, (prm.rho_p * c) * Ms).reshape(nc, n2d, n2d)))
-        blocks.append((vsd, qd, (prm.rho_f * c) * Mv))
-        blocks.append((qd, vsd, (prm.rho_f * c) * Mv))
-        blocks.append((qd, qd,
-                       add_kron_eye(Ad, (prm.rho_f / prm.phi * c) * Ms).reshape(nc, n2d, n2d)))
-        blocks.append((pdd, pdd, (prm.s0 * c) * weighted_gram(wJ, sub.val1, sub.val1)))
+        add_kron_eye(Ael, (prm.rho_p * c) * Ms)
+        Dq += ((prm.rho_f / prm.phi * c) * Ms)[:, None]
+    blocks.append((vsd, vsd, Ael.reshape(nc, n2d, n2d)))
+    if transient:
+        Mc = np.repeat((prm.rho_f * c) * Ms, d, axis=0)
+        blocks.append((vsc, qc, Mc))
+        blocks.append((qc, vsc, Mc))
+    blocks.append((qc, qc, Dq.reshape(nc * d, nloc, nloc)))
+    ca, cb = np.nonzero(~np.eye(d, dtype=bool) & (prm.K_inv != 0.0))
+    if len(ca):         # an anisotropic K couples the components of q
+        qcell = qc.reshape(nc, d, nloc)
+        blocks.append((qcell[:, ca].reshape(-1, nloc), qcell[:, cb].reshape(-1, nloc),
+                       (Ms[:, None] * prm.K_inv[ca, cb][:, None, None]).reshape(-1, nloc, nloc)))
 
+    if transient:
+        blocks.append((pdd, pdd, (prm.s0 * c) * weighted_gram(wJ, sub.val1, sub.val1)))
         nv = lay.sizes["v_s"]
         hv = inp.hist.get("v_s", np.zeros(nv))
         hq = inp.hist.get("q", np.zeros(nv))
@@ -603,9 +653,6 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
         if hp is not None:
             hpq = scalar_at_qp(sub.val1, sub.nodes1, hp)
             scatter_add(b, pdd, -weighted_moment(wJ * (prm.s0 / inp.dt), sub.val1, hpq))
-    else:
-        blocks.append((vsd, vsd, Ael.reshape(nc, n2d, n2d)))
-        blocks.append((qd, qd, Ad.reshape(nc, n2d, n2d)))
 
     # History part of the elastic stress moves to the right-hand side:
     # sum_q w (F~ S g_i)_a, one (nloc x d nq)(d nq x d) product per cell
@@ -710,8 +757,8 @@ def _backflow_terms(problem, inp, geo, blocks):
         # v~ . n ds on the deformed facet
         flux = g["wJs"] * np.sum(vt * g["n"], axis=-1)
         wq = (-0.5 * prm.rho_f) * np.minimum(flux, 0.0)
-        dofs = tr.vdofs + lay.offsets["v_f"]
-        blocks.append((dofs, dofs, kron_eye(weighted_gram(wq, tr.val2, tr.val2), d)))
+        dofs = component_dofs(tr.nodes2, d) + lay.offsets["v_f"]
+        blocks.append((dofs, dofs, np.repeat(weighted_gram(wq, tr.val2, tr.val2), d, axis=0)))
 
 
 def _load_terms(problem, inp, geo, b):

@@ -173,17 +173,17 @@ def _checkpoint_number(path: str, data: dict, key: str, kinds: str):
 
 
 def load_checkpoint(path: str, problem):
-    """Restore a State; field sizes must match the problem.  A malformed
-    entry (meta that is not UTF-8 JSON, a step index or time that is not one
-    finite number, a field that is not finite) raises FpsiError naming the
-    path and the key."""
+    """Restore a State; field sizes must match the problem.  A missing or
+    malformed entry (meta that is not UTF-8 JSON, a step index or time that
+    is not one finite number, a field that is not finite or has the wrong
+    size) raises FpsiError naming the path and the key."""
     if not zipfile.is_zipfile(path):
         raise FpsiError("checkpoint %s is not an npz archive" % path)
     with np.load(path, allow_pickle=False) as npz:
         data = dict(npz)
     for key in ("step_index", "time"):
         if key not in data:
-            raise FpsiError("checkpoint is missing %r" % key)
+            raise FpsiError("checkpoint %s is missing %r" % (path, key))
     k = int(_checkpoint_number(path, data, "step_index", "iu"))
     t = float(_checkpoint_number(path, data, "time", "iuf"))
     want = problem.zero_fields()
@@ -193,11 +193,11 @@ def load_checkpoint(path: str, problem):
         for prefix, target in (("cur_", fields), ("prev_", prev)):
             key = prefix + name
             if key not in data:
-                raise FpsiError("checkpoint is missing field %r" % key)
+                raise FpsiError("checkpoint %s is missing field %r" % (path, key))
             vec = data[key]
             if vec.shape != ref.shape:
-                raise FpsiError("checkpoint field %r has size %d, expected %d"
-                                % (key, vec.size, ref.size))
+                raise FpsiError("checkpoint %s: field %r has size %d, expected %d"
+                                % (path, key, vec.size, ref.size))
             if vec.dtype.kind not in "iuf" or not np.all(np.isfinite(vec)):
                 raise FpsiError("checkpoint %s: field %r is not a finite real array"
                                 % (path, key))

@@ -29,11 +29,12 @@ of levels k-1, k-2) with the step's boundary values at the fixed dofs.  The
 system LU is dropped when the scheme changes (BDF2's first BDF2 step),
 whose matrix differs in its mass terms.
 
-The extension's record also keeps its element blocks (`blocks`), assembled
-at the first step in the reference configuration.  The fluid mesh motion is
-a free choice of the method: any extension of the interface trace that
-keeps the cells valid gives the same continuous problem, so one operator
-serves every step.  Each step fixes the interface trace on those blocks and
+The extension's record also keeps its eliminated matrix (`A`) and the lift
+values of its Dirichlet columns (`lift`), assembled at the first step in
+the reference configuration.  The fluid mesh motion is a free choice of
+the method: any extension of the interface trace that keeps the cells valid
+gives the same continuous problem, so one operator serves every step.  Each
+step forms the right-hand side of its interface trace from the lift and
 solves from zero, so the held LU is the LU of that very matrix, factored
 once.
 """
@@ -45,9 +46,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .assembly import Geometry, Problem, StepInputs, assemble_system, check_deformation
+from .assembly import (Geometry, Problem, StepInputs, assemble_system, check_deformation,
+                       fluid_geometry)
 from .errors import FpsiError
-from .fem import SparsePattern, apply_dirichlet, gradient_gram, last_set
+from .fem import SparsePattern, apply_dirichlet, dirichlet_rhs, gradient_gram, last_set
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
 
@@ -155,12 +157,13 @@ def step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepI
 # Mesh extension: a fixed Lame-type lift of the interface velocity
 # ---------------------------------------------------------------------------
 
-def extension_stiffness(problem: Problem, geo):
+def extension_stiffness(problem: Problem, fluid: dict):
     """Lame-type extension operator on the fluid velocity space, as the
     list of element blocks (rows, cols, values) of the "extension" matrix.
 
     Element moduli are mu_m = mu_s |cell|^-1.2, with the cell volume taken
-    in the configuration of `geo`, and lambda_m = 16 mu_m, so small cells
+    in the configuration of the fluid geometry `fluid`
+    (`assembly.fluid_geometry`), and lambda_m = 16 mu_m, so small cells
     are stiffer.  The operator is
     mu_m [delta_ab Gi.Gj + Gj_a Gi_b] + lambda_m Gi_a Gj_b.  Its moduli are
     constant per cell, so it is mu_m (visc + 16 gram) from the geometry's
@@ -170,12 +173,12 @@ def extension_stiffness(problem: Problem, geo):
     """
     sub = problem.fluid
     d = problem.dim
-    wJ, G = geo.fluid["wJ"], geo.fluid["G"]
+    wJ, G = fluid["wJ"], fluid["G"]
     nc, nloc = G.shape[:2]
     mu_m = problem.params.mu_s * wJ.sum(axis=1) ** -1.2
 
     elem = 16.0 * gradient_gram(wJ, G)
-    elem += geo.fluid["visc"]
+    elem += fluid["visc"]
     elem *= mu_m[:, None, None, None, None]
 
     return [(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))]
@@ -206,19 +209,25 @@ def solve_extension(problem: Problem, v_s: np.ndarray):
     zero on the outer fluid boundary, extension operator in between.
     Returns (w_f, SolveReport).
 
-    The operator is assembled once per problem, at its first call, in the
-    reference configuration; its blocks live on the extension's record, so
-    every later call fixes the step's boundary values and solves."""
+    The operator is assembled and its Dirichlet dofs eliminated once per
+    problem, at its first call, in the reference configuration of the fluid
+    cells alone (`assembly.fluid_geometry`).  The record keeps the
+    eliminated matrix (`A`) and its lift values (`lift`), so every later
+    call only forms the right-hand side of the step's boundary values
+    (`fem.dirichlet_rhs`) and solves."""
+    values = np.append(v_s, 0.0)
     pattern = problem.patterns.get("extension")
     if pattern is None:
-        geo_ref = check_deformation(problem, np.zeros(problem.spaces["u"].num_dofs))[0]
-        blocks = extension_stiffness(problem, geo_ref)
+        blocks = extension_stiffness(
+            problem, fluid_geometry(problem, np.zeros(problem.spaces["u"].num_dofs)))
         pattern = SparsePattern(problem.spaces["v_f"].num_dofs, blocks,
                                 problem.entity_keys(("v_f",)), *_extension_dofs(problem))
-        pattern.blocks = blocks
+        pattern.A, b, pattern.lift = apply_dirichlet(pattern, blocks, np.zeros(pattern.n),
+                                                     values)
         problem.patterns["extension"] = pattern
-    A, b = apply_dirichlet(pattern, pattern.blocks, np.zeros(pattern.n), np.append(v_s, 0.0))
-    return solve(A, b, pattern)
+    else:
+        b = dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n), values)
+    return solve(pattern.A, b, pattern)
 
 
 def domain_velocity(problem: Problem, v_s: np.ndarray, w_f: Optional[np.ndarray]) -> np.ndarray:

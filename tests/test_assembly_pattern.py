@@ -95,24 +95,31 @@ def backflow_active(problem, inp):
 
 class Recorder:
     """Wraps the step entry points to check each matrix against the
-    reference built from the blocks its `apply_dirichlet` receives."""
+    reference built from the blocks its `apply_dirichlet` receives.
+
+    The extension eliminates its blocks at its first solve only and holds
+    the result; each of its solves is checked against the reference of
+    those blocks with that step's v_s."""
 
     def __init__(self, mp):
         self.system = []          # (scheme a0, a dev, b dev, same structure, backflow)
-        self.extension = []       # (a and b dev, same structure) after elimination
+        self.extension = []       # (a and b dev, same structure) of each extension solve
+        self.eliminations = 0     # the extension's calls of apply_dirichlet
         self.handed = []          # matrices handed to the solver
         checked = []              # the system's comparison of this assembly
+        ext = {}                  # the extension's blocks, and v_s during its solve
         real_assemble = stepping.assemble_system
         real_dirichlet = fem.apply_dirichlet
         real_solve = stepping.solve
+        real_extension = stepping.solve_extension
 
         def compare(pattern, blocks, b, values):
-            out, rhs = real_dirichlet(pattern, blocks, b, values)
+            out, rhs, lift = real_dirichlet(pattern, blocks, b, values)
             expect, expect_b = reference_dirichlet(pattern, blocks, b, values)
             checked.append((rel_dev(out, expect),
                             np.abs(rhs - expect_b).max() / np.abs(expect_b).max(),
                             same_structure(out, expect)))
-            return out, rhs
+            return out, rhs, lift
 
         def assemble(problem, inp):
             system = real_assemble(problem, inp)
@@ -121,19 +128,32 @@ class Recorder:
             self.system.append((inp.a0, a_dev, b_dev, same, backflow_active(problem, inp)))
             return system
 
-        def extension(pattern, blocks, b, values):
-            out = compare(pattern, blocks, b, values)
-            a_dev, b_dev, same = checked.pop()
-            self.extension.append((max(a_dev, b_dev), same))
-            return out
+        def extension_blocks(pattern, blocks, b, values):
+            self.eliminations += 1
+            ext["blocks"] = blocks
+            return real_dirichlet(pattern, blocks, b, values)
+
+        def solve_extension(problem, v_s):
+            ext["v_s"] = v_s
+            try:
+                return real_extension(problem, v_s)
+            finally:
+                del ext["v_s"]
 
         def solve(A, b, record, **kwargs):
             self.handed.append((A, b))
+            if "v_s" in ext:
+                expect, expect_b = reference_dirichlet(record, ext["blocks"], np.zeros(record.n),
+                                                       np.append(ext["v_s"], 0.0))
+                self.extension.append((max(rel_dev(A, expect), np.abs(b - expect_b).max()
+                                           / np.abs(expect_b).max()),
+                                       same_structure(A, expect)))
             return real_solve(A, b, record, **kwargs)
 
         mp.setattr(stepping, "assemble_system", assemble)
         mp.setattr(assembly, "apply_dirichlet", compare)
-        mp.setattr(stepping, "apply_dirichlet", extension)
+        mp.setattr(stepping, "apply_dirichlet", extension_blocks)
+        mp.setattr(stepping, "solve_extension", solve_extension)
         mp.setattr(stepping, "solve", solve)
 
 
@@ -186,6 +206,7 @@ def test_channel_steps_match_reference(monkeypatch, order, p_ext):
         assert a_dev <= A_RTOL and b_dev <= B_RTOL and same
     assert {active for *_, active in rec.system} == (
         {False, True} if p_ext != 0.0 else {True})
+    assert rec.eliminations == 1 and len(rec.extension) == 4
     for dev, same in rec.extension:
         assert dev <= A_RTOL and same
     dofs = system_dofs(prob, WALL_BCS)
@@ -222,6 +243,51 @@ def test_steady_mms_matches_reference(monkeypatch, case):
     fluid = case().subdomain == "fluid"
     assert_unit_rows(A, system_dofs(prob, INLET_BCS, (0,)) if fluid
                      else system_dofs(prob, WALL_BCS))
+
+
+def moving_state(prob):
+    """A deformed, moving state of the problem: no facet of its geometry is
+    axis-aligned and no field vanishes, so no entry of a step's matrix is
+    zero by accident."""
+    state = State.initial(prob)
+    for name in ("u", "w", "v_f", "v_s", "q"):
+        space = prob.spaces["u" if name in ("u", "w") else name]
+        state.fields[name] = interpolate(space, lambda X: 0.02 * np.stack(
+            [np.sin(X[:, 1] + 0.3 * X[:, 0]), np.cos(X[:, 0] / 5.0 + 0.7 * X[:, 1])], axis=1))
+        state.prev[name] = 0.5 * state.fields[name]
+    return state
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_structure_holds_only_entries_that_can_be_nonzero(order):
+    # every slot of the eliminated structure is nonzero on a generic step:
+    # the blocks scatter no entry that is zero whatever the data
+    prob = channel()
+    state = moving_state(prob)
+    for _ in range(3):
+        state, diag = advance_step(prob, state, DT, order)
+        assert diag.system.nnz == prob.patterns["system"].nnz
+        assert diag.extension.nnz == prob.patterns["extension"].nnz
+
+
+def test_per_block_scatter_equals_one_bincount_bitwise(monkeypatch):
+    captured = []
+    real = fem.apply_dirichlet
+
+    def capture(pattern, blocks, b, values):
+        out = real(pattern, blocks, b, values)
+        captured.append((pattern, blocks, out))
+        return out
+
+    monkeypatch.setattr(assembly, "apply_dirichlet", capture)
+    prob = channel()
+    advance_step(prob, moving_state(prob), DT, 2)
+    (p, blocks, (A, _, lift)), = captured
+    slots = np.bincount(p.scatter, weights=np.concatenate([v.reshape(-1) for *_, v in blocks]),
+                        minlength=p.nslots)
+    slots[p.diag] = 1.0
+    assert A.nnz == p.nnz and np.array_equal(A.data, slots[:p.nnz])
+    assert len(lift) > 0 and np.array_equal(lift, slots[p.nnz:-1])
 
 
 def test_each_pattern_is_built_once(monkeypatch):
@@ -315,7 +381,7 @@ def eliminate_both(n, blocks, vals, dofs, values, b):
     blocks = [(r, c, v) for (r, c), v in zip(blocks, vals)]
     pattern = fem.SparsePattern(n, blocks, np.arange(n), *fem.last_set(dofs))
     values = np.asarray(values, dtype=float)
-    return (fem.apply_dirichlet(pattern, blocks, b, values),
+    return (fem.apply_dirichlet(pattern, blocks, b, values)[:2],
             reference_dirichlet(pattern, blocks, b, values), pattern)
 
 
@@ -410,14 +476,14 @@ def test_pattern_of_arbitrary_blocks_matches_coo():
     none = np.empty(0, dtype=np.int64)
     first = [(r, c, v) for (r, c), v in zip(blocks, vals)]
     pattern = fem.SparsePattern(n, first, np.arange(n), none, none)
-    A, _ = fem.apply_dirichlet(pattern, first, np.zeros(n), np.empty(0))
+    A = fem.apply_dirichlet(pattern, first, np.zeros(n), np.empty(0))[0]
     R = coo_sum(n, first)
     assert same_structure(A, R) and rel_dev(A, R) <= A_RTOL
     assert np.diff(A.indptr)[n - 5:].tolist() == [0, 1, 1, 0, 0]
 
     # a second fill of the same record with new values
     second = [(r, c, 2.0 * v) for r, c, v in first]
-    A2, _ = fem.apply_dirichlet(pattern, second, np.zeros(n), np.empty(0))
+    A2 = fem.apply_dirichlet(pattern, second, np.zeros(n), np.empty(0))[0]
     assert rel_dev(A2, coo_sum(n, second)) <= A_RTOL
 
 

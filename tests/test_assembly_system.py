@@ -12,7 +12,8 @@ from fpsi.elements import eval_basis, simplex_quadrature
 from fpsi.errors import AssemblyError, DegenerateDeformationError
 from fpsi.fem import grads_at_qp
 from fpsi.kinematics import MaterialParams, pushforward_normal
-from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, extract_interface
+from fpsi.mesh import (FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID, Mesh, extract_interface,
+                       validate_mesh)
 from fpsi.reporting import write_matrix
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, unit_square_mesh
 from fpsi.spaces import cell_geometry, interpolate
@@ -202,19 +203,59 @@ def test_quadrature_batches_match_per_entity_loop():
     assert np.array_equal(np.sign(prob.iface.fluid.nref[:, 1]), np.sign(y))
     assert np.array_equal(prob.iface.solid.nref, -prob.iface.fluid.nref)
     frule = simplex_quadrature(1, q)
+    v_f, p_f = prob.spaces["v_f"], prob.spaces["p_f"]
     for name, (fverts, tr) in facet_sets.items():
-        assert tr.val2.ndim == 3 and len(tr.cells) == len(fverts) > 0
+        assert tr.val2.shape[2] == 3 and tr.val1.shape[2] == 2
+        assert len(tr.cells) == len(fverts) > 0
         for f, (a, b) in enumerate(fverts):
             x0, B, Binv = affine(tr.cells[f])
             pa, pb = mesh.vertices[a], mesh.vertices[b]
+            # the facet's own nodes: its vertices in its order, then its midpoint
+            assert np.array_equal(v_f.node_coords[tr.nodes2[f]], [pa, pb, (pa + pb) / 2.0])
+            assert np.array_equal(p_f.node_coords[tr.nodes1[f]], [pa, pb])
+            cell = v_f.cell_nodes[np.searchsorted(v_f.cells, tr.cells[f])].tolist()
+            own = [cell.index(node) for node in tr.nodes2[f]]
             for k, s in enumerate(frule.points[:, 0]):
                 x = pa + s * (pb - pa)
                 xi = np.clip(Binv @ (x - x0), 0.0, 1.0)
                 vals, grads = eval_basis(2, 2, xi[None])
                 assert np.allclose(tr.X[f, k], x, rtol=0.0, atol=1e-13), name
-                assert np.allclose(tr.val2[f, k], vals[0], rtol=0.0, atol=1e-13), name
+                assert np.allclose(tr.val2[f, k], vals[0, own], rtol=0.0, atol=1e-13), name
                 assert np.allclose(tr.dphi2[f, :, :, k], grads[0] @ Binv, rtol=0.0, atol=1e-13), \
                     name
+
+
+def jittered(mesh, scale, seed=3):
+    """The mesh with every vertex moved by up to `scale` times the shortest
+    edge in each coordinate: no facet is axis-aligned any more."""
+    ends = mesh.vertices[mesh.edges]
+    h = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()
+    move = scale * h * np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.vertices.shape)
+    return validate_mesh(Mesh(mesh.vertices + move, mesh.cells, mesh.cell_tags,
+                              mesh.facets, mesh.facet_markers))
+
+
+@pytest.mark.parametrize("scale,tol", [(0.0, 0.0), (0.2, 1e-14)])
+def test_facet_batches_drop_only_nodes_without_a_trace(scale, tol):
+    # A facet batch keeps the cell's 3 P2 and 2 P1 nodes on the facet.  The
+    # others vanish there for any geometry: exactly on the channel's
+    # axis-aligned facets, and to the roundoff of mapping coordinates up to
+    # 50 onto cells about 1 wide on a jittered copy (4.5e-15 measured).
+    mesh = channel_mesh(4)
+    if scale:
+        mesh = jittered(mesh, scale)
+    prob = channel_problem(mesh, benchmark_params(K=1e-5))
+    sides = {"fluid": (prob.iface.fluid, "v_f", "p_f"), "solid": (prob.iface.solid, "v_s", "p_d")}
+    sides.update((m, (tr, "v_f", "p_f")) for m, tr in prob.natural.items())
+    for name, (tr, f2, f1) in sides.items():
+        x0, _, _, Binv = cell_geometry(mesh, tr.cells)
+        xi = np.clip((tr.X - x0[:, None, :]) @ np.swapaxes(Binv, 1, 2), 0.0, 1.0)
+        for space, kept, degree in ((prob.spaces[f2], tr.nodes2, 2), (prob.spaces[f1], tr.nodes1, 1)):
+            cell = space.cell_nodes[np.searchsorted(space.cells, tr.cells)]
+            full = eval_basis(2, degree, xi.reshape(-1, 2))[0].reshape(xi.shape[:2] + (-1,))
+            on = (cell[:, :, None] == kept[:, None, :]).any(axis=2)        # (nb, n)
+            assert on.sum(axis=1).tolist() == [kept.shape[1]] * len(cell)
+            assert np.abs(full.transpose(0, 2, 1)[~on]).max() <= tol, name
 
 
 # ---------------------------------------------------------------------------

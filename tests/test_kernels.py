@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fpsi import assembly
 from fpsi.fem import (component_trace, gradient_gram, gradient_moment, grads_at_qp, transposed,
@@ -214,11 +215,10 @@ def assembled_blocks(prob, inp):
     return captured["blocks"], captured["b"]
 
 
-@pytest.fixture(scope="module")
-def channel_step():
-    """A BDF2 step from a deformed, moving state of channel:2, and the
-    displacement of its geometry."""
-    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+def moving_step(K):
+    """A BDF2 step from a deformed, moving state of channel:2 with
+    permeability K, and the displacement of its geometry."""
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=K))
     state = State.initial(prob)
     for name in ("u", "w", "v_f", "v_s", "q"):
         space = prob.spaces["u" if name in ("u", "w") else name]
@@ -226,6 +226,11 @@ def channel_step():
             [np.sin(X[:, 1]), np.cos(X[:, 0] / 5.0)], axis=1))
         state.prev[name] = 0.5 * state.fields[name]
     return prob, step_inputs(prob, state, BDF2, 1e-4), state.fields["u"]
+
+
+@pytest.fixture(scope="module")
+def channel_step():
+    return moving_step(1e-5)
 
 
 def plain_geometry(batch, u):
@@ -278,6 +283,49 @@ def test_solid_blocks_match_their_definition(channel_step):
     assert close(blocks[8][2], B) and close(blocks[10][2], -np.swapaxes(B, 1, 2))
 
 
+def summed(n, blocks):
+    """The sparse n x n sum of element blocks (rows, cols, values)."""
+    rows = [np.broadcast_to(r[:, :, None], v.shape).ravel() for r, _, v in blocks]
+    cols = [np.broadcast_to(c[:, None, :], v.shape).ravel() for _, c, v in blocks]
+    vals = [v.ravel() for *_, v in blocks]
+    return sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("K", [1e-5, np.array([[2.0, 0.3], [0.3, 1.0]]) * 1e-5])
+def test_solid_mass_and_darcy_blocks_match_their_definition(K):
+    # the (v_s, q), (q, v_s) and (q, q) blocks of the solid, scalar blocks on
+    # one component each, summed against the full d x d element blocks
+    # rho_f c Ms (x) I and Ms (x) (K^-1 + rho_f / phi c I)
+    prob, inp, u = moving_step(K)
+    sub, prm, lay = prob.solid, prob.params, prob.layout
+    _, J, _, _ = plain_geometry(sub, u)
+    nc, c = len(sub.cells), inp.a0 / inp.dt
+    Ms = np.einsum("xq,qi,qj->xij", sub.w * J, sub.val2, sub.val2)
+    vsd, qd = sub.vdofs + lay.offsets["v_s"], sub.vdofs + lay.offsets["q"]
+    want = {("v_s", "q"): [(vsd, qd, prm.rho_f * c * np.einsum("xij,ac->xiajc", Ms, np.eye(2)))],
+            ("q", "v_s"): [(qd, vsd, prm.rho_f * c * np.einsum("xij,ac->xiajc", Ms, np.eye(2)))],
+            ("q", "q"): [(qd, qd, np.einsum("xij,ac->xiajc", Ms,
+                                            prm.K_inv + prm.rho_f / prm.phi * c * np.eye(2)))]}
+    blocks, _ = assembled_blocks(prob, inp)
+
+    def within(dofs, name):
+        span = lay.slice_of(name)
+        return span.start <= dofs.min() and dofs.max() < span.stop
+
+    for (rf, cf), expected in want.items():
+        got = [blk for blk in blocks if within(blk[0], rf) and within(blk[1], cf)]
+        A = summed(lay.total, got)
+        W = summed(lay.total, [(r, cc, v.reshape(nc, 12, 12)) for r, cc, v in expected])
+        assert abs(A - W).max() <= TOL * abs(W).max()
+        # the same entries, without the zeros of the full blocks
+        W.eliminate_zeros()
+        assert np.all(A.data != 0.0) and A.nnz == W.nnz
+    # the off-diagonal K^-1 coupling is its own block, present only when K^-1 has one
+    iso_prob, iso_inp, _ = moving_step(1e-5)
+    assert len(blocks) == len(assembled_blocks(iso_prob, iso_inp)[0]) + (not np.isscalar(K))
+
+
 def test_elastic_history_load_matches_its_definition(channel_step):
     # F~ S(E(u_h, u~)) : grad(psi) of the history u_h moves to the right-hand
     # side; the difference of two histories isolates it
@@ -307,5 +355,5 @@ def test_extension_stiffness_is_the_shared_fluid_gram_rescaled(channel_step):
     P = gradient_gram(wJ * mu_m[:, None], geo.fluid["G"])
     want = P.transpose(0, 1, 4, 3, 2) + 16.0 * P \
         + np.einsum("xij,ac->xiajc", component_trace(P), np.eye(2))
-    (rows, cols, got), = extension_stiffness(prob, geo)
+    (rows, cols, got), = extension_stiffness(prob, geo.fluid)
     assert close(got, want.reshape(len(sub.cells), 12, 12))

@@ -184,7 +184,7 @@ def test_frozen_geometry_is_built_once(monkeypatch, frozen):
     else:
         prob, dt, steps = channel_problem(channel_mesh(4), benchmark_params(K=1e-5)), 1e-4, 3
     state = run_transient(prob, dt, 2, steps)
-    assert len(calls) == (1 if frozen else steps + 2)
+    assert len(calls) == (1 if frozen else steps + 1)
     if frozen:
         # the same fields as with the geometry rebuilt on every step
         again = mms_problem(case, 8)
@@ -260,9 +260,9 @@ def record_extension(monkeypatch, n):
     builds, matrices = [], []
     real_stiffness, real_solve = stepping.extension_stiffness, stepping.solve
 
-    def stiffness(problem, geo):
-        builds.append(geo)
-        return real_stiffness(problem, geo)
+    def stiffness(problem, fluid):
+        builds.append(fluid)
+        return real_stiffness(problem, fluid)
 
     def solve(A, b, record, **kwargs):
         if A.shape[0] == n:
@@ -296,10 +296,49 @@ def test_extension_operator_is_assembled_once_in_the_reference_configuration(mon
     # the blocks of the reference configuration u = 0, on the same record
     pattern = prob.patterns["extension"]
     nu, n = prob.spaces["u"].num_dofs, pattern.n
-    blocks = stepping.extension_stiffness(prob, build_geometry(prob, np.zeros(nu)))
-    want, _ = stepping.apply_dirichlet(pattern, blocks, np.zeros(n),
-                                       np.zeros(prob.spaces["v_s"].num_dofs + 1))
+    blocks = stepping.extension_stiffness(prob, build_geometry(prob, np.zeros(nu)).fluid)
+    want = stepping.apply_dirichlet(pattern, blocks, np.zeros(n),
+                                    np.zeros(prob.spaces["v_s"].num_dofs + 1))[0]
     assert same_matrix(matrices[0], want)
+
+
+def test_extension_forms_each_right_hand_side_from_its_held_lift(monkeypatch):
+    import fpsi.stepping as stepping
+
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    eliminations, handed = [], []
+    real_dirichlet, real_solve = stepping.apply_dirichlet, stepping.solve
+
+    def dirichlet(pattern, blocks, b, values):
+        eliminations.append(blocks)
+        return real_dirichlet(pattern, blocks, b, values)
+
+    def solve(A, b, record, **kwargs):
+        if record is prob.patterns.get("extension"):
+            handed.append(b)
+        return real_solve(A, b, record, **kwargs)
+
+    monkeypatch.setattr(stepping, "apply_dirichlet", dirichlet)
+    monkeypatch.setattr(stepping, "solve", solve)
+    state = State.initial(prob)
+    for _ in range(3):
+        state, _ = advance_step(prob, state, 1e-4, 2)
+    # the blocks are eliminated at the first solve only; every later b is
+    # the held lift's
+    assert len(eliminations) == 1 and len(handed) == 3
+    pattern = prob.patterns["extension"]
+    v_s = state.fields["v_s"]
+    assert np.abs(v_s).max() > 0.0 and np.array_equal(
+        handed[-1], stepping.dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n),
+                                           np.append(v_s, 0.0)))
+    # for any v_s, the held lift's b is the one the full elimination makes
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        values = np.append(rng.standard_normal(len(v_s)), 0.0)
+        held = stepping.dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n), values)
+        A, full, _ = real_dirichlet(pattern, eliminations[0], np.zeros(pattern.n), values)
+        assert np.array_equal(held, full) and np.abs(held).max() > 0.0
+        assert same_matrix(A, pattern.A)
 
 
 def test_restart_solves_the_uninterrupted_extension_matrix(monkeypatch, tmp_path):
@@ -547,13 +586,15 @@ def test_checkpoint_errors(tmp_path):
     save_checkpoint(path, state)
 
     other = make_problem(one_triangle_mesh_fluid())
-    with pytest.raises(FpsiError, match="missing field|size"):
+    with pytest.raises(FpsiError, match="^checkpoint %s(: field '.*' has size| is missing field)"
+                       % re.escape(path)):
         load_checkpoint(path, other)
 
     data = dict(np.load(path, allow_pickle=False))
     del data["cur_v_s"]
     np.savez(path, **data)
-    with pytest.raises(FpsiError, match="missing field"):
+    with pytest.raises(FpsiError, match="^checkpoint %s is missing field 'cur_v_s'$"
+                       % re.escape(path)):
         load_checkpoint(path, prob)
 
 
@@ -589,7 +630,8 @@ def rewritten_checkpoint(tmp_path, prob, key, replace):
 def test_checkpoint_without_step_or_time(tmp_path, key):
     prob = rest_problem()
     path = rewritten_checkpoint(tmp_path, prob, key, None)
-    with pytest.raises(FpsiError, match="checkpoint is missing '%s'" % key):
+    with pytest.raises(FpsiError, match="^checkpoint %s is missing '%s'$"
+                       % (re.escape(path), key)):
         load_checkpoint(path, prob)
 
 
