@@ -57,8 +57,9 @@ from scipy import sparse
 from .elements import LOCAL_EDGES, eval_basis, simplex_quadrature
 from .errors import AssemblyError
 from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_dofs, component_trace,
-                  field_at_qp, gradient_gram, gradient_moment, grads_at_qp, last_set,
-                  scalar_at_qp, scatter_add, transposed, weighted_gram, weighted_moment)
+                  dirichlet_rhs, field_at_qp, gradient_gram, gradient_moment, grads_at_qp,
+                  last_set, scalar_at_qp, scatter_add, transposed, weighted_gram,
+                  weighted_moment)
 from .kinematics import (MaterialParams, deformation_state, green_lagrange, matmul2,
                          pushforward_normal, svk_stress)
 from .mesh import FLUID, MARKER_TO_NAME, SOLID, Mesh, extract_interface, facet_normals
@@ -390,7 +391,8 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         if len(idx) == 0:
             raise AssemblyError("%s marker %s has no facets"
                                 % (what, MARKER_TO_NAME.get(marker, marker)))
-        cells = mesh.edge_cells[mesh.facet_edges[idx], 0]
+        table = mesh.edge_table
+        cells = table.edge_cells[table.facet_edges[idx], 0]
         return _quad_batch(fluid_spaces, cells, mesh.facets[idx])
 
     natural: Dict[int, QuadBatch] = {}
@@ -533,7 +535,8 @@ def assemble_system(problem: Problem, inp: StepInputs) -> BlockSystem:
         pattern = SparsePattern(lay.total, blocks, problem.entity_keys(lay.names),
                                 *last_set(dofs), key=key)
         problem.patterns["system"] = pattern
-    A, b, _ = apply_dirichlet(pattern, blocks, b, _dirichlet_values(problem, inp.t))
+    A, lift = apply_dirichlet(pattern, blocks)
+    b = dirichlet_rhs(pattern, lift, b, _dirichlet_values(problem, inp.t))
     return BlockSystem(A, b, lay)
 
 

@@ -23,10 +23,11 @@ small lift that moves the known values to the right-hand side, or to a
 discard slot for the fixed rows, and the fill-reducing elimination order of
 its LU.  Each later assembly computes the block values only; one
 `np.add.at` per block, on its slice of the scatter, fills the matrix and the
-lift, and the matrix is built as a CSR once.  The lift arithmetic that moves
-the known values to the right-hand side is `dirichlet_rhs`, so a matrix
-that does not change (the mesh extension) can keep its CSR and lift values
-and form each step's right-hand side alone.
+lift, and the matrix is built as a CSR once (`apply_dirichlet`).  The known
+values reach a right-hand side in one place, `dirichlet_rhs`, which takes
+the lift values and the step's boundary values, so a matrix that does not
+change (the mesh extension) keeps its CSR and lift on its record and forms
+each step's right-hand side alone.
 
 The blocks hold only entries that can be nonzero, so the structure is the
 true sparsity graph of the matrix and its LU order is taken on that graph:
@@ -117,11 +118,8 @@ def gradient_moment(w: np.ndarray, G: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def component_trace(P: np.ndarray) -> np.ndarray:
-    """sum_a P[b,i,a,j,a] -> (nb, ni, nj), for d >= 2 components."""
-    tr = P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
-    for a in range(2, P.shape[2]):
-        tr += P[:, :, a, :, a]
-    return tr
+    """sum_a P[b,i,a,j,a] -> (nb, ni, nj), for the d = 2 components."""
+    return P[:, :, 0, :, 0] + P[:, :, 1, :, 1]
 
 
 def transposed(X: np.ndarray, axes: Tuple[int, ...]) -> np.ndarray:
@@ -196,7 +194,9 @@ class SparsePattern:
     before it is scattered into the wrong slots, and `starts` the position
     of each block's first entry in `scatter`.  `lu` is the last LU of the
     matrix, which `solver.solve(A, b, pattern)` tries first and replaces
-    when it factors afresh.
+    when it factors afresh.  A record whose block values never change (the
+    mesh extension's) keeps its eliminated matrix `A` and lift values
+    `lift` (`apply_dirichlet`); they are None on every other record.
     """
 
     def __init__(self, n: int, blocks: List[tuple], keys: np.ndarray,
@@ -214,6 +214,8 @@ class SparsePattern:
         self.take = take
         self.key = key
         self.lu = None
+        self.A = None
+        self.lift = None
 
         rows = np.empty(nt, dtype=np.int32)
         cols = np.empty(nt, dtype=np.int32)
@@ -300,14 +302,13 @@ def entity_order(indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray) -> n
     return np.argsort(perm_c[entity], kind="stable")
 
 
-def apply_dirichlet(pattern: SparsePattern, blocks: List[tuple], b: np.ndarray,
-                    values: np.ndarray):
-    """The matrix of the blocks' values, its Dirichlet dofs fixed to their
-    entries of the step's value list, b with those values moved to the
-    right-hand side (`dirichlet_rhs`), and the lift values that moved them
-    (see `SparsePattern`).  Each block is added into one slot array on its
-    own slice of the scatter, in block order, so each slot sums its entries
-    in the order one `np.bincount` of all the values would.  Entries whose
+def apply_dirichlet(pattern: SparsePattern, blocks: List[tuple]):
+    """The matrix of the blocks' values with its Dirichlet dofs eliminated,
+    and the lift values, its free-row entries in fixed columns (see
+    `SparsePattern`), which `dirichlet_rhs` turns into each right-hand side.
+    Returns (A, lift).  Each block is added into one slot array on its own
+    slice of the scatter, in block order, so each slot sums its entries in
+    the order one `np.bincount` of all the values would.  Entries whose
     value is exactly zero are left out of the returned CSR."""
     p = pattern
     if tuple(v.size for *_, v in blocks) != p.sizes:
@@ -318,19 +319,24 @@ def apply_dirichlet(pattern: SparsePattern, blocks: List[tuple], b: np.ndarray,
         np.add.at(slots, p.scatter[start:start + size], v.reshape(-1))
     data = slots[:p.nnz]
     data[p.diag] = 1.0
-    lift = slots[p.nnz:-1]
-    # the pattern's own arrays stay as built: eliminate_zeros works in place
+    # Explicit zeros are dropped, in place, so the record's arrays are
+    # copied.  Kept, they change the LU: the steady Stokes matrix of the
+    # exact polynomial case on an 8x8 square has 480 of them (13,217 slots,
+    # 12,737 nonzeros), and with them the float32 LU refines 2 passes to a
+    # residual of 1.0e-13 instead of 3 passes to 6.5e-16, which moves that
+    # case's errors from 7.0e-16/2.5e-13 to 1.3e-12/6.8e-10 (bound 1e-9).
     A = sparse.csr_matrix((data, p.indices.copy(), p.indptr.copy()), shape=(p.n, p.n))
     A.eliminate_zeros()
-    return A, dirichlet_rhs(p, lift, b, values), lift
+    return A, slots[p.nnz:-1]
 
 
 def dirichlet_rhs(pattern: SparsePattern, lift: np.ndarray, b: np.ndarray,
                   values: np.ndarray) -> np.ndarray:
     """b with the Dirichlet dofs' entries of the step's value list moved to
-    the right-hand side: minus the lift values (the free-row entries in
-    fixed columns, `apply_dirichlet`) times their columns' values, and the
-    values themselves at the fixed dofs.  A new array; b is not changed."""
+    the right-hand side: minus the lift values (`apply_dirichlet`) times
+    their columns' values, and the values themselves at the fixed dofs.
+    The one place Dirichlet values enter a right-hand side.  A new array;
+    b is not changed."""
     p = pattern
     values = values[p.take]
     b = b - np.bincount(p.lift_rows, weights=lift * values[p.lift_pos], minlength=p.n)

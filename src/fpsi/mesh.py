@@ -14,9 +14,10 @@ the fluid-solid interface:
     GAMMA_FS               fluid-solid interface (internal)
 
 Meshes are 2D: the readers reject any other dimension.  Topology lives in
-one edge table (`EdgeTable`), derived from the cells once after orientation
-repair: validation, the interface, the facet traces of assembly and the P2
-edge nodes of every function space all read it.
+one edge table (`Mesh.edge_table`, an `EdgeTable`), derived from the cells
+once after orientation repair: validation, the interface, the facet traces
+of assembly and the P2 edge nodes of every function space all read its
+arrays under their one name, `mesh.edge_table.<field>`.
 
 Two file formats are supported: a plain-text native format (sections
 VERTICES / CELLS / FACETS, 0-based indices, tag names spelled out) and
@@ -117,22 +118,6 @@ class Mesh:
             self._table = _edge_table(self)
         return self._table
 
-    @property
-    def edges(self) -> np.ndarray:
-        return self.edge_table.edges
-
-    @property
-    def cell_edges(self) -> np.ndarray:
-        return self.edge_table.cell_edges
-
-    @property
-    def edge_cells(self) -> np.ndarray:
-        return self.edge_table.edge_cells
-
-    @property
-    def facet_edges(self) -> np.ndarray:
-        return self.edge_table.facet_edges
-
 
 def _edge_table(mesh: Mesh) -> EdgeTable:
     """The edge table of the mesh's cells and marked facets.
@@ -210,8 +195,9 @@ def extract_interface(mesh: Mesh) -> Interface:
     """GAMMA_FS facets, each with its fluid and its solid cell."""
     idx = mesh.facets_with_marker(GAMMA_FS)
     fverts = mesh.facets[idx]
-    fe = mesh.facet_edges[idx]
-    c0, c1 = mesh.edge_cells[fe].T
+    table = mesh.edge_table
+    fe = table.facet_edges[idx]
+    c0, c1 = table.edge_cells[fe].T
     bad = np.flatnonzero((fe < 0) | (c1 < 0) | (mesh.cell_tags[c0] == mesh.cell_tags[c1]))
     if len(bad):
         k = bad[0]

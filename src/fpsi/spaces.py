@@ -74,7 +74,7 @@ class FunctionSpace:
         marked = np.isin(mesh.facet_markers, wanted)
         found = [_find(self.vertex_ids, mesh.facets[marked].ravel())]
         if self.degree == 2:
-            pos = _find(self.edge_ids, mesh.facet_edges[marked])
+            pos = _find(self.edge_ids, mesh.edge_table.facet_edges[marked])
             found.append(np.where(pos < 0, -1, pos + len(self.vertex_ids)))
         nodes = np.concatenate(found)
         return np.unique(nodes[nodes >= 0])
@@ -107,9 +107,10 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
     coords = [mesh.vertices[verts]]
     edge_ids = np.empty(0, dtype=np.int64)
     if degree == 2:
-        celledges = mesh.cell_edges[cells]
+        table = mesh.edge_table
+        celledges = table.cell_edges[cells]
         edge_ids = np.unique(celledges)
-        ends = mesh.edges[edge_ids]
+        ends = table.edges[edge_ids]
         coords.append((mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]) / 2.0)
         cell_nodes = np.hstack([cell_nodes, len(verts) + np.searchsorted(edge_ids, celledges)])
 

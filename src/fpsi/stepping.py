@@ -34,9 +34,9 @@ values of its Dirichlet columns (`lift`), assembled at the first step in
 the reference configuration.  The fluid mesh motion is a free choice of
 the method: any extension of the interface trace that keeps the cells valid
 gives the same continuous problem, so one operator serves every step.  Each
-step forms the right-hand side of its interface trace from the lift and
-solves from zero, so the held LU is the LU of that very matrix, factored
-once.
+step, the first included, forms the right-hand side of its interface trace
+from the lift (`fem.dirichlet_rhs`) and solves from zero, so the held LU is
+the LU of that very matrix, factored once.
 """
 
 from __future__ import annotations
@@ -212,21 +212,18 @@ def solve_extension(problem: Problem, v_s: np.ndarray):
     The operator is assembled and its Dirichlet dofs eliminated once per
     problem, at its first call, in the reference configuration of the fluid
     cells alone (`assembly.fluid_geometry`).  The record keeps the
-    eliminated matrix (`A`) and its lift values (`lift`), so every later
-    call only forms the right-hand side of the step's boundary values
-    (`fem.dirichlet_rhs`) and solves."""
-    values = np.append(v_s, 0.0)
+    eliminated matrix (`A`) and its lift values (`lift`), so every call,
+    the first included, only forms the right-hand side of the step's
+    boundary values (`fem.dirichlet_rhs`) and solves."""
     pattern = problem.patterns.get("extension")
     if pattern is None:
         blocks = extension_stiffness(
             problem, fluid_geometry(problem, np.zeros(problem.spaces["u"].num_dofs)))
         pattern = SparsePattern(problem.spaces["v_f"].num_dofs, blocks,
                                 problem.entity_keys(("v_f",)), *_extension_dofs(problem))
-        pattern.A, b, pattern.lift = apply_dirichlet(pattern, blocks, np.zeros(pattern.n),
-                                                     values)
+        pattern.A, pattern.lift = apply_dirichlet(pattern, blocks)
         problem.patterns["extension"] = pattern
-    else:
-        b = dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n), values)
+    b = dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n), np.append(v_s, 0.0))
     return solve(pattern.A, b, pattern)
 
 

@@ -94,8 +94,9 @@ def backflow_active(problem, inp):
 
 
 class Recorder:
-    """Wraps the step entry points to check each matrix against the
-    reference built from the blocks its `apply_dirichlet` receives.
+    """Wraps the step entry points to check each matrix and right-hand side
+    against the reference built from the blocks its `apply_dirichlet`
+    receives and the values its `dirichlet_rhs` receives.
 
     The extension eliminates its blocks at its first solve only and holds
     the result; each of its solves is checked against the reference of
@@ -107,19 +108,27 @@ class Recorder:
         self.eliminations = 0     # the extension's calls of apply_dirichlet
         self.handed = []          # matrices handed to the solver
         checked = []              # the system's comparison of this assembly
+        current = {}              # the system's blocks and matrix of this assembly
         ext = {}                  # the extension's blocks, and v_s during its solve
         real_assemble = stepping.assemble_system
         real_dirichlet = fem.apply_dirichlet
+        real_rhs = fem.dirichlet_rhs
         real_solve = stepping.solve
         real_extension = stepping.solve_extension
 
-        def compare(pattern, blocks, b, values):
-            out, rhs, lift = real_dirichlet(pattern, blocks, b, values)
-            expect, expect_b = reference_dirichlet(pattern, blocks, b, values)
+        def eliminate(pattern, blocks):
+            current["blocks"] = blocks
+            current["A"], lift = real_dirichlet(pattern, blocks)
+            return current["A"], lift
+
+        def compare(pattern, lift, b, values):
+            rhs = real_rhs(pattern, lift, b, values)
+            out = current.pop("A")
+            expect, expect_b = reference_dirichlet(pattern, current.pop("blocks"), b, values)
             checked.append((rel_dev(out, expect),
                             np.abs(rhs - expect_b).max() / np.abs(expect_b).max(),
                             same_structure(out, expect)))
-            return out, rhs, lift
+            return rhs
 
         def assemble(problem, inp):
             system = real_assemble(problem, inp)
@@ -128,10 +137,10 @@ class Recorder:
             self.system.append((inp.a0, a_dev, b_dev, same, backflow_active(problem, inp)))
             return system
 
-        def extension_blocks(pattern, blocks, b, values):
+        def extension_blocks(pattern, blocks):
             self.eliminations += 1
             ext["blocks"] = blocks
-            return real_dirichlet(pattern, blocks, b, values)
+            return real_dirichlet(pattern, blocks)
 
         def solve_extension(problem, v_s):
             ext["v_s"] = v_s
@@ -151,7 +160,8 @@ class Recorder:
             return real_solve(A, b, record, **kwargs)
 
         mp.setattr(stepping, "assemble_system", assemble)
-        mp.setattr(assembly, "apply_dirichlet", compare)
+        mp.setattr(assembly, "apply_dirichlet", eliminate)
+        mp.setattr(assembly, "dirichlet_rhs", compare)
         mp.setattr(stepping, "apply_dirichlet", extension_blocks)
         mp.setattr(stepping, "solve_extension", solve_extension)
         mp.setattr(stepping, "solve", solve)
@@ -274,15 +284,15 @@ def test_per_block_scatter_equals_one_bincount_bitwise(monkeypatch):
     captured = []
     real = fem.apply_dirichlet
 
-    def capture(pattern, blocks, b, values):
-        out = real(pattern, blocks, b, values)
+    def capture(pattern, blocks):
+        out = real(pattern, blocks)
         captured.append((pattern, blocks, out))
         return out
 
     monkeypatch.setattr(assembly, "apply_dirichlet", capture)
     prob = channel()
     advance_step(prob, moving_state(prob), DT, 2)
-    (p, blocks, (A, _, lift)), = captured
+    (p, blocks, (A, lift)), = captured
     slots = np.bincount(p.scatter, weights=np.concatenate([v.reshape(-1) for *_, v in blocks]),
                         minlength=p.nslots)
     slots[p.diag] = 1.0
@@ -381,7 +391,8 @@ def eliminate_both(n, blocks, vals, dofs, values, b):
     blocks = [(r, c, v) for (r, c), v in zip(blocks, vals)]
     pattern = fem.SparsePattern(n, blocks, np.arange(n), *fem.last_set(dofs))
     values = np.asarray(values, dtype=float)
-    return (fem.apply_dirichlet(pattern, blocks, b, values)[:2],
+    A, lift = fem.apply_dirichlet(pattern, blocks)
+    return ((A, fem.dirichlet_rhs(pattern, lift, b, values)),
             reference_dirichlet(pattern, blocks, b, values), pattern)
 
 
@@ -476,14 +487,14 @@ def test_pattern_of_arbitrary_blocks_matches_coo():
     none = np.empty(0, dtype=np.int64)
     first = [(r, c, v) for (r, c), v in zip(blocks, vals)]
     pattern = fem.SparsePattern(n, first, np.arange(n), none, none)
-    A = fem.apply_dirichlet(pattern, first, np.zeros(n), np.empty(0))[0]
+    A = fem.apply_dirichlet(pattern, first)[0]
     R = coo_sum(n, first)
     assert same_structure(A, R) and rel_dev(A, R) <= A_RTOL
     assert np.diff(A.indptr)[n - 5:].tolist() == [0, 1, 1, 0, 0]
 
     # a second fill of the same record with new values
     second = [(r, c, 2.0 * v) for r, c, v in first]
-    A2 = fem.apply_dirichlet(pattern, second, np.zeros(n), np.empty(0))[0]
+    A2 = fem.apply_dirichlet(pattern, second)[0]
     assert rel_dev(A2, coo_sum(n, second)) <= A_RTOL
 
 
@@ -493,8 +504,8 @@ def test_blocks_that_differ_from_the_pattern_are_refused():
     none = np.empty(0, dtype=np.int64)
     pattern = fem.SparsePattern(n, [block], np.arange(n), none, none)
     with pytest.raises(AssemblyError, match="do not match its assembly pattern"):
-        fem.apply_dirichlet(pattern, [block, block], np.zeros(n), np.empty(0))
+        fem.apply_dirichlet(pattern, [block, block])
     # the same number of entries split differently is refused too
     half = (np.array([[0]]), np.array([[2, 3]]), np.ones((1, 1, 2)))
     with pytest.raises(AssemblyError, match="do not match its assembly pattern"):
-        fem.apply_dirichlet(pattern, [half, half], np.zeros(n), np.empty(0))
+        fem.apply_dirichlet(pattern, [half, half])

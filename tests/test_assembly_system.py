@@ -228,7 +228,7 @@ def test_quadrature_batches_match_per_entity_loop():
 def jittered(mesh, scale, seed=3):
     """The mesh with every vertex moved by up to `scale` times the shortest
     edge in each coordinate: no facet is axis-aligned any more."""
-    ends = mesh.vertices[mesh.edges]
+    ends = mesh.vertices[mesh.edge_table.edges]
     h = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()
     move = scale * h * np.random.default_rng(seed).uniform(-1.0, 1.0, mesh.vertices.shape)
     return validate_mesh(Mesh(mesh.vertices + move, mesh.cells, mesh.cell_tags,

@@ -545,3 +545,46 @@ def test_cli_mms_stokes_writes_report(tmp_path, capsys):
     text = (tmp_path / "convergence.txt").read_text()
     assert "order" in text and "velocity" in text
     assert "order" in capsys.readouterr().out
+
+
+def table_orders(text, heading):
+    """The observed orders of the convergence table under `heading`, one per
+    level after the first."""
+    lines = text.splitlines()
+    start = lines.index(heading) + 2          # the heading, then the column names
+    orders = []
+    for line in lines[start:]:
+        fields = line.split()
+        if len(fields) != 3:
+            break
+        orders.append(fields[2])
+    assert orders[0] == "-"
+    return [float(order) for order in orders[1:]]
+
+
+@pytest.mark.parametrize("case,headings", [
+    ("biot", ["Poroelastic system, %s:" % field
+              for field in ("displacement", "filtration flux", "pore pressure")]),
+    ("time", ["BDF%d temporal convergence (velocity L2 at T):" % order for order in (1, 2)]),
+], ids=["biot", "time"])
+def test_cli_mms_writes_finite_orders(tmp_path, capsys, case, headings):
+    assert main(["mms", case, "--levels", "3", "--output", str(tmp_path)]) == 0
+    text = (tmp_path / "convergence.txt").read_text()
+    assert text.rstrip("\n") in capsys.readouterr().out
+    for heading in headings:
+        orders = table_orders(text, heading)
+        assert len(orders) == 2 and np.all(np.isfinite(orders))
+
+
+def test_cli_run_on_a_mesh_file_completes(tmp_path):
+    path, out = tmp_path / "channel4.mesh", tmp_path / "out"
+    write_native(channel_mesh(4), str(path))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\norder = 2\ndt = 1e-4\nt_end = 2e-4\noutput_dir = %s\n"
+                   "output_every = 1\n[mesh]\nsource = %s\n[material]\nK = 1e-5\n"
+                   % (out, path))
+    assert main(["run", str(cfg), "--quiet"]) == 0
+    series = TimeSeries.load(str(out / "timeseries.csv"))
+    assert np.allclose(series.column("t"), [1e-4, 2e-4])
+    assert sorted(p.name for p in out.glob("*.vtk")) == [
+        "step_%06d.vtk" % k for k in (0, 1, 2)]

@@ -198,20 +198,25 @@ def test_facet_batch_gradients_in_product_layout():
 
 def assembled_blocks(prob, inp):
     """The element blocks and right-hand side of one assembly, taken where
-    the assembler hands them to the Dirichlet elimination."""
+    the assembler hands them to the Dirichlet elimination (`apply_dirichlet`)
+    and to the right-hand side's boundary values (`dirichlet_rhs`)."""
     captured = {}
 
-    def capture(pattern, blocks, b, values):
-        captured.update(blocks=blocks, b=b)
+    def capture_blocks(pattern, blocks):
+        captured.update(blocks=blocks)
+        return None, None
+
+    def capture_b(pattern, lift, b, values):
+        captured.update(b=b)
         raise StopIteration
 
-    original = assembly.apply_dirichlet
-    assembly.apply_dirichlet = capture
+    originals = assembly.apply_dirichlet, assembly.dirichlet_rhs
+    assembly.apply_dirichlet, assembly.dirichlet_rhs = capture_blocks, capture_b
     try:
         with pytest.raises(StopIteration):
             assembly.assemble_system(prob, inp)
     finally:
-        assembly.apply_dirichlet = original
+        assembly.apply_dirichlet, assembly.dirichlet_rhs = originals
     return captured["blocks"], captured["b"]
 
 

@@ -222,22 +222,23 @@ def facet_walk(mesh):
                          ids=["channel4", "two_triangles"])
 def test_edge_table_matches_facet_walk(make):
     mesh = make()
+    edges = mesh.edge_table
     table = facet_walk(mesh)
     pairs = sorted(table)
-    assert [tuple(e) for e in mesh.edges.tolist()] == pairs
+    assert [tuple(e) for e in edges.edges.tolist()] == pairs
     # each edge has one or two cells, -1 filling the second slot on the boundary
     for e, pair in enumerate(pairs):
         cells = table[pair]
         assert len(cells) in (1, 2)
-        assert mesh.edge_cells[e].tolist() == (cells + [-1])[:2]
+        assert edges.edge_cells[e].tolist() == (cells + [-1])[:2]
     for c, cell in enumerate(mesh.cells):
-        assert [pairs[e] for e in mesh.cell_edges[c]] == \
+        assert [pairs[e] for e in edges.cell_edges[c]] == \
             [tuple(sorted((int(cell[a]), int(cell[b])))) for a, b in LOCAL_EDGES]
     # the boundary edges are exactly the marked outer facets
     outer = {tuple(sorted(f)) for f, m in zip(mesh.facets.tolist(), mesh.facet_markers)
              if m != GAMMA_FS}
     assert {p for p in pairs if len(table[p]) == 1} == outer
-    assert [pairs[e] for e in mesh.facet_edges] == [tuple(sorted(f)) for f in mesh.facets.tolist()]
+    assert [pairs[e] for e in edges.facet_edges] == [tuple(sorted(f)) for f in mesh.facets.tolist()]
 
     # the interface arrays against the walk
     iface = extract_interface(mesh)

@@ -163,6 +163,20 @@ def test_right_hand_sides_outside_float32_range_are_scaled(size):
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def test_refinement_stops_when_a_pass_fails_to_halve_the_residual():
+    # an LU that solves only 30 % of each right-hand side: the first pass
+    # cuts the residual to 0.7 of its value, which is no halving
+    A = sparse.identity(4, format="csr")
+    b = np.array([1.0, -2.0, 3.0, 0.5])
+    bnorm = np.linalg.norm(b)
+    lu = SimpleNamespace(solve=lambda rhs: 0.3 * rhs)
+    x, res, passes = solver._refine(A, b, lu, bnorm)
+    # the pass ran and its iterate, better than the one before, was kept
+    assert passes == 1
+    assert np.allclose(x, 0.51 * b, rtol=1e-15, atol=0.0)
+    assert res == pytest.approx(0.49, rel=1e-14)
+
+
 def refinement_residuals(A, b, lu, passes):
     """Relative residual after 0..passes plain refinement passes with lu."""
     x = lu.solve(b)
@@ -298,6 +312,24 @@ def test_distant_matrix_falls_back_to_a_fresh_factor(monkeypatch):
     assert not rep2.factored and held.lu is second
     assert rep2.residual <= RESIDUAL_TOL
     assert np.allclose(x2, x, rtol=1e-8, atol=0.0)
+
+
+def test_held_attempt_ends_after_max_reuse_passes_lu_solves(monkeypatch):
+    # perturbed(A, 1e-2) takes 5 held LU solves, each cutting the estimate
+    # by more than STALL_CUT; capped at 2, the attempt ends there and the
+    # solve factors afresh
+    monkeypatch.setattr(solver, "MAX_REUSE_PASSES", 2)
+    A, b = sample_system()
+    held = record(A.shape[0])
+    solve(A, b, held)
+    first = held.lu
+    calls = recorded_solves(monkeypatch)
+    B = perturbed(A, 1e-2)
+    x, rep = solve(B, b, held)
+    assert sum(lu is first for lu, _, _ in calls) == 2
+    assert rep.factored and held.lu is not first and rep.residual <= RESIDUAL_TOL
+    assert all(lu is held.lu for lu, _, _ in calls[2:])
+    assert np.linalg.norm(B @ x - b) <= RESIDUAL_TOL * np.linalg.norm(b)
 
 
 def test_held_lu_of_another_shape_is_not_used():

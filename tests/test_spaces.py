@@ -79,7 +79,7 @@ def test_node_numbering(mesh_name, tag, degree):
     edges = LOCAL_EDGES if degree == 2 else ()
     keys = sorted({tuple(sorted((int(mesh.cells[c][a]), int(mesh.cells[c][b]))))
                    for c in cells for a, b in edges})
-    pairs = mesh.edges[space.edge_ids]
+    pairs = mesh.edge_table.edges[space.edge_ids]
     assert pairs.shape == (len(keys), 2)
     assert list(map(tuple, pairs.tolist())) == keys
     assert space.num_scalar_nodes == nv + len(keys)
@@ -101,7 +101,7 @@ def entity_nodes(space):
     nv = len(space.vertex_ids)
     vnode = {int(v): i for i, v in enumerate(space.vertex_ids)}
     enode = {(int(a), int(b)): nv + i
-             for i, (a, b) in enumerate(space.mesh.edges[space.edge_ids])}
+             for i, (a, b) in enumerate(space.mesh.edge_table.edges[space.edge_ids])}
     return vnode, enode
 
 
