@@ -63,7 +63,7 @@ from .fem import (SparsePattern, add_kron_eye, apply_dirichlet, component_dofs, 
 from .kinematics import (MaterialParams, deformation_state, green_lagrange, matmul2,
                          pushforward_normal, svk_stress)
 from .mesh import FLUID, MARKER_TO_NAME, SOLID, Mesh, extract_interface, facet_normals
-from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry, transfer_nodes
+from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
 QUAD_DEGREE = 6         # degree of the quadrature rule of every cell and facet batch
@@ -225,9 +225,6 @@ class Problem:
     forcing: Dict[str, Callable]
     fixed: List[Tuple[np.ndarray, Callable]]    # (system dofs, values(t)) per condition, pin last
     layout: BlockLayout
-    map_vs_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    map_vf_to_u: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    map_vs_to_vf: Optional[Tuple[np.ndarray, np.ndarray]] = None
     # one record per matrix ("system", "extension"), built whole at its first
     # assembly: eliminated pattern and its Dirichlet dofs, LU order, held LU;
     # the extension's also keeps its eliminated matrix and lift, assembled once
@@ -419,17 +416,10 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
         fixed.append((np.array([layout.offsets["p_f"] + int(pin_pf[0])]),
                       lambda t: np.array([float(pin_pf[1](t))])))
 
-    prob = Problem(mesh=mesh, params=params, spaces=spaces,
+    return Problem(mesh=mesh, params=params, spaces=spaces,
                    fluid=fluid, solid=solid, iface=iface, natural=natural,
                    open_markers=tuple(open_markers), loads=loads,
                    forcing=forcing, fixed=fixed, layout=layout)
-    if has_solid:
-        prob.map_vs_to_u = transfer_nodes(spaces["v_s"], spaces["u"])
-    if has_fluid:
-        prob.map_vf_to_u = transfer_nodes(spaces["v_f"], spaces["u"])
-    if has_fluid and has_solid:
-        prob.map_vs_to_vf = transfer_nodes(spaces["v_s"], spaces["v_f"])
-    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +502,20 @@ def assemble_system(problem: Problem, inp: StepInputs) -> BlockSystem:
     """Assemble A, b for one step (or a steady solve when inp.dt is None)
     in the geometry inp.geo."""
     lay = problem.layout
-    geo = inp.geo
-    transient = inp.dt is not None
     blocks: List[tuple] = []
     b = np.zeros(lay.total)
 
     if problem.fluid is not None:
-        _fluid_terms(problem, inp, geo, blocks, b, transient)
+        _fluid_terms(problem, inp, blocks, b)
     if problem.solid is not None:
-        _solid_terms(problem, inp, geo, blocks, b, transient)
+        _solid_terms(problem, inp, blocks, b)
     if problem.iface is not None:
-        _interface_terms(problem, inp, geo, blocks)
-    _load_terms(problem, inp, geo, b)
-    _backflow_terms(problem, inp, geo, blocks)
+        _interface_terms(problem, inp, blocks)
+    _load_terms(problem, inp, b)
+    _backflow_terms(problem, inp, blocks)
 
     # the block sequence depends on these two flags only
-    key = (transient, inp.vf_tilde is not None)
+    key = (inp.dt is not None, inp.vf_tilde is not None)
     pattern = problem.patterns.get("system")
     if pattern is None or pattern.key != key:
         # the Dirichlet dofs, sorted; where conditions overlap, the later wins
@@ -540,21 +528,22 @@ def assemble_system(problem: Problem, inp: StepInputs) -> BlockSystem:
     return BlockSystem(A, b, lay)
 
 
-def _fluid_terms(problem, inp, geo, blocks, b, transient):
+def _fluid_terms(problem, inp, blocks, b):
     sub = problem.fluid
     prm = problem.params
     d = problem.dim
     lay = problem.layout
-    wJ = geo.fluid["wJ"]
-    G = geo.fluid["G"]                     # grad(phi) F^-1, (nc, nloc, d, nq)
+    fluid = inp.geo.fluid
+    wJ = fluid["wJ"]
+    G = fluid["G"]                         # grad(phi) F^-1, (nc, nloc, d, nq)
     nc, nloc, _, nq = G.shape
     vd = sub.vdofs + lay.offsets["v_f"]
     pd = sub.nodes1 + lay.offsets["p_f"]
 
     # a_f: 2 mu J D:D, the geometry's viscous operator times mu
-    K = prm.mu_f * geo.fluid["visc"]
+    K = prm.mu_f * fluid["visc"]
 
-    if transient:
+    if inp.dt is not None:
         # the scalar part S (times I): the mass block, and c_f with the
         # extrapolated advective field v~_f - w~
         S = weighted_gram(wJ * (prm.rho_f * inp.a0 / inp.dt), sub.val2, sub.val2)
@@ -581,16 +570,18 @@ def _fluid_terms(problem, inp, geo, blocks, b, transient):
 
     fn = problem.forcing.get("v_f")
     if fn is not None:
-        scatter_add(b, vd, weighted_moment(sub.w, sub.val2, _forcing_at(fn, sub.X, inp.t, d)))
+        f = batch_eval(lambda X: fn(X, inp.t), sub.X, d)
+        scatter_add(b, vd, weighted_moment(sub.w, sub.val2, f))
 
 
-def _solid_terms(problem, inp, geo, blocks, b, transient):
+def _solid_terms(problem, inp, blocks, b):
     sub = problem.solid
     prm = problem.params
     d = problem.dim
     lay = problem.layout
-    Ft = geo.solid["F"]
-    wJ = geo.solid["wJ"]
+    transient = inp.dt is not None
+    Ft = inp.geo.solid["F"]
+    wJ = inp.geo.solid["wJ"]
     vsd = sub.vdofs + lay.offsets["v_s"]
     qd = sub.vdofs + lay.offsets["q"]
     pdd = sub.nodes1 + lay.offsets["p_d"]
@@ -659,13 +650,13 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
 
     # History part of the elastic stress moves to the right-hand side:
     # sum_q w (F~ S g_i)_a, one (nloc x d nq)(d nq x d) product per cell
-    wFS = np.moveaxis(lagged_stress(problem, geo, inp.u_impl_hist) * sub.w[:, :, None, None],
+    wFS = np.moveaxis(lagged_stress(problem, inp.geo, inp.u_impl_hist) * sub.w[:, :, None, None],
                       1, -1)                                     # (nc, a, e, nq)
     rhs = g.reshape(nc, nloc, d * nq) @ np.swapaxes(wFS.reshape(nc, d, d * nq), 1, 2)
     scatter_add(b, vsd, -rhs)
 
     # pressure blocks (tested against psi_s and psi_d) and the constraint rows
-    BT = gradient_moment(wJ, geo.solid["G"], sub.val1)
+    BT = gradient_moment(wJ, inp.geo.solid["G"], sub.val1)
     B = np.swapaxes(BT, 1, 2)
     blocks.append((pdd, vsd, B))       # + b_s(q_d, v_s)
     blocks.append((pdd, qd, B))        # + b_s(q_d, q)
@@ -675,11 +666,12 @@ def _solid_terms(problem, inp, geo, blocks, b, transient):
     for name, dofs in (("v_s", vsd), ("q", qd)):
         fn = problem.forcing.get(name)
         if fn is not None:
-            fq = _forcing_at(fn, sub.X, inp.t, d)
+            fq = batch_eval(lambda X: fn(X, inp.t), sub.X, d)
             scatter_add(b, dofs, weighted_moment(sub.w, sub.val2, fq))
     gn = problem.forcing.get("mass_s")
     if gn is not None:
-        scatter_add(b, pdd, weighted_moment(sub.w, sub.val1, _forcing_at(gn, sub.X, inp.t, 1)))
+        gq = batch_eval(lambda X: gn(X, inp.t), sub.X, 1)
+        scatter_add(b, pdd, weighted_moment(sub.w, sub.val1, gq))
 
 
 def lagged_stress(problem: Problem, geo: Geometry, u: np.ndarray) -> np.ndarray:
@@ -694,14 +686,14 @@ def lagged_stress(problem: Problem, geo: Geometry, u: np.ndarray) -> np.ndarray:
     return matmul2(Ft, svk_stress(E, problem.params.lam_s, problem.params.mu_s))
 
 
-def _interface_terms(problem, inp, geo, blocks):
+def _interface_terms(problem, inp, blocks):
     ifd = problem.iface
     prm = problem.params
     d = problem.dim
     lay = problem.layout
     ftr, str_ = ifd.fluid, ifd.solid
-    n = geo.iface["n"]
-    wJs = geo.iface["wJs"]
+    n = inp.geo.iface["n"]
+    wJs = inp.geo.iface["wJs"]
     nf, nq, nloc = ftr.val2.shape
 
     fd = ftr.vdofs + lay.offsets["v_f"]
@@ -730,7 +722,7 @@ def _interface_terms(problem, inp, geo, blocks):
         blocks.append((np.hstack([sd, fd]), fd, kin))
 
     # slip term gamma K^-1/2 P(w_f - w_s) . P(psi_f - psi_s)
-    wM = (wJs * prm.gamma)[..., None, None] * geo.iface["slip"]
+    wM = (wJs * prm.gamma)[..., None, None] * inp.geo.iface["slip"]
     V = np.concatenate([ftr.val2, -str_.val2], axis=2)          # (nf, nq, 2 nloc)
     nv = V.shape[2]
     X = (V[..., None, None] * wM[:, :, None]).reshape(nf, nq, -1)
@@ -739,7 +731,7 @@ def _interface_terms(problem, inp, geo, blocks):
     blocks.append((sdofs, sdofs, K.transpose(0, 1, 2, 4, 3).reshape(nf, nv * d, nv * d)))
 
 
-def _backflow_terms(problem, inp, geo, blocks):
+def _backflow_terms(problem, inp, blocks):
     """Directional treatment of open boundaries.
 
     Where the extrapolated velocity re-enters through an open end
@@ -755,7 +747,7 @@ def _backflow_terms(problem, inp, geo, blocks):
     lay = problem.layout
     for marker in problem.open_markers:
         tr = problem.natural[marker]
-        g = geo.loads[marker]
+        g = inp.geo.loads[marker]
         vt = field_at_qp(tr.val2, tr.nodes2, inp.vf_tilde, d)       # (nf, nq, d)
         # v~ . n ds on the deformed facet
         flux = g["wJs"] * np.sum(vt * g["n"], axis=-1)
@@ -764,20 +756,13 @@ def _backflow_terms(problem, inp, geo, blocks):
         blocks.append((dofs, dofs, np.repeat(weighted_gram(wq, tr.val2, tr.val2), d, axis=0)))
 
 
-def _load_terms(problem, inp, geo, b):
+def _load_terms(problem, inp, b):
     lay = problem.layout
     for load in problem.loads:
         tr = problem.natural[load.marker]
-        g = geo.loads[load.marker]
+        g = inp.geo.loads[load.marker]
         coef = load.value(inp.t) * g["wJs"]
         scatter_add(b, tr.vdofs + lay.offsets["v_f"], weighted_moment(coef, tr.val2, g["n"]))
-
-
-def _forcing_at(fn, X, t, ncomp):
-    nc, nq, d = X.shape
-    flat = X.reshape(nc * nq, d)
-    vals = batch_eval(lambda pts: fn(pts, t), flat, ncomp)
-    return vals.reshape((nc, nq) if ncomp == 1 else (nc, nq, ncomp))
 
 
 # ---------------------------------------------------------------------------

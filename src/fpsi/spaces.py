@@ -81,9 +81,8 @@ class FunctionSpace:
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key in the sorted 1-D table, -1 where it is absent."""
-    if len(table) == 0:
-        return np.full(len(keys), -1, dtype=np.int64)
+    """Position of each key in the sorted, non-empty 1-D table, -1 where it
+    is absent."""
     pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
     return np.where(table[pos] == keys, pos, -1)
 
@@ -143,18 +142,21 @@ def transfer_nodes(src: FunctionSpace, dst: FunctionSpace) -> Tuple[np.ndarray, 
 
 
 def batch_eval(fn: Callable, X: np.ndarray, ncomp: int) -> np.ndarray:
-    """Evaluate a field at points (N, d) in one call of a batched callable.
+    """Evaluate a field at points (..., d) in one call of a batched callable:
+    (...,) values for a scalar field, (..., ncomp) for a vector field.
 
-    fn takes all N points at once and returns (N,) values for a scalar field
-    or (N, ncomp) for a vector field; any other shape raises FpsiError.
-    Errors raised by fn propagate unchanged.
+    fn takes all N points at once, flattened to (N, d), and returns (N,)
+    values for a scalar field or (N, ncomp) for a vector field; any other
+    shape raises FpsiError.  Errors raised by fn propagate unchanged.
     """
-    want = (X.shape[0],) if ncomp == 1 else (X.shape[0], ncomp)
-    out = np.asarray(fn(X), dtype=float)
+    flat = X.reshape(-1, X.shape[-1])
+    n = flat.shape[0]
+    want = (n,) if ncomp == 1 else (n, ncomp)
+    out = np.asarray(fn(flat), dtype=float)
     if out.shape != want:
         raise FpsiError("field callable returned shape %s for %d points, expected %s"
-                        % (out.shape, X.shape[0], want))
-    return out
+                        % (out.shape, n, want))
+    return out.reshape(X.shape[:-1] + want[1:])
 
 
 def interpolate(space: FunctionSpace, fn: Callable) -> np.ndarray:
@@ -181,11 +183,8 @@ def error_L2(space: FunctionSpace, vec: np.ndarray, exact: Callable) -> float:
     x0, B, adet, _ = cell_geometry(space.mesh, space.cells)
     # physical quadrature points per cell: (nc, nq, d)
     X = x0[:, None, :] + np.einsum("cde,qe->cqd", B, rule.points)
-    nc, nq, d = X.shape
     ncomp = space.ncomp
-    ex = batch_eval(exact, X.reshape(nc * nq, d), ncomp).reshape(
-        (nc, nq) if ncomp == 1 else (nc, nq, ncomp)
-    )
+    ex = batch_eval(exact, X, ncomp)
     local = vec.reshape(-1, ncomp)[space.cell_nodes]              # (nc, nloc, ncomp)
     uh = vals @ local                                             # (nc, nq, ncomp)
     if ncomp == 1:

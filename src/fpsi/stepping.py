@@ -5,17 +5,22 @@ Each step k:
      fluid and domain velocities from levels k-1, k-2 (first order for BDF1,
      second order for BDF2),
   2. assemble and solve the monolithic system for (v_f, v_s, q, p_f, p_d),
-  3. extend the interface trace of v_s into the fluid to get the domain
-     velocity w, with one Lame-type operator per problem, assembled in the
-     reference configuration (`extension_stiffness`),
-  4. update the displacement from the BDF identity  [du/dt]^k = w^k,
+  3. solve for the domain velocity w on the displacement space: v_s on
+     every solid node, zero on the outer fluid boundary, and one Lame-type
+     operator per problem, assembled in the reference configuration, on the
+     fluid cells (`extension_stiffness`),
+  4. take the displacement u^k = beta w^k + the BDF history of u
+     (`StepInputs.u_impl_hist`): the BDF identity  [du/dt]^k = w^k, and on
+     the solid, where w = v_s, the very displacement of the step's elastic
+     form,
   5. build the geometry of the updated configuration, which rejects the
      step if any cell or facet inverts, and carry it on the new state into
      the next step's item 1 (`State.geo`).
 
 A problem without a solid has nothing to move its mesh: it skips items 3-5
 and hands the geometry of its reference configuration on from state to
-state.  BDF2 takes its first step with BDF1 (no older history exists).
+state.  A problem without fluid cells skips item 3's solve: its w is v_s.
+BDF2 takes its first step with BDF1 (no older history exists).
 
 Each matrix of items 2 and 3 has one record, its assembly pattern
 (`Problem.patterns`, a `fem.SparsePattern`), built whole at its first
@@ -34,7 +39,7 @@ values of its Dirichlet columns (`lift`), assembled at the first step in
 the reference configuration.  The fluid mesh motion is a free choice of
 the method: any extension of the interface trace that keeps the cells valid
 gives the same continuous problem, so one operator serves every step.  Each
-step, the first included, forms the right-hand side of its interface trace
+step, the first included, forms the right-hand side of its solid velocity
 from the lift (`fem.dirichlet_rhs`) and solves from zero, so the held LU is
 the LU of that very matrix, factored once.
 """
@@ -52,6 +57,7 @@ from .errors import FpsiError
 from .fem import SparsePattern, apply_dirichlet, dirichlet_rhs, gradient_gram, last_set
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
+from .spaces import transfer_nodes
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,6 @@ def scheme_for_step(order: int, k: int) -> Scheme:
 def extrapolate(sch: Scheme, f1, f2):
     """Predicted value at level k from the two previous levels."""
     return sch.e1 * np.asarray(f1, dtype=float) + sch.e2 * np.asarray(f2, dtype=float)
-
-
-def kinematic_update(sch: Scheme, dt: float, v, u1, u2):
-    """Displacement satisfying the BDF identity [du/dt]^k = v."""
-    out = dt * np.asarray(v, dtype=float) - sch.a1 * np.asarray(u1, dtype=float)
-    return (out - sch.a2 * np.asarray(u2, dtype=float)) / sch.a0
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +154,13 @@ def step_inputs(problem: Problem, state: State, sch: Scheme, dt: float) -> StepI
 
 
 # ---------------------------------------------------------------------------
-# Mesh extension: a fixed Lame-type lift of the interface velocity
+# Mesh extension: a fixed Lame-type lift of the solid velocity
 # ---------------------------------------------------------------------------
 
 def extension_stiffness(problem: Problem, fluid: dict):
-    """Lame-type extension operator on the fluid velocity space, as the
-    list of element blocks (rows, cols, values) of the "extension" matrix.
+    """Lame-type extension operator on the fluid cells' dofs of the
+    displacement space, as the list of element blocks (rows, cols, values)
+    of the "extension" matrix.
 
     Element moduli are mu_m = mu_s |cell|^-1.2, with the cell volume taken
     in the configuration of the fluid geometry `fluid`
@@ -181,33 +182,33 @@ def extension_stiffness(problem: Problem, fluid: dict):
     elem += fluid["visc"]
     elem *= mu_m[:, None, None, None, None]
 
-    return [(sub.vdofs, sub.vdofs, elem.reshape(nc, nloc * d, nloc * d))]
+    dofs = (sub.nodes_u[:, :, None] * d + np.arange(d)).reshape(nc, -1)
+    return [(dofs, dofs, elem.reshape(nc, nloc * d, nloc * d))]
 
 
 def _extension_dofs(problem: Problem):
     """Dirichlet dofs of the extension and their positions in the step's
     value list, found at its first assembly.
 
-    The value list is v_s followed by one zero, so `take` gathers the
-    interface trace from v_s and the zero for the outer boundary."""
-    vf_space = problem.spaces["v_f"]
-    # Interface trace: solid and fluid spaces share exactly the interface
-    # vertices/edges, so the entity map carries the trace without lookups.
-    src, dst = problem.map_vs_to_vf
-    # Outer fluid boundary is clamped; corners shared with the interface are
-    # clamped too (the solid is clamped there, so the trace is zero anyway).
-    outer = vf_space.dofs_of_nodes(vf_space.nodes_on_markers((GAMMA_F0, GAMMA_OUT)))
-    dofs, last = last_set(np.concatenate([vf_space.dofs_of_nodes(dst), outer]))
-    zero = problem.spaces["v_s"].num_dofs
-    take = np.concatenate([problem.spaces["v_s"].dofs_of_nodes(src),
-                           np.full(len(outer), zero, dtype=np.int64)])[last]
+    The value list is v_s followed by one zero, so `take` gathers v_s on
+    every solid node of the displacement space, the interface included,
+    and the zero for the outer fluid boundary."""
+    u_space, vs_space = problem.spaces["u"], problem.spaces["v_s"]
+    src, dst = transfer_nodes(vs_space, u_space)
+    # Outer fluid boundary is clamped; corners shared with the solid are
+    # clamped too (the solid is clamped there, so v_s is zero anyway).
+    outer = u_space.dofs_of_nodes(u_space.nodes_on_markers((GAMMA_F0, GAMMA_OUT)))
+    dofs, last = last_set(np.concatenate([u_space.dofs_of_nodes(dst), outer]))
+    take = np.concatenate([vs_space.dofs_of_nodes(src),
+                           np.full(len(outer), vs_space.num_dofs, dtype=np.int64)])[last]
     return dofs, take
 
 
 def solve_extension(problem: Problem, v_s: np.ndarray):
-    """Domain velocity on the fluid side: trace of v_s on the interface,
-    zero on the outer fluid boundary, extension operator in between.
-    Returns (w_f, SolveReport).
+    """Domain velocity w on the displacement space: v_s on every solid
+    node, zero on the outer fluid boundary, the extension operator on the
+    fluid cells in between.  Returns (w, SolveReport); w takes its fixed
+    values exactly.
 
     The operator is assembled and its Dirichlet dofs eliminated once per
     problem, at its first call, in the reference configuration of the fluid
@@ -217,26 +218,16 @@ def solve_extension(problem: Problem, v_s: np.ndarray):
     boundary values (`fem.dirichlet_rhs`) and solves."""
     pattern = problem.patterns.get("extension")
     if pattern is None:
-        blocks = extension_stiffness(
-            problem, fluid_geometry(problem, np.zeros(problem.spaces["u"].num_dofs)))
-        pattern = SparsePattern(problem.spaces["v_f"].num_dofs, blocks,
-                                problem.entity_keys(("v_f",)), *_extension_dofs(problem))
+        nu = problem.spaces["u"].num_dofs
+        blocks = extension_stiffness(problem, fluid_geometry(problem, np.zeros(nu)))
+        pattern = SparsePattern(nu, blocks, problem.entity_keys(("u",)),
+                                *_extension_dofs(problem))
         pattern.A, pattern.lift = apply_dirichlet(pattern, blocks)
         problem.patterns["extension"] = pattern
     b = dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n), np.append(v_s, 0.0))
-    return solve(pattern.A, b, pattern)
-
-
-def domain_velocity(problem: Problem, v_s: np.ndarray, w_f: Optional[np.ndarray]) -> np.ndarray:
-    """Assemble the global domain velocity from solid velocity and extension."""
-    d = problem.dim
-    w = np.zeros(problem.spaces["u"].num_dofs).reshape(-1, d)
-    if w_f is not None:
-        src, dst = problem.map_vf_to_u
-        w[dst] = w_f.reshape(-1, d)[src]
-    src, dst = problem.map_vs_to_u
-    w[dst] = v_s.reshape(-1, d)[src]
-    return w.ravel()
+    w, rep = solve(pattern.A, b, pattern)
+    w[pattern.dofs] = b[pattern.dofs]
+    return w, rep
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +255,20 @@ def advance_step(problem: Problem, state: State, dt: float, order: int):
         fields = system.layout.split(x)
         system = None              # the step matrix is not held next to the new geometry
 
-        nu = problem.spaces["u"].num_dofs
         ext = None
         if problem.solid is None:
-            u_new = np.zeros(nu)
-            w_new = np.zeros(nu)
+            nu = problem.spaces["u"].num_dofs
+            fields["u"], fields["w"] = np.zeros(nu), np.zeros(nu)
             geo, jmin = inp.geo, 1.0   # u = 0: the reference configuration, F = I
         else:
-            w_f = None
-            if problem.fluid is not None:
-                w_f, ext = solve_extension(problem, fields["v_s"])
-            w_new = domain_velocity(problem, fields["v_s"], w_f)
-            u_new = kinematic_update(sch, dt, w_new, state.fields["u"], state.prev["u"])
-            geo, jmin = check_deformation(problem, u_new)
+            if problem.fluid is None:
+                # the solid fills the mesh: v_s numbers its nodes as u does
+                w = fields["v_s"].copy()
+            else:
+                w, ext = solve_extension(problem, fields["v_s"])
+            fields["u"], fields["w"] = inp.beta * w + inp.u_impl_hist, w
+            geo, jmin = check_deformation(problem, fields["u"])
 
-        fields["u"] = u_new
-        fields["w"] = w_new
         new_state = State(k=k, t=state.t + dt, fields=fields, prev=state.fields, geo=geo)
         diag = StepDiagnostics(scheme=sch, system=rep, extension=ext, geo=inp.geo, jmin=jmin)
         return new_state, diag

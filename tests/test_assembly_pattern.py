@@ -21,7 +21,7 @@ import fpsi.stepping as stepping
 from fpsi.assembly import DirichletBC, StepInputs, assemble_system, build_problem
 from fpsi.errors import AssemblyError
 from fpsi.fem import field_at_qp
-from fpsi.mesh import GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0
+from fpsi.mesh import GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
 from fpsi.mms import biot_trig, stokes_trig
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
 from fpsi.spaces import FunctionSpace, interpolate
@@ -318,7 +318,7 @@ def test_each_pattern_is_built_once(monkeypatch):
     for _ in range(6):
         state, _ = advance_step(prob, state, DT, 2)
         seen.append((id(prob.patterns["system"]), id(prob.patterns["extension"])))
-    assert builds == [prob.layout.total, prob.spaces["v_f"].num_dofs]
+    assert builds == [prob.layout.total, prob.spaces["u"].num_dofs]
     assert len(set(seen)) == 1
 
 
@@ -328,11 +328,14 @@ def test_extension_dirichlet_rows(monkeypatch):
     state = State.initial(prob)
     for _ in range(2):
         state, _ = advance_step(prob, state, DT, 2)
-    vf = prob.spaces["v_f"]
-    fixed = vf.dofs_of_nodes(np.union1d(vf.nodes_on_markers((GAMMA_FS,)),
-                                        vf.nodes_on_markers((GAMMA_F0, GAMMA_OUT))))
+    # the nodes of the solid cells (the interface included) and the outer
+    # fluid boundary are fixed
+    u = prob.spaces["u"]
+    solid = np.unique(u.cell_nodes[prob.mesh.cells_with_tag(SOLID)])
+    assert np.isin(u.nodes_on_markers((GAMMA_FS,)), solid).all()
+    fixed = u.dofs_of_nodes(np.union1d(solid, u.nodes_on_markers((GAMMA_F0, GAMMA_OUT))))
     for A, _ in rec.handed[1::2]:
-        assert A.shape[0] == vf.num_dofs and np.all(A.data != 0.0)
+        assert A.shape[0] == u.num_dofs and np.all(A.data != 0.0)
         assert_unit_rows(A, fixed)
 
 

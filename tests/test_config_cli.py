@@ -413,6 +413,16 @@ def test_cli_square_mesh_source_names_the_accepted_ones(tmp_path, capsys):
     assert "mesh file" in err
 
 
+def test_cli_channel_source_without_a_resolution_exits_1_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nt_end = 1e-4\noutput_dir = %s\n[mesh]\nsource = channel:x\n" % out)
+    assert main(["run", str(cfg), "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        "config error: bad channel resolution in mesh source 'channel:x'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name,reason", [
     ("absent.mesh", "mesh file not found: "),
     ("channel.msh", "MSH input requires a physical tag mapping"),

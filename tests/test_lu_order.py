@@ -78,7 +78,7 @@ def test_order_groups_dofs_by_entity_with_pressures_last():
     pf, pd = (lay.offsets[name] + np.searchsorted(prob.spaces[name].vertex_ids, v)
               for name in ("p_f", "p_d"))
     assert len(group) == 8 and list(group[-2:]) == [pf, pd]
-    ext_keys = prob.entity_keys(("v_f",))
+    ext_keys = prob.entity_keys(("u",))
     assert_grouped(cached_order(prob, "extension"), ext_keys, np.zeros(len(ext_keys), bool))
 
 
@@ -101,7 +101,7 @@ def test_order_is_built_once_per_pattern_at_its_first_assembly(monkeypatch):
     for _ in range(6):
         state, _ = advance_step(prob, state, DT, 2)
         seen.append((id(cached_order(prob, "system")), id(cached_order(prob, "extension"))))
-    assert builds == [prob.layout.total, prob.spaces["v_f"].num_dofs]
+    assert builds == [prob.layout.total, prob.spaces["u"].num_dofs]
     assert len(set(seen)) == 1
 
 

@@ -194,6 +194,12 @@ def test_batch_eval_rejects_results_of_the_wrong_shape():
     X = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
     assert np.array_equal(batch_eval(lambda x: x[:, ::-1], X, 2), X[:, ::-1])
     assert np.array_equal(batch_eval(lambda x: list(x[:, 0]), X, 1), X[:, 0])
+    # points of any leading shape go to the callable flat and come back in that shape
+    Y = np.arange(12.0).reshape(2, 3, 2)
+    assert np.array_equal(batch_eval(lambda x: x[:, ::-1], Y, 2), Y[..., ::-1])
+    assert np.array_equal(batch_eval(lambda x: x[:, 0] * x[:, 1], Y, 1), Y[..., 0] * Y[..., 1])
+    with pytest.raises(FpsiError, match=r"shape \(6, 2\) for 6 points, expected \(6,\)"):
+        batch_eval(lambda x: x, Y, 1)
     # a per-point callable given the batch: x[0] is the first point, (2,)
     with pytest.raises(FpsiError, match=r"shape \(2,\) for 3 points, expected \(3,\)"):
         batch_eval(lambda x: 2.0 * x[0], X, 1)

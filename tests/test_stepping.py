@@ -11,13 +11,13 @@ import fpsi.solver as solver
 from fpsi.assembly import DirichletBC, StepInputs, build_geometry
 from fpsi.errors import DegenerateDeformationError, FpsiError, SolverError
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
-from fpsi.mms import unsteady_fluid
+from fpsi.mms import biot_trig, unsteady_fluid
 from fpsi.reporting import load_checkpoint, save_checkpoint
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
-from fpsi.spaces import interpolate
-from fpsi.stepping import (BDF1, BDF2, State, advance_step, check_deformation,
-                           domain_velocity, extrapolate, kinematic_update, run_transient,
-                           scheme_for_step, solve_extension, solve_steady)
+from fpsi.spaces import interpolate, transfer_nodes
+from fpsi.stepping import (BDF1, BDF2, State, advance_step, check_deformation, extrapolate,
+                           run_transient, scheme_for_step, solve_extension, solve_steady,
+                           step_inputs)
 from tests.test_assembly_forms import PARAMS, make_problem
 from tests.test_assembly_system import zero_bc
 from tests.test_mesh import two_triangle_mesh
@@ -60,16 +60,15 @@ def bdf_rate(sch, dt, f0, f1, f2):
 
 def test_bdf_rate_exactness():
     # the BDF identity [du/dt]^k = v: BDF1 is exact for linears, BDF2 for
-    # quadratics, so the update lands on u(t) given the exact rate
+    # quadratics, so u(t) at three levels gives the exact rate
     dt, t = 0.1, 2.0
     lin = lambda s: 3.0 - 2.0 * s
-    assert kinematic_update(BDF1, dt, -2.0, lin(t - dt), lin(t - 2 * dt)) \
-        == pytest.approx(lin(t))
+    assert bdf_rate(BDF1, dt, lin(t), lin(t - dt), lin(t - 2 * dt)) == pytest.approx(-2.0)
     quad = lambda s: s * s
-    assert kinematic_update(BDF2, dt, 2.0 * t, quad(t - dt), quad(t - 2 * dt)) \
-        == pytest.approx(quad(t))
-    assert np.allclose(kinematic_update(BDF1, 0.5, np.array([2.0, -4.0]),
-                                        np.array([0.0, 4.0]), np.array([9.0, 9.0])), [1.0, 2.0])
+    assert bdf_rate(BDF2, dt, quad(t), quad(t - dt), quad(t - 2 * dt)) \
+        == pytest.approx(2.0 * t)
+    assert np.allclose(bdf_rate(BDF1, 0.5, np.array([1.0, 2.0]), np.array([0.0, 4.0]),
+                                np.array([9.0, 9.0])), [2.0, -4.0])
 
 
 def test_extrapolate():
@@ -77,15 +76,6 @@ def test_extrapolate():
     assert extrapolate(BDF2, 3.0, 1.0) == 5.0
     lin = lambda t: 1.0 + 4.0 * t
     assert extrapolate(BDF2, lin(1.0), lin(0.9)) == pytest.approx(lin(1.1))
-
-
-def test_kinematic_update_inverts_rate():
-    rng = np.random.default_rng(3)
-    u1, u2, v = rng.standard_normal((3, 8))
-    dt = 0.05
-    for sch in (BDF1, BDF2):
-        u0 = kinematic_update(sch, dt, v, u1, u2)
-        assert np.allclose(bdf_rate(sch, dt, u0, u1, u2), v, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -228,28 +218,39 @@ def test_restart_assembles_in_the_uninterrupted_geometry(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_solve_extension_boundary_values():
-    mesh = channel_mesh(2)
-    prob = channel_problem(mesh, benchmark_params(K=1e-5))
-    vs_space, vf_space = prob.spaces["v_s"], prob.spaces["v_f"]
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+    uspace, vs_space = prob.spaces["u"], prob.spaces["v_s"]
     v_s = interpolate(vs_space, lambda X: np.stack(
-        [0.01 * X[:, 0], 0.02 * np.ones(len(X))], axis=1))
-    ext, _ = solve_extension(prob, v_s)
-    ext = ext.reshape(-1, 2)
+        [0.003 + 0.01 * X[:, 0], 0.02 * np.ones(len(X))], axis=1))
+    # every step's v_s is zero on the clamped wall, as the system's condition makes it
+    wall = vs_space.dofs_of_nodes(vs_space.nodes_on_markers((GAMMA_S0,)))
+    clamped = v_s.copy()
+    clamped[wall] = 0.0
+    w, _ = solve_extension(prob, clamped)
+    assert w.shape == (uspace.num_dofs,)
+    assert prob.patterns["extension"].A.shape == (uspace.num_dofs, uspace.num_dofs)
+    w = w.reshape(-1, 2)
 
-    # trace on the interface equals the solid velocity there; the outer
-    # pinning is applied last, so inlet/outlet corner nodes stay zero
-    src, dst = prob.map_vs_to_vf
-    vs_nodes = v_s.reshape(-1, 2)
-    iface = vf_space.nodes_on_markers((GAMMA_FS,))
-    outer = set(vf_space.nodes_on_markers((GAMMA_F0, GAMMA_OUT)).tolist())
-    trace = dict(zip(dst.tolist(), src.tolist()))
-    for node in iface:
-        if node not in outer:
-            assert np.allclose(ext[node], vs_nodes[trace[node]], atol=1e-12)
-    for node in outer:
-        assert np.allclose(ext[node], 0.0, atol=1e-13)
+    # the solid velocity on every solid node, the interface included, bitwise
+    src, solid_nodes = transfer_nodes(vs_space, uspace)
+    iface = uspace.nodes_on_markers((GAMMA_FS,))
+    assert np.isin(iface, solid_nodes).all()
+    assert np.array_equal(w[solid_nodes], clamped.reshape(-1, 2)[src])
+    # zero on the outer fluid boundary; it meets the solid only at the corners
+    # of the clamped wall, where the outer zero is applied last and wins
+    outer = uspace.nodes_on_markers((GAMMA_F0, GAMMA_OUT))
+    corners = np.intersect1d(outer, solid_nodes)
+    assert len(corners) == 4 and np.isin(corners, uspace.nodes_on_markers((GAMMA_S0,))).all()
+    assert np.array_equal(w[outer], np.zeros((len(outer), 2)))
+    # a v_s that is not zero at the corners: the held LU's solve keeps v_s
+    # elsewhere on the solid, and the zero at the corners
+    loose, _ = solve_extension(prob, v_s)
+    loose, at_corner = loose.reshape(-1, 2), np.isin(solid_nodes, corners)
+    assert np.abs(v_s.reshape(-1, 2)[src][at_corner]).min() > 0.0
+    assert np.array_equal(loose[corners], np.zeros((4, 2)))
+    assert np.array_equal(loose[solid_nodes[~at_corner]], v_s.reshape(-1, 2)[src[~at_corner]])
     # the lift stays bounded by the data
-    assert np.max(np.abs(ext)) <= np.max(np.abs(vs_nodes)) * 5.0
+    assert np.max(np.abs(w)) <= np.max(np.abs(clamped)) * 5.0
 
 
 def record_extension(monkeypatch, n):
@@ -283,7 +284,7 @@ def test_extension_operator_is_assembled_once_in_the_reference_configuration(mon
     import fpsi.stepping as stepping
 
     prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
-    builds, matrices = record_extension(monkeypatch, prob.spaces["v_f"].num_dofs)
+    builds, matrices = record_extension(monkeypatch, prob.spaces["u"].num_dofs)
     state = State.initial(prob)
     factored = []
     for _ in range(3):
@@ -347,7 +348,7 @@ def test_restart_solves_the_uninterrupted_extension_matrix(monkeypatch, tmp_path
     first = channel()
     path = str(tmp_path / "chk")
     save_checkpoint(path, run_transient(first, 1e-4, 2, 2))
-    n = first.spaces["v_f"].num_dofs
+    n = first.spaces["u"].num_dofs
     with monkeypatch.context() as mp:
         _, straight = record_extension(mp, n)
         run_transient(channel(), 1e-4, 2, 3)
@@ -362,19 +363,58 @@ def test_restart_solves_the_uninterrupted_extension_matrix(monkeypatch, tmp_path
 def test_domain_velocity_placement():
     prob = rest_problem()
     d = 2
-    v_s = np.tile([1.0, 2.0], prob.spaces["v_s"].num_scalar_nodes)
-    w_f = np.tile([3.0, 4.0], prob.spaces["v_f"].num_scalar_nodes)
-    w = domain_velocity(prob, v_s, w_f).reshape(-1, d)
     uspace = prob.spaces["u"]
-    _, solid_nodes = prob.map_vs_to_u
-    _, fluid_nodes = prob.map_vf_to_u
-    solid_set = set(solid_nodes.tolist())
-    for node in solid_nodes:
-        assert np.allclose(w[node], [1.0, 2.0])     # solid (and interface) win
-    for node in fluid_nodes:
-        if node not in solid_set:
-            assert np.allclose(w[node], [3.0, 4.0])
-    assert len(solid_set | set(fluid_nodes.tolist())) == uspace.num_scalar_nodes
+    v_s = np.tile([1.0, 2.0], prob.spaces["v_s"].num_scalar_nodes)
+    w, _ = solve_extension(prob, v_s)
+    assert w.shape == (uspace.num_dofs,)
+    w = w.reshape(-1, d)
+    _, solid_nodes = transfer_nodes(prob.spaces["v_s"], uspace)
+    _, fluid_nodes = transfer_nodes(prob.spaces["v_f"], uspace)
+    outer = uspace.nodes_on_markers((GAMMA_F0, GAMMA_OUT))
+    iface = uspace.nodes_on_markers((GAMMA_FS,))
+    inner_solid = np.setdiff1d(solid_nodes, outer)
+    assert np.isin(np.setdiff1d(iface, outer), inner_solid).all() and len(inner_solid)
+    for node in inner_solid:
+        assert np.array_equal(w[node], [1.0, 2.0])  # solid (and interface) take v_s
+    for node in outer:
+        assert np.array_equal(w[node], [0.0, 0.0])  # the outer fluid zero wins
+    assert len(set(solid_nodes.tolist()) | set(fluid_nodes.tolist())) == uspace.num_scalar_nodes
+
+
+def test_step_displacement_is_the_implicit_one_of_its_elastic_form():
+    # over three BDF2 steps of a moving channel, the new u is the displacement
+    # beta w + u_impl_hist that the step's elastic form was linearized in, to
+    # the bit; u and w satisfy the BDF identity [du/dt]^k = w^k
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    src, dst = (prob.spaces["v_s"].dofs_of_nodes(nodes)
+                for nodes in transfer_nodes(prob.spaces["v_s"], prob.spaces["u"]))
+    dt = 1e-4
+    state = State.initial(prob)
+    for k in range(1, 4):
+        sch = scheme_for_step(2, k)
+        inp = step_inputs(prob, state, sch, dt)
+        new, _ = advance_step(prob, state, dt, 2)
+        u, w = new.fields["u"], new.fields["w"]
+        assert np.abs(w).max() > 0.0
+        assert np.array_equal(w[dst], new.fields["v_s"][src])       # w is v_s on the solid
+        assert np.array_equal(u, inp.beta * w + inp.u_impl_hist)
+        rate = bdf_rate(sch, dt, u, state.fields["u"], state.prev["u"])
+        assert np.abs(rate - w).max() <= 1e-13 * np.abs(w).max()
+        state = new
+
+
+def test_solid_only_step_moves_with_the_solid_velocity():
+    # with no fluid cells the solid fills the mesh: v_s and u number the same
+    # nodes, and a step's w is its v_s
+    prob = mms_problem(biot_trig(), 4)
+    assert prob.fluid is None
+    src, dst = transfer_nodes(prob.spaces["v_s"], prob.spaces["u"])
+    nodes = np.arange(prob.spaces["u"].num_scalar_nodes)
+    assert np.array_equal(src, nodes) and np.array_equal(dst, nodes)
+    state, diag = advance_step(prob, State.initial(prob), 1e-3, 1)
+    assert diag.extension is None and "extension" not in prob.patterns
+    assert np.abs(state.fields["v_s"]).max() > 0.0
+    assert np.array_equal(state.fields["w"], state.fields["v_s"])
 
 
 # ---------------------------------------------------------------------------
