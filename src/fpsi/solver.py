@@ -135,9 +135,12 @@ class OrderedLU:
         position = np.empty(n, dtype=rows.indices.dtype)
         position[self.order] = np.arange(n)
         PA = sparse.csr_matrix((rows.data.astype(dtype), position[rows.indices],
-                                rows.indptr), shape=A.shape)
+                                rows.indptr), shape=A.shape).tocsc()
+        # only the CSC SuperLU factors stays alive while it factors: the
+        # float64 permuted copy and the CSR it came from are freed first
+        del rows
         try:
-            self.lu = splu(PA.tocsc(), permc_spec="NATURAL",
+            self.lu = splu(PA, permc_spec="NATURAL",
                            diag_pivot_thresh=DIAG_PIVOT_THRESH)
         except RuntimeError as exc:
             raise SolverError("sparse LU factorization failed: %s" % exc)
