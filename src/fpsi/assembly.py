@@ -48,9 +48,7 @@ It holds each geometric quantity once, for the forms, the mesh extension
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,36 +67,6 @@ from .spaces import FunctionSpace, batch_eval, build_space, cell_geometry
 
 FIELD_ORDER = ("v_f", "v_s", "q", "p_f", "p_d")
 QUAD_DEGREE = 6         # degree of the quadrature rule of every cell and facet batch
-
-# The step's one worker thread (README, *Two threads per step*), started at
-# its first task.  Only problems with fluid and solid cells give it work:
-# numpy kernels that write arrays of their own (`_alongside`).  Every call
-# into the solver, and so every SuperLU object, stays on the calling thread.
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fpsi-worker")
-
-
-def _alongside(here: Callable[[], None], there: Callable[[], None]) -> None:
-    """Run there() on the worker thread while here() runs on this one.
-
-    Both have finished when this returns or raises.  An error of here()
-    wins over one of there(), as it would if here() ran first alone."""
-    future = _WORKER.submit(there)
-    try:
-        here()
-    finally:
-        wait((future,))
-    future.result()
-
-
-def _by_cell_range(batch: "QuadBatch", work: Callable[[int, int], None]) -> None:
-    """work(lo, hi) over the batch's entries [0, nb): for a `split` batch of
-    two or more in two halves, the second on the worker thread; otherwise
-    in one call."""
-    nb = len(batch.cells)
-    if batch.split and nb > 1:
-        _alongside(partial(work, 0, nb // 2), partial(work, nb // 2, nb))
-    else:
-        work(0, nb)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +142,6 @@ class QuadBatch:
     nodes_u: np.ndarray        # (nb, n) the cell's nodes of the global displacement space
     vdofs: np.ndarray          # (nb, n2*d) interleaved vector dofs
     nref: Optional[np.ndarray] = None   # (nb, d) facets only
-    split: bool = False        # per-cell geometry in two halves on two threads (`_by_cell_range`)
 
 
 @dataclass
@@ -280,14 +247,14 @@ class Problem:
         return out
 
 
-def _quad_batch(sub_spaces, cells, facets=None, split=False) -> QuadBatch:
+def _quad_batch(sub_spaces, cells, facets=None) -> QuadBatch:
     """Quadrature batch of the given cells, or of their traces on `facets`.
 
     sub_spaces = (P2 space, P1 space) of the subdomain holding the cells,
     then the global displacement space.  facets (nb, d) lists one straight
     facet of each cell; its reference normal is the cell's outward unit
     normal there, and the batch's values, nodes and dofs are those of the
-    facet's own nodes (`facet_nodes`).  split sets `QuadBatch.split`.
+    facet's own nodes (`facet_nodes`).
     """
     space2, space1, space_u = sub_spaces
     mesh = space_u.mesh
@@ -329,7 +296,7 @@ def _quad_batch(sub_spaces, cells, facets=None, split=False) -> QuadBatch:
         nodes1 = np.take_along_axis(nodes1, own1, axis=1)
     vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(len(cells), -1)
     return QuadBatch(cells, w, X, val2, dphi2, val1, nodes2, nodes1,
-                     space_u.cell_nodes[cells], vdofs, nref, split)
+                     space_u.cell_nodes[cells], vdofs, nref)
 
 
 def facet_nodes(mesh: Mesh, cells: np.ndarray, facets: np.ndarray):
@@ -400,9 +367,7 @@ def build_problem(mesh: Mesh, params: MaterialParams, *,
     solid_spaces = (spaces.get("v_s"), spaces.get("p_d"), spaces["u"])
     fluid = solid = None
     if has_fluid:
-        # with a solid beside it, the fluid's geometry shares the step's two
-        # threads with the solid's terms (README, *Two threads per step*)
-        fluid = _quad_batch(fluid_spaces, spaces["v_f"].cells, split=has_solid)
+        fluid = _quad_batch(fluid_spaces, spaces["v_f"].cells)
     if has_solid:
         solid = _quad_batch(solid_spaces, spaces["v_s"].cells)
 
@@ -470,16 +435,12 @@ def batch_deformation(batch: QuadBatch, u: np.ndarray) -> dict:
     product layout of `dphi2`, which every gradient form shares.  A facet
     batch gets the deformed unit normal n and the weights wJs = w Js of the
     deformed area, Js = J |F^-T n_ref| (`kinematics.pushforward_normal`).
-    J is checked over the whole batch before G is formed by cell ranges
-    (`_by_cell_range`), so a failure names the same cell either way.
     """
     F, J, Finv, _ = deformation_state(
         grads_at_qp(batch.dphi2, batch.nodes_u, u, batch.X.shape[-1]), cell_ids=batch.cells)
     if batch.nref is None:
-        G = np.empty_like(batch.dphi2)
-        _by_cell_range(batch, lambda lo, hi: np.einsum(
-            "bieq,bqek->bikq", batch.dphi2[lo:hi], Finv[lo:hi], out=G[lo:hi]))
-        return {"F": F, "J": J, "wJ": batch.w * J, "G": G}
+        return {"F": F, "J": J, "wJ": batch.w * J,
+                "G": np.einsum("bieq,bqek->bikq", batch.dphi2, Finv)}
     n, Js = pushforward_normal(F, batch.nref[:, None, :])
     return {"n": n, "wJs": batch.w * Js}
 
@@ -515,20 +476,12 @@ def fluid_geometry(problem: Problem, u: np.ndarray) -> dict:
     (`fem.gradient_gram`), only visc = P[i,b,j,a] + delta_ab sum_c P[i,c,j,c],
     the sum_q w J 2 D:D of phi_i e_a and phi_j e_b: the viscous block reads
     mu_f visc.  The mesh extension takes this part alone, in the reference
-    configuration, and forms its own Gram from it once per problem.  Both
-    are formed per cell range, as G is (`_by_cell_range`).
+    configuration, and forms its own Gram from it once per problem.
     """
     fluid = batch_deformation(problem.fluid, u)
-    wJ, G = fluid["wJ"], fluid["G"]
-    nc, nloc, d, _ = G.shape
-    visc = np.empty((nc, nloc, d, nloc, d))
-
-    def viscous(lo, hi):
-        gram = gradient_gram(wJ[lo:hi], G[lo:hi])
-        visc[lo:hi] = add_kron_eye(transposed(gram, (0, 1, 4, 3, 2)), component_trace(gram))
-
-    _by_cell_range(problem.fluid, viscous)
-    return {"J": fluid["J"], "wJ": wJ, "G": G, "visc": visc}
+    gram = gradient_gram(fluid["wJ"], fluid["G"])
+    visc = add_kron_eye(transposed(gram, (0, 1, 4, 3, 2)), component_trace(gram))
+    return {"J": fluid["J"], "wJ": fluid["wJ"], "G": fluid["G"], "visc": visc}
 
 
 def check_deformation(problem: Problem, u: np.ndarray) -> Tuple[Geometry, float]:
@@ -552,18 +505,9 @@ def assemble_system(problem: Problem, inp: StepInputs) -> BlockSystem:
     blocks: List[tuple] = []
     b = np.zeros(lay.total)
 
-    if problem.fluid is not None and problem.solid is not None:
-        # The solid's rows are not the fluid's, so its terms run on the worker
-        # thread into a list and vector of their own, merged in the serial
-        # order: A and b are bitwise those of the fluid terms, then the solid's.
-        solid_blocks, b_solid = [], np.zeros(lay.total)
-        _alongside(partial(_fluid_terms, problem, inp, blocks, b),
-                   partial(_solid_terms, problem, inp, solid_blocks, b_solid))
-        blocks += solid_blocks
-        b += b_solid
-    elif problem.fluid is not None:
+    if problem.fluid is not None:
         _fluid_terms(problem, inp, blocks, b)
-    elif problem.solid is not None:
+    if problem.solid is not None:
         _solid_terms(problem, inp, blocks, b)
     if problem.iface is not None:
         _interface_terms(problem, inp, blocks)

@@ -196,7 +196,10 @@ class SparsePattern:
     matrix, which `solver.solve(A, b, pattern)` tries first and replaces
     when it factors afresh.  A record whose block values never change (the
     mesh extension's) keeps its eliminated matrix `A` and lift values
-    `lift` (`apply_dirichlet`); they are None on every other record.
+    `lift` (`apply_dirichlet`); they are None on every other record.  Once
+    it holds them, `stepping.solve_extension` sets its `scatter`, `indices`
+    and `indptr` to None (`A` has its own copies of the last two), and
+    `apply_dirichlet` refuses a record without a scatter.
     """
 
     def __init__(self, n: int, blocks: List[tuple], keys: np.ndarray,
@@ -311,6 +314,9 @@ def apply_dirichlet(pattern: SparsePattern, blocks: List[tuple]):
     the order one `np.bincount` of all the values would.  Entries whose
     value is exactly zero are left out of the returned CSR."""
     p = pattern
+    if p.scatter is None:
+        raise AssemblyError("the %d-dof matrix was assembled once: its record no longer "
+                            "holds the scatter of its element blocks" % p.n)
     if tuple(v.size for *_, v in blocks) != p.sizes:
         raise AssemblyError("element blocks of the %d-dof matrix do not match its "
                             "assembly pattern" % p.n)

@@ -215,7 +215,8 @@ def solve_extension(problem: Problem, v_s: np.ndarray):
     cells alone (`assembly.fluid_geometry`).  The record keeps the
     eliminated matrix (`A`) and its lift values (`lift`), so every call,
     the first included, only forms the right-hand side of the step's
-    boundary values (`fem.dirichlet_rhs`) and solves."""
+    boundary values (`fem.dirichlet_rhs`) and solves.  It drops what only
+    an assembly reads: the scatter and its own CSR structure."""
     pattern = problem.patterns.get("extension")
     if pattern is None:
         nu = problem.spaces["u"].num_dofs
@@ -223,6 +224,7 @@ def solve_extension(problem: Problem, v_s: np.ndarray):
         pattern = SparsePattern(nu, blocks, problem.entity_keys(("u",)),
                                 *_extension_dofs(problem))
         pattern.A, pattern.lift = apply_dirichlet(pattern, blocks)
+        pattern.scatter = pattern.indices = pattern.indptr = None
         problem.patterns["extension"] = pattern
     b = dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n), np.append(v_s, 0.0))
     w, rep = solve(pattern.A, b, pattern)

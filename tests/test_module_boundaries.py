@@ -3,8 +3,8 @@ helpers, no module imports a name it never reads, no function takes a
 parameter it never reads, no handler catches every exception, no
 function is defined that only tests reach, no class keeps a field that
 nothing reads, only the front end, the config and mesh readers and
-the output module touch files, and one module starts threads, a module
-that never reaches SuperLU.
+the output module touch files, and no module imports a threading module:
+each step runs on the calling thread.
 
 A helper that two modules need is public in one of them (or moves to
 `fem.py`); the checks parse every source file with `ast`, so they need no
@@ -416,13 +416,12 @@ def test_only_the_io_modules_touch_files():
     assert found == []
 
 
-THREAD_MODULES = ("threading", "concurrent.futures")
-SOLVER_NAMES = {"splu", "spilu", "OrderedLU", "solver.solve"}
+THREAD_MODULES = ("threading", "concurrent.futures", "multiprocessing")
 
 
 def thread_imports(source: str, filename: str = "<src>"):
-    """Imports of `threading` or `concurrent.futures` (or of a name from
-    them) in a module."""
+    """Imports of `threading`, `concurrent.futures` or `multiprocessing`
+    (or of a name from them) in a module."""
     found = []
     for node in ast.walk(ast.parse(source, filename)):
         if isinstance(node, ast.Import):
@@ -436,51 +435,28 @@ def thread_imports(source: str, filename: str = "<src>"):
     return found
 
 
-def solver_names(source: str, filename: str = "<src>"):
-    """The SuperLU entry points a module names: `splu`, `spilu`,
-    `OrderedLU` and `solver.solve`, as a name, an attribute or an import."""
-    named = set()
-    for node in ast.walk(ast.parse(source, filename)):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-            if isinstance(node.value, ast.Name):
-                named.add("%s.%s" % (node.value.id, node.attr))
-        elif isinstance(node, ast.ImportFrom):
-            module = (node.module or "").split(".")[-1]
-            for alias in node.names:
-                named.add(alias.name)
-                named.add("%s.%s" % (module, alias.name))
-        elif isinstance(node, ast.Import):
-            named.update(alias.name.split(".")[-1] for alias in node.names)
-    return sorted(named & SOLVER_NAMES)
-
-
-def test_scanner_flags_thread_imports_and_solver_names():
+def test_scanner_flags_thread_imports():
     src = ("import threading, numpy as np\n"
            "from concurrent.futures import ThreadPoolExecutor\n"
            "import concurrent.futures\n"
+           "from multiprocessing.pool import ThreadPool\n"
+           "import multiprocessing as mp\n"
            "from .fem import scatter_add\n"
-           "from .solver import solve\n"
-           "from scipy.sparse.linalg import splu\n"
-           "def f(A, solver, la):\n"
-           "    return solver.OrderedLU(A), la.spilu(A), np.linalg.solve(A, A)\n")
+           "from . import threading_notes\n"
+           "import threadpoolish\n")
     assert [line.split(": ", 1)[1] for line in thread_imports(src)] == [
         "import threading",
         "import concurrent.futures",
         "import concurrent.futures",
+        "import multiprocessing.pool",
+        "import multiprocessing",
     ]
-    assert solver_names(src) == ["OrderedLU", "solver.solve", "spilu", "splu"]
-    assert solver_names("from fpsi import solver\nx = solver.solve\n") == ["solver.solve"]
-    assert solver_names("import numpy as np\ny = np.linalg.solve\n") == []
 
 
-def test_one_module_starts_threads_and_it_never_reaches_superlu():
-    # SuperLU objects are made, used and freed on the calling thread only;
-    # the module that owns the worker thread cannot name them
+def test_no_module_imports_a_threading_module():
+    # every step runs on the calling thread (README, *One thread per step*)
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
-    threaded = [path for path in modules if thread_imports(path.read_text(), path.name)]
-    assert [path.stem for path in threaded] == ["assembly"]
-    assert solver_names(threaded[0].read_text(), threaded[0].name) == []
+    found = [line for path in modules
+             for line in thread_imports(path.read_text(), path.name)]
+    assert found == []

@@ -1,7 +1,11 @@
 """Time stepping: BDF algebra, state handling, the mesh-velocity extension,
 and checkpointing."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ import pytest
 import fpsi.assembly as assembly
 import fpsi.solver as solver
 from fpsi.assembly import DirichletBC, StepInputs, build_geometry
-from fpsi.errors import DegenerateDeformationError, FpsiError, SolverError
+from fpsi.errors import AssemblyError, DegenerateDeformationError, FpsiError, SolverError
+from fpsi.fem import SparsePattern
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
 from fpsi.mms import biot_trig, unsteady_fluid
 from fpsi.reporting import load_checkpoint, save_checkpoint
@@ -123,6 +128,83 @@ def test_check_deformation_covers_facets():
     with pytest.raises(DegenerateDeformationError, match="at cell 41") as err:
         check_deformation(prob, u)
     assert err.value.cell == 41 and err.value.value == pytest.approx(-0.001)
+
+
+def inverting_displacement(prob, cells):
+    """A displacement that mirrors each of the given cells in x about its
+    centroid (F = diag(-1, 1) inside it) and is zero on every other node."""
+    space = prob.spaces["u"]
+    u = np.zeros(space.num_dofs)
+    for c in cells:
+        nodes = space.cell_nodes[c]
+        X = space.node_coords[nodes]
+        u[2 * nodes] = -2.0 * (X[:, 0] - X[:, 0].mean())
+    return u
+
+
+def test_inverting_a_fluid_and_a_solid_cell_names_the_fluid_cell():
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    u = inverting_displacement(prob, (prob.fluid.cells[7], prob.solid.cells[3]))
+    with pytest.raises(DegenerateDeformationError) as solid:     # the solid alone fails
+        assembly.batch_deformation(prob.solid, u)
+    assert solid.value.cell in prob.solid.cells
+    with pytest.raises(DegenerateDeformationError) as want:
+        assembly.batch_deformation(prob.fluid, u)
+    with pytest.raises(DegenerateDeformationError) as got:       # the fluid is checked first
+        check_deformation(prob, u)
+    assert type(got.value) is type(want.value)
+    assert got.value.cell == want.value.cell and got.value.cell in prob.fluid.cells
+    assert str(got.value) == str(want.value)
+
+
+def test_a_solid_terms_error_reaches_the_step_with_its_prefix(monkeypatch):
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+
+    def failing_solid_terms(*args):
+        raise AssemblyError("solid terms failed")
+
+    monkeypatch.setattr(assembly, "_solid_terms", failing_solid_terms)
+    with pytest.raises(AssemblyError, match=r"^step 1 failed: solid terms failed$"):
+        advance_step(prob, State.initial(prob), 1e-4, 2)
+
+
+def test_a_fluid_terms_error_surfaces_before_the_solid_terms_run(monkeypatch):
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+    inp = step_inputs(prob, State.initial(prob), BDF2, 1e-4)
+    solid_calls = []
+
+    def failing_solid_terms(*args):
+        solid_calls.append(args)
+        raise AssemblyError("solid terms failed")
+
+    def failing_fluid_terms(*args):
+        raise AssemblyError("fluid terms failed")
+
+    monkeypatch.setattr(assembly, "_solid_terms", failing_solid_terms)
+    monkeypatch.setattr(assembly, "_fluid_terms", failing_fluid_terms)
+    with pytest.raises(AssemblyError, match=r"^fluid terms failed$"):
+        assembly.assemble_system(prob, inp)
+    assert solid_calls == []
+
+
+ONE_STEP = """
+import threading
+before = threading.active_count()
+from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem
+from fpsi.stepping import State, advance_step
+prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+advance_step(prob, State.initial(prob), 1e-4, 2)
+print(before, threading.active_count())
+"""
+
+
+def test_importing_fpsi_and_taking_a_step_starts_no_thread():
+    # in a fresh interpreter, so no earlier test has started a thread
+    src = Path(assembly.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", ONE_STEP],
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                         stdout=subprocess.PIPE, text=True).stdout.split()
+    assert out == ["1", "1"]
 
 
 def count_geometry_builds(monkeypatch):
@@ -280,6 +362,35 @@ def same_matrix(A, B):
             and np.array_equal(A.data, B.data))
 
 
+def new_extension_record(prob, blocks):
+    """A new record of the extension's blocks with the held record's fixed
+    dofs: unlike the held one, it can eliminate them again."""
+    held = prob.patterns["extension"]
+    return SparsePattern(held.n, blocks, prob.entity_keys(("u",)), held.dofs, held.take)
+
+
+def test_extension_record_drops_its_scatter_after_its_one_assembly(monkeypatch):
+    import fpsi.stepping as stepping
+
+    prob = channel_problem(channel_mesh(2), benchmark_params(K=1e-5))
+    eliminations = []
+    real_dirichlet = stepping.apply_dirichlet
+
+    def dirichlet(pattern, blocks):
+        eliminations.append(blocks)
+        return real_dirichlet(pattern, blocks)
+
+    monkeypatch.setattr(stepping, "apply_dirichlet", dirichlet)
+    advance_step(prob, State.initial(prob), 1e-4, 2)
+    system, extension = prob.patterns["system"], prob.patterns["extension"]
+    assert system.scatter is not None and system.indices is not None
+    assert extension.scatter is None and extension.indices is None and extension.indptr is None
+    assert extension.A is not None and len(eliminations) == 1
+    with pytest.raises(AssemblyError, match=r"^the %d-dof matrix was assembled once"
+                       % extension.n):
+        real_dirichlet(extension, eliminations[0])
+
+
 def test_extension_operator_is_assembled_once_in_the_reference_configuration(monkeypatch):
     import fpsi.stepping as stepping
 
@@ -294,11 +405,11 @@ def test_extension_operator_is_assembled_once_in_the_reference_configuration(mon
     assert np.abs(state.fields["u"]).max() > 0.0          # the mesh has moved
     assert len(builds) == 1 and factored == [True, False, False]
     assert len(matrices) == 3 and all(same_matrix(A, matrices[0]) for A in matrices)
-    # the blocks of the reference configuration u = 0, on the same record
-    pattern = prob.patterns["extension"]
+    # the blocks of the reference configuration u = 0, on a new record
     nu = prob.spaces["u"].num_dofs
     blocks = stepping.extension_stiffness(prob, build_geometry(prob, np.zeros(nu)).fluid)
-    assert same_matrix(matrices[0], stepping.apply_dirichlet(pattern, blocks)[0])
+    assert same_matrix(matrices[0], stepping.apply_dirichlet(new_extension_record(prob, blocks),
+                                                             blocks)[0])
 
 
 def test_extension_forms_each_right_hand_side_from_its_held_lift(monkeypatch):
@@ -331,7 +442,7 @@ def test_extension_forms_each_right_hand_side_from_its_held_lift(monkeypatch):
         handed[-1], stepping.dirichlet_rhs(pattern, pattern.lift, np.zeros(pattern.n),
                                            np.append(v_s, 0.0)))
     # for any v_s, the held lift's b is the one a new elimination makes
-    A, lift = real_dirichlet(pattern, eliminations[0])
+    A, lift = real_dirichlet(new_extension_record(prob, eliminations[0]), eliminations[0])
     assert np.array_equal(lift, pattern.lift) and same_matrix(A, pattern.A)
     rng = np.random.default_rng(5)
     for _ in range(3):
