@@ -235,9 +235,10 @@ class Problem:
         return self.mesh.dim
 
     def entity_keys(self, fields: Sequence[str]) -> np.ndarray:
-        """Mesh-entity key (`FunctionSpace.entity_keys`) of each dof of the
-        fields, concatenated in the given order."""
-        return np.concatenate([np.repeat(self.spaces[f].entity_keys(), self.spaces[f].ncomp)
+        """Mesh-entity key of each dof of the fields, concatenated in the
+        given order: each node's `FunctionSpace.entity_keys` entry, once
+        per component."""
+        return np.concatenate([np.repeat(self.spaces[f].entity_keys, self.spaces[f].ncomp)
                                for f in fields])
 
     def zero_fields(self) -> Dict[str, np.ndarray]:
@@ -294,9 +295,8 @@ def _quad_batch(sub_spaces, cells, facets=None) -> QuadBatch:
         val1 = np.take_along_axis(val1, own1[:, None, :], axis=2)
         nodes2 = np.take_along_axis(nodes2, own2, axis=1)
         nodes1 = np.take_along_axis(nodes1, own1, axis=1)
-    vdofs = (nodes2[:, :, None] * d + np.arange(d)).reshape(len(cells), -1)
     return QuadBatch(cells, w, X, val2, dphi2, val1, nodes2, nodes1,
-                     space_u.cell_nodes[cells], vdofs, nref)
+                     space_u.cell_nodes[cells], space2.dofs_of_nodes(nodes2), nref)
 
 
 def facet_nodes(mesh: Mesh, cells: np.ndarray, facets: np.ndarray):

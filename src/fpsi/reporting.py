@@ -100,7 +100,8 @@ def vertex_values(space: FunctionSpace, vec: np.ndarray) -> np.ndarray:
     ncomp = space.ncomp
     out = np.zeros((mesh.num_vertices, ncomp))
     data = np.asarray(vec, dtype=float).reshape(-1, ncomp)
-    out[space.vertex_ids] = data[:len(space.vertex_ids)]     # vertex nodes come first
+    nverts = np.searchsorted(space.entity_keys, mesh.num_vertices)   # vertex nodes come first
+    out[space.entity_keys[:nverts]] = data[:nverts]
     return out[:, 0] if ncomp == 1 else out
 
 

@@ -7,15 +7,17 @@ for P2 the subdomain edges (ascending id in the mesh's edge table, which is
 the order of their sorted vertex pairs).  Vector spaces interleave
 components node-major: dof(node, comp) = node * dim + comp.
 
-Keying DOFs by entity makes transfer between overlapping spaces exact: the
-interface trace of the solid velocity lands on the fluid-side extension
-space by matching vertex/edge ids, never by coordinate lookups.
+Each scalar node has one mesh-entity key (`FunctionSpace.entity_keys`): the
+vertex id of a vertex node, nv + the edge id of an edge node, so the keys
+ascend with the nodes.  Two spaces meet by intersecting their keys, never by
+coordinate lookups: the solid velocity lands on the displacement space of
+the mesh extension at every solid node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -35,8 +37,8 @@ class FunctionSpace:
     cells: np.ndarray         # global cell ids of the subdomain
     cell_nodes: np.ndarray    # (ncells, nloc) scalar node ids
     node_coords: np.ndarray   # (nnodes, dim)
-    vertex_ids: np.ndarray    # (nverts,) global vertex ids of the vertex nodes, ascending
-    edge_ids: np.ndarray      # (nedges,) mesh edge ids of the edge nodes, ascending
+    entity_keys: np.ndarray   # (nnodes,) ascending: vertex id of each vertex node,
+                              # then nv + edge id of each edge node
 
     @property
     def dim(self) -> int:
@@ -54,37 +56,24 @@ class FunctionSpace:
     def num_dofs(self) -> int:
         return self.num_scalar_nodes * self.ncomp
 
-    def entity_keys(self) -> np.ndarray:
-        """Mesh-entity key of each scalar node: the vertex id of a vertex
-        node, nv + the edge id of an edge node.  Nodes of any two spaces on
-        the same vertex or edge get the same key."""
-        return np.concatenate([self.vertex_ids, self.mesh.num_vertices + self.edge_ids])
-
     def dofs_of_nodes(self, nodes) -> np.ndarray:
-        """Interleaved dof ids, all components, of the given scalar nodes."""
+        """Interleaved dof ids, all components, of the given scalar nodes:
+        a 1-D array of a 1-D node array, one row of dofs per row of a 2-D one."""
         nodes = np.asarray(nodes, dtype=np.int64)
         if self.rank == 0:
             return nodes
-        return (nodes[:, None] * self.ncomp + np.arange(self.ncomp)).ravel()
+        dofs = nodes[..., None] * self.ncomp + np.arange(self.ncomp)
+        return dofs.reshape(nodes.shape[:-1] + (nodes.shape[-1] * self.ncomp,))
 
     def nodes_on_markers(self, markers: Iterable[int]) -> np.ndarray:
         """Scalar nodes lying on facets carrying any of the given markers."""
         mesh = self.mesh
         wanted = np.fromiter((int(m) for m in markers), dtype=np.int64)
         marked = np.isin(mesh.facet_markers, wanted)
-        found = [_find(self.vertex_ids, mesh.facets[marked].ravel())]
-        if self.degree == 2:
-            pos = _find(self.edge_ids, mesh.edge_table.facet_edges[marked])
-            found.append(np.where(pos < 0, -1, pos + len(self.vertex_ids)))
-        nodes = np.concatenate(found)
-        return np.unique(nodes[nodes >= 0])
-
-
-def _find(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Position of each key in the sorted, non-empty 1-D table, -1 where it
-    is absent."""
-    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
-    return np.where(table[pos] == keys, pos, -1)
+        edges = mesh.edge_table.facet_edges[marked]
+        edges = edges[edges >= 0]   # -1: no edge (unvalidated mesh); nv - 1 is a vertex key
+        keys = np.concatenate([mesh.facets[marked].ravel(), mesh.num_vertices + edges])
+        return np.flatnonzero(np.isin(self.entity_keys, keys))
 
 
 def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = None) -> FunctionSpace:
@@ -104,7 +93,7 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
     verts = np.unique(cellverts)
     cell_nodes = np.searchsorted(verts, cellverts).astype(np.int64)
     coords = [mesh.vertices[verts]]
-    edge_ids = np.empty(0, dtype=np.int64)
+    keys = [verts]
     if degree == 2:
         table = mesh.edge_table
         celledges = table.cell_edges[cells]
@@ -112,6 +101,7 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         ends = table.edges[edge_ids]
         coords.append((mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]]) / 2.0)
         cell_nodes = np.hstack([cell_nodes, len(verts) + np.searchsorted(edge_ids, celledges)])
+        keys.append(mesh.num_vertices + edge_ids)
 
     return FunctionSpace(
         mesh=mesh,
@@ -120,25 +110,8 @@ def build_space(mesh: Mesh, degree: int, rank: int = 0, tag: Optional[int] = Non
         cells=cells,
         cell_nodes=cell_nodes,
         node_coords=np.vstack(coords),
-        vertex_ids=verts,
-        edge_ids=edge_ids,
+        entity_keys=np.concatenate(keys),
     )
-
-
-def transfer_nodes(src: FunctionSpace, dst: FunctionSpace) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar nodes shared by two spaces (same degree), matched by entity.
-
-    Returns (src nodes, dst nodes) in ascending dst order: the shared vertex
-    and edge ids come out ascending, and so do the nodes they number.
-    """
-    if src.degree != dst.degree:
-        raise AssemblyError("cannot transfer between spaces of different degree")
-    _, vs, vd = np.intersect1d(src.vertex_ids, dst.vertex_ids,
-                               assume_unique=True, return_indices=True)
-    _, es, ed = np.intersect1d(src.edge_ids, dst.edge_ids,
-                               assume_unique=True, return_indices=True)
-    return (np.concatenate([vs, es + len(src.vertex_ids)]),
-            np.concatenate([vd, ed + len(dst.vertex_ids)]))
 
 
 def batch_eval(fn: Callable, X: np.ndarray, ncomp: int) -> np.ndarray:

@@ -57,7 +57,6 @@ from .errors import FpsiError
 from .fem import SparsePattern, apply_dirichlet, dirichlet_rhs, gradient_gram, last_set
 from .mesh import GAMMA_F0, GAMMA_OUT
 from .solver import SolveReport, solve
-from .spaces import transfer_nodes
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def extension_stiffness(problem: Problem, fluid: dict):
     elem += fluid["visc"]
     elem *= mu_m[:, None, None, None, None]
 
-    dofs = (sub.nodes_u[:, :, None] * d + np.arange(d)).reshape(nc, -1)
+    dofs = problem.spaces["u"].dofs_of_nodes(sub.nodes_u)
     return [(dofs, dofs, elem.reshape(nc, nloc * d, nloc * d))]
 
 
@@ -194,7 +193,8 @@ def _extension_dofs(problem: Problem):
     every solid node of the displacement space, the interface included,
     and the zero for the outer fluid boundary."""
     u_space, vs_space = problem.spaces["u"], problem.spaces["v_s"]
-    src, dst = transfer_nodes(vs_space, u_space)
+    _, src, dst = np.intersect1d(vs_space.entity_keys, u_space.entity_keys,
+                                 assume_unique=True, return_indices=True)
     # Outer fluid boundary is clamped; corners shared with the solid are
     # clamped too (the solid is clamped there, so v_s is zero anyway).
     outer = u_space.dofs_of_nodes(u_space.nodes_on_markers((GAMMA_F0, GAMMA_OUT)))

@@ -134,6 +134,17 @@ def test_every_batch_goes_through_batch_deformation(monkeypatch):
     assert len(seen) == 5 and all(a is b for a, b in zip(seen, want))
 
 
+def test_every_batch_takes_its_vector_dofs_from_its_space():
+    prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
+    vf, vs = prob.spaces["v_f"], prob.spaces["v_s"]
+    batches = [(prob.fluid, vf), (prob.solid, vs), (prob.iface.fluid, vf), (prob.iface.solid, vs)]
+    batches += [(tr, vf) for tr in prob.natural.values()]
+    assert len(batches) == 6
+    for batch, space in batches:
+        assert batch.vdofs.shape == (len(batch.cells), 2 * batch.nodes2.shape[1])
+        assert np.array_equal(batch.vdofs, space.dofs_of_nodes(batch.nodes2))
+
+
 def test_geometry_rejects_degenerate_displacement():
     prob = mixed_problem()
     flip = interpolate(prob.spaces["u"], lambda X: np.stack(

@@ -72,10 +72,10 @@ def test_order_groups_dofs_by_entity_with_pressures_last():
     order = cached_order(prob, "system")
     assert_grouped(order, keys, pressure)
     # an interface vertex: v_f, v_s, q (two each), then p_f and p_d
-    shared = np.intersect1d(prob.spaces["p_f"].vertex_ids, prob.spaces["p_d"].vertex_ids)
+    shared = np.intersect1d(prob.spaces["p_f"].entity_keys, prob.spaces["p_d"].entity_keys)
     v = shared[len(shared) // 2]
     group = order[keys[order] == v]
-    pf, pd = (lay.offsets[name] + np.searchsorted(prob.spaces[name].vertex_ids, v)
+    pf, pd = (lay.offsets[name] + np.searchsorted(prob.spaces[name].entity_keys, v)
               for name in ("p_f", "p_d"))
     assert len(group) == 8 and list(group[-2:]) == [pf, pd]
     ext_keys = prob.entity_keys(("u",))

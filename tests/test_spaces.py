@@ -1,14 +1,14 @@
-"""Function spaces: DOF layout, transfer, interpolation and point evaluation."""
+"""Function spaces: DOF layout, entity keys, interpolation and point evaluation."""
 
 import numpy as np
 import pytest
 
 from fpsi.errors import AssemblyError, FpsiError
-from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_S0, SOLID
+from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_S0, SOLID, Mesh
 from fpsi.elements import LOCAL_EDGES
 from fpsi.scenarios import channel_mesh, unit_square_mesh
 from fpsi.spaces import (batch_eval, build_space, error_L2, eval_at_point, interpolate,
-                         locate_cell, transfer_nodes)
+                         locate_cell)
 from tests.test_mesh import two_triangle_mesh
 
 
@@ -49,6 +49,18 @@ def test_vector_dofs_interleave():
     assert list(s.dofs_of_nodes([0, 2])) == [0, 2]
 
 
+@pytest.mark.parametrize("rank", [0, 1])
+def test_dofs_of_a_2d_node_array_are_the_1d_map_row_by_row(rank):
+    space = build_space(channel_mesh(4), 2, rank=rank, tag=FLUID)
+    nodes = space.cell_nodes
+    got = space.dofs_of_nodes(nodes)
+    assert got.dtype == np.int64
+    assert got.shape == (len(nodes), nodes.shape[1] * space.ncomp)
+    for row, want in zip(nodes, got):
+        assert np.array_equal(space.dofs_of_nodes(row), want)
+    assert space.dofs_of_nodes(nodes[:0]).shape == (0, nodes.shape[1] * space.ncomp)
+
+
 def test_empty_subdomain_rejected():
     mesh = two_triangle_mesh((FLUID, FLUID))
     with pytest.raises(AssemblyError, match="empty subdomain"):
@@ -69,17 +81,21 @@ def test_node_numbering(mesh_name, tag, degree):
     space = build_space(mesh, degree, rank=1, tag=tag)
     assert np.array_equal(space.cells, cells)
 
-    # vertex nodes first, in increasing vertex id
+    # vertex nodes first, keyed by their vertex ids in increasing order
     verts = sorted({int(v) for c in cells for v in mesh.cells[c]})
     nv = len(verts)
-    assert space.vertex_ids.tolist() == verts
+    assert space.entity_keys.tolist()[:nv] == verts
     assert np.array_equal(space.node_coords[:nv], mesh.vertices[verts])
 
-    # then edge nodes, in lexicographic order of their sorted vertex pairs
+    # then edge nodes, keyed nv + edge id, in lexicographic order of their
+    # sorted vertex pairs; the keys ascend throughout
     edges = LOCAL_EDGES if degree == 2 else ()
     keys = sorted({tuple(sorted((int(mesh.cells[c][a]), int(mesh.cells[c][b]))))
                    for c in cells for a, b in edges})
-    pairs = mesh.edge_table.edges[space.edge_ids]
+    assert space.entity_keys.shape == (nv + len(keys),)
+    assert np.all(np.diff(space.entity_keys) > 0)
+    assert np.all(space.entity_keys[nv:] >= mesh.num_vertices)
+    pairs = mesh.edge_table.edges[space.entity_keys[nv:] - mesh.num_vertices]
     assert pairs.shape == (len(keys), 2)
     assert list(map(tuple, pairs.tolist())) == keys
     assert space.num_scalar_nodes == nv + len(keys)
@@ -98,10 +114,14 @@ def test_node_numbering(mesh_name, tag, degree):
 
 def entity_nodes(space):
     """Oracle lookup tables: vertex id -> node, sorted vertex pair -> node."""
-    nv = len(space.vertex_ids)
-    vnode = {int(v): i for i, v in enumerate(space.vertex_ids)}
-    enode = {(int(a), int(b)): nv + i
-             for i, (a, b) in enumerate(space.mesh.edge_table.edges[space.edge_ids])}
+    mesh = space.mesh
+    vnode, enode = {}, {}
+    for node, key in enumerate(space.entity_keys.tolist()):
+        if key < mesh.num_vertices:
+            vnode[key] = node
+        else:
+            a, b = mesh.edge_table.edges[key - mesh.num_vertices]
+            enode[(int(a), int(b))] = node
     return vnode, enode
 
 
@@ -142,26 +162,52 @@ def test_nodes_on_markers_picks_up_edge_nodes():
     assert np.allclose(sorted(p1.node_coords[corners][:, 0]), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_nodes_on_markers_of_a_facet_that_is_no_edge(degree):
+    # An unvalidated mesh may mark a facet (1, 3) that is no edge of any
+    # cell; its edge id is -1, and nv + (-1) would be the key of vertex
+    # nv - 1 = 4, which the space holds.  Only the nodes of 1 and 3 count.
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0]])
+    cells = np.array([[0, 1, 2], [0, 2, 3], [1, 4, 2]], dtype=np.int64)
+    facets = np.array([[1, 3], [0, 1]], dtype=np.int64)
+    mesh = Mesh(V, cells, np.full(3, FLUID, dtype=np.int64), facets,
+                np.array([GAMMA_F0, GAMMA_S0], dtype=np.int64))
+    assert mesh.edge_table.facet_edges[0] == -1
+    space = build_space(mesh, degree, rank=1)
+    assert space.entity_keys[4] == mesh.num_vertices - 1
+    assert space.nodes_on_markers([GAMMA_F0]).tolist() == [1, 3]
+
+
 # ---------------------------------------------------------------------------
-# transfer between overlapping spaces
+# overlapping spaces meet on their shared entity keys
 # ---------------------------------------------------------------------------
+
+def shared_nodes(src, dst):
+    """Nodes of src and of dst on their shared entities, in ascending key order."""
+    _, a, b = np.intersect1d(src.entity_keys, dst.entity_keys,
+                             assume_unique=True, return_indices=True)
+    return a, b
+
 
 def test_transfer_fluid_to_global():
     mesh = two_triangle_mesh((FLUID, SOLID))
     vs = build_space(mesh, 2, rank=1, tag=SOLID)
     whole = build_space(mesh, 2, rank=1, tag=None)
-    src, dst = transfer_nodes(vs, whole)
+    src, dst = shared_nodes(vs, whole)
     assert len(src) == vs.num_scalar_nodes       # solid is a subset of the whole mesh
     assert np.allclose(vs.node_coords[src], whole.node_coords[dst])
-    with pytest.raises(AssemblyError, match="different degree"):
-        transfer_nodes(build_space(mesh, 1, tag=FLUID), whole)
+    # a P1 space meets a P2 space on its vertices alone
+    p1 = build_space(mesh, 1, tag=FLUID)
+    src, dst = shared_nodes(p1, whole)
+    assert src.tolist() == list(range(p1.num_scalar_nodes))
+    assert np.allclose(p1.node_coords[src], whole.node_coords[dst])
 
 
 def test_transfer_across_interface():
     mesh = two_triangle_mesh((FLUID, SOLID))
     vf = build_space(mesh, 2, tag=FLUID)
     vs = build_space(mesh, 2, tag=SOLID)
-    src, dst = transfer_nodes(vs, vf)
+    src, dst = shared_nodes(vs, vf)
     # only the interface entities are shared: 2 vertices + 1 edge midpoint
     assert len(src) == 3
     assert np.allclose(vs.node_coords[src], vf.node_coords[dst])
@@ -179,7 +225,7 @@ def test_transfer_matches_entity_loop(src_tag, dst_tag, degree):
     pairs = [(n, dst_v[v]) for v, n in src_v.items() if v in dst_v]
     pairs += [(n, dst_e[k]) for k, n in src_e.items() if k in dst_e]
     want = np.array(sorted(pairs, key=lambda p: p[1]), dtype=np.int64).reshape(-1, 2)
-    got_src, got_dst = transfer_nodes(src, dst)
+    got_src, got_dst = shared_nodes(src, dst)
     assert got_src.dtype == np.int64 and got_dst.dtype == np.int64
     assert np.array_equal(got_src, want[:, 0])
     assert np.array_equal(got_dst, want[:, 1])

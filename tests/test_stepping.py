@@ -15,17 +15,19 @@ import fpsi.solver as solver
 from fpsi.assembly import DirichletBC, StepInputs, build_geometry
 from fpsi.errors import AssemblyError, DegenerateDeformationError, FpsiError, SolverError
 from fpsi.fem import SparsePattern
+from fpsi.kinematics import J_MIN
 from fpsi.mesh import FLUID, GAMMA_F0, GAMMA_FS, GAMMA_OUT, GAMMA_S0, SOLID
 from fpsi.mms import biot_trig, unsteady_fluid
 from fpsi.reporting import load_checkpoint, save_checkpoint
 from fpsi.scenarios import benchmark_params, channel_mesh, channel_problem, mms_problem
-from fpsi.spaces import interpolate, transfer_nodes
+from fpsi.spaces import interpolate
 from fpsi.stepping import (BDF1, BDF2, State, advance_step, check_deformation, extrapolate,
                            run_transient, scheme_for_step, solve_extension, solve_steady,
                            step_inputs)
 from tests.test_assembly_forms import PARAMS, make_problem
 from tests.test_assembly_system import zero_bc
 from tests.test_mesh import two_triangle_mesh
+from tests.test_spaces import shared_nodes
 
 
 def rest_problem(**kw):
@@ -219,14 +221,33 @@ def count_geometry_builds(monkeypatch):
     return calls
 
 
-def test_step_failure_keeps_its_type_and_names_the_step():
-    # an inlet pulse of 1e8 inverts cell 161 of channel:4 in the first step
+def test_step_failure_keeps_its_type_and_names_the_step(monkeypatch):
+    # an inlet pulse of 1e8 inverts a fluid cell of channel:4 in the first
+    # step; the error names the cell of the smallest J = det(I + grad u)
+    import fpsi.stepping as stepping
+
+    seen = []
+    check = stepping.check_deformation
+
+    def capturing(problem, u):
+        seen.append(u.copy())
+        return check(problem, u)
+
+    monkeypatch.setattr(stepping, "check_deformation", capturing)
     prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5), p_ext=1e8)
     with pytest.raises(DegenerateDeformationError,
                        match=r"^step 1 failed: deformation degenerate: det F = ") as err:
         run_transient(prob, 1e-4, 1, 5)
-    assert err.value.cell == 161 and err.value.value < 0.0
-    assert "at cell 161" in str(err.value)
+    assert err.value.value < 0.0
+    # the last u checked is step 1's (the first is the initial state's)
+    batch = prob.fluid
+    U = seen[-1].reshape(-1, 2)[batch.nodes_u]                      # (nc, n, 2)
+    grad = np.einsum("cna,cneq->cqae", U, batch.dphi2)             # (nc, nq, 2, 2)
+    J = (1.0 + grad[..., 0, 0]) * (1.0 + grad[..., 1, 1]) - grad[..., 0, 1] * grad[..., 1, 0]
+    worst = np.unravel_index(np.argmin(J), J.shape)[0]
+    assert J[worst].min() <= J_MIN
+    assert err.value.cell == batch.cells[worst]
+    assert "at cell %d " % batch.cells[worst] in str(err.value)
 
 
 def test_solver_failure_keeps_its_residual_and_names_the_step(monkeypatch):
@@ -314,7 +335,7 @@ def test_solve_extension_boundary_values():
     w = w.reshape(-1, 2)
 
     # the solid velocity on every solid node, the interface included, bitwise
-    src, solid_nodes = transfer_nodes(vs_space, uspace)
+    src, solid_nodes = shared_nodes(vs_space, uspace)
     iface = uspace.nodes_on_markers((GAMMA_FS,))
     assert np.isin(iface, solid_nodes).all()
     assert np.array_equal(w[solid_nodes], clamped.reshape(-1, 2)[src])
@@ -479,8 +500,8 @@ def test_domain_velocity_placement():
     w, _ = solve_extension(prob, v_s)
     assert w.shape == (uspace.num_dofs,)
     w = w.reshape(-1, d)
-    _, solid_nodes = transfer_nodes(prob.spaces["v_s"], uspace)
-    _, fluid_nodes = transfer_nodes(prob.spaces["v_f"], uspace)
+    _, solid_nodes = shared_nodes(prob.spaces["v_s"], uspace)
+    _, fluid_nodes = shared_nodes(prob.spaces["v_f"], uspace)
     outer = uspace.nodes_on_markers((GAMMA_F0, GAMMA_OUT))
     iface = uspace.nodes_on_markers((GAMMA_FS,))
     inner_solid = np.setdiff1d(solid_nodes, outer)
@@ -498,7 +519,7 @@ def test_step_displacement_is_the_implicit_one_of_its_elastic_form():
     # the bit; u and w satisfy the BDF identity [du/dt]^k = w^k
     prob = channel_problem(channel_mesh(4), benchmark_params(K=1e-5))
     src, dst = (prob.spaces["v_s"].dofs_of_nodes(nodes)
-                for nodes in transfer_nodes(prob.spaces["v_s"], prob.spaces["u"]))
+                for nodes in shared_nodes(prob.spaces["v_s"], prob.spaces["u"]))
     dt = 1e-4
     state = State.initial(prob)
     for k in range(1, 4):
@@ -519,7 +540,7 @@ def test_solid_only_step_moves_with_the_solid_velocity():
     # nodes, and a step's w is its v_s
     prob = mms_problem(biot_trig(), 4)
     assert prob.fluid is None
-    src, dst = transfer_nodes(prob.spaces["v_s"], prob.spaces["u"])
+    src, dst = shared_nodes(prob.spaces["v_s"], prob.spaces["u"])
     nodes = np.arange(prob.spaces["u"].num_scalar_nodes)
     assert np.array_equal(src, nodes) and np.array_equal(dst, nodes)
     state, diag = advance_step(prob, State.initial(prob), 1e-3, 1)
